@@ -18,7 +18,7 @@
 //! The speedup curve is only meaningful on multi-core hardware: the
 //! JSON records `available_parallelism` alongside the timings so a
 //! 1-core container's flat curve is not mistaken for a regression
-//! (same caveat as `BENCH_batch.json` / `BENCH_compress.json`).
+//! (same caveat as `BENCH_batch.json`).
 
 use seal_bench::data::{build_store, dataset, BenchConfig, Which};
 use seal_bench::harness::{out_path, time_ms, write_json};

@@ -94,16 +94,6 @@ impl AdaptiveFilter {
         }
     }
 
-    /// The token route (persistence reads its index out).
-    pub(crate) fn token_route(&self) -> &TokenFilter {
-        &self.token
-    }
-
-    /// The grid route (persistence reads its index out).
-    pub(crate) fn grid_route(&self) -> &GridFilter {
-        &self.grid
-    }
-
     /// The grid scheme used by the spatial route.
     pub fn grid_scheme(&self) -> &GridScheme {
         self.grid.scheme()
@@ -159,8 +149,16 @@ impl CandidateFilter for AdaptiveFilter {
         self.token.index_bytes() + self.grid.index_bytes()
     }
 
-    fn as_any(&self) -> Option<&dyn std::any::Any> {
-        Some(self)
+    /// The token route's index as the primary section, the grid
+    /// route's as the secondary.
+    fn persisted_sections(&self) -> Vec<(u16, Vec<u8>)> {
+        let mut sections = self.token.persisted_sections();
+        let grid = self.grid.persisted_sections();
+        sections.extend(
+            grid.into_iter()
+                .map(|(_, bytes)| (crate::persist::SECTION_SECONDARY_INDEX, bytes)),
+        );
+        sections
     }
 }
 

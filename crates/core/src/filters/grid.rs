@@ -120,8 +120,8 @@ impl CandidateFilter for GridFilter {
         self.index.size_bytes() + self.scheme.size_bytes()
     }
 
-    fn as_any(&self) -> Option<&dyn std::any::Any> {
-        Some(self)
+    fn persisted_sections(&self) -> Vec<(u16, Vec<u8>)> {
+        crate::persist::primary_section(self.index.to_bytes())
     }
 }
 

@@ -203,6 +203,15 @@ impl CandidateFilter for HierarchicalFilter {
             + self.scheme.total_cells() * (std::mem::size_of::<u128>() + std::mem::size_of::<f64>())
     }
 
+    fn persisted_sections(&self) -> Vec<(u16, Vec<u8>)> {
+        let mut sections = vec![(
+            crate::persist::SECTION_HIER_SCHEME,
+            crate::persist::encode_scheme(&self.scheme),
+        )];
+        sections.extend(crate::persist::primary_section(self.index.to_bytes()));
+        sections
+    }
+
     fn as_any(&self) -> Option<&dyn std::any::Any> {
         Some(self)
     }

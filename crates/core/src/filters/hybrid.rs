@@ -271,8 +271,11 @@ impl CandidateFilter for HybridFilter {
         index + self.grid.size_bytes()
     }
 
-    fn as_any(&self) -> Option<&dyn std::any::Any> {
-        Some(self)
+    fn persisted_sections(&self) -> Vec<(u16, Vec<u8>)> {
+        crate::persist::primary_section(match &self.storage {
+            HybridStorage::Arena(i) => i.to_bytes(),
+            HybridStorage::Compressed(c) => c.to_bytes(),
+        })
     }
 }
 

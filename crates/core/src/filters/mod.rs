@@ -163,6 +163,15 @@ pub trait CandidateFilter: Send + Sync {
     /// (Table 1's index-size rows).
     fn index_bytes(&self) -> usize;
 
+    /// The index sections this filter persists in a `.seal` container,
+    /// as `(section kind, codec bytes)` in file order (kinds from
+    /// [`crate::persist`]). Defaults to none: a filter whose build is
+    /// a cheap deterministic function of the store is rebuilt on load
+    /// instead.
+    fn persisted_sections(&self) -> Vec<(u16, Vec<u8>)> {
+        Vec::new()
+    }
+
     /// The concrete filter as [`Any`](std::any::Any), for
     /// generation-reusing rebuild paths
     /// (`SealEngine::build_next_generation`) to probe. Defaults to
@@ -198,8 +207,7 @@ pub struct QueryContext {
     /// Object ids touched by the accumulator this query.
     pub(crate) touched: Vec<u32>,
     /// Decode scratch for compressed arenas: qualifying prefixes'
-    /// object ids are decoded here — block-unpacked or varint-decoded,
-    /// per the arena's id codec (single- and dual-bound
+    /// object ids are block-unpacked here (single- and dual-bound
     /// arenas both decode ids only — bounds are cut in the quantized
     /// domain and never materialized), so the compressed serving path
     /// allocates nothing once this has grown to the largest

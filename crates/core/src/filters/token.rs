@@ -2,6 +2,7 @@
 //! **TokenFilter**) and the basic `Sig-Filter` ablation.
 
 use crate::filters::{CandidateFilter, QueryContext};
+use crate::persist::primary_section;
 use crate::signatures::textual::TextualSignature;
 use crate::{ObjectId, ObjectStore, Query, SearchStats};
 use seal_index::{CompressedInvertedIndex, InvertedIndex};
@@ -11,8 +12,7 @@ use std::time::Instant;
 
 /// How a filter stores its posting lists: the uncompressed CSR arena,
 /// or the compressed arena served in place (quantized bound columns +
-/// codec-encoded ids — block-packed by default — decoded through the
-/// `QueryContext` scratch).
+/// block-packed ids decoded through the `QueryContext` scratch).
 enum TokenStorage {
     Arena(InvertedIndex<u32>),
     Compressed(CompressedInvertedIndex<u32>),
@@ -213,7 +213,7 @@ impl CandidateFilter for TokenFilter {
             stats.lists_probed += 1;
             // Both storage modes share one contract: the qualifying
             // probe yields an id slice — in place from the arena's id
-            // column, or codec-decoded into the context scratch.
+            // column, or block-decoded into the context scratch.
             let ids = match &self.storage {
                 TokenStorage::Arena(index) => index.qualifying(&elem.token.0, c_t),
                 TokenStorage::Compressed(index) => {
@@ -237,8 +237,11 @@ impl CandidateFilter for TokenFilter {
         }
     }
 
-    fn as_any(&self) -> Option<&dyn std::any::Any> {
-        Some(self)
+    fn persisted_sections(&self) -> Vec<(u16, Vec<u8>)> {
+        primary_section(match &self.storage {
+            TokenStorage::Arena(i) => i.to_bytes(),
+            TokenStorage::Compressed(c) => c.to_bytes(),
+        })
     }
 }
 
@@ -300,11 +303,6 @@ impl TokenFilterBasic {
             empty_token_objects: empty,
         }
     }
-
-    /// The underlying weighted index (persistence reads it out).
-    pub(crate) fn index(&self) -> &InvertedIndex<u32> {
-        &self.index
-    }
 }
 
 impl CandidateFilter for TokenFilterBasic {
@@ -345,8 +343,8 @@ impl CandidateFilter for TokenFilterBasic {
         self.index.size_bytes()
     }
 
-    fn as_any(&self) -> Option<&dyn std::any::Any> {
-        Some(self)
+    fn persisted_sections(&self) -> Vec<(u16, Vec<u8>)> {
+        primary_section(self.index.to_bytes())
     }
 }
 

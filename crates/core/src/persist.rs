@@ -25,27 +25,14 @@
 //!
 //! Filters whose build is a cheap deterministic function of the store
 //! (the baselines and [`FilterKind::Naive`]) persist no index sections
-//! and are rebuilt on load.
+//! and are rebuilt on load. Which index sections an engine writes is
+//! the filter's own answer ([`CandidateFilter::persisted_sections`]);
+//! [`FilterKind`] is matched once, on load.
 //!
-//! Legacy raw codec blobs (an index serialized with
-//! `InvertedIndex::to_bytes` and friends, no container framing) are
-//! detected by magic and rejected with a pointer to the compatibility
-//! entry points — the `from_bytes` constructors in `seal_index` still
-//! read them.
-//!
-//! # Streaming load
-//!
-//! [`SealEngine::load_with_threads`] goes through
-//! [`seal_index::stream_file`]: the container framing is validated up
-//! front, then each section is CRC-checked **and decoded** by a pool
-//! worker the moment its bytes are read off disk, so section decoding
-//! overlaps with the remaining file I/O. The writer lays the tiny
-//! engine-meta section out *before* the index payloads, so the decode
-//! hook can read the filter kind from the already-streamed meta bytes
-//! and pick the right index decoder per section; a file with hostile
-//! section ordering simply falls back to decoding at assembly time
-//! (same typed errors, no panic). [`SealEngine::load_from_bytes`]
-//! keeps the buffered path for bytes already in memory.
+//! There is one load path: [`SealEngine::load`] reads the file and
+//! hands the bytes to [`SealEngine::load_from_bytes`], whose framing
+//! validator is [`Container::parse_with_threads`]. Sections are looked
+//! up by kind, so their order in the file does not matter.
 
 use crate::filters::{
     AdaptiveFilter, CandidateFilter, GridFilter, HierarchicalFilter, HybridFilter, TokenFilter,
@@ -57,7 +44,7 @@ use crate::{FilterKind, ObjectStore, SealEngine, SimilarityConfig, SpatialSimFn}
 use seal_geom::{GridCellId, GridTree, Rect};
 use seal_index::{
     CompressedHybridIndex, CompressedInvertedIndex, Container, ContainerError, ContainerWriter,
-    HybridIndex, InvertedIndex,
+    HybridIndex, IndexCodecError, InvertedIndex, ObjId,
 };
 use seal_text::similarity::TextualSimFn;
 use seal_text::{Dictionary, TokenId, TokenSet};
@@ -79,6 +66,12 @@ pub const SECTION_HIER_SCHEME: u16 = 5;
 pub const SECTION_PRIMARY_INDEX: u16 = 6;
 /// Section kind: the adaptive router's grid index (codec bytes).
 pub const SECTION_SECONDARY_INDEX: u16 = 7;
+
+/// What a filter with one index persists: its codec bytes as the
+/// primary index section.
+pub(crate) fn primary_section(codec_bytes: impl AsRef<[u8]>) -> Vec<(u16, Vec<u8>)> {
+    vec![(SECTION_PRIMARY_INDEX, codec_bytes.as_ref().to_vec())]
+}
 
 // ---------------------------------------------------------------- write
 
@@ -463,7 +456,7 @@ fn decode_meta(payload: &[u8]) -> Result<(FilterKind, SimilarityConfig), Contain
 /// (the in-memory map iterates nondeterministically) and each token's
 /// cells in their **selection order**, which the scheme treats as
 /// authoritative (`TokenGrids` derives probe ranks from it).
-fn encode_scheme(scheme: &HierarchicalScheme) -> Vec<u8> {
+pub(crate) fn encode_scheme(scheme: &HierarchicalScheme) -> Vec<u8> {
     let mut buf = Vec::new();
     put_u8(&mut buf, scheme.tree().max_level());
     put_u64(&mut buf, scheme.budget() as u64);
@@ -542,17 +535,12 @@ fn decode_scheme(
 
 // -------------------------------------------------------------- engine
 
-/// Maps a codec decode failure into the container error space.
-fn codec<T>(res: Result<T, seal_index::IndexCodecError>) -> Result<T, ContainerError> {
-    res.map_err(ContainerError::Codec)
-}
-
 /// Rejects an index whose postings reference objects the store does
 /// not have — the one cross-section invariant the codec itself cannot
 /// check, and the one that would otherwise panic the first query
 /// (dedup stamps are indexed by object id).
 fn check_ids(
-    max_id: Option<seal_index::ObjId>,
+    max_id: Option<ObjId>,
     store_len: usize,
     what: &'static str,
 ) -> Result<(), ContainerError> {
@@ -568,6 +556,25 @@ fn check_ids(
     Ok(())
 }
 
+/// Decodes the index section `kind` with its type's `from_bytes` and
+/// checks its ids against the store ([`check_ids`]).
+fn index_section<'a, I>(
+    container: &Container<'a>,
+    kind: u16,
+    store: &ObjectStore,
+    decode: impl FnOnce(&'a [u8]) -> Result<I, IndexCodecError>,
+    max_id: impl FnOnce(&I) -> Option<ObjId>,
+) -> Result<I, ContainerError> {
+    let index = decode(container.require(kind)?)?;
+    let what = if kind == SECTION_PRIMARY_INDEX {
+        "primary index"
+    } else {
+        "secondary index"
+    };
+    check_ids(max_id(&index), store.len(), what)?;
+    Ok(index)
+}
+
 fn bucket_scheme(buckets: Option<u64>) -> BucketScheme {
     match buckets {
         Some(m) => BucketScheme::Buckets(m),
@@ -575,137 +582,11 @@ fn bucket_scheme(buckets: Option<u64>) -> BucketScheme {
     }
 }
 
-// ------------------------------------------------------ streaming load
-
-/// One section's decode result from the streaming load: either fully
-/// decoded by the pool worker that verified its CRC, or the raw bytes
-/// for sections that are cheap to decode (stats, meta, scheme), need
-/// cross-section state unavailable mid-stream, or were streamed before
-/// the engine-meta section in a hostile ordering.
-enum Slot {
-    /// Undecoded payload bytes (decoded at assembly time).
-    Raw(Vec<u8>),
-    /// The object store (kind 2).
-    Store(ObjectStore),
-    /// The token dictionary (kind 3).
-    Dict(Dictionary),
-    /// An uncompressed `u32`-keyed index (token filters).
-    Single32(InvertedIndex<u32>),
-    /// An uncompressed `u64`-keyed index (grid filters).
-    Single64(InvertedIndex<u64>),
-    /// A compressed `u32`-keyed index.
-    Comp32(CompressedInvertedIndex<u32>),
-    /// An uncompressed hybrid index (hash-hybrid filter).
-    Hybrid64(HybridIndex<u64>),
-    /// A compressed hybrid index.
-    CompHybrid64(CompressedHybridIndex<u64>),
-    /// A `u128`-keyed hybrid index (hierarchical filter).
-    Hybrid128(HybridIndex<u128>),
-}
-
-/// The per-section decode hook for [`seal_index::stream_file`]: runs
-/// on a pool worker right after the section's CRC verifies, while the
-/// caller thread is still reading later sections off disk.
-///
-/// Index sections pick their decoder by reading the filter kind from
-/// the already-streamed engine-meta payload (`raw`); the writer lays
-/// meta out before the index sections, so it is always visible on the
-/// files this engine writes. If it is not (hostile section order) the
-/// payload is kept raw and decoded at assembly, yielding the same
-/// typed errors as the buffered path.
-fn decode_slot(
-    kind: u16,
-    payload: &[u8],
-    raw: &seal_index::RawSections<'_>,
-) -> Result<Slot, ContainerError> {
-    match kind {
-        SECTION_STORE_OBJECTS => Ok(Slot::Store(decode_store(payload)?)),
-        SECTION_DICTIONARY => Ok(Slot::Dict(decode_dictionary(payload)?)),
-        SECTION_PRIMARY_INDEX | SECTION_SECONDARY_INDEX => {
-            let Some(meta) = raw.raw(SECTION_ENGINE_META) else {
-                return Ok(Slot::Raw(payload.to_vec()));
-            };
-            let Ok((fk, _)) = decode_meta(meta) else {
-                return Ok(Slot::Raw(payload.to_vec()));
-            };
-            match (fk, kind) {
-                (FilterKind::Token | FilterKind::TokenBasic, SECTION_PRIMARY_INDEX) => Ok(
-                    Slot::Single32(codec(InvertedIndex::<u32>::from_bytes(payload))?),
-                ),
-                (FilterKind::TokenCompressed, SECTION_PRIMARY_INDEX) => Ok(Slot::Comp32(codec(
-                    CompressedInvertedIndex::<u32>::from_bytes(payload),
-                )?)),
-                (FilterKind::Grid { .. }, SECTION_PRIMARY_INDEX) => Ok(Slot::Single64(codec(
-                    InvertedIndex::<u64>::from_bytes(payload),
-                )?)),
-                (FilterKind::HashHybrid { .. }, SECTION_PRIMARY_INDEX) => Ok(Slot::Hybrid64(
-                    codec(HybridIndex::<u64>::from_bytes(payload))?,
-                )),
-                (FilterKind::HashHybridCompressed { .. }, SECTION_PRIMARY_INDEX) => Ok(
-                    Slot::CompHybrid64(codec(CompressedHybridIndex::<u64>::from_bytes(payload))?),
-                ),
-                (FilterKind::Hierarchical { .. }, SECTION_PRIMARY_INDEX) => Ok(Slot::Hybrid128(
-                    codec(HybridIndex::<u128>::from_bytes(payload))?,
-                )),
-                (FilterKind::Adaptive { .. }, SECTION_PRIMARY_INDEX) => Ok(Slot::Single32(codec(
-                    InvertedIndex::<u32>::from_bytes(payload),
-                )?)),
-                (FilterKind::Adaptive { .. }, SECTION_SECONDARY_INDEX) => Ok(Slot::Single64(
-                    codec(InvertedIndex::<u64>::from_bytes(payload))?,
-                )),
-                // Derivable filters persist no index sections; an
-                // unexpected one stays raw and is flagged at assembly.
-                _ => Ok(Slot::Raw(payload.to_vec())),
-            }
-        }
-        // Stats, meta and scheme are cheap and need cross-section
-        // state (the reloaded store) the stream cannot provide.
-        _ => Ok(Slot::Raw(payload.to_vec())),
-    }
-}
-
-/// Takes an index slot out of the streamed-section map: the expected
-/// pre-decoded variant, a raw fallback re-decoded here, a typed error
-/// for a missing section, or a kind/storage mismatch otherwise.
-macro_rules! take_idx {
-    ($map:expr, $kind:expr, $variant:ident, $ty:ty) => {
-        match $map.remove(&$kind) {
-            Some(Slot::$variant(idx)) => Ok(idx),
-            Some(Slot::Raw(bytes)) => codec(<$ty>::from_bytes(bytes.as_slice())),
-            Some(_) => Err(wrong_filter(
-                "index section was decoded under a different filter kind",
-            )),
-            None => Err(ContainerError::MissingSection { kind: $kind }),
-        }
-    };
-}
-
-/// The guidance error for a pre-container raw codec blob.
-fn legacy_blob_error() -> ContainerError {
-    ContainerError::Section {
-        section: "container",
-        offset: 0,
-        detail: "file is a raw index codec blob (legacy format), not a .seal container; \
-                 load it with the seal_index from_bytes compatibility entry points"
-            .to_string(),
-    }
-}
-
-/// Filter-side error for a kind/storage mismatch (cannot happen via
-/// the public build paths; kept as a typed error rather than a panic).
-fn wrong_filter(detail: &str) -> ContainerError {
-    ContainerError::Section {
-        section: "engine meta",
-        offset: 0,
-        detail: detail.to_string(),
-    }
-}
-
 impl SealEngine {
     /// Serializes the engine into `.seal` container bytes (pure
     /// function of the engine — two calls return identical bytes).
     pub fn to_container_bytes(&self) -> Result<Vec<u8>, ContainerError> {
-        Ok(self.container_writer()?.finish())
+        Ok(self.container_writer().finish())
     }
 
     /// Saves the engine to `path` with the crash-safe protocol: the
@@ -714,10 +595,10 @@ impl SealEngine {
     /// file behind but never a torn or half-written container at
     /// `path`. Returns the container size in bytes.
     pub fn save(&self, path: &Path) -> Result<u64, ContainerError> {
-        self.container_writer()?.write_atomic(path)
+        self.container_writer().write_atomic(path)
     }
 
-    fn container_writer(&self) -> Result<ContainerWriter, ContainerError> {
+    fn container_writer(&self) -> ContainerWriter {
         let mut w = ContainerWriter::new();
         w.push_section(SECTION_STORE_STATS, encode_stats(self.store()));
         w.push_section(SECTION_STORE_OBJECTS, encode_store(self.store()));
@@ -725,242 +606,30 @@ impl SealEngine {
             w.push_section(SECTION_DICTIONARY, encode_dictionary(dict));
         }
         w.push_section(SECTION_ENGINE_META, encode_meta(self.kind(), self.config()));
-        let f = self.filter();
-        match self.kind() {
-            FilterKind::Token => {
-                let t: &TokenFilter = downcast(f, "TokenFilter")?;
-                let idx = t
-                    .index()
-                    .ok_or_else(|| wrong_filter("Token kind with compressed storage"))?;
-                w.push_section(SECTION_PRIMARY_INDEX, idx.to_bytes().as_slice().to_vec());
-            }
-            FilterKind::TokenCompressed => {
-                let t: &TokenFilter = downcast(f, "TokenFilter")?;
-                let idx = t
-                    .compressed_index()
-                    .ok_or_else(|| wrong_filter("TokenCompressed kind with arena storage"))?;
-                w.push_section(SECTION_PRIMARY_INDEX, idx.to_bytes().as_slice().to_vec());
-            }
-            FilterKind::TokenBasic => {
-                let t: &TokenFilterBasic = downcast(f, "TokenFilterBasic")?;
-                w.push_section(
-                    SECTION_PRIMARY_INDEX,
-                    t.index().to_bytes().as_slice().to_vec(),
-                );
-            }
-            FilterKind::Grid { .. } => {
-                let g: &GridFilter = downcast(f, "GridFilter")?;
-                w.push_section(
-                    SECTION_PRIMARY_INDEX,
-                    g.index().to_bytes().as_slice().to_vec(),
-                );
-            }
-            FilterKind::HashHybrid { .. } => {
-                let h: &HybridFilter = downcast(f, "HybridFilter")?;
-                let idx = h
-                    .index()
-                    .ok_or_else(|| wrong_filter("HashHybrid kind with compressed storage"))?;
-                w.push_section(SECTION_PRIMARY_INDEX, idx.to_bytes().as_slice().to_vec());
-            }
-            FilterKind::HashHybridCompressed { .. } => {
-                let h: &HybridFilter = downcast(f, "HybridFilter")?;
-                let idx = h
-                    .compressed_index()
-                    .ok_or_else(|| wrong_filter("HashHybridCompressed kind with arena storage"))?;
-                w.push_section(SECTION_PRIMARY_INDEX, idx.to_bytes().as_slice().to_vec());
-            }
-            FilterKind::Hierarchical { .. } => {
-                let h: &HierarchicalFilter = downcast(f, "HierarchicalFilter")?;
-                w.push_section(SECTION_HIER_SCHEME, encode_scheme(h.scheme()));
-                w.push_section(
-                    SECTION_PRIMARY_INDEX,
-                    h.index().to_bytes().as_slice().to_vec(),
-                );
-            }
-            FilterKind::Adaptive { .. } => {
-                let a: &AdaptiveFilter = downcast(f, "AdaptiveFilter")?;
-                let token = a
-                    .token_route()
-                    .index()
-                    .ok_or_else(|| wrong_filter("Adaptive token route with compressed storage"))?;
-                w.push_section(SECTION_PRIMARY_INDEX, token.to_bytes().as_slice().to_vec());
-                w.push_section(
-                    SECTION_SECONDARY_INDEX,
-                    a.grid_route().index().to_bytes().as_slice().to_vec(),
-                );
-            }
-            // Cheap deterministic rebuilds: nothing beyond the store
-            // and the meta tag to persist.
-            FilterKind::KeywordFirst
-            | FilterKind::SpatialFirst
-            | FilterKind::IrTree { .. }
-            | FilterKind::Naive => {}
+        for (kind, payload) in self.filter().persisted_sections() {
+            w.push_section(kind, payload);
         }
-        Ok(w)
+        w
     }
 
     /// Loads an engine from a `.seal` container file
-    /// ([`load_with_threads`](Self::load_with_threads) with a single
-    /// verification worker).
+    /// ([`load_with_threads`](Self::load_with_threads) on one thread).
     pub fn load(path: &Path) -> Result<SealEngine, ContainerError> {
         Self::load_with_threads(path, 1)
     }
 
-    /// Loads an engine from a `.seal` container file, **streaming**:
-    /// after the framing (footer, header, directory) is validated, each
-    /// section is CRC-verified *and decoded* by one of `threads` pool
-    /// workers (`0` = one per core) as soon as its bytes are read, so
-    /// store/index decoding overlaps with the remaining file I/O
-    /// instead of waiting for the whole file (see
-    /// [`seal_index::stream_file`]). Derivable filters are rebuilt with
-    /// the same pool. Input validation is identical to the buffered
-    /// path: bad magic, truncation, bit flips, oversized counts and
-    /// cross-section disagreements all surface as typed
-    /// [`ContainerError`]s, never as panics.
+    /// Loads an engine from a `.seal` container file: reads it, then
+    /// [`load_from_bytes`](Self::load_from_bytes).
     pub fn load_with_threads(path: &Path, threads: usize) -> Result<SealEngine, ContainerError> {
-        // Legacy raw codec blobs share no framing with the container;
-        // sniff the magic first for the guidance error.
-        {
-            use std::io::Read as _;
-            let mut head = [0u8; 4];
-            let n = std::fs::File::open(path)?.read(&mut head)?;
-            if seal_index::container::looks_like_legacy_codec(&head[..n]) {
-                return Err(legacy_blob_error());
-            }
-        }
-        let sections = seal_index::stream_file(path, threads, decode_slot)?;
-        Self::assemble_streamed(sections.into_iter().collect(), threads)
+        Self::load_from_bytes(&std::fs::read(path)?, threads)
     }
 
-    /// Reconstructs the engine from streamed-and-decoded section
-    /// slots — the assembly half of [`load_with_threads`]
-    /// (cross-section checks, filter construction), mirroring
-    /// [`load_from_bytes`](Self::load_from_bytes) exactly.
-    fn assemble_streamed(
-        mut map: HashMap<u16, Slot>,
-        threads: usize,
-    ) -> Result<SealEngine, ContainerError> {
-        let mut store = match map.remove(&SECTION_STORE_OBJECTS) {
-            Some(Slot::Store(s)) => s,
-            Some(Slot::Raw(b)) => decode_store(&b)?,
-            Some(_) => return Err(wrong_filter("store section decoded as an index")),
-            None => {
-                return Err(ContainerError::MissingSection {
-                    kind: SECTION_STORE_OBJECTS,
-                })
-            }
-        };
-        match map.remove(&SECTION_DICTIONARY) {
-            Some(Slot::Dict(d)) => store.set_dictionary(Some(d)),
-            Some(Slot::Raw(b)) => store.set_dictionary(Some(decode_dictionary(&b)?)),
-            Some(_) => return Err(wrong_filter("dictionary section decoded as an index")),
-            None => {}
-        }
-        let raw_or_missing = |slot: Option<Slot>, kind: u16| match slot {
-            Some(Slot::Raw(b)) => Ok(b),
-            Some(_) => Err(wrong_filter("metadata section decoded as an index")),
-            None => Err(ContainerError::MissingSection { kind }),
-        };
-        let stats = raw_or_missing(map.remove(&SECTION_STORE_STATS), SECTION_STORE_STATS)?;
-        check_stats(&stats, &store)?;
-        let meta = raw_or_missing(map.remove(&SECTION_ENGINE_META), SECTION_ENGINE_META)?;
-        let (kind, cfg) = decode_meta(&meta)?;
-        let store = Arc::new(store);
-        let opts = crate::BuildOpts::with_threads(threads);
-        let filter: Box<dyn CandidateFilter> = match kind {
-            FilterKind::Token => {
-                let idx = take_idx!(map, SECTION_PRIMARY_INDEX, Single32, InvertedIndex<u32>)?;
-                check_ids(idx.max_object_id(), store.len(), "primary index")?;
-                Box::new(TokenFilter::from_loaded_arena(store.clone(), cfg, idx))
-            }
-            FilterKind::TokenCompressed => {
-                let idx = take_idx!(
-                    map,
-                    SECTION_PRIMARY_INDEX,
-                    Comp32,
-                    CompressedInvertedIndex<u32>
-                )?;
-                check_ids(idx.max_object_id(), store.len(), "primary index")?;
-                Box::new(TokenFilter::from_loaded_compressed(store.clone(), cfg, idx))
-            }
-            FilterKind::TokenBasic => {
-                let idx = take_idx!(map, SECTION_PRIMARY_INDEX, Single32, InvertedIndex<u32>)?;
-                check_ids(idx.max_object_id(), store.len(), "primary index")?;
-                Box::new(TokenFilterBasic::from_loaded(store.clone(), cfg, idx))
-            }
-            FilterKind::Grid { side } => {
-                let idx = take_idx!(map, SECTION_PRIMARY_INDEX, Single64, InvertedIndex<u64>)?;
-                check_ids(idx.max_object_id(), store.len(), "primary index")?;
-                Box::new(GridFilter::from_loaded(&store, side, cfg, idx))
-            }
-            FilterKind::HashHybrid { side, buckets } => {
-                let idx = take_idx!(map, SECTION_PRIMARY_INDEX, Hybrid64, HybridIndex<u64>)?;
-                check_ids(idx.max_object_id(), store.len(), "primary index")?;
-                Box::new(HybridFilter::from_loaded_arena(
-                    store.clone(),
-                    side,
-                    bucket_scheme(buckets),
-                    cfg,
-                    idx,
-                ))
-            }
-            FilterKind::HashHybridCompressed { side, buckets } => {
-                let idx = take_idx!(
-                    map,
-                    SECTION_PRIMARY_INDEX,
-                    CompHybrid64,
-                    CompressedHybridIndex<u64>
-                )?;
-                check_ids(idx.max_object_id(), store.len(), "primary index")?;
-                Box::new(HybridFilter::from_loaded_compressed(
-                    store.clone(),
-                    side,
-                    bucket_scheme(buckets),
-                    cfg,
-                    idx,
-                ))
-            }
-            FilterKind::Hierarchical { max_level, budget } => {
-                let scheme_bytes =
-                    raw_or_missing(map.remove(&SECTION_HIER_SCHEME), SECTION_HIER_SCHEME)?;
-                let scheme = decode_scheme(&scheme_bytes, &store, max_level, budget)?;
-                let idx = take_idx!(map, SECTION_PRIMARY_INDEX, Hybrid128, HybridIndex<u128>)?;
-                check_ids(idx.max_object_id(), store.len(), "primary index")?;
-                Box::new(HierarchicalFilter::from_loaded(
-                    store.clone(),
-                    cfg,
-                    scheme,
-                    idx,
-                ))
-            }
-            FilterKind::Adaptive { side } => {
-                let token = take_idx!(map, SECTION_PRIMARY_INDEX, Single32, InvertedIndex<u32>)?;
-                check_ids(token.max_object_id(), store.len(), "primary index")?;
-                let grid = take_idx!(map, SECTION_SECONDARY_INDEX, Single64, InvertedIndex<u64>)?;
-                check_ids(grid.max_object_id(), store.len(), "secondary index")?;
-                Box::new(AdaptiveFilter::from_loaded(
-                    store.clone(),
-                    cfg,
-                    TokenFilter::from_loaded_arena(store.clone(), cfg, token),
-                    GridFilter::from_loaded(&store, side, cfg, grid),
-                ))
-            }
-            FilterKind::KeywordFirst
-            | FilterKind::SpatialFirst
-            | FilterKind::IrTree { .. }
-            | FilterKind::Naive => {
-                return Ok(SealEngine::build_with_opts(store, kind, cfg, opts));
-            }
-        };
-        Ok(SealEngine::from_loaded_parts(store, filter, cfg, kind))
-    }
-
-    /// [`load_with_threads`](Self::load_with_threads) over bytes
-    /// already in memory.
+    /// Reconstructs an engine from `.seal` container bytes. `threads`
+    /// (`0` = one per core) fans out the per-section CRC checks and
+    /// the rebuild of derivable filters. Bad magic, truncation, bit
+    /// flips, oversized counts and cross-section disagreements all
+    /// surface as typed [`ContainerError`]s, never as panics.
     pub fn load_from_bytes(bytes: &[u8], threads: usize) -> Result<SealEngine, ContainerError> {
-        if seal_index::container::looks_like_legacy_codec(bytes) {
-            return Err(legacy_blob_error());
-        }
         let container = Container::parse_with_threads(bytes, threads)?;
         let mut store = decode_store(container.require(SECTION_STORE_OBJECTS)?)?;
         if let Some(payload) = container.section(SECTION_DICTIONARY) {
@@ -969,60 +638,78 @@ impl SealEngine {
         check_stats(container.require(SECTION_STORE_STATS)?, &store)?;
         let (kind, cfg) = decode_meta(container.require(SECTION_ENGINE_META)?)?;
         let store = Arc::new(store);
-        let opts = crate::BuildOpts::with_threads(threads);
+        let token_arena = || {
+            index_section(
+                &container,
+                SECTION_PRIMARY_INDEX,
+                &store,
+                InvertedIndex::<u32>::from_bytes,
+                InvertedIndex::max_object_id,
+            )
+        };
+        let grid_arena = |section: u16| {
+            index_section(
+                &container,
+                section,
+                &store,
+                InvertedIndex::<u64>::from_bytes,
+                InvertedIndex::max_object_id,
+            )
+        };
         let filter: Box<dyn CandidateFilter> = match kind {
-            FilterKind::Token => {
-                let idx = codec(InvertedIndex::<u32>::from_bytes(
-                    container.require(SECTION_PRIMARY_INDEX)?,
-                ))?;
-                check_ids(idx.max_object_id(), store.len(), "primary index")?;
-                Box::new(TokenFilter::from_loaded_arena(store.clone(), cfg, idx))
-            }
-            FilterKind::TokenCompressed => {
-                let idx = codec(CompressedInvertedIndex::<u32>::from_bytes(
-                    container.require(SECTION_PRIMARY_INDEX)?,
-                ))?;
-                check_ids(idx.max_object_id(), store.len(), "primary index")?;
-                Box::new(TokenFilter::from_loaded_compressed(store.clone(), cfg, idx))
-            }
-            FilterKind::TokenBasic => {
-                let idx = codec(InvertedIndex::<u32>::from_bytes(
-                    container.require(SECTION_PRIMARY_INDEX)?,
-                ))?;
-                check_ids(idx.max_object_id(), store.len(), "primary index")?;
-                Box::new(TokenFilterBasic::from_loaded(store.clone(), cfg, idx))
-            }
-            FilterKind::Grid { side } => {
-                let idx = codec(InvertedIndex::<u64>::from_bytes(
-                    container.require(SECTION_PRIMARY_INDEX)?,
-                ))?;
-                check_ids(idx.max_object_id(), store.len(), "primary index")?;
-                Box::new(GridFilter::from_loaded(&store, side, cfg, idx))
-            }
-            FilterKind::HashHybrid { side, buckets } => {
-                let idx = codec(HybridIndex::<u64>::from_bytes(
-                    container.require(SECTION_PRIMARY_INDEX)?,
-                ))?;
-                check_ids(idx.max_object_id(), store.len(), "primary index")?;
-                Box::new(HybridFilter::from_loaded_arena(
-                    store.clone(),
-                    side,
-                    bucket_scheme(buckets),
-                    cfg,
-                    idx,
-                ))
-            }
+            FilterKind::Token => Box::new(TokenFilter::from_loaded_arena(
+                store.clone(),
+                cfg,
+                token_arena()?,
+            )),
+            FilterKind::TokenCompressed => Box::new(TokenFilter::from_loaded_compressed(
+                store.clone(),
+                cfg,
+                index_section(
+                    &container,
+                    SECTION_PRIMARY_INDEX,
+                    &store,
+                    CompressedInvertedIndex::<u32>::from_bytes,
+                    CompressedInvertedIndex::max_object_id,
+                )?,
+            )),
+            FilterKind::TokenBasic => Box::new(TokenFilterBasic::from_loaded(
+                store.clone(),
+                cfg,
+                token_arena()?,
+            )),
+            FilterKind::Grid { side } => Box::new(GridFilter::from_loaded(
+                &store,
+                side,
+                cfg,
+                grid_arena(SECTION_PRIMARY_INDEX)?,
+            )),
+            FilterKind::HashHybrid { side, buckets } => Box::new(HybridFilter::from_loaded_arena(
+                store.clone(),
+                side,
+                bucket_scheme(buckets),
+                cfg,
+                index_section(
+                    &container,
+                    SECTION_PRIMARY_INDEX,
+                    &store,
+                    HybridIndex::<u64>::from_bytes,
+                    HybridIndex::max_object_id,
+                )?,
+            )),
             FilterKind::HashHybridCompressed { side, buckets } => {
-                let idx = codec(CompressedHybridIndex::<u64>::from_bytes(
-                    container.require(SECTION_PRIMARY_INDEX)?,
-                ))?;
-                check_ids(idx.max_object_id(), store.len(), "primary index")?;
                 Box::new(HybridFilter::from_loaded_compressed(
                     store.clone(),
                     side,
                     bucket_scheme(buckets),
                     cfg,
-                    idx,
+                    index_section(
+                        &container,
+                        SECTION_PRIMARY_INDEX,
+                        &store,
+                        CompressedHybridIndex::<u64>::from_bytes,
+                        CompressedHybridIndex::max_object_id,
+                    )?,
                 ))
             }
             FilterKind::Hierarchical { max_level, budget } => {
@@ -1032,52 +719,36 @@ impl SealEngine {
                     max_level,
                     budget,
                 )?;
-                let idx = codec(HybridIndex::<u128>::from_bytes(
-                    container.require(SECTION_PRIMARY_INDEX)?,
-                ))?;
-                check_ids(idx.max_object_id(), store.len(), "primary index")?;
                 Box::new(HierarchicalFilter::from_loaded(
                     store.clone(),
                     cfg,
                     scheme,
-                    idx,
+                    index_section(
+                        &container,
+                        SECTION_PRIMARY_INDEX,
+                        &store,
+                        HybridIndex::<u128>::from_bytes,
+                        HybridIndex::max_object_id,
+                    )?,
                 ))
             }
-            FilterKind::Adaptive { side } => {
-                let token = codec(InvertedIndex::<u32>::from_bytes(
-                    container.require(SECTION_PRIMARY_INDEX)?,
-                ))?;
-                check_ids(token.max_object_id(), store.len(), "primary index")?;
-                let grid = codec(InvertedIndex::<u64>::from_bytes(
-                    container.require(SECTION_SECONDARY_INDEX)?,
-                ))?;
-                check_ids(grid.max_object_id(), store.len(), "secondary index")?;
-                Box::new(AdaptiveFilter::from_loaded(
-                    store.clone(),
-                    cfg,
-                    TokenFilter::from_loaded_arena(store.clone(), cfg, token),
-                    GridFilter::from_loaded(&store, side, cfg, grid),
-                ))
-            }
+            FilterKind::Adaptive { side } => Box::new(AdaptiveFilter::from_loaded(
+                store.clone(),
+                cfg,
+                TokenFilter::from_loaded_arena(store.clone(), cfg, token_arena()?),
+                GridFilter::from_loaded(&store, side, cfg, grid_arena(SECTION_SECONDARY_INDEX)?),
+            )),
+            // Derivable filters rebuild from the (validated) store.
             FilterKind::KeywordFirst
             | FilterKind::SpatialFirst
             | FilterKind::IrTree { .. }
             | FilterKind::Naive => {
-                // Derivable filters rebuild from the (validated) store.
+                let opts = crate::BuildOpts::with_threads(threads);
                 return Ok(SealEngine::build_with_opts(store, kind, cfg, opts));
             }
         };
         Ok(SealEngine::from_loaded_parts(store, filter, cfg, kind))
     }
-}
-
-fn downcast<'a, T: 'static>(
-    f: &'a dyn CandidateFilter,
-    what: &'static str,
-) -> Result<&'a T, ContainerError> {
-    f.as_any()
-        .and_then(|a| a.downcast_ref::<T>())
-        .ok_or_else(|| wrong_filter(&format!("active filter is not a {what}")))
 }
 
 #[cfg(test)]
@@ -1114,20 +785,6 @@ mod tests {
         );
         // Save → load → save is byte-identical.
         assert_eq!(loaded.to_container_bytes().unwrap(), bytes);
-    }
-
-    #[test]
-    fn legacy_codec_blob_is_rejected_with_guidance() {
-        let e = engine(FilterKind::Token);
-        let f: &TokenFilter = downcast(e.filter(), "TokenFilter").unwrap();
-        let blob = f.index().unwrap().to_bytes();
-        let err = SealEngine::load_from_bytes(blob.as_slice(), 1)
-            .err()
-            .expect("load must fail");
-        let msg = err.to_string();
-        assert!(msg.contains("legacy"), "unhelpful error: {msg}");
-        // The compatibility entry point still reads the blob.
-        assert!(InvertedIndex::<u32>::from_bytes(blob.as_slice()).is_ok());
     }
 
     #[test]
@@ -1179,11 +836,9 @@ mod tests {
         w.push_section(SECTION_STORE_STATS, stats);
         w.push_section(SECTION_STORE_OBJECTS, encode_store(e.store()));
         w.push_section(SECTION_ENGINE_META, encode_meta(e.kind(), e.config()));
-        let f: &TokenFilter = downcast(e.filter(), "TokenFilter").unwrap();
-        w.push_section(
-            SECTION_PRIMARY_INDEX,
-            f.index().unwrap().to_bytes().as_slice().to_vec(),
-        );
+        for (kind, payload) in e.filter().persisted_sections() {
+            w.push_section(kind, payload);
+        }
         let err = SealEngine::load_from_bytes(&w.finish(), 1)
             .err()
             .expect("load must fail");
@@ -1237,97 +892,6 @@ mod tests {
                 assert_eq!(c, cfg);
             }
         }
-    }
-
-    #[test]
-    fn streaming_load_matches_buffered_for_every_kind() {
-        let kinds = [
-            FilterKind::Token,
-            FilterKind::TokenCompressed,
-            FilterKind::TokenBasic,
-            FilterKind::Grid { side: 16 },
-            FilterKind::HashHybrid {
-                side: 16,
-                buckets: None,
-            },
-            FilterKind::HashHybridCompressed {
-                side: 16,
-                buckets: Some(64),
-            },
-            FilterKind::Hierarchical {
-                max_level: 4,
-                budget: 4,
-            },
-            FilterKind::Adaptive { side: 16 },
-            FilterKind::KeywordFirst,
-        ];
-        let dir = std::env::temp_dir();
-        for (i, kind) in kinds.into_iter().enumerate() {
-            let (store, q) = figure1_store();
-            let e = SealEngine::build(Arc::new(store), kind);
-            let path = dir.join(format!("seal-stream-load-{}-{i}.seal", std::process::id()));
-            e.save(&path).expect("save");
-            for threads in [1usize, 0] {
-                let loaded = SealEngine::load_with_threads(&path, threads).expect("stream load");
-                assert_eq!(loaded.kind(), e.kind());
-                assert_eq!(
-                    loaded.search(&q).sorted().answers,
-                    e.search(&q).sorted().answers,
-                    "streamed engine must answer identically ({kind:?})"
-                );
-            }
-            std::fs::remove_file(&path).ok();
-        }
-    }
-
-    #[test]
-    fn streaming_load_survives_hostile_section_order() {
-        // Meta pushed *after* the index section: the streaming decode
-        // hook cannot see the filter kind mid-stream and must fall
-        // back to raw bytes, decoded at assembly.
-        let e = engine(FilterKind::Token);
-        let f: &TokenFilter = downcast(e.filter(), "TokenFilter").unwrap();
-        let mut w = ContainerWriter::new();
-        w.push_section(SECTION_STORE_STATS, encode_stats(e.store()));
-        w.push_section(SECTION_STORE_OBJECTS, encode_store(e.store()));
-        if let Some(dict) = e.store().dictionary() {
-            w.push_section(SECTION_DICTIONARY, encode_dictionary(dict));
-        }
-        w.push_section(
-            SECTION_PRIMARY_INDEX,
-            f.index().unwrap().to_bytes().as_slice().to_vec(),
-        );
-        w.push_section(SECTION_ENGINE_META, encode_meta(e.kind(), e.config()));
-        let dir = std::env::temp_dir();
-        let path = dir.join(format!("seal-stream-hostile-{}.seal", std::process::id()));
-        std::fs::write(&path, w.finish()).expect("write reordered container");
-        let loaded = SealEngine::load_with_threads(&path, 0).expect("hostile order still loads");
-        assert_eq!(loaded.kind(), e.kind());
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn streaming_load_rejects_legacy_blob_and_corruption() {
-        let e = engine(FilterKind::Token);
-        let f: &TokenFilter = downcast(e.filter(), "TokenFilter").unwrap();
-        let dir = std::env::temp_dir();
-        let path = dir.join(format!("seal-stream-reject-{}.seal", std::process::id()));
-        // A legacy raw codec blob gets the guidance error.
-        std::fs::write(&path, f.index().unwrap().to_bytes().as_slice()).expect("write blob");
-        let err = SealEngine::load(&path)
-            .err()
-            .expect("legacy blob must be rejected");
-        assert!(err.to_string().contains("legacy"), "{err}");
-        // A flipped payload bit surfaces as a section checksum error.
-        let mut bytes = e.to_container_bytes().unwrap();
-        let mid = bytes.len() / 2;
-        bytes[mid] ^= 0x40;
-        std::fs::write(&path, &bytes).expect("write corrupt");
-        assert!(
-            SealEngine::load_with_threads(&path, 0).is_err(),
-            "corrupt container must fail the streaming load"
-        );
-        std::fs::remove_file(&path).ok();
     }
 
     #[test]

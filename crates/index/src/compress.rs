@@ -1,63 +1,61 @@
 //! Compressed posting arenas served **in place**: quantized bound
-//! columns plus object-id columns in one of two codecs — plain LEB128
-//! varints ([`IdCodec::Varint`], the legacy on-disk kinds) or
-//! delta-coded block bitpacking ([`IdCodec::BlockPacked`], the
-//! default) — laid out exactly like the uncompressed columnar CSR form
-//! so queries run directly off the compressed bytes.
+//! columns plus delta-coded, block-bitpacked object-id columns, laid
+//! out exactly like the uncompressed columnar CSR form so queries run
+//! directly off the compressed bytes.
 //!
 //! Table 1 is an index-size study: the paper's inverted lists live on
-//! disk and their footprint is a first-class metric. Earlier revisions
-//! kept one compressed `Bytes` payload per key and fully decoded a
-//! list before probing it; this module instead mirrors the in-memory
-//! CSR layout (the private `csr` module shared by [`InvertedIndex`]
-//! and [`HybridIndex`]) — **one contiguous compressed arena plus a
-//! sorted key/offset table** — and serves [`qualifying_into`] probes
-//! straight off the arena through a caller-owned scratch buffer.
-//! Compressed indexes are a serving mode, not just a storage
-//! artifact. Since the uncompressed arenas are themselves columnar
-//! (structure-of-arrays), the compressor reads the id and bound
-//! columns directly — quantizing one dense `f64` run and
-//! varint-encoding one dense `u32` run per group, never striding over
-//! interleaved structs.
+//! disk and their footprint is a first-class metric. This module
+//! mirrors the in-memory CSR layout (the private `csr` module shared
+//! by [`InvertedIndex`] and [`HybridIndex`]) — **one contiguous
+//! compressed arena plus a sorted key/offset table** — and serves
+//! [`qualifying_into`] probes straight off the arena through a
+//! caller-owned scratch buffer. Compressed indexes are a serving mode,
+//! not just a storage artifact. Since the uncompressed arenas are
+//! themselves columnar (structure-of-arrays), the compressor reads the
+//! id and bound columns directly — quantizing one dense `f64` run per
+//! bound column and packing one dense `u32` run per group, never
+//! striding over interleaved structs.
+//!
+//! There is one implementation, [`CompressedArena`], generic over the
+//! number `N` of quantized bound columns per group:
+//! [`CompressedInvertedIndex`] is `N = 1`, [`CompressedHybridIndex`]
+//! is `N = 2`.
 //!
 //! # Arena layout (the index-layout contract)
 //!
 //! Groups appear in ascending key order, postings within a group in
-//! the *same order as the uncompressed CSR group* (descending bound,
-//! ties by ascending object id — the `finalize()` order):
+//! the *same order as the uncompressed CSR group* (descending primary
+//! bound, ties by ascending object id — the `finalize()` order):
 //!
 //! ```text
 //! directory (one entry per key, sorted ascending):
 //!   keys:    [k0, k1, ...]
 //!   offsets: [byte start of group 0, ..., arena.len()]  len = keys+1
-//!   meta:    [(len, scale), ...]            one bound scale per group
+//!   meta:    [(len, scale ×N), ...]     one scale per bound column
 //! arena (one contiguous byte buffer):
-//!   group i, single-bound: [ q_bound: u16 ×len | ids ]
-//!   group i, dual-bound:   [ q_spatial: u16 ×len | q_textual: u16 ×len
-//!                          | ids ]
-//! ids, IdCodec::Varint:      [ id: varint ×len ]
-//! ids, IdCodec::BlockPacked: [ block ×(len/128) | tail ]
-//!   block: [ width: u8 (1..=64) | first: varint (absolute id)
-//!          | zigzag deltas ×127 at `width` bits, LSB-first,
-//!            ceil(127·width/8) bytes ]
+//!   group i: [ q_bound: u16 ×len ] ×N | ids
+//!            (N = 1: the bound column; N = 2: spatial, then textual)
+//!   ids:     [ block ×(len/128) | tail ]
+//!   block:   [ width: u8 (1..=64) | first: varint (absolute id)
+//!            | zigzag deltas ×127 at `width` bits, LSB-first,
+//!              ceil(127·width/8) bytes ]
 //!   tail (len%128 ids, only if > 0):
-//!          [ first: varint (absolute id) | zigzag-varint delta
-//!          ×(len%128 − 1) ]
+//!            [ first: varint (absolute id) | zigzag-varint delta
+//!            ×(len%128 − 1) ]
 //! ```
 //!
 //! Because the postings keep the descending-bound order *and* the
-//! quantization map is monotone, the `u16` bound column is itself
-//! non-increasing — so the Lemma 3 qualifying cut runs entirely in the
-//! **quantized domain**: the `f64` threshold is lifted once per group
-//! to the smallest qualifying `u16` step (`Quantizer::
+//! quantization map is monotone, the primary `u16` bound column is
+//! itself non-increasing — so the Lemma 3 qualifying cut runs entirely
+//! in the **quantized domain**: the `f64` threshold is lifted once per
+//! group to the smallest qualifying `u16` step (`Quantizer::
 //! quantize_threshold`) and the cut is the same chunked scan the
 //! uncompressed arenas use ([`bound_cut`](crate::bound_cut)'s `u16`
-//! twin), with zero
-//! dequantization per comparison and zero decoding of postings that
-//! fail the threshold. Only the qualifying prefix's **ids** are
-//! varint-decoded, into the caller's id scratch buffer (`seal-core`
-//! hangs one off its `QueryContext`, keeping the warm serving path
-//! allocation-free and mutex-free).
+//! twin), with zero dequantization per comparison and zero decoding of
+//! postings that fail the threshold. Only the qualifying prefix's
+//! **ids** are decoded, into the caller's id scratch buffer
+//! (`seal-core` hangs one off its `QueryContext`, keeping the warm
+//! serving path allocation-free and mutex-free).
 //!
 //! Bounds are quantized to `u16` fractions of the group's maximum
 //! bound, **rounded up** to the next step: a decompressed bound is
@@ -66,36 +64,27 @@
 //! `to_bytes`/`from_bytes` codec relies on, traded for 4× bound
 //! compression).
 //!
-//! # Id codecs
+//! # Id columns
 //!
-//! Under [`IdCodec::Varint`] object ids are LEB128 varints (≤ 2 bytes
-//! for ids below 16 384 instead of a 4-byte word plus padding). Under
-//! [`IdCodec::BlockPacked`] — the default since the CSR finalize order
-//! (descending bound, ties by **ascending id**) makes equal-bound runs
-//! locally sorted — ids are delta-coded and bit-packed in 128-id
-//! blocks: each full block stores one bit width, the first id as an
-//! absolute varint, and 127 zigzag-encoded deltas packed LSB-first at
-//! that width, so an equal-bound run of near-consecutive ids costs a
-//! few *bits* per id instead of 1–5 bytes. Deltas are zigzagged
-//! because a run boundary (bound drops, id restarts low) produces one
-//! negative delta. A partial tail block (fewer than 128 ids) falls
-//! back to delta-varint. The block decoder is branch-free per delta
-//! (one shift/mask accumulator loop) and decodes into the caller's
-//! scratch; [`qualifying_into`] decodes only
+//! The CSR finalize order (descending bound, ties by **ascending id**)
+//! makes equal-bound runs locally sorted, so ids are delta-coded and
+//! bit-packed in 128-id blocks: each full block stores one bit width,
+//! the first id as an absolute varint, and 127 zigzag-encoded deltas
+//! packed LSB-first at that width, so an equal-bound run of
+//! near-consecutive ids costs a few *bits* per id instead of a 4-byte
+//! word. Deltas are zigzagged because a run boundary (bound drops, id
+//! restarts low) produces one negative delta. A partial tail block
+//! (fewer than 128 ids) falls back to delta-varint. The block decoder
+//! is branch-free per delta (one shift/mask accumulator loop) and
+//! decodes into the caller's scratch; [`qualifying_into`] decodes only
 //! `ceil(cut/128)` blocks and truncates to the exact cut.
-//!
-//! Incremental re-encode: [`CompressedInvertedIndex::recompress`]
-//! reuses the compressed bytes of every group whose key was *not*
-//! folded by the most recent `finalize()` (the CSR core records that
-//! key set), so refresh cost is ~linear in the bytes that actually
-//! changed rather than the whole corpus.
 //!
 //! Arenas are validated up front — at [`compress`] time by
 //! construction, at deserialization time by a full decode walk in
 //! `from_bytes` — so the probe path is infallible.
 //!
-//! [`qualifying_into`]: CompressedInvertedIndex::qualifying_into
-//! [`compress`]: CompressedInvertedIndex::compress
+//! [`qualifying_into`]: CompressedArena::qualifying_into
+//! [`compress`]: CompressedArena::compress
 
 use crate::csr::{bound_cut_u16, column_u16, group_range};
 use crate::{HybridIndex, InvertedIndex, ObjId};
@@ -134,17 +123,6 @@ fn get_varint(buf: &[u8], pos: &mut usize) -> Option<u64> {
         }
         shift += 7;
     }
-}
-
-/// How object-id columns are encoded inside a compressed arena. See
-/// the [module docs](self) for the byte layouts.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum IdCodec {
-    /// Plain LEB128 varints, one per id (the legacy on-disk kinds).
-    Varint,
-    /// Delta-coded 128-id blocks, bit-packed at a per-block width;
-    /// partial tail as delta-varint. The default.
-    BlockPacked,
 }
 
 /// Ids per bit-packed block.
@@ -347,37 +325,6 @@ fn decode_blockpacked_into(bytes: &[u8], len: usize, cut: usize, scratch: &mut V
     scratch.truncate(cut);
 }
 
-/// Encodes one id column under `codec`.
-fn put_ids(buf: &mut BytesMut, codec: IdCodec, ids: &[ObjId]) {
-    match codec {
-        IdCodec::Varint => {
-            for &id in ids {
-                put_varint(buf, u64::from(id));
-            }
-        }
-        IdCodec::BlockPacked => put_ids_blockpacked(buf, ids),
-    }
-}
-
-/// Decodes a whole id column (both codecs) into `out`, cleared first.
-/// Infallible — arenas are validated at construction or load. Used by
-/// the full-list paths (`max_object_id`, `decompress`).
-fn decode_ids(codec: IdCodec, bytes: &[u8], len: usize, out: &mut Vec<ObjId>) {
-    out.clear();
-    match codec {
-        IdCodec::Varint => {
-            let mut pos = 0usize;
-            for _ in 0..len {
-                let id = get_varint(bytes, &mut pos).expect("arena validated at construction");
-                out.push(id as ObjId);
-            }
-        }
-        IdCodec::BlockPacked => {
-            walk_blockpacked(bytes, 0, len, Some(out)).expect("arena validated at construction");
-        }
-    }
-}
-
 /// Per-group bound quantizer: maps `[0, scale]` onto `0..=65535`,
 /// rounding **up** so the dequantized value never drops below the true
 /// bound (superset safety).
@@ -387,15 +334,9 @@ pub(crate) struct Quantizer {
 }
 
 impl Quantizer {
-    /// A quantizer scaled to the group's maximum bound.
-    pub(crate) fn for_max(max_bound: f64) -> Self {
-        Quantizer {
-            scale: max_bound.max(f64::MIN_POSITIVE),
-        }
-    }
-
-    /// Rebuilds from a serialized scale.
-    pub(crate) fn from_scale(scale: f64) -> Self {
+    /// A quantizer for a group whose maximum bound (or serialized
+    /// scale) is `scale`.
+    pub(crate) fn for_max(scale: f64) -> Self {
         Quantizer {
             scale: scale.max(f64::MIN_POSITIVE),
         }
@@ -477,43 +418,40 @@ impl Quantizer {
     }
 }
 
-/// Directory entry for one single-bound group.
+/// Directory entry for one group: its posting count and one bound
+/// quantizer per column.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub(crate) struct GroupMeta {
+pub(crate) struct GroupMeta<const N: usize> {
     /// Postings in the group.
     pub(crate) len: u32,
-    /// Bound quantization scale.
-    pub(crate) quant: Quantizer,
+    /// Quantization scale of each bound column, in column order.
+    pub(crate) quant: [Quantizer; N],
 }
 
-/// Directory entry for one dual-bound group.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub(crate) struct DualGroupMeta {
-    /// Postings in the group.
-    pub(crate) len: u32,
-    /// Spatial-bound quantization scale.
-    pub(crate) spatial: Quantizer,
-    /// Textual-bound quantization scale.
-    pub(crate) textual: Quantizer,
-}
-
-/// The qualifying cut of one compressed group: threshold lifted into
-/// the quantized domain once, then the shared chunked `u16` column
-/// scan. Zero dequantization per comparison.
-#[inline]
-fn quantized_cut(col: &[u8], len: usize, quant: Quantizer, c: f64) -> usize {
-    match quant.quantize_threshold(c) {
-        Some(qc) => bound_cut_u16(col, len, qc),
-        None => 0,
-    }
-}
-
-/// A fully compressed single-bound inverted index, served in place.
+/// A fully compressed posting index with `N` quantized bound columns
+/// per group, served in place.
 ///
 /// Stores exactly one compressed arena plus the sorted key/offset
 /// directory (see the [module docs](self) for the byte layout). Built
-/// from a finalized [`InvertedIndex`] whose CSR group order it
-/// preserves verbatim.
+/// from a finalized [`InvertedIndex`] (`N = 1`) or [`HybridIndex`]
+/// (`N = 2`) whose CSR group order it preserves verbatim; column 0 is
+/// the cut axis, the remaining columns are checked per surviving
+/// posting.
+#[derive(Debug, Clone)]
+pub struct CompressedArena<K, const N: usize> {
+    /// Sorted keys (one per non-empty group).
+    pub(crate) keys: Vec<K>,
+    /// Byte offsets into `arena`; `keys.len() + 1` entries.
+    pub(crate) offsets: Vec<usize>,
+    /// Per-group posting count + quantization scales.
+    pub(crate) meta: Vec<GroupMeta<N>>,
+    /// The single contiguous compressed arena.
+    pub(crate) arena: Bytes,
+    /// Total postings across all groups.
+    pub(crate) posting_count: usize,
+}
+
+/// A fully compressed single-bound inverted index, served in place.
 ///
 /// ```
 /// use seal_index::{CompressedInvertedIndex, InvertedIndex};
@@ -528,153 +466,54 @@ fn quantized_cut(col: &[u8], len: usize, quant: Quantizer, c: f64) -> usize {
 /// let hits = compressed.qualifying_into(&7, 1.5, &mut scratch);
 /// assert_eq!(hits, &[0]);
 /// ```
-#[derive(Debug, Clone)]
-pub struct CompressedInvertedIndex<K: Ord> {
-    /// Sorted keys (one per non-empty group).
-    pub(crate) keys: Vec<K>,
-    /// Byte offsets into `arena`; `keys.len() + 1` entries.
-    pub(crate) offsets: Vec<usize>,
-    /// Per-group posting count + quantization scale.
-    pub(crate) meta: Vec<GroupMeta>,
-    /// The single contiguous compressed arena.
-    pub(crate) arena: Bytes,
-    /// Total postings across all groups.
-    pub(crate) posting_count: usize,
-    /// How the id columns are encoded.
-    pub(crate) codec: IdCodec,
-    /// Generation of the source index this was compressed from (0 when
-    /// unknown, e.g. after deserialization) — gates the incremental
-    /// [`recompress`](Self::recompress) fast path.
-    pub(crate) source_generation: u64,
-}
+pub type CompressedInvertedIndex<K> = CompressedArena<K, 1>;
 
-/// Encodes one single-bound group (quantized bound column + id column
-/// under `codec`) onto `buf`; returns its directory entry.
-fn encode_single_group(
-    buf: &mut BytesMut,
-    codec: IdCodec,
-    bounds: &[f64],
-    ids: &[ObjId],
-) -> GroupMeta {
-    let max = bounds.iter().copied().fold(0.0f64, f64::max);
-    let quant = Quantizer::for_max(max);
-    for &b in bounds {
-        buf.put_u16_le(quant.quantize(b));
-    }
-    put_ids(buf, codec, ids);
-    GroupMeta {
-        len: bounds.len() as u32,
-        quant,
-    }
-}
+/// A fully compressed dual-bound hybrid index (Section 5.1's lists in
+/// their at-rest form), served in place: postings keep the
+/// descending-*spatial*-bound order of [`HybridIndex::finalize`], the
+/// spatial column is cut in the quantized domain, and the textual
+/// bound is checked per surviving posting — also as a raw `u16`
+/// compare against the lifted textual threshold.
+pub type CompressedHybridIndex<K> = CompressedArena<K, 2>;
 
-impl<K: Ord + Copy + std::hash::Hash + Sync> CompressedInvertedIndex<K> {
-    /// Compresses a finalized [`InvertedIndex`], preserving its CSR
-    /// group order. Reads the arena's bound and id columns directly —
-    /// one dense `f64` run quantized, one dense `u32` run
-    /// varint-encoded per group.
-    ///
-    /// # Panics
-    /// If postings are staged (push without finalize) — the underlying
-    /// iterator refuses to silently drop them — or if any bound is
-    /// non-finite (unquantizable).
-    pub fn compress(index: &InvertedIndex<K>) -> Self {
-        Self::compress_with_codec(index, IdCodec::BlockPacked)
-    }
-
-    /// [`compress`](Self::compress) with an explicit id codec (the
-    /// default is [`IdCodec::BlockPacked`]; benches and the legacy
-    /// on-disk kinds use [`IdCodec::Varint`]).
-    pub fn compress_with_codec(index: &InvertedIndex<K>, codec: IdCodec) -> Self {
-        let mut keys = Vec::with_capacity(index.key_count());
-        let mut offsets = Vec::with_capacity(index.key_count() + 1);
-        let mut meta = Vec::with_capacity(index.key_count());
-        let mut buf = BytesMut::with_capacity(index.posting_count() * 4);
+impl<K: Ord + Copy, const N: usize> CompressedArena<K, N> {
+    /// Encodes `groups` — `(key, bound columns, ids)` in ascending key
+    /// order, rows already in finalize order — into one arena: per
+    /// group, each bound column quantized to its own maximum, then the
+    /// block-packed id column.
+    fn from_groups<'a>(
+        key_count: usize,
+        posting_count: usize,
+        groups: impl Iterator<Item = (K, [&'a [f64]; N], &'a [ObjId])>,
+    ) -> Self {
+        let mut keys = Vec::with_capacity(key_count);
+        let mut offsets = Vec::with_capacity(key_count + 1);
+        let mut meta = Vec::with_capacity(key_count);
+        let mut buf = BytesMut::with_capacity(posting_count * (2 + 2 * N));
         offsets.push(0);
-        let mut posting_count = 0usize;
-        for (key, group) in index.iter() {
-            meta.push(encode_single_group(
-                &mut buf,
-                codec,
-                group.bounds,
-                group.ids,
-            ));
-            keys.push(key);
-            offsets.push(buf.len());
-            posting_count += group.len();
-        }
-        CompressedInvertedIndex {
-            keys,
-            offsets,
-            meta,
-            arena: buf.freeze(),
-            posting_count,
-            codec,
-            source_generation: index.generation(),
-        }
-    }
-
-    /// Re-compresses after a refresh, re-encoding **only** the groups
-    /// the most recent `finalize()` folded (the CSR core records that
-    /// key set) and byte-copying every untouched group straight out of
-    /// `prev`'s arena — cost ~linear in the bytes that changed.
-    ///
-    /// The fast path applies only when `index` is exactly one
-    /// generation ahead of the one `prev` was compressed from (and
-    /// `prev` was not deserialized, which loses the provenance);
-    /// otherwise this falls back to a full
-    /// [`compress_with_codec`](Self::compress_with_codec) under
-    /// `prev`'s codec.
-    pub fn recompress(index: &InvertedIndex<K>, prev: &Self) -> Self {
-        let incremental =
-            prev.source_generation != 0 && index.generation() == prev.source_generation + 1;
-        if !incremental {
-            return Self::compress_with_codec(index, prev.codec);
-        }
-        let changed: std::collections::HashSet<K> =
-            index.last_folded_keys().iter().copied().collect();
-        let mut keys = Vec::with_capacity(index.key_count());
-        let mut offsets = Vec::with_capacity(index.key_count() + 1);
-        let mut meta = Vec::with_capacity(index.key_count());
-        let mut buf = BytesMut::with_capacity(prev.arena.len());
-        offsets.push(0);
-        let mut posting_count = 0usize;
-        for (key, group) in index.iter() {
-            let reused = !changed.contains(&key)
-                && match prev.keys.binary_search(&key) {
-                    Ok(i) => {
-                        buf.put_slice(&prev.arena.as_slice()[prev.offsets[i]..prev.offsets[i + 1]]);
-                        meta.push(prev.meta[i]);
-                        true
-                    }
-                    Err(_) => false,
-                };
-            if !reused {
-                meta.push(encode_single_group(
-                    &mut buf,
-                    prev.codec,
-                    group.bounds,
-                    group.ids,
-                ));
+        for (key, bounds, ids) in groups {
+            let quant =
+                bounds.map(|col| Quantizer::for_max(col.iter().copied().fold(0.0f64, f64::max)));
+            for (col, q) in bounds.iter().zip(&quant) {
+                for &b in *col {
+                    buf.put_u16_le(q.quantize(b));
+                }
             }
+            put_ids_blockpacked(&mut buf, ids);
+            meta.push(GroupMeta {
+                len: u32::try_from(ids.len()).expect("group length fits u32"),
+                quant,
+            });
             keys.push(key);
             offsets.push(buf.len());
-            posting_count += group.len();
         }
-        CompressedInvertedIndex {
+        CompressedArena {
             keys,
             offsets,
             meta,
             arena: buf.freeze(),
             posting_count,
-            codec: prev.codec,
-            source_generation: index.generation(),
         }
-    }
-
-    /// The id codec this arena was encoded with.
-    pub fn codec(&self) -> IdCodec {
-        self.codec
     }
 
     /// Number of keys.
@@ -692,15 +531,23 @@ impl<K: Ord + Copy + std::hash::Hash + Sync> CompressedInvertedIndex<K> {
         self.arena.len()
             + self.keys.len() * std::mem::size_of::<K>()
             + self.offsets.len() * std::mem::size_of::<usize>()
-            + self.meta.len() * std::mem::size_of::<GroupMeta>()
+            + self.meta.len() * std::mem::size_of::<GroupMeta<N>>()
     }
 
     /// Exact bytes of the **id columns** alone: the arena minus the
-    /// fixed 2-bytes-per-posting quantized bound column. This is the
-    /// quantity the [`IdCodec`] choice actually changes — bound
-    /// columns and directory are codec-invariant.
+    /// fixed 2-bytes-per-posting quantized bound columns.
     pub fn id_column_bytes(&self) -> usize {
-        self.arena.len() - 2 * self.posting_count
+        self.arena.len() - 2 * N * self.posting_count
+    }
+
+    /// Group `i`'s directory entry, its bound-column bytes (`N` runs of
+    /// `2·len`) and its id-column bytes.
+    #[inline]
+    fn group_at(&self, i: usize) -> (GroupMeta<N>, &[u8], &[u8]) {
+        let m = self.meta[i];
+        let group = &self.arena.as_slice()[self.offsets[i]..self.offsets[i + 1]];
+        let (bounds, ids) = group.split_at(2 * N * m.len as usize);
+        (m, bounds, ids)
     }
 
     /// Length of the list for `key` (0 if absent).
@@ -711,19 +558,110 @@ impl<K: Ord + Copy + std::hash::Hash + Sync> CompressedInvertedIndex<K> {
         }
     }
 
-    /// Number of postings that would qualify at threshold `c` — the
-    /// quantized column cut alone, no decoding. This is the
+    /// Number of postings whose primary bound qualifies at threshold
+    /// `c` — the quantized column cut alone, no decoding. This is the
     /// cost-model probe (`|I_c(s)|`) at compressed-column price.
     pub fn qualifying_len(&self, key: &K, c: f64) -> usize {
-        match group_range(&self.keys, &self.offsets, key) {
-            Some((i, range)) => {
-                let m = self.meta[i];
-                let len = m.len as usize;
-                let bounds = &self.arena.as_slice()[range.start..range.start + 2 * len];
-                quantized_cut(bounds, len, m.quant, c)
-            }
+        let Some((i, _)) = group_range(&self.keys, &self.offsets, key) else {
+            return 0;
+        };
+        let (m, bounds, _) = self.group_at(i);
+        match m.quant[0].quantize_threshold(c) {
+            Some(qc) => bound_cut_u16(bounds, m.len as usize, qc),
             None => 0,
         }
+    }
+
+    /// The shared probe: lifts each column's threshold into the
+    /// quantized domain once (no step qualifying on any column empties
+    /// the result), cuts column 0, block-decodes the prefix's ids into
+    /// `scratch` (cleared first), then keeps the rows whose remaining
+    /// columns also qualify — raw `u16` compares, filtered in place so
+    /// the warm path allocates nothing.
+    #[inline]
+    fn probe<'a>(&self, key: &K, c: [f64; N], scratch: &'a mut Vec<ObjId>) -> &'a [ObjId] {
+        scratch.clear();
+        let Some((i, _)) = group_range(&self.keys, &self.offsets, key) else {
+            return &[];
+        };
+        let (m, bounds, ids) = self.group_at(i);
+        let len = m.len as usize;
+        let mut qc = [0u16; N];
+        for col in 0..N {
+            match m.quant[col].quantize_threshold(c[col]) {
+                Some(q) => qc[col] = q,
+                None => return &[],
+            }
+        }
+        let cut = bound_cut_u16(bounds, len, qc[0]);
+        decode_blockpacked_into(ids, len, cut, scratch);
+        if N > 1 {
+            let mut kept = 0usize;
+            for j in 0..cut {
+                if (1..N).all(|col| column_u16(&bounds[2 * col * len..], j) >= qc[col]) {
+                    scratch[kept] = scratch[j];
+                    kept += 1;
+                }
+            }
+            scratch.truncate(kept);
+        }
+        &scratch[..]
+    }
+
+    /// Block-decodes group `i`'s whole id column into `out` (cleared
+    /// first); returns the group's directory entry and bound columns.
+    fn decode_group(&self, i: usize, out: &mut Vec<ObjId>) -> (GroupMeta<N>, &[u8]) {
+        let (m, bounds, ids) = self.group_at(i);
+        out.clear();
+        walk_blockpacked(ids, 0, m.len as usize, Some(out))
+            .expect("arena validated at construction");
+        (m, bounds)
+    }
+
+    /// The largest object id in the arena (`None` when empty), decoded
+    /// group by group. Load paths use this to check a deserialized
+    /// index against the store it is being attached to before any
+    /// probe indexes a per-object scratch table with an id.
+    pub fn max_object_id(&self) -> Option<ObjId> {
+        let mut decoded = Vec::new();
+        (0..self.keys.len())
+            .filter_map(|i| {
+                self.decode_group(i, &mut decoded);
+                decoded.iter().copied().max()
+            })
+            .max()
+    }
+
+    /// Calls `row(key, id, bounds)` for every posting in arena order,
+    /// bounds dequantized (rounded up by at most one step).
+    fn for_each_row(&self, mut row: impl FnMut(K, ObjId, [f64; N])) {
+        let mut decoded = Vec::new();
+        for (i, &key) in self.keys.iter().enumerate() {
+            let (m, bounds) = self.decode_group(i, &mut decoded);
+            let len = m.len as usize;
+            for (j, &id) in decoded.iter().enumerate() {
+                let bound =
+                    |col: usize| m.quant[col].dequantize(column_u16(&bounds[2 * col * len..], j));
+                row(key, id, std::array::from_fn(bound));
+            }
+        }
+    }
+}
+
+impl<K: Ord + Copy + std::hash::Hash + Sync> CompressedArena<K, 1> {
+    /// Compresses a finalized [`InvertedIndex`], preserving its CSR
+    /// group order. Reads the arena's bound and id columns directly.
+    ///
+    /// # Panics
+    /// If postings are staged (push without finalize) — the underlying
+    /// iterator refuses to silently drop them — or if any bound is
+    /// non-finite (unquantizable).
+    pub fn compress(index: &InvertedIndex<K>) -> Self {
+        Self::from_groups(
+            index.key_count(),
+            index.posting_count(),
+            index.iter().map(|(key, g)| (key, [g.bounds], g.ids)),
+        )
     }
 
     /// Decodes the object ids of the qualifying postings `I_c(key)`
@@ -734,55 +672,15 @@ impl<K: Ord + Copy + std::hash::Hash + Sync> CompressedInvertedIndex<K> {
     ///
     /// The cut runs over the compressed bound column in the quantized
     /// domain; only the qualifying prefix's ids are decoded (bounds
-    /// are never dequantized — candidates need ids only): a varint
-    /// walk of `cut` ids under [`IdCodec::Varint`], the exact-minimal
-    /// `ceil(cut/128)`-block unpack under [`IdCodec::BlockPacked`].
-    /// Once `scratch` has grown to the largest qualifying prefix it is
-    /// only reused — the warm path performs **zero heap allocations**.
-    /// Because quantized bounds only ever round up, the result is a
-    /// superset of the uncompressed index's qualifying set (never
-    /// missing an answer; each bound inflated by at most one
-    /// quantization step).
+    /// are never dequantized — candidates need ids only), the
+    /// exact-minimal `ceil(cut/128)`-block unpack. Once `scratch` has
+    /// grown to the largest qualifying prefix it is only reused — the
+    /// warm path performs **zero heap allocations**. Because quantized
+    /// bounds only ever round up, the result is a superset of the
+    /// uncompressed index's qualifying set (never missing an answer;
+    /// each bound inflated by at most one quantization step).
     pub fn qualifying_into<'a>(&self, key: &K, c: f64, scratch: &'a mut Vec<ObjId>) -> &'a [ObjId] {
-        scratch.clear();
-        let Some((i, range)) = group_range(&self.keys, &self.offsets, key) else {
-            return &[];
-        };
-        let m = self.meta[i];
-        let len = m.len as usize;
-        let group = &self.arena.as_slice()[range];
-        let bounds = &group[..2 * len];
-        let cut = quantized_cut(bounds, len, m.quant, c);
-        let ids = &group[2 * len..];
-        match self.codec {
-            IdCodec::Varint => {
-                let mut pos = 0usize;
-                for _ in 0..cut {
-                    let id = get_varint(ids, &mut pos).expect("arena validated at construction");
-                    scratch.push(id as ObjId);
-                }
-            }
-            IdCodec::BlockPacked => decode_blockpacked_into(ids, len, cut, scratch),
-        }
-        &scratch[..]
-    }
-
-    /// The largest object id in the arena (`None` when empty), decoded
-    /// group by group. Load paths use this to check a deserialized
-    /// index against the store it is being attached to before any
-    /// probe indexes a per-object scratch table with an id.
-    pub fn max_object_id(&self) -> Option<ObjId> {
-        let mut max = None;
-        let mut decoded = Vec::new();
-        for i in 0..self.keys.len() {
-            let len = self.meta[i].len as usize;
-            let group = &self.arena.as_slice()[self.offsets[i]..self.offsets[i + 1]];
-            decode_ids(self.codec, &group[2 * len..], len, &mut decoded);
-            for &id in &decoded {
-                max = Some(max.map_or(id, |m: ObjId| m.max(id)));
-            }
-        }
-        max
+        self.probe(key, [c], scratch)
     }
 
     /// Decompresses the whole index back to the uncompressed columnar
@@ -790,217 +688,33 @@ impl<K: Ord + Copy + std::hash::Hash + Sync> CompressedInvertedIndex<K> {
     /// quantization step).
     pub fn decompress(&self) -> InvertedIndex<K> {
         let mut out = InvertedIndex::new();
-        let mut decoded = Vec::new();
-        for (i, key) in self.keys.iter().enumerate() {
-            let m = self.meta[i];
-            let len = m.len as usize;
-            let group = &self.arena.as_slice()[self.offsets[i]..self.offsets[i + 1]];
-            let bounds = &group[..2 * len];
-            decode_ids(self.codec, &group[2 * len..], len, &mut decoded);
-            for (j, &id) in decoded.iter().enumerate() {
-                out.push(*key, id, m.quant.dequantize(column_u16(bounds, j)));
-            }
-        }
+        self.for_each_row(|key, id, [bound]| out.push(key, id, bound));
         out.finalize();
         out
     }
 }
 
-/// A fully compressed dual-bound hybrid index (Section 5.1's lists in
-/// their at-rest form), served in place.
-///
-/// Same arena + directory shape as [`CompressedInvertedIndex`], with
-/// two quantized bound columns per group: postings keep the
-/// descending-*spatial*-bound order of [`HybridIndex::finalize`], the
-/// spatial column is cut in the quantized domain, and the textual
-/// bound is checked per surviving posting — also as a raw `u16`
-/// compare against the lifted textual threshold — during the prefix
-/// decode.
-#[derive(Debug, Clone)]
-pub struct CompressedHybridIndex<K: Ord> {
-    /// Sorted keys (one per non-empty group).
-    pub(crate) keys: Vec<K>,
-    /// Byte offsets into `arena`; `keys.len() + 1` entries.
-    pub(crate) offsets: Vec<usize>,
-    /// Per-group posting count + the two quantization scales.
-    pub(crate) meta: Vec<DualGroupMeta>,
-    /// The single contiguous compressed arena.
-    pub(crate) arena: Bytes,
-    /// Total postings across all groups.
-    pub(crate) posting_count: usize,
-    /// How the id columns are encoded.
-    pub(crate) codec: IdCodec,
-    /// Generation of the source index this was compressed from (0 when
-    /// unknown, e.g. after deserialization) — gates the incremental
-    /// [`recompress`](Self::recompress) fast path.
-    pub(crate) source_generation: u64,
-}
-
-/// Encodes one dual-bound group (two quantized bound columns + id
-/// column under `codec`) onto `buf`; returns its directory entry.
-fn encode_dual_group(
-    buf: &mut BytesMut,
-    codec: IdCodec,
-    spatial_bounds: &[f64],
-    textual_bounds: &[f64],
-    ids: &[ObjId],
-) -> DualGroupMeta {
-    let smax = spatial_bounds.iter().copied().fold(0.0f64, f64::max);
-    let tmax = textual_bounds.iter().copied().fold(0.0f64, f64::max);
-    let spatial = Quantizer::for_max(smax);
-    let textual = Quantizer::for_max(tmax);
-    for &sb in spatial_bounds {
-        buf.put_u16_le(spatial.quantize(sb));
-    }
-    for &tb in textual_bounds {
-        buf.put_u16_le(textual.quantize(tb));
-    }
-    put_ids(buf, codec, ids);
-    DualGroupMeta {
-        len: spatial_bounds.len() as u32,
-        spatial,
-        textual,
-    }
-}
-
-impl<K: Ord + Copy + std::hash::Hash + Sync> CompressedHybridIndex<K> {
+impl<K: Ord + Copy + std::hash::Hash + Sync> CompressedArena<K, 2> {
     /// Compresses a finalized [`HybridIndex`], preserving its CSR
     /// group order. Reads the three arena columns directly.
     ///
     /// # Panics
     /// If postings are staged, or any bound is non-finite.
     pub fn compress(index: &HybridIndex<K>) -> Self {
-        Self::compress_with_codec(index, IdCodec::BlockPacked)
-    }
-
-    /// [`compress`](Self::compress) with an explicit id codec.
-    pub fn compress_with_codec(index: &HybridIndex<K>, codec: IdCodec) -> Self {
-        let mut keys = Vec::with_capacity(index.key_count());
-        let mut offsets = Vec::with_capacity(index.key_count() + 1);
-        let mut meta = Vec::with_capacity(index.key_count());
-        let mut buf = BytesMut::with_capacity(index.posting_count() * 6);
-        offsets.push(0);
-        let mut posting_count = 0usize;
-        for (key, group) in index.iter() {
-            meta.push(encode_dual_group(
-                &mut buf,
-                codec,
-                group.spatial_bounds,
-                group.textual_bounds,
-                group.ids,
-            ));
-            keys.push(key);
-            offsets.push(buf.len());
-            posting_count += group.len();
-        }
-        CompressedHybridIndex {
-            keys,
-            offsets,
-            meta,
-            arena: buf.freeze(),
-            posting_count,
-            codec,
-            source_generation: index.generation(),
-        }
-    }
-
-    /// Re-compresses after a refresh, byte-copying every group the
-    /// most recent `finalize()` did **not** fold — the dual-bound twin
-    /// of [`CompressedInvertedIndex::recompress`], with the same
-    /// one-generation-ahead gate and full-recompress fallback.
-    pub fn recompress(index: &HybridIndex<K>, prev: &Self) -> Self {
-        let incremental =
-            prev.source_generation != 0 && index.generation() == prev.source_generation + 1;
-        if !incremental {
-            return Self::compress_with_codec(index, prev.codec);
-        }
-        let changed: std::collections::HashSet<K> =
-            index.last_folded_keys().iter().copied().collect();
-        let mut keys = Vec::with_capacity(index.key_count());
-        let mut offsets = Vec::with_capacity(index.key_count() + 1);
-        let mut meta = Vec::with_capacity(index.key_count());
-        let mut buf = BytesMut::with_capacity(prev.arena.len());
-        offsets.push(0);
-        let mut posting_count = 0usize;
-        for (key, group) in index.iter() {
-            let reused = !changed.contains(&key)
-                && match prev.keys.binary_search(&key) {
-                    Ok(i) => {
-                        buf.put_slice(&prev.arena.as_slice()[prev.offsets[i]..prev.offsets[i + 1]]);
-                        meta.push(prev.meta[i]);
-                        true
-                    }
-                    Err(_) => false,
-                };
-            if !reused {
-                meta.push(encode_dual_group(
-                    &mut buf,
-                    prev.codec,
-                    group.spatial_bounds,
-                    group.textual_bounds,
-                    group.ids,
-                ));
-            }
-            keys.push(key);
-            offsets.push(buf.len());
-            posting_count += group.len();
-        }
-        CompressedHybridIndex {
-            keys,
-            offsets,
-            meta,
-            arena: buf.freeze(),
-            posting_count,
-            codec: prev.codec,
-            source_generation: index.generation(),
-        }
-    }
-
-    /// The id codec this arena was encoded with.
-    pub fn codec(&self) -> IdCodec {
-        self.codec
-    }
-
-    /// Number of keys.
-    pub fn key_count(&self) -> usize {
-        self.keys.len()
-    }
-
-    /// Total postings across all groups.
-    pub fn posting_count(&self) -> usize {
-        self.posting_count
-    }
-
-    /// Exact heap bytes of the compressed form: arena + directory.
-    pub fn size_bytes(&self) -> usize {
-        self.arena.len()
-            + self.keys.len() * std::mem::size_of::<K>()
-            + self.offsets.len() * std::mem::size_of::<usize>()
-            + self.meta.len() * std::mem::size_of::<DualGroupMeta>()
-    }
-
-    /// Exact bytes of the **id columns** alone: the arena minus the
-    /// two fixed 2-bytes-per-posting quantized bound columns (spatial
-    /// and textual). This is the quantity the [`IdCodec`] choice
-    /// actually changes.
-    pub fn id_column_bytes(&self) -> usize {
-        self.arena.len() - 4 * self.posting_count
-    }
-
-    /// Length of the list for `key` (0 if absent).
-    pub fn list_len(&self, key: &K) -> usize {
-        match group_range(&self.keys, &self.offsets, key) {
-            Some((i, _)) => self.meta[i].len as usize,
-            None => 0,
-        }
+        Self::from_groups(
+            index.key_count(),
+            index.posting_count(),
+            index
+                .iter()
+                .map(|(key, g)| (key, [g.spatial_bounds, g.textual_bounds], g.ids)),
+        )
     }
 
     /// Decodes the object ids of the postings qualifying under both
     /// thresholds, `I_{c_R, c_T}(key)`, into `scratch` (cleared
     /// first): a quantized-domain cut over the compressed spatial
-    /// column, then a raw `u16` textual check per posting during the
-    /// prefix decode. Warm calls allocate nothing once `scratch` has
-    /// grown.
+    /// column, then a raw `u16` textual check per surviving posting.
+    /// Warm calls allocate nothing once `scratch` has grown.
     pub fn qualifying_into<'a>(
         &self,
         key: &K,
@@ -1008,64 +722,7 @@ impl<K: Ord + Copy + std::hash::Hash + Sync> CompressedHybridIndex<K> {
         c_textual: f64,
         scratch: &'a mut Vec<ObjId>,
     ) -> &'a [ObjId] {
-        scratch.clear();
-        let Some((i, range)) = group_range(&self.keys, &self.offsets, key) else {
-            return &[];
-        };
-        let m = self.meta[i];
-        let len = m.len as usize;
-        let group = &self.arena.as_slice()[range];
-        let sbounds = &group[..2 * len];
-        let tbounds = &group[2 * len..4 * len];
-        let cut = quantized_cut(sbounds, len, m.spatial, c_spatial);
-        // Lift the textual threshold once; no step qualifies ⇒ empty.
-        let Some(qt) = m.textual.quantize_threshold(c_textual) else {
-            return &[];
-        };
-        let ids = &group[4 * len..];
-        match self.codec {
-            IdCodec::Varint => {
-                let mut pos = 0usize;
-                for j in 0..cut {
-                    let id = get_varint(ids, &mut pos).expect("arena validated at construction");
-                    if column_u16(tbounds, j) >= qt {
-                        scratch.push(id as ObjId);
-                    }
-                }
-            }
-            IdCodec::BlockPacked => {
-                // Block-decode the spatial prefix (positions stay
-                // aligned with the textual column), then filter in
-                // place — still zero allocations on the warm path.
-                decode_blockpacked_into(ids, len, cut, scratch);
-                let mut w = 0usize;
-                for j in 0..cut {
-                    if column_u16(tbounds, j) >= qt {
-                        scratch[w] = scratch[j];
-                        w += 1;
-                    }
-                }
-                scratch.truncate(w);
-            }
-        }
-        &scratch[..]
-    }
-
-    /// The largest object id in the arena (`None` when empty), decoded
-    /// group by group — same load-time store check as
-    /// [`CompressedInvertedIndex::max_object_id`].
-    pub fn max_object_id(&self) -> Option<ObjId> {
-        let mut max = None;
-        let mut decoded = Vec::new();
-        for i in 0..self.keys.len() {
-            let len = self.meta[i].len as usize;
-            let group = &self.arena.as_slice()[self.offsets[i]..self.offsets[i + 1]];
-            decode_ids(self.codec, &group[4 * len..], len, &mut decoded);
-            for &id in &decoded {
-                max = Some(max.map_or(id, |m: ObjId| m.max(id)));
-            }
-        }
-        max
+        self.probe(key, [c_spatial, c_textual], scratch)
     }
 
     /// Decompresses the whole index back to the uncompressed columnar
@@ -1073,43 +730,21 @@ impl<K: Ord + Copy + std::hash::Hash + Sync> CompressedHybridIndex<K> {
     /// step).
     pub fn decompress(&self) -> HybridIndex<K> {
         let mut out = HybridIndex::new();
-        let mut decoded = Vec::new();
-        for (i, key) in self.keys.iter().enumerate() {
-            let m = self.meta[i];
-            let len = m.len as usize;
-            let group = &self.arena.as_slice()[self.offsets[i]..self.offsets[i + 1]];
-            let sbounds = &group[..2 * len];
-            let tbounds = &group[2 * len..4 * len];
-            decode_ids(self.codec, &group[4 * len..], len, &mut decoded);
-            for (j, &id) in decoded.iter().enumerate() {
-                out.push(
-                    *key,
-                    id,
-                    m.spatial.dequantize(column_u16(sbounds, j)),
-                    m.textual.dequantize(column_u16(tbounds, j)),
-                );
-            }
-        }
+        self.for_each_row(|key, id, [sb, tb]| out.push(key, id, sb, tb));
         out.finalize();
         out
     }
 }
 
-/// Walks one serialized group, checking that the bound columns fit,
-/// the quantized primary column is non-increasing (the CSR order
-/// survived), and exactly `len` ids ≤ `u32::MAX` follow under `codec`
-/// (for [`IdCodec::BlockPacked`] that includes block widths in
-/// `1..=64`, per-block byte availability, and overflow-checked delta
-/// reconstruction). Returns the group's byte length. Shared by the
-/// deserializers in [`crate::serialize`] so the probe path can stay
-/// infallible.
-pub(crate) fn validate_group(
-    bytes: &[u8],
-    len: usize,
-    columns: usize,
-    codec: IdCodec,
-) -> Option<usize> {
-    let header = 2 * len * columns;
+/// Walks one serialized group, checking that the `columns` bound
+/// columns fit, the quantized primary column is non-increasing (the
+/// CSR order survived), and exactly `len` ids ≤ `u32::MAX` follow
+/// (block widths in `1..=64`, per-block byte availability, and
+/// overflow-checked delta reconstruction). Returns the group's byte
+/// length. Used by the deserializer in [`crate::serialize`] so the
+/// probe path can stay infallible.
+pub(crate) fn validate_group(bytes: &[u8], len: usize, columns: usize) -> Option<usize> {
+    let header = len.checked_mul(2 * columns)?;
     if bytes.len() < header {
         return None;
     }
@@ -1119,21 +754,8 @@ pub(crate) fn validate_group(
             return None;
         }
     }
-    match codec {
-        IdCodec::Varint => {
-            let mut pos = header;
-            for _ in 0..len {
-                let id = get_varint(bytes, &mut pos)?;
-                if id > u64::from(u32::MAX) {
-                    return None;
-                }
-            }
-            Some(pos)
-        }
-        IdCodec::BlockPacked => walk_blockpacked(bytes, header, len, None),
-    }
+    walk_blockpacked(bytes, header, len, None)
 }
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1385,25 +1007,18 @@ mod tests {
 
     #[test]
     fn validate_group_accepts_built_groups_and_rejects_corruption() {
-        for codec in [IdCodec::Varint, IdCodec::BlockPacked] {
-            let idx = sample_index(200, 10.0);
-            let c = CompressedInvertedIndex::compress_with_codec(&idx, codec);
-            for i in 0..c.keys.len() {
-                let bytes = &c.arena.as_slice()[c.offsets[i]..c.offsets[i + 1]];
-                assert_eq!(
-                    validate_group(bytes, c.meta[i].len as usize, 1, codec),
-                    Some(bytes.len())
-                );
-                // A truncated group fails.
-                assert_eq!(
-                    validate_group(&bytes[..bytes.len() - 1], c.meta[i].len as usize, 1, codec),
-                    None
-                );
-            }
+        let idx = sample_index(200, 10.0);
+        let c = CompressedInvertedIndex::compress(&idx);
+        for i in 0..c.keys.len() {
+            let bytes = &c.arena.as_slice()[c.offsets[i]..c.offsets[i + 1]];
+            let len = c.meta[i].len as usize;
+            assert_eq!(validate_group(bytes, len, 1), Some(bytes.len()));
+            // A truncated group fails.
+            assert_eq!(validate_group(&bytes[..bytes.len() - 1], len, 1), None);
         }
         // An out-of-order bound column fails.
         let bad = [0u8, 0, 255, 255, 1, 1]; // q0=0 < q1=65535, two ids
-        assert_eq!(validate_group(&bad, 2, 1, IdCodec::Varint), None);
+        assert_eq!(validate_group(&bad, 2, 1), None);
     }
 
     #[test]
@@ -1488,75 +1103,6 @@ mod tests {
         put_varint(&mut buf, zigzag(1)); // +1 overflows the id domain
         let frozen = buf.freeze();
         assert_eq!(walk_blockpacked(frozen.as_slice(), 0, 2, None), None);
-    }
-
-    #[test]
-    fn blockpacked_matches_varint_codec_answers_and_shrinks_runs() {
-        let idx = sample_index(400, 20.0);
-        let packed = CompressedInvertedIndex::compress_with_codec(&idx, IdCodec::BlockPacked);
-        let varint = CompressedInvertedIndex::compress_with_codec(&idx, IdCodec::Varint);
-        assert_eq!(packed.codec(), IdCodec::BlockPacked);
-        assert_eq!(varint.codec(), IdCodec::Varint);
-        let (mut s1, mut s2) = (Vec::new(), Vec::new());
-        for key in 0u64..8 {
-            for thr in [0.0, 1.0, 5.0, 12.5, 19.9, 100.0] {
-                assert_eq!(
-                    packed.qualifying_into(&key, thr, &mut s1),
-                    varint.qualifying_into(&key, thr, &mut s2),
-                    "key {key} thr {thr}"
-                );
-            }
-        }
-        assert_eq!(packed.max_object_id(), varint.max_object_id());
-        assert_eq!(packed.posting_count(), varint.posting_count());
-        // Long equal-bound runs of ascending ids is where bitpacking
-        // pays: a dense corpus with few distinct bounds.
-        let mut dense: InvertedIndex<u64> = InvertedIndex::new();
-        for obj in 0..20_000u32 {
-            dense.push(1, obj, f64::from(obj % 4));
-        }
-        dense.finalize();
-        let p = CompressedInvertedIndex::compress_with_codec(&dense, IdCodec::BlockPacked);
-        let v = CompressedInvertedIndex::compress_with_codec(&dense, IdCodec::Varint);
-        assert!(
-            p.arena.len() * 4 < v.arena.len() * 3,
-            "blockpacked {} vs varint {}: expected ≥ 25% arena shrink",
-            p.arena.len(),
-            v.arena.len()
-        );
-    }
-
-    #[test]
-    fn recompress_reuses_unchanged_groups_and_matches_full_rebuild() {
-        let mut idx = sample_index(150, 30.0);
-        let first = CompressedInvertedIndex::compress(&idx);
-        assert_eq!(first.source_generation, idx.generation());
-        // Refresh two of the eight keys (plus one brand-new key).
-        for i in 0..40u32 {
-            idx.push(2, 100_000 + i * 5, f64::from(i));
-            idx.push(5, 200_000 + i * 7, f64::from(i) * 0.5);
-            idx.push(99, i, 1.0);
-        }
-        idx.finalize();
-        let incremental = CompressedInvertedIndex::recompress(&idx, &first);
-        let full = CompressedInvertedIndex::compress(&idx);
-        assert_eq!(incremental.keys, full.keys);
-        assert_eq!(incremental.offsets, full.offsets);
-        assert_eq!(incremental.meta, full.meta);
-        assert_eq!(incremental.arena.as_slice(), full.arena.as_slice());
-        assert_eq!(incremental.posting_count, full.posting_count);
-        assert_eq!(incremental.source_generation, idx.generation());
-        // Two generations ahead -> the provenance gate forces the safe
-        // full rebuild, which must still be byte-identical.
-        for i in 0..10u32 {
-            idx.push(3, 300_000 + i, 2.0);
-        }
-        idx.finalize();
-        let behind = CompressedInvertedIndex::recompress(&idx, &first);
-        assert_eq!(
-            behind.arena.as_slice(),
-            CompressedInvertedIndex::compress(&idx).arena.as_slice()
-        );
     }
 }
 
@@ -1660,43 +1206,6 @@ mod dual_tests {
     }
 
     #[test]
-    fn dual_blockpacked_matches_varint_codec_answers() {
-        let idx = sample_hybrid(300);
-        let packed = CompressedHybridIndex::compress_with_codec(&idx, IdCodec::BlockPacked);
-        let varint = CompressedHybridIndex::compress_with_codec(&idx, IdCodec::Varint);
-        let (mut s1, mut s2) = (Vec::new(), Vec::new());
-        for t in 0u64..4 {
-            for g in 0u64..4 {
-                let k = key(t, g);
-                for (cr, ct) in [(0.0, 0.0), (500.0, 0.3), (2500.0, 1.0), (4900.0, 1.9)] {
-                    assert_eq!(
-                        packed.qualifying_into(&k, cr, ct, &mut s1),
-                        varint.qualifying_into(&k, cr, ct, &mut s2),
-                        "key ({t},{g}) thresholds ({cr},{ct})"
-                    );
-                }
-            }
-        }
-        assert_eq!(packed.max_object_id(), varint.max_object_id());
-    }
-
-    #[test]
-    fn dual_recompress_matches_full_rebuild() {
-        let mut idx = sample_hybrid(80);
-        let first = CompressedHybridIndex::compress(&idx);
-        for i in 0..30u32 {
-            idx.push(key(1, 2), 50_000 + i, f64::from(i), 0.5);
-        }
-        idx.finalize();
-        let incremental = CompressedHybridIndex::recompress(&idx, &first);
-        let full = CompressedHybridIndex::compress(&idx);
-        assert_eq!(incremental.keys, full.keys);
-        assert_eq!(incremental.meta, full.meta);
-        assert_eq!(incremental.arena.as_slice(), full.arena.as_slice());
-        assert_eq!(incremental.source_generation, idx.generation());
-    }
-
-    #[test]
     fn dual_textual_threshold_above_scale_prunes_everything() {
         let idx = sample_hybrid(40);
         let c = CompressedHybridIndex::compress(&idx);
@@ -1774,9 +1283,9 @@ mod proptests {
             let m = compressed.meta[0];
             let len = m.len as usize;
             let col = &compressed.arena.as_slice()[..2 * len];
-            let c = m.quant.scale() * frac;
+            let c = m.quant[0].scale() * frac;
             let reference = (0..len)
-                .take_while(|&j| m.quant.dequantize(column_u16(col, j)) >= c)
+                .take_while(|&j| m.quant[0].dequantize(column_u16(col, j)) >= c)
                 .count();
             prop_assert_eq!(compressed.qualifying_len(&1, c), reference);
         }

@@ -27,19 +27,6 @@
 //! overlap, no gaps), and every failure is a typed [`ContainerError`]
 //! — never a panic, never an oversized `Vec::with_capacity`.
 //!
-//! # Streaming load
-//!
-//! [`stream_file`] applies the exact same validation pipeline directly
-//! to a file handle, but **overlaps I/O with verification**: the
-//! footer and directory are validated first (one seek to the tail,
-//! one to the head), then the caller thread reads payloads
-//! sequentially in file order and hands each one to a pool worker the
-//! moment its bytes land, so per-section CRC checks and decoding run
-//! concurrently with the remaining reads. Earlier sections are
-//! published to later decoders through [`RawSections`], matching the
-//! writer's push order (e.g. engine metadata lands before the index
-//! payloads that need it).
-//!
 //! # Crash-safe writes
 //!
 //! [`ContainerWriter::write_atomic`] serializes to `<path>.tmp`,
@@ -51,17 +38,13 @@
 //!
 //! Section *kinds* are opaque `u16` tags at this layer; `seal-core`
 //! defines the engine's taxonomy (store, dictionary, engine metadata,
-//! scheme, index payloads). The legacy raw codec blobs (kinds 1–6 of
-//! the `serialize` codec) remain loadable directly through each index
-//! type's `from_bytes` — the compatibility entry point for pre-container
-//! files; [`looks_like_legacy_codec`] distinguishes the two formats.
+//! scheme, index payloads).
 
 use crate::IndexCodecError;
 use std::fmt;
 use std::fs::File;
-use std::io::{Read as _, Seek as _, SeekFrom, Write as _};
+use std::io::Write as _;
 use std::path::{Path, PathBuf};
-use std::sync::{mpsc, Mutex, OnceLock};
 
 /// First four bytes of every `.seal` container.
 pub const CONTAINER_MAGIC: u32 = 0x5EA1_C0DE;
@@ -109,15 +92,6 @@ pub fn crc32(bytes: &[u8]) -> u32 {
         c = CRC_TABLE[((c ^ u32::from(b)) & 0xFF) as usize] ^ (c >> 8);
     }
     c ^ 0xFFFF_FFFF
-}
-
-/// True when `bytes` start with the **legacy** raw index codec magic
-/// (the `serialize` codec's kinds 1–6) rather than a container — used
-/// to route pre-container files to the compatibility `from_bytes`
-/// entry points and to produce a helpful error otherwise.
-pub fn looks_like_legacy_codec(bytes: &[u8]) -> bool {
-    bytes.len() >= 4
-        && u32::from_le_bytes([bytes[0], bytes[1], bytes[2], bytes[3]]) == crate::serialize::MAGIC
 }
 
 /// Why a container failed to parse, verify, decode or persist.
@@ -603,270 +577,6 @@ impl<'a> Container<'a> {
     }
 }
 
-/// The payloads already read off disk during a [`stream_file`] parse,
-/// visible to the decode hook for cross-section lookups (e.g. an
-/// index payload whose decoder needs the engine-metadata section).
-///
-/// Payloads are published in file order, so by the time a section's
-/// hook runs, every section the writer laid out *before* it is
-/// guaranteed visible; later sections may or may not be, depending on
-/// how far the reader has advanced.
-pub struct RawSections<'a> {
-    kinds: &'a [u16],
-    slots: &'a [OnceLock<Vec<u8>>],
-}
-
-impl RawSections<'_> {
-    /// The raw (CRC-unverified-by-the-caller, already-read) payload of
-    /// the section with the given kind, if its bytes have landed.
-    /// Returns `None` for unknown kinds and for sections not yet read.
-    pub fn raw(&self, kind: u16) -> Option<&[u8]> {
-        self.kinds
-            .iter()
-            .position(|&k| k == kind)
-            .and_then(|i| self.slots[i].get())
-            .map(Vec::as_slice)
-    }
-}
-
-/// One fully validated directory entry of a streaming parse.
-struct StreamEntry {
-    kind: u16,
-    len: usize,
-    crc: u32,
-}
-
-/// Parses a `.seal` container **streaming from disk**: the framing
-/// (footer, header, directory) is validated up front exactly as in
-/// [`Container::parse`], then each section payload is handed to a
-/// worker of the shared [`crate::parallel`] pool as soon as its bytes
-/// are read, so CRC verification and `decode` overlap with the
-/// remaining file I/O instead of waiting for the whole file.
-///
-/// `decode` is called once per section with `(kind, payload, raw)`
-/// where `raw` exposes previously read sections (see [`RawSections`]);
-/// results come back as `(kind, T)` pairs in file order. `threads`
-/// follows the usual convention (0 = one per core); one thread reads,
-/// the rest verify/decode, and the reader helps drain the queue once
-/// the last payload is in memory.
-///
-/// # Errors
-/// A typed [`ContainerError`] for any malformed input — the same
-/// guarantees as [`Container::parse`]: never a panic, never an
-/// allocation sized from an unvalidated count. When several sections
-/// fail, the error for the lowest-offset section wins
-/// (deterministically, regardless of worker scheduling).
-pub fn stream_file<T, F>(
-    path: &Path,
-    threads: usize,
-    decode: F,
-) -> Result<Vec<(u16, T)>, ContainerError>
-where
-    T: Send,
-    F: Fn(u16, &[u8], &RawSections<'_>) -> Result<T, ContainerError> + Sync,
-{
-    let mut file = File::open(path)?;
-    let actual = file.metadata()?.len();
-    let Ok(file_len) = usize::try_from(actual) else {
-        return Err(ContainerError::Io(std::io::Error::new(
-            std::io::ErrorKind::InvalidData,
-            "container larger than the address space",
-        )));
-    };
-    if file_len < HEADER_LEN + FOOTER_LEN {
-        return Err(ContainerError::Truncated {
-            need: HEADER_LEN + FOOTER_LEN,
-            have: file_len,
-        });
-    }
-
-    // Footer first, exactly as in the buffered parse: it vouches for
-    // the header and directory before either is trusted.
-    let mut foot = [0u8; FOOTER_LEN];
-    file.seek(SeekFrom::End(-(FOOTER_LEN as i64)))?;
-    file.read_exact(&mut foot)?;
-    let declared = u64::from_le_bytes(foot[0..8].try_into().expect("8-byte slice"));
-    let dir_crc = u32::from_le_bytes(foot[8..12].try_into().expect("4-byte slice"));
-    let footer_magic = u32::from_le_bytes(foot[12..16].try_into().expect("4-byte slice"));
-    if footer_magic != FOOTER_MAGIC {
-        return Err(ContainerError::BadFooterMagic {
-            found: footer_magic,
-        });
-    }
-    if declared != actual {
-        return Err(ContainerError::LengthMismatch { declared, actual });
-    }
-
-    file.seek(SeekFrom::Start(0))?;
-    let mut header = [0u8; HEADER_LEN];
-    file.read_exact(&mut header)?;
-    let magic = u32::from_le_bytes([header[0], header[1], header[2], header[3]]);
-    if magic != CONTAINER_MAGIC {
-        return Err(ContainerError::BadMagic { found: magic });
-    }
-    if header[4] != CONTAINER_VERSION {
-        return Err(ContainerError::BadVersion { found: header[4] });
-    }
-    let count_u32 = u32::from_le_bytes([header[6], header[7], header[8], header[9]]);
-    let section_count = usize::try_from(count_u32).expect("u32 fits usize");
-
-    // Allocation cap before the directory read is sized.
-    let body = file_len - HEADER_LEN - FOOTER_LEN;
-    let dir_bytes = section_count
-        .checked_mul(DIR_ENTRY_LEN)
-        .filter(|&n| n <= body)
-        .ok_or(ContainerError::OversizedDirectory {
-            sections: u64::from(count_u32),
-            available: body,
-        })?;
-    let mut dir = vec![0u8; dir_bytes];
-    file.read_exact(&mut dir)?;
-    // The footer's CRC covers header + directory as one span.
-    let mut framing = Vec::with_capacity(HEADER_LEN + dir_bytes);
-    framing.extend_from_slice(&header);
-    framing.extend_from_slice(&dir);
-    let found_crc = crc32(&framing);
-    if found_crc != dir_crc {
-        return Err(ContainerError::DirectoryChecksum {
-            expected: dir_crc,
-            found: found_crc,
-        });
-    }
-
-    // Directory entries: contiguous, ascending, in bounds — the same
-    // invariants `Container::parse` enforces.
-    let payload_end = file_len - FOOTER_LEN;
-    let dir_end = HEADER_LEN + dir_bytes;
-    let mut entries: Vec<StreamEntry> = Vec::with_capacity(section_count);
-    let mut cursor = dir_end;
-    for index in 0..section_count {
-        let e = &dir[index * DIR_ENTRY_LEN..][..DIR_ENTRY_LEN];
-        let kind = u16::from_le_bytes([e[0], e[1]]);
-        let offset = u64::from_le_bytes(e[2..10].try_into().expect("8-byte slice"));
-        let len = u64::from_le_bytes(e[10..18].try_into().expect("8-byte slice"));
-        let crc = u32::from_le_bytes(e[18..22].try_into().expect("4-byte slice"));
-        let (Ok(offset), Ok(len)) = (usize::try_from(offset), usize::try_from(len)) else {
-            return Err(ContainerError::BadSectionTable {
-                index,
-                detail: format!("offset {offset} / len {len} exceed the address space"),
-            });
-        };
-        if offset != cursor {
-            return Err(ContainerError::BadSectionTable {
-                index,
-                detail: format!("expected contiguous offset {cursor}, found {offset}"),
-            });
-        }
-        let Some(end) = offset.checked_add(len).filter(|&e| e <= payload_end) else {
-            return Err(ContainerError::BadSectionTable {
-                index,
-                detail: format!(
-                    "payload [{offset}, {offset}+{len}) overruns the payload area \
-                     (ends at {payload_end})"
-                ),
-            });
-        };
-        if entries.iter().any(|s| s.kind == kind) {
-            return Err(ContainerError::DuplicateSection { kind });
-        }
-        entries.push(StreamEntry { kind, len, crc });
-        cursor = end;
-    }
-    if cursor != payload_end {
-        return Err(ContainerError::BadSectionTable {
-            index: section_count,
-            detail: format!(
-                "sections end at {cursor} but the payload area ends at {payload_end} \
-                 (unaccounted bytes)"
-            ),
-        });
-    }
-
-    // Streaming phase: the caller thread reads payloads in file order
-    // and publishes each through a `OnceLock`, dispatching its index
-    // to the worker queue the moment the bytes land. Workers CRC-check
-    // and decode while the reader keeps pulling the next section.
-    let kinds: Vec<u16> = entries.iter().map(|e| e.kind).collect();
-    let slots: Vec<OnceLock<Vec<u8>>> = (0..section_count).map(|_| OnceLock::new()).collect();
-    let results: Vec<Mutex<Option<Result<T, ContainerError>>>> =
-        (0..section_count).map(|_| Mutex::new(None)).collect();
-    let workers = crate::parallel::resolve_threads(threads)
-        .saturating_sub(1)
-        .min(section_count);
-    let (tx, rx) = mpsc::channel::<usize>();
-    let rx = Mutex::new(rx);
-    let mut read_error: Option<std::io::Error> = None;
-
-    let work = |i: usize| {
-        let raw = RawSections {
-            kinds: &kinds,
-            slots: &slots,
-        };
-        let payload = slots[i].get().expect("payload published before dispatch");
-        let entry = &entries[i];
-        let found = crc32(payload);
-        let res = if found == entry.crc {
-            decode(entry.kind, payload, &raw)
-        } else {
-            Err(ContainerError::SectionChecksum {
-                kind: entry.kind,
-                expected: entry.crc,
-                found,
-            })
-        };
-        *results[i].lock().expect("result slot lock") = Some(res);
-    };
-
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| loop {
-                let next = rx.lock().expect("queue lock").recv();
-                match next {
-                    Ok(i) => work(i),
-                    Err(_) => break,
-                }
-            });
-        }
-        for (i, entry) in entries.iter().enumerate() {
-            let mut payload = vec![0u8; entry.len];
-            if let Err(e) = file.read_exact(&mut payload) {
-                read_error = Some(e);
-                break;
-            }
-            slots[i]
-                .set(payload)
-                .expect("each slot is set exactly once");
-            let _ = tx.send(i);
-        }
-        // Reading done (or failed): close the queue so workers exit
-        // once drained, and help drain it from this thread meanwhile.
-        drop(tx);
-        loop {
-            let next = rx.lock().expect("queue lock").recv();
-            match next {
-                Ok(i) => work(i),
-                Err(_) => break,
-            }
-        }
-    });
-
-    if let Some(e) = read_error {
-        return Err(ContainerError::Io(e));
-    }
-    // Deterministic error selection: the lowest-offset failing section
-    // wins, regardless of which worker hit it first.
-    let mut out = Vec::with_capacity(section_count);
-    for (i, entry) in entries.iter().enumerate() {
-        let slot = results[i]
-            .lock()
-            .expect("result slot lock")
-            .take()
-            .expect("every dispatched section is decoded before the scope exits");
-        out.push((entry.kind, slot?));
-    }
-    Ok(out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -963,18 +673,6 @@ mod tests {
     }
 
     #[test]
-    fn legacy_codec_magic_is_distinguished() {
-        let legacy = 0x5EA1_1D8Eu32.to_le_bytes();
-        assert!(looks_like_legacy_codec(&legacy));
-        assert!(!looks_like_legacy_codec(&sample()));
-        assert!(!looks_like_legacy_codec(&[1, 2]));
-        assert!(matches!(
-            Container::parse(&legacy),
-            Err(ContainerError::Truncated { .. })
-        ));
-    }
-
-    #[test]
     fn temp_path_is_deterministic() {
         let p = Path::new("/tmp/x/index.seal");
         assert_eq!(temp_path_for(p), PathBuf::from("/tmp/x/index.seal.tmp"));
@@ -1021,84 +719,6 @@ mod tests {
             "failed save must never clobber the existing container"
         );
         std::fs::remove_dir(&tmp).ok();
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn stream_file_matches_buffered_parse() {
-        let bytes = sample();
-        let dir = std::env::temp_dir();
-        let path = dir.join(format!("seal-stream-parity-{}.seal", std::process::id()));
-        std::fs::write(&path, &bytes).expect("write sample");
-        let parsed = Container::parse(&bytes).expect("buffered parse");
-        for threads in [1usize, 2, 0] {
-            let streamed = stream_file(&path, threads, |_, payload, _| Ok(payload.to_vec()))
-                .expect("streamed parse");
-            assert_eq!(streamed.len(), parsed.sections().len());
-            for ((kind, payload), section) in streamed.iter().zip(parsed.sections()) {
-                assert_eq!(*kind, section.kind);
-                assert_eq!(payload.as_slice(), section.payload);
-            }
-        }
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn stream_file_sees_earlier_sections_and_reports_typed_errors() {
-        let bytes = sample();
-        let dir = std::env::temp_dir();
-        let path = dir.join(format!("seal-stream-raw-{}.seal", std::process::id()));
-        std::fs::write(&path, &bytes).expect("write sample");
-        // Kinds are pushed 1, 2, 7 — so when kind 7 decodes, kinds 1
-        // and 2 are guaranteed published; an unknown kind is None.
-        stream_file(&path, 1, |kind, _, raw| {
-            if kind == 7 {
-                assert_eq!(raw.raw(1), Some(&[1u8, 2, 3, 4, 5][..]));
-                assert_eq!(raw.raw(2), Some(&[][..]));
-                assert!(raw.raw(999).is_none());
-            }
-            Ok(())
-        })
-        .expect("stream with raw lookups");
-        // A decode-hook error surfaces as the lowest failing section.
-        let err = stream_file(&path, 0, |kind, _, _| {
-            if kind == 1 || kind == 7 {
-                Err(ContainerError::MissingSection { kind })
-            } else {
-                Ok(())
-            }
-        })
-        .expect_err("hook errors must propagate");
-        assert!(
-            matches!(err, ContainerError::MissingSection { kind: 1 }),
-            "lowest-offset failure must win, got {err:?}"
-        );
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn stream_file_detects_corruption_and_truncation() {
-        let bytes = sample();
-        let dir = std::env::temp_dir();
-        let path = dir.join(format!("seal-stream-corrupt-{}.seal", std::process::id()));
-        // Flip one payload bit (inside section 7's 0xAB run).
-        let mut bad = bytes.clone();
-        let n = bad.len();
-        bad[n - FOOTER_LEN - 10] ^= 0x01;
-        std::fs::write(&path, &bad).expect("write corrupt");
-        let err = stream_file(&path, 0, |_, _, _| Ok(())).expect_err("must detect flip");
-        assert!(
-            matches!(err, ContainerError::SectionChecksum { kind: 7, .. }),
-            "expected payload checksum failure, got {err:?}"
-        );
-        // Every truncation is a typed error through the streaming path.
-        for len in [0, 5, HEADER_LEN, n - FOOTER_LEN, n - 1] {
-            std::fs::write(&path, &bytes[..len]).expect("write truncated");
-            assert!(
-                stream_file(&path, 1, |_, _, _| Ok(())).is_err(),
-                "truncation to {len} bytes went undetected"
-            );
-        }
         std::fs::remove_file(&path).ok();
     }
 

@@ -252,13 +252,6 @@ pub(crate) struct CsrCore<K: Eq + Hash + Ord, C: PostingColumns> {
     /// Generation-swapping callers (online ingest) use this to tell
     /// "the arena I captured" from "the arena after the next freeze".
     generation: u64,
-    /// The keys the most recent folding finalize touched (sorted
-    /// ascending); every other group's bytes are unchanged from the
-    /// previous generation. Incremental re-encoders
-    /// ([`CompressedInvertedIndex::recompress`]
-    /// (crate::CompressedInvertedIndex::recompress)) re-pack only
-    /// these. Empty before the first finalize and after `from_frozen`.
-    last_folded: Vec<K>,
 }
 
 impl<K: Eq + Hash + Ord + Copy, C: PostingColumns> Default for CsrCore<K, C> {
@@ -270,7 +263,6 @@ impl<K: Eq + Hash + Ord + Copy, C: PostingColumns> Default for CsrCore<K, C> {
             arena: C::default(),
             posting_count: 0,
             generation: 0,
-            last_folded: Vec::new(),
         }
     }
 }
@@ -299,7 +291,6 @@ impl<K: Eq + Hash + Ord + Copy, C: PostingColumns> CsrCore<K, C> {
             arena,
             posting_count,
             generation: 1,
-            last_folded: Vec::new(),
         }
     }
 
@@ -407,7 +398,6 @@ impl<K: Eq + Hash + Ord + Copy, C: PostingColumns> CsrCore<K, C> {
         self.offsets = offsets;
         self.arena = arena;
         self.generation += 1;
-        self.last_folded = staged.iter().map(|e| e.0).collect();
     }
 
     /// True when every pushed posting is in the frozen arena.
@@ -421,14 +411,6 @@ impl<K: Eq + Hash + Ord + Copy, C: PostingColumns> CsrCore<K, C> {
     /// generations mean byte-identical frozen state.
     pub(crate) fn generation(&self) -> u64 {
         self.generation
-    }
-
-    /// The sorted keys the most recent folding finalize touched; every
-    /// other group's arena bytes are identical to the previous
-    /// generation's. Empty before the first finalize and after a
-    /// frozen-parts load (where provenance is unknown).
-    pub(crate) fn last_folded_keys(&self) -> &[K] {
-        &self.last_folded
     }
 
     /// The frozen arena's row span for `key` (None if absent or only

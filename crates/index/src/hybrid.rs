@@ -24,7 +24,7 @@ use std::hash::Hash;
 /// for the survivors; never an interleaved struct.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct HybridIndex<K: Eq + Hash + Ord> {
-    core: CsrCore<K, DualColumns>,
+    pub(crate) core: CsrCore<K, DualColumns>,
 }
 
 impl<K: Eq + Hash + Ord + Copy> Default for HybridIndex<K> {
@@ -74,15 +74,6 @@ impl<K: Eq + Hash + Ord + Copy + Sync> HybridIndex<K> {
         self.core.finalize_with_threads(cmp_dual, threads);
     }
 
-    /// Rebuilds a frozen index from validated columnar parts (the SoA
-    /// codec's direct load path — `crate::serialize` has already
-    /// checked every CSR invariant).
-    pub(crate) fn from_frozen_parts(keys: Vec<K>, offsets: Vec<usize>, arena: DualColumns) -> Self {
-        HybridIndex {
-            core: CsrCore::from_frozen(keys, offsets, arena),
-        }
-    }
-
     /// True when every pushed posting is in the frozen arena (no
     /// staged postings awaiting [`finalize`](Self::finalize)).
     pub fn is_finalized(&self) -> bool {
@@ -94,16 +85,6 @@ impl<K: Eq + Hash + Ord + Copy + Sync> HybridIndex<K> {
     /// postings in (no-op finalizes do not count).
     pub fn generation(&self) -> u64 {
         self.core.generation()
-    }
-
-    /// The sorted keys the most recent folding finalize touched —
-    /// every other group's arena bytes are identical to the previous
-    /// generation's. Incremental re-encoders
-    /// ([`crate::CompressedHybridIndex::recompress`]) re-pack only
-    /// these groups. Empty before the first finalize and after a
-    /// codec load.
-    pub fn last_folded_keys(&self) -> &[K] {
-        self.core.last_folded_keys()
     }
 
     /// Generation-aware re-finalize: merges staged postings into the

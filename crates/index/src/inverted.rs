@@ -30,7 +30,7 @@ use std::hash::Hash;
 /// Table 1's relative index sizes can be reproduced.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct InvertedIndex<K: Eq + Hash + Ord> {
-    core: CsrCore<K, SingleColumns>,
+    pub(crate) core: CsrCore<K, SingleColumns>,
 }
 
 impl<K: Eq + Hash + Ord + Copy> Default for InvertedIndex<K> {
@@ -82,19 +82,6 @@ impl<K: Eq + Hash + Ord + Copy + Sync> InvertedIndex<K> {
         self.core.finalize_with_threads(cmp_posting, threads);
     }
 
-    /// Rebuilds a frozen index from validated columnar parts (the SoA
-    /// codec's direct load path — `crate::serialize` has already
-    /// checked every CSR invariant).
-    pub(crate) fn from_frozen_parts(
-        keys: Vec<K>,
-        offsets: Vec<usize>,
-        arena: SingleColumns,
-    ) -> Self {
-        InvertedIndex {
-            core: CsrCore::from_frozen(keys, offsets, arena),
-        }
-    }
-
     /// True when every pushed posting is in the frozen arena (no
     /// staged postings awaiting [`finalize`](Self::finalize)).
     pub fn is_finalized(&self) -> bool {
@@ -108,16 +95,6 @@ impl<K: Eq + Hash + Ord + Copy + Sync> InvertedIndex<K> {
     /// captured.
     pub fn generation(&self) -> u64 {
         self.core.generation()
-    }
-
-    /// The sorted keys the most recent folding finalize touched —
-    /// every other group's arena bytes are identical to the previous
-    /// generation's. Incremental re-encoders
-    /// ([`crate::CompressedInvertedIndex::recompress`]) re-pack only
-    /// these groups. Empty before the first finalize and after a
-    /// codec load (provenance unknown).
-    pub fn last_folded_keys(&self) -> &[K] {
-        self.core.last_folded_keys()
     }
 
     /// Generation-aware re-finalize: merges any staged postings into

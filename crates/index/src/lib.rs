@@ -26,10 +26,14 @@
 //!   same columnar form.
 //! * [`CompressedInvertedIndex`] / [`CompressedHybridIndex`] — the
 //!   same lists in one compressed arena (quantized `u16` bound
-//!   columns + an id column per [`IdCodec`]: delta-coded bit-packed
-//!   128-id blocks by default, legacy varints for old files), served
-//!   in place through a caller-owned id scratch buffer; see
-//!   [`compress`] for the layout contract.
+//!   columns + delta-coded, bit-packed 128-id blocks), served in place
+//!   through a caller-owned id scratch buffer; both are one
+//!   [`compress::CompressedArena`], see [`compress`] for the layout
+//!   contract.
+//! * [`Container`] / [`ContainerWriter`] — the checksummed `.seal`
+//!   framing the engine persists its sections in; the index codec
+//!   itself writes and reads exactly four kinds (SoA arenas 5/6,
+//!   compressed arenas 7/8).
 //! * [`bound_cut`] — the one shared qualifying-cut path: every probe
 //!   (uncompressed, compressed, standalone list) goes through it or
 //!   its quantized twin.
@@ -52,8 +56,8 @@ mod posting;
 mod serialize;
 
 pub use columns::{DualPostingsView, PostingsView};
-pub use compress::{CompressedHybridIndex, CompressedInvertedIndex, IdCodec};
-pub use container::{stream_file, Container, ContainerError, ContainerWriter, RawSections};
+pub use compress::{CompressedHybridIndex, CompressedInvertedIndex};
+pub use container::{Container, ContainerError, ContainerWriter};
 pub use csr::bound_cut;
 pub use hybrid::HybridIndex;
 pub use inverted::InvertedIndex;

@@ -6,19 +6,13 @@
 //!
 //! ```text
 //! magic:u32  version:u8  kind:u8  key_count:u64
-//! kind 5 (SoA single) / 6 (SoA dual) — the current write format:
+//! kind 5 (SoA single) / 6 (SoA dual):
 //!   posting_count:u64
 //!   directory, repeat key_count times:  key:u128  len:u64
 //!   id column:      object:u32  ×posting_count
 //!   bound column:   bound:f64   ×posting_count
-//!   [kind 6 adds a second bound column: spatial ×n, then textual ×n]
-//! kind 1 (legacy AoS single) / 2 (legacy AoS dual), read-only:
-//!   repeat key_count times:
-//!     key:u128  len:u64
-//!     repeat len times:
-//!       object:u32  bound(s): f64 [f64]
-//! kind 3 (compressed single) / 4 (compressed dual), varint ids:
-//! kind 7 (compressed single) / 8 (compressed dual), block-packed ids:
+//!   [kind 6 has two bound columns: spatial ×n, then textual ×n]
+//! kind 7 (compressed single) / 8 (compressed dual):
 //!   arena_len:u64
 //!   repeat key_count times:
 //!     key:u128  len:u32  scale:f64 [t_scale:f64]
@@ -27,45 +21,30 @@
 //!   by the validation walk at load time)
 //! ```
 //!
-//! The SoA kinds persist the serving form **as-is**: whole columns are
-//! dumped in group order (the arena's column layout), and loading
+//! Every kind persists the serving form **as-is** and is written and
+//! read by one generic routine per shape. The SoA kinds dump whole
+//! columns in group order (the arena's column layout), and loading
 //! rebuilds the frozen arena directly — no per-posting re-push, no
 //! re-sort — after a full validation walk (keys strictly ascending,
-//! offsets consistent, bounds NaN-free and in finalize order) so the
-//! probe path stays infallible. The legacy AoS kinds (the pre-SoA
-//! write format) still **load**: their interleaved records are
-//! transposed into columns on read via the ordinary push + finalize
-//! path, so indexes serialized by older builds keep answering
-//! identically under the SoA engine. [`InvertedIndex::to_bytes_aos`] /
-//! [`HybridIndex::to_bytes_aos`] keep the legacy writer available for
-//! migration tests and downgrade paths.
-//!
-//! The compressed kinds likewise persist their serving form as-is:
-//! encoding is a directory dump plus one arena memcpy, and decoding
-//! revalidates every group (bound columns in order, id columns
-//! well-formed under the kind's [`IdCodec`] and `u32`-sized — for the
-//! block-packed kinds 7/8 that includes block widths in `1..=64` and
-//! overflow-checked delta reconstruction). Kind selection on write
-//! follows the arena's codec: block-packed arenas (the
-//! [`CompressedInvertedIndex::compress`] default) write kinds 7/8,
-//! varint arenas write the legacy kinds 3/4, and both load.
+//! offsets consistent, bounds NaN-free and in finalize order). The
+//! compressed kinds are a directory dump plus one arena memcpy, and
+//! decoding revalidates every group (bound columns in order, id
+//! columns well-formed and `u32`-sized: block widths in `1..=64`,
+//! overflow-checked delta reconstruction). Either way the probe path
+//! stays infallible. A payload must be consumed exactly: trailing
+//! bytes are corruption, not padding. Any other kind byte — including
+//! 1–4, which earlier revisions wrote — is [`IndexCodecError::BadKind`].
 
-use crate::columns::{DualColumns, SingleColumns};
-use crate::compress::{
-    validate_group, CompressedHybridIndex, CompressedInvertedIndex, DualGroupMeta, GroupMeta,
-    IdCodec, Quantizer,
-};
+use crate::columns::{DualColumns, PostingColumns, SingleColumns};
+use crate::compress::{validate_group, CompressedArena, GroupMeta, Quantizer};
+use crate::csr::CsrCore;
 use crate::{HybridIndex, InvertedIndex, ObjId};
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use std::fmt;
 use std::hash::Hash;
 
-pub(crate) const MAGIC: u32 = 0x5EA1_1D8E;
+const MAGIC: u32 = 0x5EA1_1D8E;
 const VERSION: u8 = 1;
-const KIND_SINGLE: u8 = 1;
-const KIND_DUAL: u8 = 2;
-const KIND_COMPRESSED_SINGLE: u8 = 3;
-const KIND_COMPRESSED_DUAL: u8 = 4;
 const KIND_SOA_SINGLE: u8 = 5;
 const KIND_SOA_DUAL: u8 = 6;
 const KIND_PACKED_SINGLE: u8 = 7;
@@ -78,14 +57,15 @@ pub enum IndexCodecError {
     BadMagic,
     /// Unsupported format version.
     BadVersion(u8),
-    /// Wrong index kind (single-bound vs dual-bound).
+    /// Not the kind this index type reads (single- vs dual-bound,
+    /// arena vs compressed, or a kind byte no index type reads).
     BadKind(u8),
     /// The buffer ended before the declared contents.
     Truncated,
     /// A payload failed validation (out-of-order bound column, NaN
     /// bound, inconsistent counts, malformed or oversized varint,
-    /// misaligned group). Carries where and what so a CLI failure is
-    /// a diagnosable one-liner.
+    /// misaligned group, trailing bytes). Carries where and what so a
+    /// CLI failure is a diagnosable one-liner.
     Corrupt {
         /// Which part of the payload failed (directory, columns,
         /// arena, …).
@@ -130,17 +110,18 @@ impl std::error::Error for IndexCodecError {}
 pub trait IndexKey: Eq + Hash + Ord + Copy + Sync {
     /// Widens the key to 128 bits.
     fn to_u128(self) -> u128;
-    /// Narrows a 128-bit value back to the key type.
-    fn from_u128(v: u128) -> Self;
+    /// Narrows a 128-bit value back to the key type; `None` when the
+    /// value does not fit (only untrusted bytes can produce one —
+    /// writers widen real keys).
+    fn from_u128(v: u128) -> Option<Self>;
 }
 
 impl IndexKey for u32 {
     fn to_u128(self) -> u128 {
         u128::from(self)
     }
-    fn from_u128(v: u128) -> Self {
-        // seal-lint: allow(persisted-narrowing-cast) — narrowing is this trait's contract; writers only ever widen a real u32
-        v as u32
+    fn from_u128(v: u128) -> Option<Self> {
+        u32::try_from(v).ok()
     }
 }
 
@@ -148,8 +129,8 @@ impl IndexKey for u64 {
     fn to_u128(self) -> u128 {
         u128::from(self)
     }
-    fn from_u128(v: u128) -> Self {
-        v as u64
+    fn from_u128(v: u128) -> Option<Self> {
+        u64::try_from(v).ok()
     }
 }
 
@@ -157,8 +138,8 @@ impl IndexKey for u128 {
     fn to_u128(self) -> u128 {
         self
     }
-    fn from_u128(v: u128) -> Self {
-        v
+    fn from_u128(v: u128) -> Option<Self> {
+        Some(v)
     }
 }
 
@@ -170,9 +151,34 @@ fn check_remaining(buf: &impl Buf, need: usize) -> Result<(), IndexCodecError> {
     }
 }
 
-/// Reads and validates the shared header, returning `(kind,
-/// key_count)` for the caller to dispatch on.
-fn read_header(buf: &mut impl Buf) -> Result<(u8, u64), IndexCodecError> {
+/// Rejects bytes after the last declared datum of `section` (which is
+/// `end` bytes long): the container's other sections refuse trailing
+/// bytes, and an index payload is no different.
+fn check_consumed(
+    buf: &impl Buf,
+    section: &'static str,
+    end: usize,
+) -> Result<(), IndexCodecError> {
+    match buf.remaining() {
+        0 => Ok(()),
+        n => Err(corrupt(
+            section,
+            end,
+            format!("{n} unconsumed trailing bytes"),
+        )),
+    }
+}
+
+fn put_header(buf: &mut BytesMut, kind: u8, key_count: usize) {
+    buf.put_u32_le(MAGIC);
+    buf.put_u8(VERSION);
+    buf.put_u8(kind);
+    buf.put_u64_le(key_count as u64);
+}
+
+/// Reads and validates the shared header for an index that reads only
+/// `kind`, returning the key count.
+fn read_header(buf: &mut impl Buf, kind: u8) -> Result<usize, IndexCodecError> {
     check_remaining(buf, 4 + 1 + 1 + 8)?;
     if buf.get_u32_le() != MAGIC {
         return Err(IndexCodecError::BadMagic);
@@ -181,21 +187,116 @@ fn read_header(buf: &mut impl Buf) -> Result<(u8, u64), IndexCodecError> {
     if version != VERSION {
         return Err(IndexCodecError::BadVersion(version));
     }
-    let kind = buf.get_u8();
-    Ok((kind, buf.get_u64_le()))
+    let found = buf.get_u8();
+    if found != kind {
+        return Err(IndexCodecError::BadKind(found));
+    }
+    usize::try_from(buf.get_u64_le()).map_err(|_| IndexCodecError::Truncated)
 }
 
-/// Reads the SoA directory shared by kinds 5/6: keys + per-group lens,
-/// returning `(keys, offsets)` with every count overflow-checked (a
-/// corrupt header must error, not abort on a huge allocation) and the
-/// strictly-ascending key invariant verified.
+/// Reads one directory key (entry starts at byte `at` of `section`),
+/// rejecting a value wider than the index's key type: narrowing it
+/// would silently alias another key.
+fn read_key<K: IndexKey>(
+    buf: &mut impl Buf,
+    section: &'static str,
+    at: usize,
+) -> Result<K, IndexCodecError> {
+    let raw = buf.get_u128_le();
+    K::from_u128(raw).ok_or_else(|| {
+        corrupt(
+            section,
+            at,
+            format!("key {raw} does not fit the index's key type"),
+        )
+    })
+}
+
+/// The sorted-key invariant every probe's binary search depends on;
+/// directory entries are `entry_bytes` long.
+fn check_ascending<K: Ord>(
+    keys: &[K],
+    section: &'static str,
+    entry_bytes: usize,
+) -> Result<(), IndexCodecError> {
+    match keys.windows(2).position(|w| w[0] >= w[1]) {
+        Some(i) => Err(corrupt(
+            section,
+            (i + 1) * entry_bytes,
+            "keys not strictly ascending",
+        )),
+        None => Ok(()),
+    }
+}
+
+/// A column set with an on-disk SoA form: its kind byte and its
+/// columns in file order (ids, then the bound columns, cut axis
+/// first).
+trait SoaColumns: PostingColumns {
+    /// The serialize kind byte.
+    const KIND: u8;
+    /// Bound columns per row.
+    const BOUNDS: usize;
+    /// The id column.
+    fn ids(&self) -> &[ObjId];
+    /// Bound column `col` (0 = the cut axis).
+    fn bounds(&self, col: usize) -> &[f64];
+    /// Reassembles the set from its id column and `BOUNDS` equally
+    /// long bound columns.
+    fn from_columns(ids: Vec<ObjId>, bounds: Vec<Vec<f64>>) -> Self;
+}
+
+impl SoaColumns for SingleColumns {
+    const KIND: u8 = KIND_SOA_SINGLE;
+    const BOUNDS: usize = 1;
+    fn ids(&self) -> &[ObjId] {
+        &self.ids
+    }
+    fn bounds(&self, _col: usize) -> &[f64] {
+        &self.bounds
+    }
+    fn from_columns(ids: Vec<ObjId>, bounds: Vec<Vec<f64>>) -> Self {
+        let [bounds] = <[Vec<f64>; 1]>::try_from(bounds).expect("one bound column");
+        SingleColumns { ids, bounds }
+    }
+}
+
+impl SoaColumns for DualColumns {
+    const KIND: u8 = KIND_SOA_DUAL;
+    const BOUNDS: usize = 2;
+    fn ids(&self) -> &[ObjId] {
+        &self.ids
+    }
+    fn bounds(&self, col: usize) -> &[f64] {
+        if col == 0 {
+            &self.spatial
+        } else {
+            &self.textual
+        }
+    }
+    fn from_columns(ids: Vec<ObjId>, bounds: Vec<Vec<f64>>) -> Self {
+        let [spatial, textual] = <[Vec<f64>; 2]>::try_from(bounds).expect("two bound columns");
+        DualColumns {
+            ids,
+            spatial,
+            textual,
+        }
+    }
+}
+
+/// Reads the SoA directory: keys + per-group lens, returning `(keys,
+/// offsets)` with every count overflow-checked (a corrupt header must
+/// error, not abort on a huge allocation) and the strictly-ascending
+/// key invariant verified.
 fn read_soa_directory<K: IndexKey>(
     buf: &mut impl Buf,
     key_count: usize,
     posting_count: usize,
 ) -> Result<(Vec<K>, Vec<usize>), IndexCodecError> {
+    const SECTION: &str = "soa directory";
+    const ENTRY: usize = 16 + 8;
     let directory = key_count
-        .checked_mul(16 + 8)
+        .checked_mul(ENTRY)
         .ok_or(IndexCodecError::Truncated)?;
     check_remaining(buf, directory)?;
     let mut keys = Vec::with_capacity(key_count);
@@ -203,34 +304,24 @@ fn read_soa_directory<K: IndexKey>(
     offsets.push(0usize);
     let mut total = 0usize;
     for i in 0..key_count {
-        keys.push(K::from_u128(buf.get_u128_le()));
+        keys.push(read_key(buf, SECTION, i * ENTRY)?);
         let raw_len = buf.get_u64_le();
         let len = usize::try_from(raw_len).map_err(|_| {
             corrupt(
-                "soa directory",
-                i * (16 + 8) + 16,
+                SECTION,
+                i * ENTRY + 16,
                 format!("group length {raw_len} exceeds the address space"),
             )
         })?;
-        total = total.checked_add(len).ok_or_else(|| {
-            corrupt(
-                "soa directory",
-                i * (16 + 8) + 16,
-                "summed group lengths overflow",
-            )
-        })?;
+        total = total
+            .checked_add(len)
+            .ok_or_else(|| corrupt(SECTION, i * ENTRY + 16, "summed group lengths overflow"))?;
         offsets.push(total);
     }
-    if let Some(i) = keys.windows(2).position(|w| w[0] >= w[1]) {
-        return Err(corrupt(
-            "soa directory",
-            (i + 1) * (16 + 8),
-            "keys not strictly ascending",
-        ));
-    }
+    check_ascending(&keys, SECTION, ENTRY)?;
     if total != posting_count {
         return Err(corrupt(
-            "soa directory",
+            SECTION,
             0,
             format!("directory lengths sum to {total}, header declares {posting_count} postings"),
         ));
@@ -239,17 +330,17 @@ fn read_soa_directory<K: IndexKey>(
 }
 
 /// Validates one loaded group against the finalize order the probe
-/// path depends on: the primary bound column non-increasing under
-/// `total_cmp`, ties in ascending-id order, no NaN anywhere in either
-/// bound column (`extra` is the dual form's unordered second column).
+/// path depends on: the primary bound column (`bounds[0]`)
+/// non-increasing under `total_cmp`, ties in ascending-id order, no
+/// NaN anywhere in any bound column.
 fn validate_soa_group(
     ids: &[ObjId],
-    primary: &[f64],
-    extra: Option<&[f64]>,
+    bounds: &[Vec<f64>],
     span: std::ops::Range<usize>,
 ) -> Result<(), IndexCodecError> {
+    let primary = &bounds[0];
     for j in span.clone() {
-        if primary[j].is_nan() || extra.is_some_and(|col| col[j].is_nan()) {
+        if bounds.iter().any(|col| col[j].is_nan()) {
             return Err(corrupt("posting columns", j, "NaN bound"));
         }
         if j > span.start {
@@ -279,11 +370,69 @@ fn validate_soa_group(
     Ok(())
 }
 
+/// Serializes a frozen arena in the SoA column format: the directory,
+/// then the id column, then each bound column — the arena's own
+/// layout, so loading is a validation walk plus bulk column reads
+/// rather than a re-sort.
+fn encode_soa<K: IndexKey, C: SoaColumns>(core: &CsrCore<K, C>) -> Bytes {
+    assert!(
+        core.is_finalized(),
+        "to_bytes requires finalize() after the last push"
+    );
+    let arena = core.arena();
+    let mut buf =
+        BytesMut::with_capacity(64 + core.key_count() * 24 + arena.len() * (4 + 8 * C::BOUNDS));
+    put_header(&mut buf, C::KIND, core.key_count());
+    buf.put_u64_le(arena.len() as u64);
+    for (key, span) in core.iter_spans() {
+        buf.put_u128_le(key.to_u128());
+        buf.put_u64_le(span.len() as u64);
+    }
+    // Groups are arena-contiguous in key order, so each column is
+    // emitted exactly as it sits in memory.
+    for &id in arena.ids() {
+        buf.put_u32_le(id);
+    }
+    for col in 0..C::BOUNDS {
+        for &b in arena.bounds(col) {
+            buf.put_f64_le(b);
+        }
+    }
+    buf.freeze()
+}
+
+/// Decodes an SoA payload straight into a frozen arena (finalized,
+/// ready to query) after validating every CSR invariant.
+fn decode_soa<K: IndexKey, C: SoaColumns>(
+    mut buf: impl Buf,
+) -> Result<CsrCore<K, C>, IndexCodecError> {
+    let key_count = read_header(&mut buf, C::KIND)?;
+    check_remaining(&buf, 8)?;
+    let posting_count = usize::try_from(buf.get_u64_le())
+        .map_err(|_| corrupt("header", 0, "posting count exceeds the address space"))?;
+    let (keys, offsets) = read_soa_directory::<K>(&mut buf, key_count, posting_count)?;
+    let column_bytes = posting_count
+        .checked_mul(4 + 8 * C::BOUNDS)
+        .ok_or(IndexCodecError::Truncated)?;
+    check_remaining(&buf, column_bytes)?;
+    let ids: Vec<ObjId> = (0..posting_count).map(|_| buf.get_u32_le()).collect();
+    let bounds: Vec<Vec<f64>> = (0..C::BOUNDS)
+        .map(|_| (0..posting_count).map(|_| buf.get_f64_le()).collect())
+        .collect();
+    check_consumed(&buf, "posting columns", column_bytes)?;
+    for w in offsets.windows(2) {
+        validate_soa_group(&ids, &bounds, w[0]..w[1])?;
+    }
+    Ok(CsrCore::from_frozen(
+        keys,
+        offsets,
+        C::from_columns(ids, bounds),
+    ))
+}
+
 impl<K: IndexKey> InvertedIndex<K> {
     /// Serializes the index in the SoA column format (kind 5): the
-    /// directory, then the id column, then the bound column — the
-    /// frozen arena's own layout, so loading is a validation walk plus
-    /// bulk column reads rather than a re-sort.
+    /// directory, then the id column, then the bound column.
     ///
     /// # Panics
     /// If postings have been pushed since the last
@@ -291,125 +440,15 @@ impl<K: IndexKey> InvertedIndex<K> {
     /// serialized, so encoding a half-staged index would silently drop
     /// data.
     pub fn to_bytes(&self) -> Bytes {
-        assert!(
-            self.is_finalized(),
-            "InvertedIndex::to_bytes requires finalize() after the last push"
-        );
-        let mut buf =
-            BytesMut::with_capacity(64 + self.key_count() * 24 + self.posting_count() * 12);
-        buf.put_u32_le(MAGIC);
-        buf.put_u8(VERSION);
-        buf.put_u8(KIND_SOA_SINGLE);
-        buf.put_u64_le(self.key_count() as u64);
-        buf.put_u64_le(self.posting_count() as u64);
-        for (key, group) in self.iter() {
-            buf.put_u128_le(key.to_u128());
-            buf.put_u64_le(group.len() as u64);
-        }
-        // Groups are arena-contiguous in key order, so these loops
-        // emit each column exactly as it sits in memory.
-        for (_, group) in self.iter() {
-            for &id in group.ids {
-                buf.put_u32_le(id);
-            }
-        }
-        for (_, group) in self.iter() {
-            for &b in group.bounds {
-                buf.put_f64_le(b);
-            }
-        }
-        buf.freeze()
+        encode_soa(&self.core)
     }
 
-    /// Serializes in the legacy interleaved (AoS) format (kind 1) —
-    /// the pre-SoA write format, kept for migration tests and
-    /// downgrade paths. [`from_bytes`](Self::from_bytes) reads both.
-    ///
-    /// # Panics
-    /// If postings are staged (same contract as
-    /// [`to_bytes`](Self::to_bytes)).
-    pub fn to_bytes_aos(&self) -> Bytes {
-        assert!(
-            self.is_finalized(),
-            "InvertedIndex::to_bytes_aos requires finalize() after the last push"
-        );
-        let mut buf = BytesMut::with_capacity(64 + self.posting_count() * 12);
-        buf.put_u32_le(MAGIC);
-        buf.put_u8(VERSION);
-        buf.put_u8(KIND_SINGLE);
-        buf.put_u64_le(self.key_count() as u64);
-        for (key, group) in self.iter() {
-            buf.put_u128_le(key.to_u128());
-            buf.put_u64_le(group.len() as u64);
-            for (&id, &b) in group.ids.iter().zip(group.bounds) {
-                buf.put_u32_le(id);
-                buf.put_f64_le(b);
-            }
-        }
-        buf.freeze()
-    }
-
-    /// Decodes an index from bytes; the result is finalized and ready
-    /// to query. Accepts the SoA format (kind 5, loaded directly into
-    /// the frozen arena after validation) and the legacy AoS format
-    /// (kind 1, transposed into columns on read).
-    pub fn from_bytes(mut buf: impl Buf) -> Result<Self, IndexCodecError> {
-        let (kind, key_count) = read_header(&mut buf)?;
-        match kind {
-            KIND_SOA_SINGLE => Self::decode_soa(
-                buf,
-                usize::try_from(key_count).map_err(|_| IndexCodecError::Truncated)?,
-            ),
-            KIND_SINGLE => Self::decode_aos(buf, key_count),
-            other => Err(IndexCodecError::BadKind(other)),
-        }
-    }
-
-    fn decode_soa(mut buf: impl Buf, key_count: usize) -> Result<Self, IndexCodecError> {
-        check_remaining(&buf, 8)?;
-        let posting_count = usize::try_from(buf.get_u64_le())
-            .map_err(|_| corrupt("header", 0, "posting count exceeds the address space"))?;
-        let (keys, offsets) = read_soa_directory::<K>(&mut buf, key_count, posting_count)?;
-        let column_bytes = posting_count
-            .checked_mul(4 + 8)
-            .ok_or(IndexCodecError::Truncated)?;
-        check_remaining(&buf, column_bytes)?;
-        let mut ids = Vec::with_capacity(posting_count);
-        for _ in 0..posting_count {
-            ids.push(buf.get_u32_le());
-        }
-        let mut bounds = Vec::with_capacity(posting_count);
-        for _ in 0..posting_count {
-            bounds.push(buf.get_f64_le());
-        }
-        for w in offsets.windows(2) {
-            validate_soa_group(&ids, &bounds, None, w[0]..w[1])?;
-        }
-        Ok(InvertedIndex::from_frozen_parts(
-            keys,
-            offsets,
-            SingleColumns { ids, bounds },
-        ))
-    }
-
-    fn decode_aos(mut buf: impl Buf, key_count: u64) -> Result<Self, IndexCodecError> {
-        let mut idx = InvertedIndex::new();
-        for _ in 0..key_count {
-            check_remaining(&buf, 16 + 8)?;
-            let key = K::from_u128(buf.get_u128_le());
-            let len = usize::try_from(buf.get_u64_le()).map_err(|_| IndexCodecError::Truncated)?;
-            check_remaining(&buf, len.checked_mul(12).ok_or(IndexCodecError::Truncated)?)?;
-            for _ in 0..len {
-                let object: ObjId = buf.get_u32_le();
-                let bound = buf.get_f64_le();
-                if bound.is_nan() {
-                    return Err(corrupt("aos postings", idx.posting_count(), "NaN bound"));
-                }
-                idx.push(key, object, bound);
-            }
-        }
-        idx.finalize();
-        Ok(idx)
+    /// Decodes a kind-5 payload; the result is finalized and ready to
+    /// query.
+    pub fn from_bytes(buf: impl Buf) -> Result<Self, IndexCodecError> {
+        Ok(InvertedIndex {
+            core: decode_soa(buf)?,
+        })
     }
 }
 
@@ -419,224 +458,94 @@ impl<K: IndexKey> HybridIndex<K> {
     ///
     /// # Panics
     /// If postings have been pushed since the last
-    /// [`finalize`](HybridIndex::finalize): only the frozen arena is
-    /// serialized, so encoding a half-staged index would silently drop
-    /// data.
+    /// [`finalize`](HybridIndex::finalize) (same contract as
+    /// [`InvertedIndex::to_bytes`]).
     pub fn to_bytes(&self) -> Bytes {
-        assert!(
-            self.is_finalized(),
-            "HybridIndex::to_bytes requires finalize() after the last push"
-        );
-        let mut buf =
-            BytesMut::with_capacity(64 + self.key_count() * 24 + self.posting_count() * 20);
-        buf.put_u32_le(MAGIC);
-        buf.put_u8(VERSION);
-        buf.put_u8(KIND_SOA_DUAL);
-        buf.put_u64_le(self.key_count() as u64);
-        buf.put_u64_le(self.posting_count() as u64);
-        for (key, group) in self.iter() {
-            buf.put_u128_le(key.to_u128());
-            buf.put_u64_le(group.len() as u64);
-        }
-        for (_, group) in self.iter() {
-            for &id in group.ids {
-                buf.put_u32_le(id);
-            }
-        }
-        for (_, group) in self.iter() {
-            for &sb in group.spatial_bounds {
-                buf.put_f64_le(sb);
-            }
-        }
-        for (_, group) in self.iter() {
-            for &tb in group.textual_bounds {
-                buf.put_f64_le(tb);
-            }
-        }
-        buf.freeze()
+        encode_soa(&self.core)
     }
 
-    /// Serializes in the legacy interleaved (AoS) format (kind 2) —
-    /// kept for migration tests and downgrade paths.
-    ///
-    /// # Panics
-    /// If postings are staged.
-    pub fn to_bytes_aos(&self) -> Bytes {
-        assert!(
-            self.is_finalized(),
-            "HybridIndex::to_bytes_aos requires finalize() after the last push"
-        );
-        let mut buf = BytesMut::with_capacity(64 + self.posting_count() * 20);
-        buf.put_u32_le(MAGIC);
-        buf.put_u8(VERSION);
-        buf.put_u8(KIND_DUAL);
-        buf.put_u64_le(self.key_count() as u64);
-        for (key, group) in self.iter() {
-            buf.put_u128_le(key.to_u128());
-            buf.put_u64_le(group.len() as u64);
-            for ((&id, &sb), &tb) in group
-                .ids
-                .iter()
-                .zip(group.spatial_bounds)
-                .zip(group.textual_bounds)
-            {
-                buf.put_u32_le(id);
-                buf.put_f64_le(sb);
-                buf.put_f64_le(tb);
-            }
-        }
-        buf.freeze()
-    }
-
-    /// Decodes a hybrid index from bytes (finalized, ready to query).
-    /// Accepts the SoA format (kind 6) and the legacy AoS format
-    /// (kind 2, transposed on read).
-    pub fn from_bytes(mut buf: impl Buf) -> Result<Self, IndexCodecError> {
-        let (kind, key_count) = read_header(&mut buf)?;
-        match kind {
-            KIND_SOA_DUAL => Self::decode_soa(
-                buf,
-                usize::try_from(key_count).map_err(|_| IndexCodecError::Truncated)?,
-            ),
-            KIND_DUAL => Self::decode_aos(buf, key_count),
-            other => Err(IndexCodecError::BadKind(other)),
-        }
-    }
-
-    fn decode_soa(mut buf: impl Buf, key_count: usize) -> Result<Self, IndexCodecError> {
-        check_remaining(&buf, 8)?;
-        let posting_count = usize::try_from(buf.get_u64_le())
-            .map_err(|_| corrupt("header", 0, "posting count exceeds the address space"))?;
-        let (keys, offsets) = read_soa_directory::<K>(&mut buf, key_count, posting_count)?;
-        let column_bytes = posting_count
-            .checked_mul(4 + 8 + 8)
-            .ok_or(IndexCodecError::Truncated)?;
-        check_remaining(&buf, column_bytes)?;
-        let mut ids = Vec::with_capacity(posting_count);
-        for _ in 0..posting_count {
-            ids.push(buf.get_u32_le());
-        }
-        let mut spatial = Vec::with_capacity(posting_count);
-        for _ in 0..posting_count {
-            spatial.push(buf.get_f64_le());
-        }
-        let mut textual = Vec::with_capacity(posting_count);
-        for _ in 0..posting_count {
-            textual.push(buf.get_f64_le());
-        }
-        for w in offsets.windows(2) {
-            validate_soa_group(&ids, &spatial, Some(&textual), w[0]..w[1])?;
-        }
-        Ok(HybridIndex::from_frozen_parts(
-            keys,
-            offsets,
-            DualColumns {
-                ids,
-                spatial,
-                textual,
-            },
-        ))
-    }
-
-    fn decode_aos(mut buf: impl Buf, key_count: u64) -> Result<Self, IndexCodecError> {
-        let mut idx = HybridIndex::new();
-        for _ in 0..key_count {
-            check_remaining(&buf, 16 + 8)?;
-            let key = K::from_u128(buf.get_u128_le());
-            let len = usize::try_from(buf.get_u64_le()).map_err(|_| IndexCodecError::Truncated)?;
-            check_remaining(&buf, len.checked_mul(20).ok_or(IndexCodecError::Truncated)?)?;
-            for _ in 0..len {
-                let object: ObjId = buf.get_u32_le();
-                let sb = buf.get_f64_le();
-                let tb = buf.get_f64_le();
-                if sb.is_nan() || tb.is_nan() {
-                    return Err(corrupt("aos postings", idx.posting_count(), "NaN bound"));
-                }
-                idx.push(key, object, sb, tb);
-            }
-        }
-        idx.finalize();
-        Ok(idx)
+    /// Decodes a kind-6 payload (finalized, ready to query).
+    pub fn from_bytes(buf: impl Buf) -> Result<Self, IndexCodecError> {
+        Ok(HybridIndex {
+            core: decode_soa(buf)?,
+        })
     }
 }
 
-/// A deserialized quantizer scale, rejected unless finite and positive.
-fn checked_scale(scale: f64) -> Result<Quantizer, IndexCodecError> {
-    if !scale.is_finite() || scale <= 0.0 {
-        return Err(corrupt(
-            "group meta",
-            0,
-            format!("quantizer scale {scale} is not finite and positive"),
-        ));
+/// Serializes a compressed arena: the directory, then the arena
+/// verbatim. This *is* the at-rest form — nothing is re-encoded.
+fn encode_packed<K: IndexKey, const N: usize>(index: &CompressedArena<K, N>, kind: u8) -> Bytes {
+    let mut buf = BytesMut::with_capacity(64 + index.keys.len() * (20 + 8 * N) + index.arena.len());
+    put_header(&mut buf, kind, index.keys.len());
+    buf.put_u64_le(index.arena.len() as u64);
+    for (key, m) in index.keys.iter().zip(&index.meta) {
+        buf.put_u128_le(key.to_u128());
+        buf.put_u32_le(m.len);
+        for q in m.quant {
+            buf.put_f64_le(q.scale());
+        }
     }
-    Ok(Quantizer::from_scale(scale))
+    buf.put_slice(index.arena.as_slice());
+    buf.freeze()
 }
 
-/// Shared untrusted-input decode for the compressed kinds: header,
+/// Untrusted-input decode of a compressed arena: header,
 /// overflow-checked directory sizing (a corrupt count must fail, not
 /// abort on a huge allocation), per-key meta parse, sorted-key check,
 /// arena copy, and the full validation walk that rebuilds the byte
-/// offsets so the probe path stays infallible. `kinds` is the
-/// `(varint, block-packed)` kind-byte pair this index shape accepts —
-/// the matched kind selects the [`IdCodec`] the validation walk and
-/// the returned index use. `meta_bytes` is the per-entry directory
-/// size after the key; `columns` the number of `u16` bound columns per
-/// group.
-#[allow(clippy::type_complexity)]
-fn decode_compressed<K: IndexKey, M>(
+/// offsets so the probe path stays infallible.
+fn decode_packed<K: IndexKey, const N: usize>(
     mut buf: impl Buf,
-    kinds: (u8, u8),
-    meta_bytes: usize,
-    columns: usize,
-    parse_meta: impl Fn(&mut dyn Buf) -> Result<M, IndexCodecError>,
-    len_of: impl Fn(&M) -> usize,
-) -> Result<(Vec<K>, Vec<usize>, Vec<M>, Bytes, usize, IdCodec), IndexCodecError> {
-    let (kind, raw_key_count) = read_header(&mut buf)?;
-    let codec = match kind {
-        k if k == kinds.0 => IdCodec::Varint,
-        k if k == kinds.1 => IdCodec::BlockPacked,
-        other => return Err(IndexCodecError::BadKind(other)),
-    };
-    let key_count = usize::try_from(raw_key_count).map_err(|_| IndexCodecError::Truncated)?;
+    kind: u8,
+) -> Result<CompressedArena<K, N>, IndexCodecError> {
+    const SECTION: &str = "compressed directory";
+    let entry = 16 + 4 + 8 * N;
+    let key_count = read_header(&mut buf, kind)?;
     check_remaining(&buf, 8)?;
     let arena_len = usize::try_from(buf.get_u64_le()).map_err(|_| IndexCodecError::Truncated)?;
     let directory = key_count
-        .checked_mul(16 + meta_bytes)
+        .checked_mul(entry)
         .ok_or(IndexCodecError::Truncated)?;
     check_remaining(&buf, directory)?;
     let mut keys = Vec::with_capacity(key_count);
     let mut meta = Vec::with_capacity(key_count);
-    for _ in 0..key_count {
-        keys.push(K::from_u128(buf.get_u128_le()));
-        meta.push(parse_meta(&mut buf)?);
+    for i in 0..key_count {
+        keys.push(read_key(&mut buf, SECTION, i * entry)?);
+        let len = buf.get_u32_le();
+        let scales: [f64; N] = std::array::from_fn(|_| buf.get_f64_le());
+        if let Some(scale) = scales.iter().find(|s| !s.is_finite() || **s <= 0.0) {
+            return Err(corrupt(
+                "group meta",
+                0,
+                format!("quantizer scale {scale} is not finite and positive"),
+            ));
+        }
+        meta.push(GroupMeta {
+            len,
+            quant: scales.map(Quantizer::for_max),
+        });
     }
-    if let Some(i) = keys.windows(2).position(|w| w[0] >= w[1]) {
-        return Err(corrupt(
-            "compressed directory",
-            (i + 1) * (16 + meta_bytes),
-            "keys not strictly ascending",
-        ));
-    }
+    check_ascending(&keys, SECTION, entry)?;
     check_remaining(&buf, arena_len)?;
     let mut raw = vec![0u8; arena_len];
     buf.copy_to_slice(&mut raw);
+    check_consumed(&buf, "compressed arena", arena_len)?;
     let arena = Bytes::from(raw);
     let mut offsets = Vec::with_capacity(key_count + 1);
     offsets.push(0usize);
     let mut pos = 0usize;
     let mut posting_count = 0usize;
     for m in &meta {
-        let group = &arena.as_slice()[pos..];
-        let consumed = validate_group(group, len_of(m), columns, codec).ok_or_else(|| {
+        let len = usize::try_from(m.len).map_err(|_| IndexCodecError::Truncated)?;
+        pos += validate_group(&arena.as_slice()[pos..], len, N).ok_or_else(|| {
             corrupt(
                 "compressed arena",
                 pos,
                 "group failed validation (bound order, id-column form, or size)",
             )
         })?;
-        pos += consumed;
         offsets.push(pos);
-        posting_count += len_of(m);
+        posting_count += len;
     }
     if pos != arena.len() {
         return Err(corrupt(
@@ -648,122 +557,47 @@ fn decode_compressed<K: IndexKey, M>(
             ),
         ));
     }
-    Ok((keys, offsets, meta, arena, posting_count, codec))
+    Ok(CompressedArena {
+        keys,
+        offsets,
+        meta,
+        arena,
+        posting_count,
+    })
 }
 
-impl<K: IndexKey> CompressedInvertedIndex<K> {
-    /// Serializes the compressed index: the directory, then the arena
-    /// verbatim. This *is* the at-rest form — no recompression happens;
-    /// the kind byte records the arena's id codec (kind 7 block-packed,
-    /// kind 3 legacy varint).
+impl<K: IndexKey> CompressedArena<K, 1> {
+    /// Serializes the compressed index (kind 7): the directory, then
+    /// the arena verbatim.
     pub fn to_bytes(&self) -> Bytes {
-        let mut buf = BytesMut::with_capacity(64 + self.keys.len() * 28 + self.arena.len());
-        buf.put_u32_le(MAGIC);
-        buf.put_u8(VERSION);
-        buf.put_u8(match self.codec {
-            IdCodec::Varint => KIND_COMPRESSED_SINGLE,
-            IdCodec::BlockPacked => KIND_PACKED_SINGLE,
-        });
-        buf.put_u64_le(self.keys.len() as u64);
-        buf.put_u64_le(self.arena.len() as u64);
-        for (key, m) in self.keys.iter().zip(&self.meta) {
-            buf.put_u128_le(key.to_u128());
-            buf.put_u32_le(m.len);
-            buf.put_f64_le(m.quant.scale());
-        }
-        buf.put_slice(self.arena.as_slice());
-        buf.freeze()
+        encode_packed(self, KIND_PACKED_SINGLE)
     }
 
-    /// Decodes a compressed index (kind 3 varint or kind 7
-    /// block-packed) and validates the whole arena (keys sorted, bound
-    /// columns non-increasing, id columns well-formed), so the
-    /// returned index can serve probes infallibly.
+    /// Decodes a kind-7 payload and validates the whole arena (keys
+    /// sorted, bound columns non-increasing, id columns well-formed),
+    /// so the returned index can serve probes infallibly.
     pub fn from_bytes(buf: impl Buf) -> Result<Self, IndexCodecError> {
-        let (keys, offsets, meta, arena, posting_count, codec) = decode_compressed(
-            buf,
-            (KIND_COMPRESSED_SINGLE, KIND_PACKED_SINGLE),
-            4 + 8,
-            1,
-            |b| {
-                let len = b.get_u32_le();
-                Ok(GroupMeta {
-                    len,
-                    quant: checked_scale(b.get_f64_le())?,
-                })
-            },
-            // seal-lint: allow(persisted-narrowing-cast) — len is u32; u32→usize never truncates on supported 64-bit targets
-            |m: &GroupMeta| m.len as usize,
-        )?;
-        Ok(CompressedInvertedIndex {
-            keys,
-            offsets,
-            meta,
-            arena,
-            posting_count,
-            codec,
-            source_generation: 0,
-        })
+        decode_packed(buf, KIND_PACKED_SINGLE)
     }
 }
 
-impl<K: IndexKey> CompressedHybridIndex<K> {
-    /// Serializes the compressed hybrid index (directory + arena
-    /// verbatim; kind 8 block-packed, kind 4 legacy varint).
+impl<K: IndexKey> CompressedArena<K, 2> {
+    /// Serializes the compressed hybrid index (kind 8): directory +
+    /// arena verbatim.
     pub fn to_bytes(&self) -> Bytes {
-        let mut buf = BytesMut::with_capacity(64 + self.keys.len() * 36 + self.arena.len());
-        buf.put_u32_le(MAGIC);
-        buf.put_u8(VERSION);
-        buf.put_u8(match self.codec {
-            IdCodec::Varint => KIND_COMPRESSED_DUAL,
-            IdCodec::BlockPacked => KIND_PACKED_DUAL,
-        });
-        buf.put_u64_le(self.keys.len() as u64);
-        buf.put_u64_le(self.arena.len() as u64);
-        for (key, m) in self.keys.iter().zip(&self.meta) {
-            buf.put_u128_le(key.to_u128());
-            buf.put_u32_le(m.len);
-            buf.put_f64_le(m.spatial.scale());
-            buf.put_f64_le(m.textual.scale());
-        }
-        buf.put_slice(self.arena.as_slice());
-        buf.freeze()
+        encode_packed(self, KIND_PACKED_DUAL)
     }
 
-    /// Decodes and fully validates a compressed hybrid index (kind 4
-    /// varint or kind 8 block-packed).
+    /// Decodes and fully validates a kind-8 payload.
     pub fn from_bytes(buf: impl Buf) -> Result<Self, IndexCodecError> {
-        let (keys, offsets, meta, arena, posting_count, codec) = decode_compressed(
-            buf,
-            (KIND_COMPRESSED_DUAL, KIND_PACKED_DUAL),
-            4 + 16,
-            2,
-            |b| {
-                let len = b.get_u32_le();
-                Ok(DualGroupMeta {
-                    len,
-                    spatial: checked_scale(b.get_f64_le())?,
-                    textual: checked_scale(b.get_f64_le())?,
-                })
-            },
-            // seal-lint: allow(persisted-narrowing-cast) — len is u32; u32→usize never truncates on supported 64-bit targets
-            |m: &DualGroupMeta| m.len as usize,
-        )?;
-        Ok(CompressedHybridIndex {
-            keys,
-            offsets,
-            meta,
-            arena,
-            posting_count,
-            codec,
-            source_generation: 0,
-        })
+        decode_packed(buf, KIND_PACKED_DUAL)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{CompressedHybridIndex, CompressedInvertedIndex};
 
     #[test]
     fn single_roundtrip() {
@@ -792,47 +626,6 @@ mod tests {
         let back: HybridIndex<u128> = HybridIndex::from_bytes(idx.to_bytes()).unwrap();
         let got: Vec<u32> = back.qualifying(&(1u128 << 70), 600.0, 0.5).collect();
         assert_eq!(got, vec![0]);
-    }
-
-    #[test]
-    fn legacy_aos_bytes_load_and_answer_identically() {
-        // The migration contract: kind 1/2 files written by the AoS
-        // writer load under the SoA engine and serve the same answers
-        // as the SoA codec.
-        let mut idx: InvertedIndex<u64> = InvertedIndex::new();
-        for key in 0u64..6 {
-            for obj in 0..40u32 {
-                idx.push(key, obj * 7 % 41, f64::from(obj % 13) * 1.5);
-            }
-        }
-        idx.finalize();
-        let from_aos: InvertedIndex<u64> = InvertedIndex::from_bytes(idx.to_bytes_aos()).unwrap();
-        let from_soa: InvertedIndex<u64> = InvertedIndex::from_bytes(idx.to_bytes()).unwrap();
-        assert_eq!(from_aos.posting_count(), from_soa.posting_count());
-        for key in 0u64..6 {
-            for thr in [0.0, 3.0, 9.0, 100.0] {
-                assert_eq!(
-                    from_aos.qualifying(&key, thr),
-                    from_soa.qualifying(&key, thr),
-                    "key {key} thr {thr}"
-                );
-                assert_eq!(from_aos.qualifying(&key, thr), idx.qualifying(&key, thr));
-            }
-        }
-
-        let mut h: HybridIndex<u64> = HybridIndex::new();
-        for key in 0u64..4 {
-            for obj in 0..25u32 {
-                h.push(key, obj, f64::from(obj % 7) * 10.0, f64::from(obj % 3));
-            }
-        }
-        h.finalize();
-        let from_aos: HybridIndex<u64> = HybridIndex::from_bytes(h.to_bytes_aos()).unwrap();
-        for key in 0u64..4 {
-            let a: Vec<ObjId> = from_aos.qualifying(&key, 30.0, 1.0).collect();
-            let b: Vec<ObjId> = h.qualifying(&key, 30.0, 1.0).collect();
-            assert_eq!(a, b);
-        }
     }
 
     #[test]
@@ -877,10 +670,6 @@ mod tests {
             HybridIndex::<u64>::from_bytes(idx.to_bytes()).unwrap_err(),
             IndexCodecError::BadKind(KIND_SOA_SINGLE)
         );
-        assert_eq!(
-            HybridIndex::<u64>::from_bytes(idx.to_bytes_aos()).unwrap_err(),
-            IndexCodecError::BadKind(KIND_SINGLE)
-        );
     }
 
     #[test]
@@ -890,13 +679,12 @@ mod tests {
             idx.push(1, i, f64::from(i));
         }
         idx.finalize();
-        for bytes in [idx.to_bytes(), idx.to_bytes_aos()] {
-            let cut = bytes.slice(..bytes.len() - 5);
-            assert_eq!(
-                InvertedIndex::<u64>::from_bytes(cut).unwrap_err(),
-                IndexCodecError::Truncated
-            );
-        }
+        let bytes = idx.to_bytes();
+        let cut = bytes.slice(..bytes.len() - 5);
+        assert_eq!(
+            InvertedIndex::<u64>::from_bytes(cut).unwrap_err(),
+            IndexCodecError::Truncated
+        );
     }
 
     #[test]
@@ -993,8 +781,6 @@ mod tests {
         idx.finalize();
         let back: InvertedIndex<u32> = InvertedIndex::from_bytes(idx.to_bytes()).unwrap();
         assert_eq!(back.key_count(), 0);
-        let back: InvertedIndex<u32> = InvertedIndex::from_bytes(idx.to_bytes_aos()).unwrap();
-        assert_eq!(back.key_count(), 0);
     }
 
     #[test]
@@ -1075,7 +861,6 @@ mod tests {
 
     #[test]
     fn compressed_rejects_wrong_kind_and_truncation() {
-        // compress() defaults to BlockPacked, so the sample is kind 7.
         let c = sample_compressed();
         let bytes = c.to_bytes();
         assert_eq!(bytes.as_slice()[5], KIND_PACKED_SINGLE);
@@ -1092,37 +877,6 @@ mod tests {
             CompressedInvertedIndex::<u64>::from_bytes(cut).unwrap_err(),
             IndexCodecError::Truncated
         );
-    }
-
-    #[test]
-    fn both_codec_kinds_roundtrip_and_agree() {
-        let mut idx: InvertedIndex<u64> = InvertedIndex::new();
-        for key in 0u64..6 {
-            for obj in 0..300u32 {
-                idx.push(key, obj * 2, f64::from(obj % 5));
-            }
-        }
-        idx.finalize();
-        let packed = CompressedInvertedIndex::compress_with_codec(&idx, IdCodec::BlockPacked);
-        let varint = CompressedInvertedIndex::compress_with_codec(&idx, IdCodec::Varint);
-        assert_eq!(packed.to_bytes().as_slice()[5], KIND_PACKED_SINGLE);
-        assert_eq!(varint.to_bytes().as_slice()[5], KIND_COMPRESSED_SINGLE);
-        let p: CompressedInvertedIndex<u64> =
-            CompressedInvertedIndex::from_bytes(packed.to_bytes()).unwrap();
-        let v: CompressedInvertedIndex<u64> =
-            CompressedInvertedIndex::from_bytes(varint.to_bytes()).unwrap();
-        assert_eq!(p.codec(), IdCodec::BlockPacked);
-        assert_eq!(v.codec(), IdCodec::Varint);
-        let (mut s1, mut s2) = (Vec::new(), Vec::new());
-        for key in 0u64..6 {
-            for thr in [0.0, 1.0, 3.5, 4.0] {
-                assert_eq!(
-                    p.qualifying_into(&key, thr, &mut s1),
-                    v.qualifying_into(&key, thr, &mut s2),
-                    "key {key} thr {thr}"
-                );
-            }
-        }
     }
 
     #[test]
@@ -1178,14 +932,14 @@ mod tests {
         let mut raw = Vec::new();
         raw.put_u32_le(MAGIC);
         raw.put_u8(VERSION);
-        raw.put_u8(KIND_COMPRESSED_SINGLE);
+        raw.put_u8(KIND_PACKED_SINGLE);
         raw.put_u64_le(1u64 << 60);
         raw.put_u64_le(0); // arena_len
         assert_eq!(
             CompressedInvertedIndex::<u64>::from_bytes(&raw[..]).unwrap_err(),
             IndexCodecError::Truncated
         );
-        raw[5] = KIND_COMPRESSED_DUAL;
+        raw[5] = KIND_PACKED_DUAL;
         assert_eq!(
             CompressedHybridIndex::<u64>::from_bytes(&raw[..]).unwrap_err(),
             IndexCodecError::Truncated
@@ -1201,5 +955,74 @@ mod tests {
             CompressedInvertedIndex::from_bytes(c.to_bytes()).unwrap();
         assert_eq!(back.key_count(), 0);
         assert_eq!(back.posting_count(), 0);
+    }
+
+    #[test]
+    fn directory_key_wider_than_the_key_type_is_corrupt() {
+        // 2^64 + 5 in a u64-keyed index used to narrow silently to
+        // key 5. Both directory readers must refuse it.
+        let mut idx: InvertedIndex<u64> = InvertedIndex::new();
+        idx.push(5, 0, 1.0);
+        idx.finalize();
+        let wide = ((1u128 << 64) + 5).to_le_bytes();
+        let mut raw = idx.to_bytes().as_slice().to_vec();
+        let key_at = 14 + 8; // header + posting_count
+        raw[key_at..key_at + 16].copy_from_slice(&wide);
+        assert!(matches!(
+            InvertedIndex::<u64>::from_bytes(&raw[..]).unwrap_err(),
+            IndexCodecError::Corrupt {
+                section: "soa directory",
+                ..
+            }
+        ));
+        let mut raw = CompressedInvertedIndex::compress(&idx)
+            .to_bytes()
+            .as_slice()
+            .to_vec();
+        raw[key_at..key_at + 16].copy_from_slice(&wide); // header + arena_len
+        assert!(matches!(
+            CompressedInvertedIndex::<u64>::from_bytes(&raw[..]).unwrap_err(),
+            IndexCodecError::Corrupt {
+                section: "compressed directory",
+                ..
+            }
+        ));
+        // The same bytes are a legal key for a u128-keyed index.
+        assert!(CompressedInvertedIndex::<u128>::from_bytes(&raw[..]).is_ok());
+    }
+
+    #[test]
+    fn trailing_bytes_are_corrupt() {
+        let mut idx: InvertedIndex<u64> = InvertedIndex::new();
+        idx.push(1, 0, 2.0);
+        idx.push(1, 1, 1.0);
+        idx.finalize();
+        let mut h: HybridIndex<u64> = HybridIndex::new();
+        h.push(1, 0, 2.0, 0.5);
+        h.finalize();
+        let padded = |bytes: Bytes| {
+            let mut raw = bytes.as_slice().to_vec();
+            raw.push(0);
+            raw
+        };
+        let is_trailing = |e: IndexCodecError| matches!(e, IndexCodecError::Corrupt { ref detail, .. } if detail.contains("trailing"));
+        assert!(is_trailing(
+            InvertedIndex::<u64>::from_bytes(&padded(idx.to_bytes())[..]).unwrap_err()
+        ));
+        assert!(is_trailing(
+            HybridIndex::<u64>::from_bytes(&padded(h.to_bytes())[..]).unwrap_err()
+        ));
+        assert!(is_trailing(
+            CompressedInvertedIndex::<u64>::from_bytes(
+                &padded(CompressedInvertedIndex::compress(&idx).to_bytes())[..]
+            )
+            .unwrap_err()
+        ));
+        assert!(is_trailing(
+            CompressedHybridIndex::<u64>::from_bytes(
+                &padded(CompressedHybridIndex::compress(&h).to_bytes())[..]
+            )
+            .unwrap_err()
+        ));
     }
 }

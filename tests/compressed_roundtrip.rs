@@ -5,7 +5,7 @@
 //! and keep the warm probe path allocation-free.
 
 use seal_core::{FilterKind, QueryContext, SealEngine};
-use seal_index::{CompressedInvertedIndex, IdCodec, InvertedIndex};
+use seal_index::{CompressedInvertedIndex, IndexCodecError, InvertedIndex};
 use seal_text::TokenWeights;
 use std::sync::Arc;
 
@@ -185,10 +185,21 @@ fn block_packed_truncations_and_bad_widths_error() {
         idx.push(7u32, id, f64::from(n - id));
     }
     idx.finalize();
-    let packed = CompressedInvertedIndex::compress_with_codec(&idx, IdCodec::BlockPacked);
-    assert_eq!(packed.codec(), IdCodec::BlockPacked);
+    let packed = CompressedInvertedIndex::compress(&idx);
     let encoded = packed.to_bytes();
     let bytes = encoded.as_slice();
+    assert_eq!(bytes[5], 7, "compressed single-bound arenas are kind 7");
+
+    // The varint-id kinds 3/4 of earlier revisions (and every other
+    // kind byte) are refused with a typed error.
+    for kind in (0u8..=9).filter(|&k| k != 7) {
+        let mut mutated = bytes.to_vec();
+        mutated[5] = kind;
+        assert_eq!(
+            CompressedInvertedIndex::<u32>::from_bytes(&mutated[..]).unwrap_err(),
+            IndexCodecError::BadKind(kind)
+        );
+    }
 
     // Every truncation point — in particular every block boundary
     // inside the id column — must be a typed error, never a panic.
@@ -264,16 +275,17 @@ mod proptests {
         #![proptest_config(ProptestConfig::with_cases(48))]
 
         #[test]
-        fn block_packed_roundtrip_matches_varint_reference(
+        fn block_packed_roundtrip_matches_decompressed_reference(
             entries in proptest::collection::vec(
                 (0u32..4, 0u32..100_000, 0.0f64..1e4), 1..1200),
             thr in 0.0f64..1e4,
         ) {
             // Dense enough per key (~hundreds of postings over 4 keys)
             // that full 128-id blocks, partial tails and single-id
-            // groups all occur; the block-packed arena must round-trip
-            // through its bytes and answer bit-identically to the
-            // varint reference decode on the same index.
+            // groups all occur; the arena must round-trip through its
+            // bytes, and the probe's minimal block decode must select
+            // exactly the postings the full validating decode
+            // (`decompress`) puts at or above the threshold.
             let mut idx: InvertedIndex<u32> = InvertedIndex::new();
             let mut seen = std::collections::HashSet::new();
             for (k, id, b) in entries {
@@ -282,28 +294,22 @@ mod proptests {
                 }
             }
             idx.finalize();
-            let varint =
-                CompressedInvertedIndex::compress_with_codec(&idx, IdCodec::Varint);
-            let packed =
-                CompressedInvertedIndex::compress_with_codec(&idx, IdCodec::BlockPacked);
+            let packed = CompressedInvertedIndex::compress(&idx);
+            let reference = packed.decompress();
             let loaded: CompressedInvertedIndex<u32> =
                 CompressedInvertedIndex::from_bytes(packed.to_bytes()).unwrap();
-            prop_assert_eq!(loaded.codec(), IdCodec::BlockPacked);
             prop_assert_eq!(loaded.posting_count(), idx.posting_count());
-            let mut sv = Vec::new();
             let mut sp = Vec::new();
             let mut sl = Vec::new();
             for key in 0u32..4 {
                 for c in [0.0, thr * 0.4, thr, 1e9] {
-                    let reference = varint.qualifying_into(&key, c, &mut sv).to_vec();
-                    prop_assert_eq!(
-                        packed.qualifying_into(&key, c, &mut sp),
-                        reference.as_slice()
-                    );
-                    prop_assert_eq!(
-                        loaded.qualifying_into(&key, c, &mut sl),
-                        reference.as_slice()
-                    );
+                    let mut expect = reference.qualifying(&key, c).to_vec();
+                    expect.sort_unstable();
+                    let served = packed.qualifying_into(&key, c, &mut sp);
+                    prop_assert_eq!(loaded.qualifying_into(&key, c, &mut sl), served);
+                    let mut served = served.to_vec();
+                    served.sort_unstable();
+                    prop_assert_eq!(served, expect);
                 }
             }
         }

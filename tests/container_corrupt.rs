@@ -4,13 +4,16 @@
 //! boundary, random truncations, single-bit flips anywhere in the
 //! file, oversized declared counts, or outright random bytes — must
 //! surface as a typed [`seal_index::ContainerError`] from
-//! `SealEngine::load_from_bytes`: never a panic, never an
-//! attacker-controlled allocation.
+//! `SealEngine::load_from_bytes` and from the file loader
+//! `SealEngine::load`, which reads the file and calls it: never a
+//! panic, never an attacker-controlled allocation.
 
 use proptest::prelude::*;
-use seal_core::persist::{SECTION_PRIMARY_INDEX, SECTION_STORE_OBJECTS, SECTION_STORE_STATS};
+use seal_core::persist::{
+    SECTION_ENGINE_META, SECTION_PRIMARY_INDEX, SECTION_STORE_OBJECTS, SECTION_STORE_STATS,
+};
 use seal_core::{FilterKind, SealEngine};
-use seal_index::{Container, ContainerWriter};
+use seal_index::{Container, ContainerError, ContainerWriter, IndexCodecError};
 use std::sync::Arc;
 
 #[path = "util/mod.rs"]
@@ -60,6 +63,20 @@ fn packed_bytes() -> &'static [u8] {
     })
 }
 
+/// Truncation points inside the framing and at the start, middle and
+/// end of every section, the true boundaries recovered from the
+/// directory.
+fn boundary_cuts(bytes: &[u8]) -> Vec<usize> {
+    let container = Container::parse(bytes).expect("pristine container must parse");
+    let mut cuts = vec![0usize, 1, 4, 9, bytes.len() - 1];
+    for s in container.sections() {
+        cuts.push(s.offset);
+        cuts.push(s.offset + s.payload.len() / 2);
+        cuts.push(s.offset + s.payload.len());
+    }
+    cuts
+}
+
 #[test]
 fn pristine_bytes_load() {
     let bytes = seal_bytes();
@@ -70,17 +87,7 @@ fn pristine_bytes_load() {
 #[test]
 fn truncation_at_every_section_boundary_errors() {
     let bytes = seal_bytes();
-    // Recover the true boundaries from the directory, then cut the
-    // file at the start, middle, and end of every section.
-    let container = Container::parse(bytes).expect("pristine container must parse");
-    let mut cuts = vec![0usize, 1, 4, 9];
-    for s in container.sections() {
-        cuts.push(s.offset);
-        cuts.push(s.offset + s.payload.len() / 2);
-        cuts.push(s.offset + s.payload.len());
-    }
-    cuts.push(bytes.len() - 1);
-    for cut in cuts {
+    for cut in boundary_cuts(bytes) {
         assert_rejected(&bytes[..cut], &format!("truncated to {cut} bytes"));
     }
 }
@@ -132,14 +139,7 @@ fn packed_container_truncation_at_every_section_boundary_errors() {
     );
     SealEngine::load_from_bytes(bytes, 1).expect("pristine packed container must load");
 
-    let mut cuts = vec![0usize, 1, 4, 9];
-    for s in container.sections() {
-        cuts.push(s.offset);
-        cuts.push(s.offset + s.payload.len() / 2);
-        cuts.push(s.offset + s.payload.len());
-    }
-    cuts.push(bytes.len() - 1);
-    for cut in cuts {
+    for cut in boundary_cuts(bytes) {
         assert_rejected(
             &bytes[..cut],
             &format!("packed container truncated to {cut} bytes"),
@@ -168,6 +168,30 @@ fn packed_declared_counts_behind_valid_crcs_error() {
             &w.finish(),
             &format!("u64::MAX count at index-header byte {at}"),
         );
+    }
+}
+
+#[test]
+fn trailing_byte_in_an_index_section_behind_valid_crcs_errors() {
+    // One byte appended to section 6 with the CRCs recomputed: every
+    // other section refuses unconsumed bytes, and so must the index
+    // payloads — arena (hierarchical) and compressed (packed) alike.
+    for bytes in [seal_bytes(), packed_bytes()] {
+        let container = Container::parse(bytes).expect("pristine container must parse");
+        let mut w = ContainerWriter::new();
+        for s in container.sections() {
+            let mut payload = s.payload.to_vec();
+            if s.kind == SECTION_PRIMARY_INDEX {
+                payload.push(0);
+            }
+            w.push_section(s.kind, payload);
+        }
+        match SealEngine::load_from_bytes(&w.finish(), 1).err() {
+            Some(ContainerError::Codec(IndexCodecError::Corrupt { detail, .. })) => {
+                assert!(detail.contains("trailing"), "{detail}")
+            }
+            other => panic!("expected a typed trailing-bytes error, got {other:?}"),
+        }
     }
 }
 
@@ -239,21 +263,96 @@ proptest! {
     }
 }
 
-/// The streaming file loader must agree with the buffered one on a
-/// healthy container and reject a truncated file with a typed error.
-#[test]
-fn streaming_file_load_parity_and_truncation() {
-    let bytes = packed_bytes();
+/// Writes `bytes` to this test's scratch file and loads it through the
+/// file loader.
+fn load_file(path: &std::path::Path, bytes: &[u8]) -> Result<SealEngine, ContainerError> {
+    std::fs::write(path, bytes).expect("write temp container");
+    SealEngine::load(path)
+}
+
+fn temp_file(name: &str) -> std::path::PathBuf {
     let mut path = std::env::temp_dir();
-    path.push(format!("seal-corrupt-stream-{}.seal", std::process::id()));
-    std::fs::write(&path, bytes).expect("write temp container");
-    let streamed = SealEngine::load_with_threads(&path, 0).expect("streamed load must succeed");
-    let buffered = SealEngine::load_from_bytes(bytes, 1).expect("buffered load must succeed");
-    assert_eq!(streamed.store().len(), buffered.store().len());
-    std::fs::write(&path, &bytes[..bytes.len() / 2]).expect("write truncated container");
-    assert!(
-        SealEngine::load_with_threads(&path, 0).is_err(),
-        "truncated file was accepted by the streaming loader"
+    path.push(format!("seal-corrupt-{name}-{}.seal", std::process::id()));
+    path
+}
+
+/// The file loader agrees with the in-memory one on a healthy
+/// container — at any thread count — and rejects the same file cut at
+/// the start, middle and end of every section.
+#[test]
+fn file_load_parity_and_truncation_at_every_section_boundary() {
+    let bytes = packed_bytes();
+    let path = temp_file("truncate");
+    let buffered = SealEngine::load_from_bytes(bytes, 1).expect("in-memory load must succeed");
+    let loaded = load_file(&path, bytes).expect("file load must succeed");
+    assert_eq!(loaded.store().len(), buffered.store().len());
+    let parallel = SealEngine::load_with_threads(&path, 0).expect("parallel file load");
+    assert_eq!(parallel.kind(), buffered.kind());
+
+    for cut in boundary_cuts(bytes) {
+        assert!(
+            load_file(&path, &bytes[..cut]).is_err(),
+            "file truncated to {cut} bytes was accepted"
+        );
+    }
+    std::fs::remove_file(&path).ok();
+}
+
+/// A flipped bit in every region of the file — header, directory,
+/// each section's payload, footer — fails the file load.
+#[test]
+fn file_load_rejects_bit_flips_in_every_region() {
+    let bytes = seal_bytes();
+    let path = temp_file("flip");
+    let container = Container::parse(bytes).expect("pristine container must parse");
+    let mut positions = vec![0usize, 5, 12, bytes.len() - 1, bytes.len() - 10];
+    for s in container.sections() {
+        positions.push(s.offset + s.payload.len() / 2);
+    }
+    for pos in positions {
+        let mut bad = bytes.to_vec();
+        bad[pos] ^= 0x10;
+        assert!(
+            load_file(&path, &bad).is_err(),
+            "bit flip at byte {pos} was accepted"
+        );
+    }
+    std::fs::remove_file(&path).ok();
+}
+
+/// Sections are looked up by kind, so a file whose engine-meta
+/// section comes *after* the index payloads it describes loads and
+/// answers like the original; a raw index blob in place of a
+/// container is a typed magic error.
+#[test]
+fn file_load_survives_hostile_section_order() {
+    let bytes = seal_bytes();
+    let path = temp_file("order");
+    let container = Container::parse(bytes).expect("pristine container must parse");
+    let mut sections = container.sections().to_vec();
+    sections.reverse();
+    sections.sort_by_key(|s| s.kind == SECTION_ENGINE_META); // stable: meta goes last
+    let mut w = ContainerWriter::new();
+    for s in sections {
+        w.push_section(s.kind, s.payload.to_vec());
+    }
+    let reordered = load_file(&path, &w.finish()).expect("hostile order still loads");
+    let pristine = SealEngine::load_from_bytes(bytes, 1).expect("pristine container must load");
+    assert_eq!(reordered.kind(), pristine.kind());
+    assert_eq!(
+        reordered.to_container_bytes().expect("re-serialize"),
+        bytes,
+        "a reordered file must reload into the same engine"
     );
+
+    let primary = container
+        .sections()
+        .iter()
+        .find(|s| s.kind == SECTION_PRIMARY_INDEX)
+        .expect("hierarchical container has a primary index");
+    assert!(matches!(
+        load_file(&path, primary.payload).err(),
+        Some(ContainerError::BadMagic { .. })
+    ));
     std::fs::remove_file(&path).ok();
 }

@@ -4,7 +4,7 @@
 //! container with a failed write.
 
 use seal_core::{FilterKind, LiveEngine, ObjectId, Query, QueryContext, SealEngine};
-use seal_index::container::temp_path_for;
+use seal_index::container::{crc32, temp_path_for};
 use std::sync::Arc;
 
 #[path = "util/mod.rs"]
@@ -25,14 +25,10 @@ fn answers(engine: &SealEngine, queries: &[Query]) -> Vec<Vec<ObjectId>> {
         .collect()
 }
 
-/// Every indexed and derivable filter kind: build → save → load must
-/// preserve the kind, reproduce the answers exactly, and re-serialize
-/// to the very same bytes (save → load → save is a fixed point).
-#[test]
-fn every_kind_roundtrips_bit_identical() {
-    let (store, queries) = twitter_fixture(400, 3);
-    let store = Arc::new(store);
-    let kinds = [
+/// Every [`FilterKind`] variant, the hash-hybrid pair both with and
+/// without a bucket count.
+fn all_kinds() -> [FilterKind; 14] {
+    [
         FilterKind::Token,
         FilterKind::TokenCompressed,
         FilterKind::TokenBasic,
@@ -62,9 +58,18 @@ fn every_kind_roundtrips_bit_identical() {
         FilterKind::IrTree { fanout: 16 },
         FilterKind::Adaptive { side: 64 },
         FilterKind::Naive,
-    ];
+    ]
+}
+
+/// Every indexed and derivable filter kind: build → save → load must
+/// preserve the kind, reproduce the answers exactly, and re-serialize
+/// to the very same bytes (save → load → save is a fixed point).
+#[test]
+fn every_kind_roundtrips_bit_identical() {
+    let (store, queries) = twitter_fixture(400, 3);
+    let store = Arc::new(store);
     let path = temp_seal("kinds.seal");
-    for kind in kinds {
+    for kind in all_kinds() {
         let engine = SealEngine::build(store.clone(), kind);
         let expect = answers(&engine, &queries);
         let saved = engine
@@ -93,6 +98,43 @@ fn every_kind_roundtrips_bit_identical() {
         );
     }
     std::fs::remove_file(&path).ok();
+}
+
+/// The on-disk format is a fixed point across refactors: CRC-32 of
+/// the container bytes of every kind over the 400-object fixture,
+/// recorded before the codec matrix was collapsed to kinds 5–8. A
+/// digest moves only when the bytes an engine writes move.
+#[test]
+fn container_bytes_match_recorded_digests() {
+    const DIGESTS: [u32; 14] = [
+        0xce38_8307, // Token
+        0xc3c7_66ba, // TokenCompressed
+        0x9a0d_930a, // TokenBasic
+        0xd3d8_bf9b, // Grid
+        0x4e81_efe6, // HashHybrid, full keys
+        0xd077_1eb6, // HashHybrid, 4096 buckets
+        0x4f2b_e075, // HashHybridCompressed, full keys
+        0xa815_4bee, // HashHybridCompressed, 4096 buckets
+        0x5007_e11d, // Hierarchical
+        0x4ec6_5b59, // KeywordFirst
+        0x9ab8_73ec, // SpatialFirst
+        0x730d_758e, // IrTree
+        0xc3dd_193d, // Adaptive
+        0x7a3e_d2b7, // Naive
+    ];
+    let (store, _) = twitter_fixture(400, 1);
+    let store = Arc::new(store);
+    for (kind, expect) in all_kinds().into_iter().zip(DIGESTS) {
+        let bytes = SealEngine::build(store.clone(), kind)
+            .to_container_bytes()
+            .expect("serialize");
+        assert_eq!(
+            crc32(&bytes),
+            expect,
+            "{kind:?}: container bytes changed (digest {:#010x})",
+            crc32(&bytes)
+        );
+    }
 }
 
 /// A post-`refresh()` generation — built through the incremental
@@ -162,37 +204,26 @@ fn failed_save_never_clobbers_an_existing_container() {
     std::fs::remove_file(&path).ok();
 }
 
-/// The legacy raw codec blobs (index `to_bytes`/`from_bytes`) stay
-/// loadable through the compatibility entry points, and the container
-/// loader refuses them with guidance instead of misparsing.
+/// A raw index codec blob (an index's `to_bytes`, no container
+/// framing) round-trips through its own `from_bytes`, and the
+/// container loader refuses it with the typed magic error instead of
+/// misparsing.
 #[test]
-fn legacy_codec_blobs_still_load_via_from_bytes() {
+fn raw_index_blob_is_not_a_container() {
     let (store, _) = twitter_fixture(200, 1);
-    let store = Arc::new(store);
     let mut idx: seal_index::InvertedIndex<u32> = seal_index::InvertedIndex::new();
     for (id, o) in store.iter() {
-        let sig = seal_core::signatures::textual::TextualSignature::build(
-            &o.tokens,
-            store.weights(),
-            store.token_order(),
-        );
-        for (e, b) in sig.elements_with_bounds() {
-            idx.push(e.token.0, id.0, b);
+        for t in o.tokens.iter() {
+            idx.push(t.0, id.0, 1.0);
         }
     }
     idx.finalize();
     let blob = idx.to_bytes();
-
     let back: seal_index::InvertedIndex<u32> =
-        seal_index::InvertedIndex::from_bytes(blob.clone()).expect("legacy blob must decode");
+        seal_index::InvertedIndex::from_bytes(blob.clone()).expect("index blob must decode");
     assert_eq!(back.posting_count(), idx.posting_count());
-
-    let err = SealEngine::load_from_bytes(blob.as_ref(), 1)
-        .err()
-        .expect("a legacy blob is not a container");
-    let msg = format!("{err}");
-    assert!(
-        msg.contains("legacy"),
-        "error should point at the legacy format: {msg}"
-    );
+    assert!(matches!(
+        SealEngine::load_from_bytes(blob.as_ref(), 1).err(),
+        Some(seal_index::ContainerError::BadMagic { .. })
+    ));
 }

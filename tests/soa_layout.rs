@@ -3,16 +3,15 @@
 //! 1. The columnar `finalize` is **behaviorally identical to an
 //!    array-of-structs oracle** for any push/finalize interleaving —
 //!    same group order, same qualifying prefixes.
-//! 2. **Old-codec (AoS, kinds 1/2) serialized indexes still load**
-//!    under the SoA engine and answer identically (hand-encoded bytes,
-//!    so the test would catch a writer/reader co-drift).
+//! 2. The **retired AoS kinds 1/2 are refused** with a typed
+//!    `BadKind`, as is every other kind byte an arena does not write.
 //! 3. The chunked `bound_cut` agrees with `partition_point` on
 //!    adversarial bound columns: ties, all-pass, all-fail, lengths not
 //!    divisible by the 16-lane chunk, lengths across the scan/binary
 //!    cutover.
 
 use proptest::prelude::*;
-use seal_index::{bound_cut, HybridIndex, InvertedIndex};
+use seal_index::{bound_cut, HybridIndex, IndexCodecError, InvertedIndex};
 
 // ---------------------------------------------------------------------
 // 1. SoA finalize ≡ AoS oracle
@@ -102,110 +101,35 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------
-// 2. Old-codec (AoS) files load and answer identically
+// 2. Retired kinds are typed errors
 // ---------------------------------------------------------------------
 
-/// Hand-encodes the legacy kind-1 (single-bound AoS) format, byte for
-/// byte, independent of the crate's writer.
-fn encode_legacy_single(groups: &[(u64, Vec<(u32, f64)>)]) -> Vec<u8> {
-    let mut raw = Vec::new();
-    raw.extend_from_slice(&0x5EA1_1D8Eu32.to_le_bytes()); // magic
-    raw.push(1); // version
-    raw.push(1); // kind 1: legacy AoS single
-    raw.extend_from_slice(&(groups.len() as u64).to_le_bytes());
-    for (key, postings) in groups {
-        raw.extend_from_slice(&u128::from(*key).to_le_bytes());
-        raw.extend_from_slice(&(postings.len() as u64).to_le_bytes());
-        for (id, bound) in postings {
-            raw.extend_from_slice(&id.to_le_bytes());
-            raw.extend_from_slice(&bound.to_le_bytes());
-        }
-    }
-    raw
-}
-
-/// One legacy dual group: `(key, [(id, spatial, textual)])`.
-type DualGroup = (u64, Vec<(u32, f64, f64)>);
-
-/// Hand-encodes the legacy kind-2 (dual-bound AoS) format.
-fn encode_legacy_dual(groups: &[DualGroup]) -> Vec<u8> {
-    let mut raw = Vec::new();
-    raw.extend_from_slice(&0x5EA1_1D8Eu32.to_le_bytes());
-    raw.push(1);
-    raw.push(2); // kind 2: legacy AoS dual
-    raw.extend_from_slice(&(groups.len() as u64).to_le_bytes());
-    for (key, postings) in groups {
-        raw.extend_from_slice(&u128::from(*key).to_le_bytes());
-        raw.extend_from_slice(&(postings.len() as u64).to_le_bytes());
-        for (id, sb, tb) in postings {
-            raw.extend_from_slice(&id.to_le_bytes());
-            raw.extend_from_slice(&sb.to_le_bytes());
-            raw.extend_from_slice(&tb.to_le_bytes());
-        }
-    }
-    raw
-}
-
 #[test]
-fn legacy_single_codec_loads_and_answers_identically() {
-    // Build the reference index through the normal API...
-    let mut idx: InvertedIndex<u64> = InvertedIndex::new();
-    let mut groups: std::collections::BTreeMap<u64, Vec<(u32, f64)>> = Default::default();
-    for key in 0u64..8 {
-        for i in 0..60u32 {
-            let id = i.wrapping_mul(2_654_435_761) % 10_000;
-            let bound = f64::from((i * 37 + key as u32 * 11) % 500) / 7.0;
-            idx.push(key, id, bound);
-            groups.entry(key).or_default().push((id, bound));
-        }
-    }
-    idx.finalize();
-    // ...and the same postings as a hand-encoded legacy file (records
-    // in arbitrary — here insertion — order inside each group; the
-    // loader re-sorts via the transpose-on-read path).
-    let raw: Vec<(u64, Vec<(u32, f64)>)> = groups.into_iter().collect();
-    let loaded: InvertedIndex<u64> =
-        InvertedIndex::from_bytes(&encode_legacy_single(&raw)[..]).expect("legacy load");
-    assert_eq!(loaded.key_count(), idx.key_count());
-    assert_eq!(loaded.posting_count(), idx.posting_count());
-    for key in 0u64..8 {
-        for thr in [0.0, 5.0, 20.0, 60.0, 1000.0] {
+fn arena_indexes_read_only_their_own_kind() {
+    let mut single: InvertedIndex<u64> = InvertedIndex::new();
+    single.push(1, 0, 1.0);
+    single.finalize();
+    let mut dual: HybridIndex<u64> = HybridIndex::new();
+    dual.push(1, 0, 1.0, 0.5);
+    dual.finalize();
+    // Byte 5 of the shared header is the kind: 5 = SoA single,
+    // 6 = SoA dual. 1/2 were the AoS kinds of earlier revisions.
+    for kind in 0u8..=9 {
+        let mut raw = single.to_bytes().as_ref().to_vec();
+        raw[5] = kind;
+        if kind != 5 {
             assert_eq!(
-                loaded.qualifying(&key, thr),
-                idx.qualifying(&key, thr),
-                "key {key} thr {thr}"
+                InvertedIndex::<u64>::from_bytes(&raw[..]).unwrap_err(),
+                IndexCodecError::BadKind(kind)
             );
         }
-    }
-    // And the SoA round-trip agrees with the legacy load.
-    let soa: InvertedIndex<u64> = InvertedIndex::from_bytes(idx.to_bytes()).unwrap();
-    for key in 0u64..8 {
-        assert_eq!(soa.qualifying(&key, 10.0), loaded.qualifying(&key, 10.0));
-    }
-}
-
-#[test]
-fn legacy_dual_codec_loads_and_answers_identically() {
-    let mut idx: HybridIndex<u64> = HybridIndex::new();
-    let mut groups: std::collections::BTreeMap<u64, Vec<(u32, f64, f64)>> = Default::default();
-    for key in 0u64..5 {
-        for i in 0..40u32 {
-            let sb = f64::from((i * 13 + key as u32) % 300) * 10.0;
-            let tb = f64::from(i % 9) / 4.0;
-            idx.push(key, i, sb, tb);
-            groups.entry(key).or_default().push((i, sb, tb));
-        }
-    }
-    idx.finalize();
-    let raw: Vec<DualGroup> = groups.into_iter().collect();
-    let loaded: HybridIndex<u64> =
-        HybridIndex::from_bytes(&encode_legacy_dual(&raw)[..]).expect("legacy load");
-    assert_eq!(loaded.posting_count(), idx.posting_count());
-    for key in 0u64..5 {
-        for (cr, ct) in [(0.0, 0.0), (500.0, 1.0), (2500.0, 0.5), (1e6, 0.0)] {
-            let a: Vec<u32> = loaded.qualifying(&key, cr, ct).collect();
-            let b: Vec<u32> = idx.qualifying(&key, cr, ct).collect();
-            assert_eq!(a, b, "key {key} thresholds ({cr},{ct})");
+        let mut raw = dual.to_bytes().as_ref().to_vec();
+        raw[5] = kind;
+        if kind != 6 {
+            assert_eq!(
+                HybridIndex::<u64>::from_bytes(&raw[..]).unwrap_err(),
+                IndexCodecError::BadKind(kind)
+            );
         }
     }
 }
