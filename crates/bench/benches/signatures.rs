@@ -8,7 +8,7 @@
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use seal_bench::data::{build_store, dataset, BenchConfig, Which};
 use seal_core::signatures::grid::GridScheme;
-use seal_core::signatures::hierarchical::HierarchicalScheme;
+use seal_core::signatures::hierarchical::{HierSignature, HierarchicalScheme};
 use seal_core::signatures::textual::TextualSignature;
 
 fn small_cfg() -> BenchConfig {
@@ -42,9 +42,13 @@ fn bench_signature_builds(c: &mut Criterion) {
 
     let hier = HierarchicalScheme::build(&store, 8, 16);
     let token = o.tokens.ids()[0];
-    let grids = hier.token_grids(token).unwrap();
+    // The per-query shape: one signature value refilled in place.
+    let mut sig = HierSignature::default();
     c.bench_function("sig/hierarchical_build", |bench| {
-        bench.iter(|| black_box(grids.signature(black_box(&o.region))))
+        bench.iter(|| {
+            hier.signature_into(token, black_box(&o.region), &mut sig);
+            black_box(sig.elements().len())
+        })
     });
 }
 

@@ -21,7 +21,6 @@
 
 use crate::filters::{CandidateFilter, GridFilter, QueryContext, TokenFilter};
 use crate::signatures::grid::GridScheme;
-use crate::signatures::textual::TextualSignature;
 use crate::{ObjectStore, Query, SearchStats};
 use std::sync::Arc;
 use std::time::Instant;
@@ -103,18 +102,25 @@ impl AdaptiveFilter {
     /// (the cost model's `Σ |I_c(s)|` with π1 = 1), and the chosen
     /// route.
     pub fn plan(&self, q: &Query) -> (usize, usize, Route) {
+        self.plan_with(q, &mut QueryContext::new())
+    }
+
+    /// [`plan`](Self::plan) over the caller's signature scratch.
+    fn plan_with(&self, q: &Query, ctx: &mut QueryContext) -> (usize, usize, Route) {
         let w = self.store.weights();
         let c_t = crate::signatures::relax(self.cfg.textual_threshold(q, w));
-        let tsig = TextualSignature::build(&q.tokens, w, self.store.token_order());
-        let token_cost: usize = tsig
+        ctx.textual.rebuild(&q.tokens, w, self.store.token_order());
+        let token_cost: usize = ctx
+            .textual
             .prefix(c_t)
             .iter()
             .map(|e| self.token.qualifying_len(e.token.0, c_t))
             .sum();
 
         let c_r = crate::signatures::relax(self.cfg.spatial_threshold(q));
-        let gsig = self.grid.scheme().signature(&q.region);
-        let grid_cost: usize = gsig
+        self.grid.scheme().signature_into(&q.region, &mut ctx.grid);
+        let grid_cost: usize = ctx
+            .grid
             .prefix(c_r)
             .iter()
             .map(|e| self.grid.index().qualifying_len(&e.cell, c_r))
@@ -136,7 +142,7 @@ impl CandidateFilter for AdaptiveFilter {
 
     fn candidates_into(&self, q: &Query, ctx: &mut QueryContext, stats: &mut SearchStats) {
         let start = Instant::now();
-        let (_, _, route) = self.plan(q);
+        let (_, _, route) = self.plan_with(q, ctx);
         let planning = start.elapsed();
         match route {
             Route::Token => self.token.candidates_into(q, ctx, stats),

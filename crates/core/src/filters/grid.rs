@@ -98,10 +98,10 @@ impl CandidateFilter for GridFilter {
         let start = Instant::now();
         let cfg = self.cfg;
         let c_r = crate::signatures::relax(cfg.spatial_threshold(q));
-        let sig = self.scheme.signature(&q.region);
+        self.scheme.signature_into(&q.region, &mut ctx.grid);
         ctx.candidates.clear();
         ctx.dedup.begin(self.n_objects);
-        for elem in sig.prefix(c_r) {
+        for elem in ctx.grid.prefix(c_r) {
             stats.lists_probed += 1;
             // The qualifying prefix comes back as an in-place slice of
             // the arena's id column.

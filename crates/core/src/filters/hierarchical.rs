@@ -3,7 +3,7 @@
 //! method comparison).
 
 use crate::filters::{CandidateFilter, QueryContext};
-use crate::signatures::hierarchical::HierarchicalScheme;
+use crate::signatures::hierarchical::{HierSignature, HierarchicalScheme};
 use crate::signatures::textual::TextualSignature;
 use crate::{ObjectId, ObjectStore, Query, SearchStats};
 use seal_index::HybridIndex;
@@ -12,6 +12,8 @@ use std::time::Instant;
 
 /// The hierarchical hybrid filter: per-token HSS-selected grids, keys
 /// are exact `(token, tree-cell)` pairs, postings carry dual bounds.
+/// The scheme is bound to the index ([`HierarchicalScheme::bind`]), so
+/// a probe reads each list by its pre-resolved slot.
 pub struct HierarchicalFilter {
     store: Arc<ObjectStore>,
     cfg: crate::SimilarityConfig,
@@ -53,30 +55,19 @@ impl HierarchicalFilter {
     ) -> Self {
         let scheme =
             HierarchicalScheme::build_with_threads(&store, max_level, budget, opts.threads);
-        let (index, empty) = Self::index_over(&store, &scheme, opts.threads);
-        HierarchicalFilter {
-            store,
-            cfg,
-            scheme,
-            index,
-            empty_token_objects: empty,
-        }
+        let index = Self::index_over(&store, &scheme, opts.threads);
+        Self::assemble(store, cfg, scheme, index)
     }
 
-    /// Builds the filter for the **next generation** of `prev`'s
-    /// store, reusing `prev`'s per-token HSS selections for every
-    /// token untouched by the delta
-    /// ([`HierarchicalScheme::extend_from`]). The postings are rebuilt
-    /// in full — textual bounds carry the new generation's idf
-    /// weights — but `HSS-Greedy`, the dominant build cost, runs only
-    /// for tokens the delta actually touched. The result is identical
-    /// to [`build_with_opts`](Self::build_with_opts) over the union
-    /// store.
-    ///
-    /// `store` must be `prev`'s store with `delta_start..` appended
-    /// (ids stable). Returns `None` when the selections cannot be
-    /// reused (the delta grew the space MBR); the caller falls back to
-    /// a fresh build.
+    /// Builds the filter for the **next generation** of `prev`'s store
+    /// (`prev`'s store with `delta_start..` appended, ids stable),
+    /// re-running `HSS-Greedy` — the dominant build cost — only for the
+    /// tokens the delta touched; [`HierarchicalScheme::extend_from`]
+    /// has the reuse rule and when it yields `None` (the caller then
+    /// builds afresh). The postings are rebuilt in full: textual
+    /// bounds carry the new generation's idf weights. The result is
+    /// identical to [`build_with_opts`](Self::build_with_opts) over the
+    /// union store.
     pub fn build_extended(
         prev: &HierarchicalFilter,
         store: Arc<ObjectStore>,
@@ -86,14 +77,8 @@ impl HierarchicalFilter {
     ) -> Option<Self> {
         let scheme =
             HierarchicalScheme::extend_from(&prev.scheme, &store, delta_start, opts.threads)?;
-        let (index, empty) = Self::index_over(&store, &scheme, opts.threads);
-        Some(HierarchicalFilter {
-            store,
-            cfg,
-            scheme,
-            index,
-            empty_token_objects: empty,
-        })
+        let index = Self::index_over(&store, &scheme, opts.threads);
+        Some(Self::assemble(store, cfg, scheme, index))
     }
 
     /// Pushes every object's hybrid signature postings over `scheme`
@@ -103,20 +88,13 @@ impl HierarchicalFilter {
         store: &ObjectStore,
         scheme: &HierarchicalScheme,
         threads: usize,
-    ) -> (HybridIndex<u128>, Vec<ObjectId>) {
+    ) -> HybridIndex<u128> {
         let mut index: HybridIndex<u128> = HybridIndex::new();
-        let mut empty = Vec::new();
+        let (mut tsig, mut hsig) = (TextualSignature::default(), HierSignature::default());
         for (id, o) in store.iter() {
-            if o.tokens.is_empty() {
-                empty.push(id);
-                continue;
-            }
-            let tsig = TextualSignature::build(&o.tokens, store.weights(), store.token_order());
+            tsig.rebuild(&o.tokens, store.weights(), store.token_order());
             for (telem, tbound) in tsig.elements_with_bounds() {
-                let grids = scheme
-                    .token_grids(telem.token)
-                    .expect("object's token must have grids");
-                let hsig = grids.signature(&o.region);
+                scheme.signature_into(telem.token, &o.region, &mut hsig);
                 for (gelem, gbound) in hsig.elements_with_bounds() {
                     let key = HierarchicalScheme::key(telem.token, gelem.cell);
                     index.push(key, id.0, gbound, tbound);
@@ -124,17 +102,19 @@ impl HierarchicalFilter {
             }
         }
         index.finalize_with_threads(threads);
-        (index, empty)
+        index
     }
 
-    /// Reassembles the filter around a loaded scheme and index (the
-    /// empty-token list is recomputed from the store).
-    pub(crate) fn from_loaded(
+    /// Assembles the filter around a scheme and the finalized index
+    /// built (or loaded) over it: binds the scheme's list slots to the
+    /// index and derives the empty-token list from the store.
+    pub(crate) fn assemble(
         store: Arc<ObjectStore>,
         cfg: crate::SimilarityConfig,
-        scheme: HierarchicalScheme,
+        mut scheme: HierarchicalScheme,
         index: HybridIndex<u128>,
     ) -> Self {
+        scheme.bind(&index);
         let empty = crate::filters::empty_token_objects(&store);
         HierarchicalFilter {
             store,
@@ -163,8 +143,7 @@ impl CandidateFilter for HierarchicalFilter {
 
     fn candidates_into(&self, q: &Query, ctx: &mut QueryContext, stats: &mut SearchStats) {
         let start = Instant::now();
-        let store = &self.store;
-        let cfg = self.cfg;
+        let (store, cfg) = (&self.store, self.cfg);
         ctx.candidates.clear();
         if q.tokens.is_empty() {
             ctx.candidates.extend_from_slice(&self.empty_token_objects);
@@ -173,21 +152,19 @@ impl CandidateFilter for HierarchicalFilter {
         }
         let c_t = crate::signatures::relax(cfg.textual_threshold(q, store.weights()));
         let c_r = crate::signatures::relax(cfg.spatial_threshold(q));
-        let tsig = TextualSignature::build(&q.tokens, store.weights(), store.token_order());
+        ctx.textual
+            .rebuild(&q.tokens, store.weights(), store.token_order());
         ctx.dedup.begin(store.len());
-        for telem in tsig.prefix(c_t) {
-            // Tokens absent from the corpus have no grids and no
-            // postings; skipping them loses nothing.
-            let Some(grids) = self.scheme.token_grids(telem.token) else {
-                continue;
-            };
+        for telem in ctx.textual.prefix(c_t) {
             // Example 5: generate the query's signature over *this
-            // token's* grids and prefix-prune it spatially.
-            let hsig = grids.signature(&q.region);
-            for gelem in hsig.prefix(c_r) {
-                let key = HierarchicalScheme::key(telem.token, gelem.cell);
+            // token's* grids and prefix-prune it spatially. Tokens
+            // absent from the corpus have no grids: an empty signature.
+            self.scheme
+                .signature_into(telem.token, &q.region, &mut ctx.hier);
+            for gelem in ctx.hier.prefix(c_r) {
                 stats.lists_probed += 1;
-                for o in self.index.qualifying(&key, c_r, c_t) {
+                let Some(slot) = gelem.slot() else { continue };
+                for o in self.index.qualifying_at(slot, c_r, c_t) {
                     stats.postings_scanned += 1;
                     if ctx.dedup.insert(o) {
                         ctx.candidates.push(ObjectId(o));
@@ -199,8 +176,7 @@ impl CandidateFilter for HierarchicalFilter {
     }
 
     fn index_bytes(&self) -> usize {
-        self.index.size_bytes()
-            + self.scheme.total_cells() * (std::mem::size_of::<u128>() + std::mem::size_of::<f64>())
+        self.index.size_bytes() + self.scheme.size_bytes()
     }
 
     fn persisted_sections(&self) -> Vec<(u16, Vec<u8>)> {

@@ -230,10 +230,11 @@ impl CandidateFilter for HybridFilter {
         }
         let c_t = crate::signatures::relax(cfg.textual_threshold(q, store.weights()));
         let c_r = crate::signatures::relax(cfg.spatial_threshold(q));
-        let tsig = TextualSignature::build(&q.tokens, store.weights(), store.token_order());
-        let gsig = self.grid.signature(&q.region);
-        let tprefix = tsig.prefix(c_t);
-        let gprefix = gsig.prefix(c_r);
+        ctx.textual
+            .rebuild(&q.tokens, store.weights(), store.token_order());
+        self.grid.signature_into(&q.region, &mut ctx.grid);
+        let tprefix = ctx.textual.prefix(c_t);
+        let gprefix = ctx.grid.prefix(c_r);
         ctx.dedup.begin(store.len());
         for telem in tprefix {
             for gelem in gprefix {

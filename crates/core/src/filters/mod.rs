@@ -18,12 +18,16 @@
 //! # Concurrency model
 //!
 //! Filters are **stateless at query time**: every byte of per-query
-//! scratch (dedup stamps, accumulator arrays, candidate buffers,
-//! compressed-arena decode buffers) lives in a caller-owned
-//! [`QueryContext`], so `&self` probes never contend on a lock. A
-//! serving loop keeps one context per worker thread and calls
-//! [`CandidateFilter::candidates_into`]; after the first query warms
-//! the buffers, a probe performs **zero heap allocations**. The plain
+//! scratch (the query's signatures, dedup stamps, accumulator arrays,
+//! candidate buffers, compressed-arena decode buffers) lives in a
+//! caller-owned [`QueryContext`], so `&self` probes never contend on a
+//! lock. A serving loop keeps one context per worker thread and calls
+//! [`CandidateFilter::candidates_into`]; once the buffers have grown
+//! to the workload's largest query, a probe of any filter in the table
+//! above performs **zero heap allocations**
+//! (`tests/probe_allocations.rs` counts them). The R-tree baselines in
+//! [`crate::baselines`] are outside that contract: they collect each
+//! traversal's hits in a fresh vector. The plain
 //! [`CandidateFilter::candidates`] convenience method allocates a
 //! fresh context per call — fine for tests and examples, wasteful in a
 //! hot loop.
@@ -185,8 +189,9 @@ pub trait CandidateFilter: Send + Sync {
 /// Caller-owned per-query scratch: everything a filter needs beyond
 /// its immutable indexes.
 ///
-/// Buffers grow to the store size on first use and are then reused, so
-/// a warm context makes a query allocation-free. Contexts are cheap to
+/// Buffers grow to the store size (and the signatures to the longest
+/// query seen) on first use and are then reused, so a warm context
+/// makes the filter step allocation-free. Contexts are cheap to
 /// create empty ([`QueryContext::new`]) and independent of any
 /// particular filter or store — one context can serve queries against
 /// several engines (buffers size to the largest).
@@ -214,6 +219,13 @@ pub struct QueryContext {
     /// qualifying prefix. Sized off the id column, like every other
     /// per-probe buffer.
     pub(crate) decode: Vec<seal_index::ObjId>,
+    /// The query's textual signature (every prefix-probing filter).
+    pub(crate) textual: crate::signatures::textual::TextualSignature,
+    /// The query's grid signature (Grid, Hybrid and Adaptive filters).
+    pub(crate) grid: crate::signatures::grid::GridSignature,
+    /// The query's signature over one prefix token's grids, refilled
+    /// per token (Hierarchical filter).
+    pub(crate) hier: crate::signatures::hierarchical::HierSignature,
 }
 
 impl QueryContext {

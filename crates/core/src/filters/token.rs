@@ -206,10 +206,11 @@ impl CandidateFilter for TokenFilter {
             stats.filter_time += start.elapsed();
             return;
         }
-        let sig = TextualSignature::build(&q.tokens, store.weights(), store.token_order());
+        ctx.textual
+            .rebuild(&q.tokens, store.weights(), store.token_order());
         let c_t = crate::signatures::relax(cfg.textual_threshold(q, store.weights()));
         ctx.dedup.begin(store.len());
-        for elem in sig.prefix(c_t) {
+        for elem in ctx.textual.prefix(c_t) {
             stats.lists_probed += 1;
             // Both storage modes share one contract: the qualifying
             // probe yields an id slice — in place from the arena's id

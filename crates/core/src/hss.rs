@@ -158,6 +158,25 @@ pub fn hss_greedy(regions: &[Rect], tree: &GridTree, budget: usize) -> Vec<Selec
     selected
 }
 
+/// One token's `HSS-Greedy` selection in the token's global order — a
+/// pure function of (the token's regions in id order, the tree, the
+/// budget), which is what makes per-token reuse across store
+/// generations (`HierarchicalScheme::extend_from`) sound.
+///
+/// "Judiciously select": a token occurring in k objects gains nothing
+/// from more than ~k grids (its inverted lists hold k postings total),
+/// so rare tokens keep coarse tilings. This is the index-size
+/// constraint of Section 5.2 applied per-token, and it is what keeps
+/// HierarchicalInv smaller than HashInv in Table 1.
+pub fn select_ordered(regions: &[Rect], tree: &GridTree, budget: usize) -> Vec<GridCellId> {
+    let budget_t = budget.min(regions.len()).max(1);
+    let mut cells = hss_greedy(regions, tree, budget_t);
+    // Global order within the token: level asc, count asc, id. The
+    // per-cell object lists are selection scratch and end here.
+    cells.sort_by_key(|c| (c.id.level(), c.objects.len(), c.id.pack()));
+    cells.into_iter().map(|c| c.id).collect()
+}
+
 /// `Error(n) = Σ_children (Î(n) − Î(child))²` — approximated from the
 /// node's immediate children as in Figure 11's description.
 fn node_error(

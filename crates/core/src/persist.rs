@@ -39,7 +39,7 @@ use crate::filters::{
     TokenFilterBasic,
 };
 use crate::signatures::hash_hybrid::BucketScheme;
-use crate::signatures::hierarchical::{HierarchicalScheme, TokenGrids};
+use crate::signatures::hierarchical::HierarchicalScheme;
 use crate::{FilterKind, ObjectStore, SealEngine, SimilarityConfig, SpatialSimFn};
 use seal_geom::{GridCellId, GridTree, Rect};
 use seal_index::{
@@ -48,7 +48,6 @@ use seal_index::{
 };
 use seal_text::similarity::TextualSimFn;
 use seal_text::{Dictionary, TokenId, TokenSet};
-use std::collections::HashMap;
 use std::path::Path;
 use std::sync::Arc;
 
@@ -452,28 +451,52 @@ fn decode_meta(payload: &[u8]) -> Result<(FilterKind, SimilarityConfig), Contain
 
 // ----------------------------------------------------- hierarchical HSS
 
-/// Serializes per-token cell selections, tokens in ascending id order
-/// (the in-memory map iterates nondeterministically) and each token's
-/// cells in their **selection order**, which the scheme treats as
-/// authoritative (`TokenGrids` derives probe ranks from it).
+/// Serializes per-token cell selections: tokens with at least one
+/// cell in ascending id order, each token's cells in their **selection
+/// order**, which the scheme treats as authoritative (it is the order
+/// signatures come out in).
 pub(crate) fn encode_scheme(scheme: &HierarchicalScheme) -> Vec<u8> {
     let mut buf = Vec::new();
     put_u8(&mut buf, scheme.tree().max_level());
     put_u64(&mut buf, scheme.budget() as u64);
-    let mut tokens: Vec<(&TokenId, &Arc<TokenGrids>)> = scheme.per_token().iter().collect();
-    tokens.sort_unstable_by_key(|(t, _)| t.0);
-    put_u64(&mut buf, tokens.len() as u64);
-    for (t, grids) in tokens {
+    put_u64(&mut buf, scheme.tokens().count() as u64);
+    for t in scheme.tokens() {
         put_u32(&mut buf, t.0);
         put_u32(
             &mut buf,
-            u32::try_from(grids.cells().len()).expect("cell count fits u32"),
+            u32::try_from(scheme.token_cells(t).count()).expect("cell count fits u32"),
         );
-        for c in grids.cells() {
-            put_u64(&mut buf, c.id.pack());
+        for (cell, _) in scheme.token_cells(t) {
+            put_u64(&mut buf, cell.pack());
         }
     }
     buf
+}
+
+/// Why `cells` cannot be one token's selection: a cell that occurs
+/// twice or together with one of its ancestors (a selection is a cut
+/// of the quad tree, so its cells are pairwise disjoint). The flat
+/// scheme would probe such a pair's lists twice.
+fn selection_defect(cells: &[GridCellId]) -> Option<String> {
+    let mut sorted = cells.to_vec();
+    sorted.sort_unstable();
+    if let Some(w) = sorted.windows(2).find(|w| w[0] == w[1]) {
+        return Some(format!("cell {:#x} repeats", w[0].pack()));
+    }
+    for c in cells {
+        let mut cur = *c;
+        while let Some(p) = cur.parent() {
+            if sorted.binary_search(&p).is_ok() {
+                return Some(format!(
+                    "cell {:#x} and its ancestor {:#x} both selected",
+                    c.pack(),
+                    p.pack()
+                ));
+            }
+            cur = p;
+        }
+    }
+    None
 }
 
 fn decode_scheme(
@@ -501,36 +524,43 @@ fn decode_scheme(
     let declared = r.u64()?;
     // Smallest possible token entry: id + cell count, no cells.
     let n_tokens = r.count(declared, 4 + 4)?;
-    let mut per_token: HashMap<TokenId, Arc<TokenGrids>> = HashMap::with_capacity(n_tokens);
-    let mut prev_token: Option<u32> = None;
+    let vocab = store.vocab_size();
+    let mut runs: Vec<(TokenId, Vec<GridCellId>)> = Vec::with_capacity(n_tokens);
+    let mut total_cells = 0usize;
     for _ in 0..n_tokens {
         let t = r.u32()?;
-        if prev_token.is_some_and(|p| p >= t) {
+        if runs.last().is_some_and(|(p, _)| p.0 >= t) {
             return Err(r.err(format!("token ids not ascending at token {t}")));
         }
-        prev_token = Some(t);
+        // The scheme's token table is dense over the vocabulary.
+        if TokenId(t).index() >= vocab {
+            return Err(r.err(format!("token id {t} outside vocab of {vocab}")));
+        }
         let declared_cells = u64::from(r.u32()?);
         let n_cells = r.count(declared_cells, 8)?;
+        total_cells += n_cells;
+        if u32::try_from(total_cells).is_err() {
+            return Err(r.err("more than 2^32 token-cell pairs"));
+        }
         let mut cells = Vec::with_capacity(n_cells);
         for _ in 0..n_cells {
             let packed = r.u64()?;
             let id = GridCellId::unpack(packed)
                 .map_err(|e| r.err(format!("token {t}: bad cell id {packed:#x}: {e}")))?;
-            let rect = tree
-                .cell_rect(id)
-                .map_err(|e| r.err(format!("token {t}: cell outside the tree: {e}")))?;
-            // Build-time object lists are selection scratch; probes
-            // never read them, so they are not persisted.
-            cells.push(crate::hss::SelectedCell {
-                id,
-                rect,
-                objects: Vec::new(),
-            });
+            if id.level() > max_level {
+                return Err(r.err(format!(
+                    "token {t}: cell {packed:#x} below the tree's deepest level {max_level}"
+                )));
+            }
+            cells.push(id);
         }
-        per_token.insert(TokenId(t), Arc::new(TokenGrids::new(cells, store.space())));
+        if let Some(defect) = selection_defect(&cells) {
+            return Err(r.err(format!("token {t}: {defect}")));
+        }
+        runs.push((TokenId(t), cells));
     }
     r.done()?;
-    Ok(HierarchicalScheme::from_parts(tree, per_token, budget))
+    Ok(HierarchicalScheme::from_runs(tree, budget, vocab, runs))
 }
 
 // -------------------------------------------------------------- engine
@@ -719,7 +749,7 @@ impl SealEngine {
                     max_level,
                     budget,
                 )?;
-                Box::new(HierarchicalFilter::from_loaded(
+                Box::new(HierarchicalFilter::assemble(
                     store.clone(),
                     cfg,
                     scheme,

@@ -60,8 +60,8 @@
 use crate::query_engine::{EngineStatus, QueryEngine, ShardStatus};
 use crate::store::CorpusArtifacts;
 use crate::{
-    FilterKind, LiveEngine, ObjectId, ObjectStore, Query, RefreshStats, RoiObject, SearchResult,
-    SearchStats, SimilarityConfig,
+    FilterKind, LiveEngine, ObjectId, ObjectStore, Query, RefreshStats, RoiObject, SealEngine,
+    SearchResult, SearchStats, SimilarityConfig,
 };
 use seal_geom::{Grid, GridCell, Rect};
 use seal_text::{Dictionary, TokenId, TokenSet};
@@ -327,6 +327,12 @@ impl ShardedEngine {
     /// glance.
     pub fn shard_sizes(&self) -> Vec<usize> {
         self.shards.iter().map(|s| s.len()).collect()
+    }
+
+    /// The generation each shard serves right now, in shard order
+    /// (diagnostics and tests; a later refresh swaps in new engines).
+    pub fn shard_engines(&self) -> Vec<Arc<SealEngine>> {
+        self.shards.iter().map(|s| s.engine()).collect()
     }
 
     fn route_lock(&self) -> std::sync::MutexGuard<'_, RouteState> {

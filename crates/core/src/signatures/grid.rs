@@ -7,7 +7,7 @@
 //! number of object regions intersecting the cell — with cell id as the
 //! deterministic tie-break.
 
-use crate::signatures::{prefix_len, suffix_sums};
+use crate::signatures::{Signature, SignatureElement};
 use crate::ObjectStore;
 use seal_geom::{Grid, GridCell, Rect};
 use std::collections::HashMap;
@@ -21,40 +21,16 @@ pub struct GridElement {
     pub weight: f64,
 }
 
+impl SignatureElement for GridElement {
+    #[inline]
+    fn weight(&self) -> f64 {
+        self.weight
+    }
+}
+
 /// A spatial signature: cells sorted by the global grid order, with
 /// suffix bounds.
-#[derive(Debug, Clone, PartialEq)]
-pub struct GridSignature {
-    elements: Vec<GridElement>,
-    suffix: Vec<f64>,
-}
-
-impl GridSignature {
-    /// All elements in global order.
-    #[inline]
-    pub fn elements(&self) -> &[GridElement] {
-        &self.elements
-    }
-
-    /// The Lemma 3 bound for position `i`.
-    #[inline]
-    pub fn bound(&self, i: usize) -> f64 {
-        self.suffix[i]
-    }
-
-    /// The Lemma 2 prefix for threshold `c`.
-    pub fn prefix(&self, c: f64) -> &[GridElement] {
-        &self.elements[..prefix_len(&self.suffix, c)]
-    }
-
-    /// Iterates `(element, bound)` pairs.
-    pub fn elements_with_bounds(&self) -> impl Iterator<Item = (GridElement, f64)> + '_ {
-        self.elements
-            .iter()
-            .copied()
-            .zip(self.suffix.iter().copied())
-    }
-}
+pub type GridSignature = Signature<GridElement>;
 
 /// The corpus-level grid signature scheme: the grid itself plus the
 /// `count(g)` statistics that define the global order.
@@ -104,22 +80,24 @@ impl GridScheme {
     /// The signature of a region: intersecting cells with overlap
     /// weights, sorted ascending by `count(g)` then cell id.
     pub fn signature(&self, region: &Rect) -> GridSignature {
+        let mut sig = GridSignature::default();
+        self.signature_into(region, &mut sig);
+        sig
+    }
+
+    /// [`signature`](Self::signature) into an existing signature,
+    /// reusing its buffers (the per-query path).
+    pub fn signature_into(&self, region: &Rect, sig: &mut GridSignature) {
         let side = self.side();
-        let mut elements: Vec<GridElement> = self
-            .grid
-            .overlaps(region)
-            .map(|ov| GridElement {
+        sig.refill(|elements| {
+            elements.extend(self.grid.overlaps(region).map(|ov| GridElement {
                 cell: ov.cell.linear(side),
                 weight: ov.area,
-            })
-            .collect();
-        elements.sort_by(|a, b| {
-            self.count(a.cell)
-                .cmp(&self.count(b.cell))
-                .then(a.cell.cmp(&b.cell))
+            }));
+            // (count, cell) keys are distinct: the unstable sort is
+            // deterministic and never allocates.
+            elements.sort_unstable_by_key(|e| (self.count(e.cell), e.cell));
         });
-        let suffix = suffix_sums(&elements.iter().map(|e| e.weight).collect::<Vec<f64>>());
-        GridSignature { elements, suffix }
     }
 
     /// The rectangle of a cell (diagnostics / tests).

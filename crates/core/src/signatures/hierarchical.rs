@@ -4,144 +4,65 @@
 //! cells `G_t` that tile the data space, adapting the cell sizes to the
 //! regions of the objects containing `t` (Figure 10). The hybrid
 //! signature of an object `o` for token `t` is then the cells of `G_t`
-//! intersecting `o.R`, with weights `|g ∩ o.R|`.
+//! intersecting `o.R`, with weights `|g ∩ o.R|`, in the token's global
+//! order: ascending tree level, then ascending intersect-count, then
+//! packed id.
 //!
-//! Per-token cells are sorted by the paper's order: ascending tree
-//! level, then ascending intersect-count, then packed id.
+//! # Layout
+//!
+//! Tokens share cells heavily (the coarse levels of the tree are in
+//! almost every `G_t`), so the scheme factors the product out once:
+//!
+//! ```text
+//! offsets: [o_0, o_1, ..., o_V]     one u32 per vocabulary slot (+1)
+//! entries: [ G_0 | G_1 | ... ]      (cell index, list slot) pairs, each
+//!                                   token's run in its global order
+//! cells:   [(id, rect), ...]        the distinct cells, sorted by id
+//! ```
+//!
+//! A signature is a linear scan of the token's run — at most `m_t`
+//! rectangle tests against the shared cell table — and comes out in
+//! global order with no sort, no hashing and, written into a reused
+//! [`HierSignature`], no allocation.
+//!
+//! Every entry also carries the *slot* of its `(token, cell)` list in
+//! the filter's [`HybridIndex`], so a probe reads the list by position
+//! instead of searching the key table. Slots name one frozen arena and
+//! are resolved by [`HierarchicalScheme::bind`], which
+//! `HierarchicalFilter` calls last on every construction path:
+//! build → finalize → bind; load → bind; refresh
+//! ([`extend_from`](HierarchicalScheme::extend_from)) → copy the
+//! untouched tokens' runs → build the new arena → bind. An unbound
+//! scheme generates signatures whose elements report no list.
 
-use crate::hss::{hss_greedy, SelectedCell};
-use crate::signatures::{prefix_len, suffix_sums};
+use crate::hss::select_ordered;
+use crate::signatures::{Signature, SignatureElement};
 use crate::ObjectStore;
 use seal_geom::{GridCellId, GridTree, Rect};
+use seal_index::HybridIndex;
 use seal_text::TokenId;
-use std::collections::{HashMap, HashSet};
+use std::ops::Range;
 
-/// One token's selected hierarchical grids with their global order.
-#[derive(Debug, Clone)]
-pub struct TokenGrids {
-    /// Cells in the token's global order.
-    cells: Vec<SelectedCell>,
-    /// Packed id → position in `cells` (for signature ordering).
-    rank: HashMap<u64, usize>,
-    /// Packed ids of strict ancestors of selected cells, so signature
-    /// generation can descend the quad tree and visit only branches
-    /// intersecting the region — `O(hits · depth)` instead of scanning
-    /// every selected cell (matters for small query regions against
-    /// large per-token budgets).
-    ancestors: HashSet<u64>,
-    /// The data space (root cell rectangle).
-    space: Rect,
+/// Slot value of an entry whose `(token, cell)` key has no list.
+const NO_SLOT: u32 = u32::MAX;
+
+fn slot_of(raw: u32) -> Option<usize> {
+    (raw != NO_SLOT).then_some(raw as usize)
 }
 
-impl TokenGrids {
-    pub(crate) fn new(cells: Vec<SelectedCell>, space: Rect) -> Self {
-        let mut rank = HashMap::with_capacity(cells.len());
-        let mut ancestors = HashSet::new();
-        for (i, c) in cells.iter().enumerate() {
-            rank.insert(c.id.pack(), i);
-            let mut cur = c.id;
-            while let Some(p) = cur.parent() {
-                // Ancestor chains overlap heavily; stop at first seen.
-                if !ancestors.insert(p.pack()) {
-                    break;
-                }
-                cur = p;
-            }
-        }
-        TokenGrids {
-            cells,
-            rank,
-            ancestors,
-            space,
-        }
-    }
-
-    /// The ordered cells.
-    #[inline]
-    pub fn cells(&self) -> &[SelectedCell] {
-        &self.cells
-    }
-
-    /// The spatial signature of a region over this token's grids:
-    /// intersecting cells with weights `|g ∩ R|`, in the token's global
-    /// order, plus the suffix bounds. Found by quad-tree descent from
-    /// the root, pruning branches disjoint from the region.
-    pub fn signature(&self, region: &Rect) -> HierSignature {
-        let mut hits: Vec<(usize, GridCellId, Rect)> = Vec::new();
-        let mut stack: Vec<(GridCellId, Rect)> = vec![(GridCellId::ROOT, self.space)];
-        while let Some((id, rect)) = stack.pop() {
-            if !rect.intersects(region) {
-                continue;
-            }
-            let packed = id.pack();
-            if let Some(&pos) = self.rank.get(&packed) {
-                hits.push((pos, id, rect));
-            } else if self.ancestors.contains(&packed) {
-                if let Some(children) = id.children() {
-                    for child in children {
-                        stack.push((child, child_rect(&rect, child)));
-                    }
-                }
-            }
-            // Neither selected nor an ancestor: dead branch (cannot
-            // happen for cells inside the space, since the selected
-            // cells tile it — defensive skip).
-        }
-        hits.sort_unstable_by_key(|(pos, _, _)| *pos);
-        let elements: Vec<HierElement> = hits
-            .into_iter()
-            .map(|(_, id, rect)| HierElement {
-                cell: id,
-                weight: rect.intersection_area(region),
-            })
-            .collect();
-        let suffix = suffix_sums(&elements.iter().map(|e| e.weight).collect::<Vec<f64>>());
-        HierSignature { elements, suffix }
-    }
+/// One distinct selected cell, shared by every token that selected it.
+#[derive(Debug, Clone, Copy)]
+struct SharedCell {
+    id: GridCellId,
+    rect: Rect,
 }
 
-/// One token's `HSS-Greedy` selection in the token's global order — a
-/// pure function of (the token's regions in id order, the tree, the
-/// budget), which is what makes per-token reuse across store
-/// generations ([`HierarchicalScheme::extend_from`]) sound.
-///
-/// "Judiciously select": a token occurring in k objects gains nothing
-/// from more than ~k grids (its inverted lists hold k postings total),
-/// so rare tokens keep coarse tilings. This is the index-size
-/// constraint of Section 5.2 applied per-token, and it is what keeps
-/// HierarchicalInv smaller than HashInv in Table 1.
-fn select_token_grids(regions: &[Rect], tree: &GridTree, budget: usize, space: Rect) -> TokenGrids {
-    let budget_t = budget.min(regions.len()).max(1);
-    let mut cells = hss_greedy(regions, tree, budget_t);
-    // Global order within the token: level asc, count asc, id.
-    cells.sort_by(|a, b| {
-        a.id.level()
-            .cmp(&b.id.level())
-            .then(a.objects.len().cmp(&b.objects.len()))
-            .then(a.id.pack().cmp(&b.id.pack()))
-    });
-    TokenGrids::new(cells, space)
-}
-
-/// The rectangle of `child` given its parent's rectangle (quadrant
-/// split; exact halves, matching `GridTree::cell_rect` up to the FP
-/// identity of repeated halving).
-fn child_rect(parent: &Rect, child: GridCellId) -> Rect {
-    let midx = (parent.min().x + parent.max().x) / 2.0;
-    let midy = (parent.min().y + parent.max().y) / 2.0;
-    let left = child.ix().is_multiple_of(2);
-    let bottom = child.iy().is_multiple_of(2);
-    let (x0, x1) = if left {
-        (parent.min().x, midx)
-    } else {
-        (midx, parent.max().x)
-    };
-    let (y0, y1) = if bottom {
-        (parent.min().y, midy)
-    } else {
-        (midy, parent.max().y)
-    };
-    Rect::new(x0, y0, x1, y1).expect("quadrant rect is valid")
+/// One `(token, cell)` pair: an index into the shared cell table and
+/// the slot of the pair's list in the bound index.
+#[derive(Debug, Clone, Copy)]
+struct CellEntry {
+    cell: u32,
+    slot: u32,
 }
 
 /// A cell of a token's hierarchical signature.
@@ -151,53 +72,92 @@ pub struct HierElement {
     pub cell: GridCellId,
     /// `|g ∩ R|`.
     pub weight: f64,
+    slot: u32,
+}
+
+impl HierElement {
+    /// The slot of this element's list in the bound index: `None`
+    /// before [`HierarchicalScheme::bind`], and for a `(token, cell)`
+    /// pair no object has a posting for.
+    #[inline]
+    pub fn slot(&self) -> Option<usize> {
+        slot_of(self.slot)
+    }
+}
+
+impl SignatureElement for HierElement {
+    #[inline]
+    fn weight(&self) -> f64 {
+        self.weight
+    }
 }
 
 /// A per-token spatial signature with Lemma 2/3 support.
-#[derive(Debug, Clone, PartialEq)]
-pub struct HierSignature {
-    elements: Vec<HierElement>,
-    suffix: Vec<f64>,
+pub type HierSignature = Signature<HierElement>;
+
+/// Runs `HSS-Greedy` for every token of `store` that `wanted` accepts
+/// and that occurs in an object, fanned out over `threads` workers;
+/// returns `(token, cells in global order)` in ascending token order.
+/// Each selection depends only on that token's regions, so the result
+/// is **identical for every thread count**.
+fn select_tokens(
+    store: &ObjectStore,
+    tree: &GridTree,
+    budget: usize,
+    threads: usize,
+    wanted: impl Fn(TokenId) -> bool,
+) -> Vec<(TokenId, Vec<GridCellId>)> {
+    let mut regions: Vec<Vec<Rect>> = vec![Vec::new(); store.vocab_size()];
+    for o in store.objects() {
+        for t in o.tokens.iter().filter(|&t| wanted(t)) {
+            regions[t.index()].push(o.region);
+        }
+    }
+    let tokens: Vec<usize> = (0..regions.len())
+        .filter(|&t| !regions[t].is_empty())
+        .collect();
+    let cells = seal_index::parallel::map_indexed(tokens.len(), threads, |i| {
+        select_ordered(&regions[tokens[i]], tree, budget)
+    });
+    let ids = tokens.into_iter().map(|t| TokenId(t as u32));
+    ids.zip(cells).collect()
 }
 
-impl HierSignature {
-    /// All elements in the token's global order.
-    #[inline]
-    pub fn elements(&self) -> &[HierElement] {
-        &self.elements
+/// The rectangle of a tree cell by repeated halving from the space
+/// MBR, one quadrant split per level — the rectangle every posting
+/// bound is computed against (`GridTree::cell_rect` agrees only up to
+/// floating-point rounding).
+fn halving_rect(space: Rect, id: GridCellId) -> Rect {
+    let (mut x0, mut y0) = (space.min().x, space.min().y);
+    let (mut x1, mut y1) = (space.max().x, space.max().y);
+    for bit in (0..id.level()).rev() {
+        let (midx, midy) = ((x0 + x1) / 2.0, (y0 + y1) / 2.0);
+        (x0, x1) = if (id.ix() >> bit) & 1 == 0 {
+            (x0, midx)
+        } else {
+            (midx, x1)
+        };
+        (y0, y1) = if (id.iy() >> bit) & 1 == 0 {
+            (y0, midy)
+        } else {
+            (midy, y1)
+        };
     }
-
-    /// The Lemma 3 bound at position `i`.
-    #[inline]
-    pub fn bound(&self, i: usize) -> f64 {
-        self.suffix[i]
-    }
-
-    /// The Lemma 2 prefix for threshold `c`.
-    pub fn prefix(&self, c: f64) -> &[HierElement] {
-        &self.elements[..prefix_len(&self.suffix, c)]
-    }
-
-    /// Iterates `(element, bound)` pairs.
-    pub fn elements_with_bounds(&self) -> impl Iterator<Item = (HierElement, f64)> + '_ {
-        self.elements
-            .iter()
-            .copied()
-            .zip(self.suffix.iter().copied())
-    }
+    Rect::new(x0, y0, x1, y1).expect("quadrant rect is valid")
 }
 
-/// The corpus-level hierarchical scheme: per-token grids.
-///
-/// Grids live behind `Arc` so cloning a scheme — and, more to the
-/// point, reusing untouched tokens across store generations in
-/// [`extend_from`](Self::extend_from) — is a refcount bump per token,
-/// not a deep copy of every selected cell's object list.
+/// The corpus-level hierarchical scheme: every token's selected cells
+/// in the flat layout of the [module docs](self).
 #[derive(Debug, Clone)]
 pub struct HierarchicalScheme {
     tree: GridTree,
-    per_token: HashMap<TokenId, std::sync::Arc<TokenGrids>>,
     budget: usize,
+    /// Token id → start of its run in `entries`; `vocab + 1` entries.
+    offsets: Vec<u32>,
+    /// Every token's cells, each run in the token's global order.
+    entries: Vec<CellEntry>,
+    /// The distinct selected cells, ascending by id.
+    cells: Vec<SharedCell>,
 }
 
 impl HierarchicalScheme {
@@ -213,11 +173,7 @@ impl HierarchicalScheme {
 
     /// [`build`](Self::build) with the per-token `HSS-Greedy`
     /// selections fanned out over `threads` workers (0 = one per
-    /// core). Each token's selection depends only on that token's
-    /// regions, so the fan-out is embarrassingly parallel and the
-    /// selected cells are **identical for every thread count** — the
-    /// work-stealing loop only changes which worker computes which
-    /// token.
+    /// core); the selected cells are identical for every thread count.
     pub fn build_with_threads(
         store: &ObjectStore,
         max_level: u8,
@@ -225,29 +181,8 @@ impl HierarchicalScheme {
         threads: usize,
     ) -> Self {
         let tree = GridTree::new(store.space(), max_level).expect("valid store space");
-        // Group object regions by token.
-        let mut by_token: HashMap<TokenId, Vec<Rect>> = HashMap::new();
-        for o in store.objects() {
-            for t in o.tokens.iter() {
-                by_token.entry(t).or_default().push(o.region);
-            }
-        }
-        let tokens: Vec<(TokenId, Vec<Rect>)> = by_token.into_iter().collect();
-        let space = store.space();
-        let grids: Vec<TokenGrids> =
-            seal_index::parallel::map_indexed(tokens.len(), threads, |i| {
-                select_token_grids(&tokens[i].1, &tree, budget, space)
-            });
-        let per_token: HashMap<TokenId, std::sync::Arc<TokenGrids>> = tokens
-            .into_iter()
-            .map(|(t, _)| t)
-            .zip(grids.into_iter().map(std::sync::Arc::new))
-            .collect();
-        HierarchicalScheme {
-            tree,
-            per_token,
-            budget,
-        }
+        let runs = select_tokens(store, &tree, budget, threads, |_| true);
+        Self::from_runs(tree, budget, store.vocab_size(), runs)
     }
 
     /// Builds the scheme for the **next generation** of a store by
@@ -258,11 +193,12 @@ impl HierarchicalScheme {
     /// regions of the objects containing it, the grid tree, the
     /// budget). `store` must be `prev`'s store with `delta_start..`
     /// appended (ids stable); then a token absent from the delta has
-    /// exactly the regions it had, so its selection is reused
-    /// verbatim, and only tokens occurring in the delta are
-    /// re-selected (over their full region list, so the result is
-    /// *identical* to [`build_with_threads`] over the union — the
-    /// generation contract).
+    /// exactly the regions it had, so its run is copied verbatim, and
+    /// only tokens occurring in the delta are re-selected (over their
+    /// full region list, so the result is *identical* to
+    /// [`build_with_threads`] over the union — the generation
+    /// contract). The result is unbound: `prev`'s list slots name
+    /// `prev`'s arena, not the next one.
     ///
     /// Returns `None` when the reuse precondition fails: the delta
     /// extended the space MBR, so the grid tree — and with it every
@@ -280,40 +216,144 @@ impl HierarchicalScheme {
         if tree != prev.tree {
             return None;
         }
-        // Tokens occurring in the delta gained regions: re-select them
-        // over their full (old + new) region lists, in id order — the
-        // exact input a fresh build would hand `hss_greedy`.
-        let delta = &store.objects()[delta_start..];
-        let touched: HashSet<TokenId> = delta.iter().flat_map(|o| o.tokens.iter()).collect();
-        if touched.is_empty() {
-            return Some(prev.clone());
-        }
-        let mut by_token: HashMap<TokenId, Vec<Rect>> =
-            touched.iter().map(|&t| (t, Vec::new())).collect();
-        for o in store.objects() {
+        let vocab = store.vocab_size();
+        let mut touched = vec![false; vocab];
+        for o in &store.objects()[delta_start..] {
             for t in o.tokens.iter() {
-                if let Some(regions) = by_token.get_mut(&t) {
-                    regions.push(o.region);
-                }
+                touched[t.index()] = true;
             }
         }
-        let tokens: Vec<(TokenId, Vec<Rect>)> = by_token.into_iter().collect();
-        let space = store.space();
-        let budget = prev.budget;
-        let grids: Vec<TokenGrids> =
-            seal_index::parallel::map_indexed(tokens.len(), threads, |i| {
-                select_token_grids(&tokens[i].1, &tree, budget, space)
-            });
-        // Untouched tokens: a refcount bump each, never a cell copy.
-        let mut per_token = prev.per_token.clone();
-        for ((t, _), g) in tokens.into_iter().zip(grids) {
-            per_token.insert(t, std::sync::Arc::new(g));
+        let is_touched = |t: TokenId| touched[t.index()];
+        let mut reselected = select_tokens(store, &tree, prev.budget, threads, is_touched)
+            .into_iter()
+            .peekable();
+        let runs = (0..vocab as u32).map(|t| {
+            let copied = || prev.token_cells(TokenId(t)).map(|(id, _)| id).collect();
+            reselected
+                .next_if(|(fresh, _)| fresh.0 == t)
+                .unwrap_or_else(|| (TokenId(t), copied()))
+        });
+        Some(Self::from_runs(tree, prev.budget, vocab, runs))
+    }
+
+    /// Lays per-token runs (each token's cells in its global order,
+    /// tokens strictly ascending and below `vocab`) out flat — the one
+    /// constructor behind the fresh build, the generation-extending
+    /// build and the container load. The cells of one token must not
+    /// repeat or contain one another; the result is unbound.
+    pub(crate) fn from_runs(
+        tree: GridTree,
+        budget: usize,
+        vocab: usize,
+        runs: impl IntoIterator<Item = (TokenId, Vec<GridCellId>)>,
+    ) -> Self {
+        let mut offsets: Vec<u32> = Vec::with_capacity(vocab + 1);
+        let mut ids: Vec<GridCellId> = Vec::new();
+        let len = |ids: &Vec<GridCellId>| u32::try_from(ids.len()).expect("pair count fits u32");
+        for (t, run) in runs {
+            let i = t.index();
+            assert!(
+                offsets.len() <= i && i < vocab,
+                "token {i} out of order or range"
+            );
+            offsets.resize(i + 1, len(&ids));
+            ids.extend(run);
         }
-        Some(HierarchicalScheme {
+        offsets.resize(vocab + 1, len(&ids));
+        let mut distinct = ids.clone();
+        distinct.sort_unstable();
+        distinct.dedup();
+        let entries = ids.iter().map(|id| CellEntry {
+            cell: distinct.binary_search(id).expect("id is in its own set") as u32,
+            slot: NO_SLOT,
+        });
+        let space = tree.space();
+        let cells = distinct.iter().map(|&id| SharedCell {
+            id,
+            rect: halving_rect(space, id),
+        });
+        HierarchicalScheme {
+            entries: entries.collect(),
+            cells: cells.collect(),
             tree,
-            per_token,
             budget,
-        })
+            offsets,
+        }
+    }
+
+    /// Resolves every entry's list slot against `index` — the frozen
+    /// arena this scheme's signatures were pushed into. One pass over
+    /// the index's keys, each matched against its token's run; must be
+    /// repeated whenever the arena is rebuilt or re-finalized.
+    pub fn bind(&mut self, index: &HybridIndex<u128>) {
+        for e in &mut self.entries {
+            e.slot = NO_SLOT;
+        }
+        for (slot, (key, _)) in index.iter().enumerate() {
+            // A key is (token << 64) | packed cell.
+            let (token, cell) = (key >> 64, key as u64);
+            let run = usize::try_from(token).map_or(0..0, |t| self.run(t));
+            let cells = &self.cells;
+            let pair = self.entries[run]
+                .iter_mut()
+                .find(|e| cells[e.cell as usize].id.pack() == cell);
+            if let Some(e) = pair {
+                e.slot = u32::try_from(slot).expect("list count fits u32");
+            }
+        }
+    }
+
+    /// The range of `token`'s run in `entries` (empty outside the
+    /// vocabulary the scheme was built for).
+    #[inline]
+    fn run(&self, token: usize) -> Range<usize> {
+        match (
+            self.offsets.get(token),
+            self.offsets.get(token.wrapping_add(1)),
+        ) {
+            (Some(&lo), Some(&hi)) => lo as usize..hi as usize,
+            _ => 0..0,
+        }
+    }
+
+    /// The spatial signature of `region` over token `t`'s grids,
+    /// written into `sig` (buffers reused): intersecting cells with
+    /// weights `|g ∩ R|` in the token's global order, plus the suffix
+    /// bounds. Empty for a token that occurs in no object — probing it
+    /// can produce no candidates.
+    pub fn signature_into(&self, t: TokenId, region: &Rect, sig: &mut HierSignature) {
+        sig.refill(|elements| {
+            for e in &self.entries[self.run(t.index())] {
+                let cell = &self.cells[e.cell as usize];
+                if cell.rect.intersects(region) {
+                    elements.push(HierElement {
+                        cell: cell.id,
+                        weight: cell.rect.intersection_area(region),
+                        slot: e.slot,
+                    });
+                }
+            }
+        });
+    }
+
+    /// The cells selected for a token in its global order, each with
+    /// the slot of its list (see [`HierElement::slot`]); empty if the
+    /// token occurs in no object.
+    pub fn token_cells(
+        &self,
+        t: TokenId,
+    ) -> impl Iterator<Item = (GridCellId, Option<usize>)> + '_ {
+        let run = &self.entries[self.run(t.index())];
+        run.iter()
+            .map(|e| (self.cells[e.cell as usize].id, slot_of(e.slot)))
+    }
+
+    /// The tokens with at least one selected cell — those occurring in
+    /// an object — in ascending id order.
+    pub fn tokens(&self) -> impl Iterator<Item = TokenId> + '_ {
+        (0..self.offsets.len() - 1)
+            .filter(|&t| !self.run(t).is_empty())
+            .map(|t| TokenId(t as u32))
     }
 
     /// Every token's selected cells as sorted `(token, packed cell)`
@@ -323,35 +363,34 @@ impl HierarchicalScheme {
     /// parallel-determinism tests compare them across thread counts.
     pub fn selected_cells_sorted(&self) -> Vec<(u32, u64)> {
         let mut out: Vec<(u32, u64)> = self
-            .per_token
-            .iter()
-            .flat_map(|(t, g)| g.cells.iter().map(move |c| (t.0, c.id.pack())))
+            .tokens()
+            .flat_map(|t| self.token_cells(t).map(move |(id, _)| (t.0, id.pack())))
             .collect();
         out.sort_unstable();
         out
     }
 
     /// The grid tree.
-    #[inline]
     pub fn tree(&self) -> &GridTree {
         &self.tree
     }
 
     /// The per-token budget `m_t`.
-    #[inline]
     pub fn budget(&self) -> usize {
         self.budget
     }
 
-    /// The grids selected for a token (None if the token occurs in no
-    /// object — probing it can produce no candidates).
-    pub fn token_grids(&self, t: TokenId) -> Option<&TokenGrids> {
-        self.per_token.get(&t).map(|g| g.as_ref())
-    }
-
     /// Total selected cells across tokens (index-size accounting).
     pub fn total_cells(&self) -> usize {
-        self.per_token.values().map(|g| g.cells.len()).sum()
+        self.entries.len()
+    }
+
+    /// Heap bytes of the three tables (the same for a built, an
+    /// extended and a loaded scheme over the same store).
+    pub fn size_bytes(&self) -> usize {
+        std::mem::size_of_val(&self.offsets[..])
+            + std::mem::size_of_val(&self.entries[..])
+            + std::mem::size_of_val(&self.cells[..])
     }
 
     /// Packs a `(token, cell)` pair into the hybrid-index key space.
@@ -359,58 +398,200 @@ impl HierarchicalScheme {
     pub fn key(t: TokenId, cell: GridCellId) -> u128 {
         (u128::from(t.0) << 64) | u128::from(cell.pack())
     }
-
-    /// The full per-token grid map (persistence walks it to serialize
-    /// each token's cells in selection order).
-    pub(crate) fn per_token(&self) -> &HashMap<TokenId, std::sync::Arc<TokenGrids>> {
-        &self.per_token
-    }
-
-    /// Reassembles a scheme from persisted parts. The per-token cell
-    /// order is authoritative: `TokenGrids::new` derives ranks from it
-    /// without re-sorting, so a round-tripped scheme probes cells in
-    /// exactly the order the builder selected them.
-    pub(crate) fn from_parts(
-        tree: GridTree,
-        per_token: HashMap<TokenId, std::sync::Arc<TokenGrids>>,
-        budget: usize,
-    ) -> Self {
-        HierarchicalScheme {
-            tree,
-            per_token,
-            budget,
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::store::figure1_store;
+    use crate::RoiObject;
+    use proptest::prelude::*;
+    use seal_text::TokenSet;
+    use std::collections::{HashMap, HashSet};
+
+    /// The rectangle of `child` given its parent's rectangle (quadrant
+    /// split; exact halves).
+    fn child_rect(parent: &Rect, child: GridCellId) -> Rect {
+        let midx = (parent.min().x + parent.max().x) / 2.0;
+        let midy = (parent.min().y + parent.max().y) / 2.0;
+        let (x0, x1) = if child.ix().is_multiple_of(2) {
+            (parent.min().x, midx)
+        } else {
+            (midx, parent.max().x)
+        };
+        let (y0, y1) = if child.iy().is_multiple_of(2) {
+            (parent.min().y, midy)
+        } else {
+            (midy, parent.max().y)
+        };
+        Rect::new(x0, y0, x1, y1).unwrap()
+    }
+
+    /// The signature generator the flat scan replaced, kept as the
+    /// oracle: descend the quad tree from the root, pruning branches
+    /// disjoint from the region, collect the selected cells reached
+    /// and sort them by their rank in the token's global order.
+    /// Returns `(cell, weight, suffix bound)` triples.
+    fn descent_signature(
+        scheme: &HierarchicalScheme,
+        t: TokenId,
+        region: &Rect,
+    ) -> Vec<(GridCellId, f64, f64)> {
+        let mut rank: HashMap<u64, usize> = HashMap::new();
+        let mut ancestors: HashSet<u64> = HashSet::new();
+        for (i, (id, _)) in scheme.token_cells(t).enumerate() {
+            rank.insert(id.pack(), i);
+            let mut cur = id;
+            while let Some(p) = cur.parent() {
+                ancestors.insert(p.pack());
+                cur = p;
+            }
+        }
+        let mut hits: Vec<(usize, GridCellId, Rect)> = Vec::new();
+        let mut stack = vec![(GridCellId::ROOT, scheme.tree().space())];
+        while let Some((id, rect)) = stack.pop() {
+            if !rect.intersects(region) {
+                continue;
+            }
+            if let Some(&pos) = rank.get(&id.pack()) {
+                hits.push((pos, id, rect));
+            } else if ancestors.contains(&id.pack()) {
+                for child in id.children().unwrap() {
+                    stack.push((child, child_rect(&rect, child)));
+                }
+            }
+        }
+        hits.sort_unstable_by_key(|(pos, _, _)| *pos);
+        let weights: Vec<f64> = hits
+            .iter()
+            .map(|(_, _, rect)| rect.intersection_area(region))
+            .collect();
+        let suffix = crate::signatures::suffix_sums(&weights);
+        hits.iter()
+            .zip(weights.iter().zip(suffix))
+            .map(|((_, id, _), (&w, s))| (*id, w, s))
+            .collect()
+    }
+
+    fn flat_signature(
+        scheme: &HierarchicalScheme,
+        t: TokenId,
+        region: &Rect,
+    ) -> Vec<(GridCellId, f64, f64)> {
+        let mut sig = HierSignature::default();
+        scheme.signature_into(t, region, &mut sig);
+        sig.elements_with_bounds()
+            .map(|(e, bound)| (e.cell, e.weight, bound))
+            .collect()
+    }
+
+    fn bits(sig: &[(GridCellId, f64, f64)]) -> Vec<(u64, u64, u64)> {
+        sig.iter()
+            .map(|(id, w, s)| (id.pack(), w.to_bits(), s.to_bits()))
+            .collect()
+    }
+
+    fn arb_objects(vocab: u32) -> impl Strategy<Value = Vec<RoiObject>> {
+        let object = (
+            0.0f64..900.0,
+            0.0f64..900.0,
+            0.5f64..300.0,
+            0.5f64..300.0,
+            proptest::collection::vec(0u32..vocab, 1..5),
+        )
+            .prop_map(|(x, y, w, h, tokens)| {
+                RoiObject::new(
+                    Rect::new(x, y, x + w, y + h).unwrap(),
+                    TokenSet::from_ids(tokens.into_iter().map(TokenId)),
+                )
+            });
+        proptest::collection::vec(object, 1..40)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        #[test]
+        fn flat_scan_equals_quad_descent(
+            objects in arb_objects(12),
+            max_level in 1u8..11,
+            budget in 1usize..65,
+            fx in 0.0f64..1.0,
+            fy in 0.0f64..1.0,
+            fw in 0.0f64..1.0,
+            fh in 0.0f64..1.0,
+        ) {
+            let store = ObjectStore::from_objects(objects, 12);
+            let scheme = HierarchicalScheme::build(&store, max_level, budget);
+            let space = store.space();
+            let (sx, sy) = (space.min().x, space.min().y);
+            let (w, h) = (space.width(), space.height());
+            let at = |x0: f64, y0: f64, x1: f64, y1: f64| {
+                Rect::new(sx + x0 * w, sy + y0 * h, sx + x1 * w, sy + y1 * h).unwrap()
+            };
+            let (x1, y1) = (fx + fw * (1.0 - fx), fy + fh * (1.0 - fy));
+            let regions = [
+                at(fx, fy, x1, y1),                    // inside the space
+                at(fx - 0.5, fy - 0.5, x1, y1),        // straddling its border
+                at(0.5, fy, x1.max(0.5), y1),          // edge on the root split line
+                at(0.25, 0.25, 0.5, 0.5),              // exactly a level-2 cell
+                at(fx, fy, fx, fy),                    // zero area
+                at(1.5, 1.5, 2.0, 2.0),                // outside: zero overlap
+                at(1.0, fy, 1.5, y1),                  // touching the space's edge
+                at(-1.0, -1.0, 2.0, 2.0),              // covering the space
+            ];
+            for t in (0..13).map(TokenId) {
+                for region in &regions {
+                    prop_assert_eq!(
+                        bits(&flat_signature(&scheme, t, region)),
+                        bits(&descent_signature(&scheme, t, region)),
+                        "token {:?} region {:?}", t, region
+                    );
+                }
+            }
+        }
+    }
 
     #[test]
     fn every_token_gets_a_tiling() {
         let (store, _q) = figure1_store();
         let scheme = HierarchicalScheme::build(&store, 4, 8);
         for t in 0..5u32 {
-            let grids = scheme.token_grids(TokenId(t)).expect("token occurs");
-            let total: f64 = grids.cells().iter().map(|c| c.rect.area()).sum();
+            let cells: Vec<_> = scheme.token_cells(TokenId(t)).collect();
+            let total: f64 = cells
+                .iter()
+                .map(|(id, _)| halving_rect(store.space(), *id).area())
+                .sum();
             assert!(
                 (total - store.space().area()).abs() < 1e-6,
                 "token {t} does not tile the space"
             );
-            assert!(grids.cells().len() <= 8);
+            assert!(!cells.is_empty() && cells.len() <= 8);
+            assert!(cells.iter().all(|(_, slot)| slot.is_none()), "unbound");
         }
-        assert!(scheme.token_grids(TokenId(99)).is_none());
+        assert_eq!(scheme.token_cells(TokenId(99)).count(), 0);
+        assert_eq!(scheme.tokens().count(), 5);
+        assert!(flat_signature(&scheme, TokenId(99), &store.space()).is_empty());
+    }
+
+    #[test]
+    fn halving_agrees_with_the_tree_on_dyadic_spaces() {
+        let space = Rect::new(0.0, 0.0, 128.0, 128.0).unwrap();
+        let tree = GridTree::new(space, 6).unwrap();
+        for (l, x, y) in [(0u8, 0u32, 0u32), (1, 1, 0), (3, 5, 2), (6, 63, 17)] {
+            let id = GridCellId::new(l, x, y).unwrap();
+            assert_eq!(halving_rect(space, id), tree.cell_rect(id).unwrap());
+        }
     }
 
     #[test]
     fn signature_weights_sum_to_clipped_region() {
         let (store, q) = figure1_store();
         let scheme = HierarchicalScheme::build(&store, 4, 8);
-        let grids = scheme.token_grids(TokenId(0)).unwrap();
-        let sig = grids.signature(&q.region);
-        let total: f64 = sig.elements().iter().map(|e| e.weight).sum();
+        let total: f64 = flat_signature(&scheme, TokenId(0), &q.region)
+            .iter()
+            .map(|(_, w, _)| w)
+            .sum();
         let clipped = q.region.intersection_area(&store.space());
         assert!((total - clipped).abs() < 1e-9);
     }
@@ -420,12 +601,21 @@ mod tests {
         let (store, _q) = figure1_store();
         let scheme = HierarchicalScheme::build(&store, 4, 16);
         for t in 0..5u32 {
-            let cells = scheme.token_grids(TokenId(t)).unwrap().cells();
+            let regions: Vec<Rect> = store
+                .objects()
+                .iter()
+                .filter(|o| o.tokens.contains(TokenId(t)))
+                .map(|o| o.region)
+                .collect();
+            let count = |id: GridCellId| {
+                let rect = halving_rect(store.space(), id);
+                regions.iter().filter(|r| rect.intersects(r)).count()
+            };
+            let cells: Vec<GridCellId> = scheme.token_cells(TokenId(t)).map(|c| c.0).collect();
             for w in cells.windows(2) {
-                let (a, b) = (&w[0], &w[1]);
+                let (a, b) = (w[0], w[1]);
                 assert!(
-                    a.id.level() < b.id.level()
-                        || (a.id.level() == b.id.level() && a.objects.len() <= b.objects.len()),
+                    a.level() < b.level() || (a.level() == b.level() && count(a) <= count(b)),
                     "order violated for token {t}"
                 );
             }
@@ -436,8 +626,8 @@ mod tests {
     fn prefix_lemma_holds() {
         let (store, q) = figure1_store();
         let scheme = HierarchicalScheme::build(&store, 4, 8);
-        let grids = scheme.token_grids(TokenId(1)).unwrap();
-        let sig = grids.signature(&q.region);
+        let mut sig = HierSignature::default();
+        scheme.signature_into(TokenId(1), &q.region, &mut sig);
         let c = 0.25 * q.region.area();
         let p = sig.prefix(c);
         let dropped: f64 = sig.elements()[p.len()..].iter().map(|e| e.weight).sum();
@@ -456,8 +646,6 @@ mod tests {
 
     #[test]
     fn extend_from_matches_fresh_build() {
-        use crate::RoiObject;
-        use seal_text::TokenSet;
         let (store, _q) = figure1_store();
         let prev = HierarchicalScheme::build(&store, 4, 8);
         // Delta inside the existing space: reuse applies.
@@ -468,7 +656,7 @@ mod tests {
             ),
             RoiObject::new(
                 Rect::new(100.0, 100.0, 110.0, 115.0).unwrap(),
-                TokenSet::from_ids([TokenId(3)]),
+                TokenSet::from_ids([TokenId(3), TokenId(7)]), // 7 grows the vocabulary
             ),
         ];
         let union = store.extended(&delta);
@@ -481,14 +669,16 @@ mod tests {
                 fresh.selected_cells_sorted(),
                 "threads={threads}: extended scheme diverged from the fresh build"
             );
-            assert_eq!(extended.total_cells(), fresh.total_cells());
+            // Not just the same cells: the same order, token by token.
+            for t in fresh.tokens() {
+                assert!(extended.token_cells(t).eq(fresh.token_cells(t)), "{t:?}");
+            }
+            assert_eq!(extended.size_bytes(), fresh.size_bytes());
         }
     }
 
     #[test]
     fn extend_from_refuses_when_space_grows() {
-        use crate::RoiObject;
-        use seal_text::TokenSet;
         let (store, _q) = figure1_store();
         let prev = HierarchicalScheme::build(&store, 4, 8);
         let delta = vec![RoiObject::new(
@@ -511,10 +701,17 @@ mod tests {
     }
 
     #[test]
-    fn total_cells_respects_budget() {
+    fn sizes_follow_the_tables() {
         let (store, _q) = figure1_store();
         let scheme = HierarchicalScheme::build(&store, 4, 4);
         assert!(scheme.total_cells() <= 5 * 4);
+        assert!(scheme.cells.len() <= scheme.total_cells());
         assert_eq!(scheme.budget(), 4);
+        assert_eq!(
+            scheme.size_bytes(),
+            4 * (store.vocab_size() + 1)
+                + 8 * scheme.total_cells()
+                + std::mem::size_of::<SharedCell>() * scheme.cells.len()
+        );
     }
 }

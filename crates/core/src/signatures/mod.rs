@@ -42,13 +42,19 @@ pub fn relax(c: f64) -> f64 {
 /// The returned vector has the same length as the input and is
 /// non-increasing (weights are non-negative).
 pub fn suffix_sums(weights: &[f64]) -> Vec<f64> {
-    let mut out = vec![0.0; weights.len()];
-    let mut acc = 0.0;
-    for i in (0..weights.len()).rev() {
-        acc += weights[i];
-        out[i] = acc;
-    }
+    let mut out = weights.to_vec();
+    accumulate_suffix(&mut out);
     out
+}
+
+/// [`suffix_sums`] in place: replaces each weight by the sum of itself
+/// and everything after it, adding from the back.
+fn accumulate_suffix(weights: &mut [f64]) {
+    let mut acc = 0.0;
+    for w in weights.iter_mut().rev() {
+        acc += *w;
+        *w = acc;
+    }
 }
 
 /// Lemma 2's prefix length: the number of leading elements to keep so
@@ -60,6 +66,80 @@ pub fn suffix_sums(weights: &[f64]) -> Vec<f64> {
 /// when the threshold is trivial).
 pub fn prefix_len(suffix: &[f64], c: f64) -> usize {
     suffix.partition_point(|&s| s >= c)
+}
+
+/// An element of a [`Signature`]: anything carrying the weight its
+/// suffix bounds are summed from.
+pub trait SignatureElement: Copy {
+    /// The element's weight (`w(t)` for tokens, `|g ∩ R|` for cells).
+    fn weight(&self) -> f64;
+}
+
+/// A signature with Lemma 2/3 support: elements in their scheme's
+/// global order, each paired with its suffix bound. The textual, grid
+/// and hierarchical signatures are this type over their element.
+///
+/// A signature is also its own scratch: `rebuild`-style methods on the
+/// concrete aliases refill an existing value in place, so a
+/// [`QueryContext`](crate::QueryContext) that owns one per scheme
+/// makes signature generation allocation-free once warm.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Signature<E> {
+    elements: Vec<E>,
+    suffix: Vec<f64>,
+}
+
+impl<E> Default for Signature<E> {
+    fn default() -> Self {
+        Signature {
+            elements: Vec::new(),
+            suffix: Vec::new(),
+        }
+    }
+}
+
+impl<E: SignatureElement> Signature<E> {
+    /// Replaces the contents: `fill` receives the emptied element
+    /// buffer and must leave the new elements in global order; the
+    /// suffix bounds are then recomputed from their weights.
+    pub(crate) fn refill(&mut self, fill: impl FnOnce(&mut Vec<E>)) {
+        self.elements.clear();
+        fill(&mut self.elements);
+        self.suffix.clear();
+        self.suffix.extend(self.elements.iter().map(E::weight));
+        accumulate_suffix(&mut self.suffix);
+    }
+
+    /// All elements in global order.
+    #[inline]
+    pub fn elements(&self) -> &[E] {
+        &self.elements
+    }
+
+    /// The Lemma 3 bound `c_{s_i}` for the element at position `i`.
+    #[inline]
+    pub fn bound(&self, i: usize) -> f64 {
+        self.suffix[i]
+    }
+
+    /// Total weight of the signature.
+    pub fn total_weight(&self) -> f64 {
+        self.suffix.first().copied().unwrap_or(0.0)
+    }
+
+    /// The Lemma 2 prefix for threshold `c`.
+    pub fn prefix(&self, c: f64) -> &[E] {
+        &self.elements[..prefix_len(&self.suffix, c)]
+    }
+
+    /// Iterates `(element, bound)` pairs — what index construction
+    /// pushes into the inverted lists.
+    pub fn elements_with_bounds(&self) -> impl Iterator<Item = (E, f64)> + '_ {
+        self.elements
+            .iter()
+            .copied()
+            .zip(self.suffix.iter().copied())
+    }
 }
 
 #[cfg(test)]

@@ -2,7 +2,7 @@
 //! (Section 4.2's "Sig-Filter+ can be also applied to textual
 //! signatures").
 
-use crate::signatures::{prefix_len, suffix_sums};
+use crate::signatures::{Signature, SignatureElement};
 use seal_text::{GlobalTokenOrder, TokenId, TokenSet, TokenWeights};
 
 /// A token with its idf weight, in global (descending-idf) order.
@@ -14,63 +14,47 @@ pub struct TextualElement {
     pub weight: f64,
 }
 
-/// A textual signature: the object's tokens sorted by the global order,
-/// with weights and Lemma 3 suffix bounds.
-#[derive(Debug, Clone, PartialEq)]
-pub struct TextualSignature {
-    elements: Vec<TextualElement>,
-    suffix: Vec<f64>,
+impl SignatureElement for TextualElement {
+    #[inline]
+    fn weight(&self) -> f64 {
+        self.weight
+    }
 }
 
-impl TextualSignature {
+/// A textual signature: the object's tokens sorted by the global order,
+/// with weights and Lemma 3 suffix bounds.
+pub type TextualSignature = Signature<TextualElement>;
+
+impl Signature<TextualElement> {
     /// Builds the signature of a token set.
     pub fn build<W: TokenWeights>(
         tokens: &TokenSet,
         weights: &W,
         order: &GlobalTokenOrder,
     ) -> Self {
-        let mut ids: Vec<TokenId> = tokens.iter().collect();
-        order.sort(&mut ids);
-        let elements: Vec<TextualElement> = ids
-            .into_iter()
-            .map(|token| TextualElement {
+        let mut sig = Self::default();
+        sig.rebuild(tokens, weights, order);
+        sig
+    }
+
+    /// [`build`](Self::build) into an existing signature, reusing its
+    /// buffers (the per-query path: no allocation once they have grown
+    /// to the longest token set seen).
+    pub fn rebuild<W: TokenWeights>(
+        &mut self,
+        tokens: &TokenSet,
+        weights: &W,
+        order: &GlobalTokenOrder,
+    ) {
+        self.refill(|elements| {
+            elements.extend(tokens.iter().map(|token| TextualElement {
                 token,
                 weight: weights.weight(token),
-            })
-            .collect();
-        let suffix = suffix_sums(&elements.iter().map(|e| e.weight).collect::<Vec<f64>>());
-        TextualSignature { elements, suffix }
-    }
-
-    /// All elements in global order.
-    #[inline]
-    pub fn elements(&self) -> &[TextualElement] {
-        &self.elements
-    }
-
-    /// The Lemma 3 bound `c_{s_i}(o)` for the element at position `i`.
-    #[inline]
-    pub fn bound(&self, i: usize) -> f64 {
-        self.suffix[i]
-    }
-
-    /// Total weight `Σ_{t∈S} w(t)`.
-    pub fn total_weight(&self) -> f64 {
-        self.suffix.first().copied().unwrap_or(0.0)
-    }
-
-    /// The Lemma 2 prefix for threshold `c`.
-    pub fn prefix(&self, c: f64) -> &[TextualElement] {
-        &self.elements[..prefix_len(&self.suffix, c)]
-    }
-
-    /// Iterates `(element, bound)` pairs — what index construction
-    /// pushes into the inverted lists.
-    pub fn elements_with_bounds(&self) -> impl Iterator<Item = (TextualElement, f64)> + '_ {
-        self.elements
-            .iter()
-            .copied()
-            .zip(self.suffix.iter().copied())
+            }));
+            // Ranks are distinct, so the unstable sort is deterministic
+            // (and, unlike the stable one, never allocates).
+            elements.sort_unstable_by_key(|e| order.rank(e.token));
+        });
     }
 }
 

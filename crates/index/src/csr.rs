@@ -417,8 +417,27 @@ impl<K: Eq + Hash + Ord + Copy, C: PostingColumns> CsrCore<K, C> {
     /// in staging). Wrappers slice whichever columns they need.
     #[inline]
     pub(crate) fn group_span(&self, key: &K) -> Option<Range<usize>> {
-        let (_, range) = group_range(&self.keys, &self.offsets, key)?;
-        Some(range)
+        self.slot(key).map(|slot| self.span_at(slot))
+    }
+
+    /// The slot of `key`'s group: its position in the sorted key
+    /// table. A slot stays valid until the next finalize that folds
+    /// staged postings in (which may shift every later group), so a
+    /// caller that resolves its keys once per
+    /// [`generation`](Self::generation) can skip the key search on
+    /// every probe.
+    #[inline]
+    pub(crate) fn slot(&self, key: &K) -> Option<usize> {
+        self.keys.binary_search(key).ok()
+    }
+
+    /// The row span of the group at `slot`.
+    ///
+    /// # Panics
+    /// If `slot` is not below the number of frozen groups.
+    #[inline]
+    pub(crate) fn span_at(&self, slot: usize) -> Range<usize> {
+        self.offsets[slot]..self.offsets[slot + 1]
     }
 
     /// The frozen columnar arena (row spans come from

@@ -105,16 +105,39 @@ impl<K: Eq + Hash + Ord + Copy + Sync> HybridIndex<K> {
         self.core.arena().ids.iter().copied().max()
     }
 
+    /// The slot of `key`'s list: its position among the frozen keys in
+    /// ascending order (the order [`iter`](Self::iter) yields them in),
+    /// `None` when the key has no postings. Valid until the next
+    /// finalize that folds staged postings in — resolve once per
+    /// [`generation`](Self::generation), then probe with
+    /// [`qualifying_at`](Self::qualifying_at) and no key search.
+    #[inline]
+    pub fn slot(&self, key: &K) -> Option<usize> {
+        self.core.slot(key)
+    }
+
     /// The full list for a key, if any, as a columnar view (descending
     /// spatial-bound order).
     pub fn list(&self, key: &K) -> Option<DualPostingsView<'_>> {
-        let span = self.core.group_span(key)?;
+        self.slot(key).map(|slot| self.list_at(slot))
+    }
+
+    /// The full list at `slot` (see [`slot`](Self::slot)).
+    ///
+    /// # Panics
+    /// If `slot` is not below the number of frozen keys.
+    #[inline]
+    pub fn list_at(&self, slot: usize) -> DualPostingsView<'_> {
+        self.view(self.core.span_at(slot))
+    }
+
+    fn view(&self, span: std::ops::Range<usize>) -> DualPostingsView<'_> {
         let a = self.core.arena();
-        Some(DualPostingsView {
+        DualPostingsView {
             ids: &a.ids[span.clone()],
             spatial_bounds: &a.spatial[span.clone()],
             textual_bounds: &a.textual[span],
-        })
+        }
     }
 
     /// Iterates the object ids qualifying under both thresholds,
@@ -128,22 +151,38 @@ impl<K: Eq + Hash + Ord + Copy + Sync> HybridIndex<K> {
         c_spatial: f64,
         c_textual: f64,
     ) -> impl Iterator<Item = ObjId> + 'a {
+        let span = self.core.group_span(key).unwrap_or(0..0);
+        self.qualifying_in(span, c_spatial, c_textual)
+    }
+
+    /// [`qualifying`](Self::qualifying) for the list at `slot`, with no
+    /// key search.
+    ///
+    /// # Panics
+    /// If `slot` is not below the number of frozen keys.
+    #[inline]
+    pub fn qualifying_at(
+        &self,
+        slot: usize,
+        c_spatial: f64,
+        c_textual: f64,
+    ) -> impl Iterator<Item = ObjId> + '_ {
+        self.qualifying_in(self.core.span_at(slot), c_spatial, c_textual)
+    }
+
+    #[inline]
+    fn qualifying_in(
+        &self,
+        span: std::ops::Range<usize>,
+        c_spatial: f64,
+        c_textual: f64,
+    ) -> impl Iterator<Item = ObjId> + '_ {
         debug_assert!(self.core.is_finalized(), "query on non-finalized index");
-        let (ids, spatial, textual) = match self.core.group_span(key) {
-            Some(span) => {
-                let a = self.core.arena();
-                (
-                    &a.ids[span.clone()],
-                    &a.spatial[span.clone()],
-                    &a.textual[span],
-                )
-            }
-            None => (&[][..], &[][..], &[][..]),
-        };
-        let cut = crate::csr::bound_cut(spatial, c_spatial);
-        ids[..cut]
+        let list = self.view(span);
+        let cut = crate::csr::bound_cut(list.spatial_bounds, c_spatial);
+        list.ids[..cut]
             .iter()
-            .zip(&textual[..cut])
+            .zip(&list.textual_bounds[..cut])
             .filter(move |&(_, &tb)| tb >= c_textual)
             .map(|(&id, _)| id)
     }
@@ -183,17 +222,9 @@ impl<K: Eq + Hash + Ord + Copy + Sync> HybridIndex<K> {
     /// [`finalize`](Self::finalize)): iteration sees only the frozen
     /// arena and would silently drop the staged postings.
     pub fn iter(&self) -> impl Iterator<Item = (K, DualPostingsView<'_>)> + '_ {
-        let a = self.core.arena();
-        self.core.iter_spans().map(move |(k, span)| {
-            (
-                k,
-                DualPostingsView {
-                    ids: &a.ids[span.clone()],
-                    spatial_bounds: &a.spatial[span.clone()],
-                    textual_bounds: &a.textual[span],
-                },
-            )
-        })
+        self.core
+            .iter_spans()
+            .map(move |(k, span)| (k, self.view(span)))
     }
 }
 
@@ -249,6 +280,32 @@ mod tests {
         assert_eq!(got, vec![0], "o5's textual bound 1.7 < 1.8 is pruned");
         let got: Vec<ObjId> = idx.qualifying(&key(1, 1), 1090.0, 0.0).collect();
         assert_eq!(got, vec![4], "spatial cut drops o1");
+    }
+
+    #[test]
+    fn slots_read_the_lists_their_keys_name() {
+        let mut idx: HybridIndex<u128> = HybridIndex::new();
+        idx.push(key(2, 7), 3, 5.0, 1.0);
+        idx.push(key(1, 9), 4, 1100.0, 1.7);
+        idx.push(key(1, 9), 0, 1075.0, 1.9);
+        idx.finalize();
+        // Slots are positions in ascending key order.
+        assert_eq!(idx.slot(&key(1, 9)), Some(0));
+        assert_eq!(idx.slot(&key(2, 7)), Some(1));
+        assert_eq!(idx.slot(&key(1, 8)), None);
+        for (slot, (k, list)) in idx.iter().enumerate() {
+            assert_eq!(idx.slot(&k), Some(slot));
+            assert_eq!(idx.list_at(slot).ids, list.ids);
+            for (c_r, c_t) in [(0.0, 0.0), (1090.0, 0.0), (600.0, 1.8), (1e9, 0.0)] {
+                assert!(idx
+                    .qualifying_at(slot, c_r, c_t)
+                    .eq(idx.qualifying(&k, c_r, c_t)));
+            }
+        }
+        // A folding finalize may move every later slot.
+        idx.push(key(0, 1), 9, 1.0, 1.0);
+        idx.finalize();
+        assert_eq!(idx.slot(&key(1, 9)), Some(1));
     }
 
     #[test]

@@ -10,7 +10,8 @@
 
 use proptest::prelude::*;
 use seal_core::persist::{
-    SECTION_ENGINE_META, SECTION_PRIMARY_INDEX, SECTION_STORE_OBJECTS, SECTION_STORE_STATS,
+    SECTION_ENGINE_META, SECTION_HIER_SCHEME, SECTION_PRIMARY_INDEX, SECTION_STORE_OBJECTS,
+    SECTION_STORE_STATS,
 };
 use seal_core::{FilterKind, SealEngine};
 use seal_index::{Container, ContainerError, ContainerWriter, IndexCodecError};
@@ -191,6 +192,86 @@ fn trailing_byte_in_an_index_section_behind_valid_crcs_errors() {
                 assert!(detail.contains("trailing"), "{detail}")
             }
             other => panic!("expected a typed trailing-bytes error, got {other:?}"),
+        }
+    }
+}
+
+#[test]
+fn hostile_scheme_sections_behind_valid_crcs_error() {
+    // The scheme section is [max_level u8 | budget u64 | n_tokens u64]
+    // then per token [id u32 | n_cells u32 | packed cells u64...]. The
+    // loaded scheme indexes a dense per-token table by id and probes
+    // every listed cell, so an id outside the vocabulary, a repeated
+    // cell and a cell listed with its ancestor must all be refused.
+    let bytes = seal_bytes();
+    let container = Container::parse(bytes).expect("pristine container must parse");
+    let vocab = SealEngine::load_from_bytes(bytes, 1)
+        .expect("pristine container must load")
+        .store()
+        .vocab_size();
+    let scheme = container
+        .sections()
+        .iter()
+        .find(|s| s.kind == SECTION_HIER_SCHEME)
+        .expect("hierarchical container has a scheme section")
+        .payload;
+    let u32_at = |at: usize| u32::from_le_bytes(scheme[at..at + 4].try_into().unwrap());
+    // Walk the token entries: the last one, and one with ≥ 2 cells.
+    let (mut at, mut last, mut multi) = (17usize, 0usize, None);
+    while at < scheme.len() {
+        let n_cells = u32_at(at + 4) as usize;
+        if n_cells >= 2 {
+            multi.get_or_insert(at);
+        }
+        last = at;
+        at += 8 + 8 * n_cells;
+    }
+    let multi = multi.expect("some token selected more than one cell");
+    let first_cell = scheme[multi + 8..multi + 16].to_vec();
+
+    let cases: [(&str, usize, Vec<u8>, &str); 4] = [
+        (
+            "last token id = vocab",
+            last,
+            (vocab as u32).to_le_bytes().to_vec(),
+            "outside vocab",
+        ),
+        (
+            "last token id = u32::MAX",
+            last,
+            u32::MAX.to_le_bytes().to_vec(),
+            "outside vocab",
+        ),
+        (
+            "second cell repeats the first",
+            multi + 16,
+            first_cell,
+            "repeats",
+        ),
+        (
+            // The root is an ancestor of every other cell.
+            "first cell replaced by the root",
+            multi + 8,
+            0u64.to_le_bytes().to_vec(),
+            "ancestor",
+        ),
+    ];
+    for (what, at, patch, expect) in cases {
+        let mut w = ContainerWriter::new();
+        for s in container.sections() {
+            let mut payload = s.payload.to_vec();
+            if s.kind == SECTION_HIER_SCHEME {
+                payload[at..at + patch.len()].copy_from_slice(&patch);
+            }
+            w.push_section(s.kind, payload);
+        }
+        match SealEngine::load_from_bytes(&w.finish(), 1).err() {
+            Some(ContainerError::Section {
+                section: "hier scheme",
+                detail,
+                ..
+            }) => assert!(detail.contains(expect), "{what}: {detail}"),
+            other => panic!("{what}: expected a typed hier-scheme error, got {other:?}"),
         }
     }
 }

@@ -85,6 +85,13 @@ fn every_kind_roundtrips_bit_identical() {
         let loaded =
             SealEngine::load(&path).unwrap_or_else(|e| panic!("{kind:?}: load failed: {e}"));
         assert_eq!(loaded.kind(), kind, "kind must survive the round-trip");
+        // Size accounting covers the structures a probe reads, which a
+        // load reconstructs in full — never build-time leftovers.
+        assert_eq!(
+            loaded.index_bytes(),
+            engine.index_bytes(),
+            "{kind:?}: a loaded engine accounts a different index size"
+        );
         assert_eq!(
             answers(&loaded, &queries),
             expect,
@@ -167,6 +174,7 @@ fn post_refresh_generation_roundtrips() {
     let loaded = SealEngine::load(&path).expect("loading a refreshed generation");
     assert_eq!(loaded.store().len(), 400);
     assert_eq!(answers(&loaded, &queries), expect);
+    assert_eq!(loaded.index_bytes(), engine.index_bytes());
     std::fs::remove_file(&path).ok();
 }
 
