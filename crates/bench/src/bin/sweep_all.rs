@@ -1,6 +1,7 @@
 //! Runs every table/figure harness in sequence (the whole evaluation
 //! section in one go). Equivalent to running table1 and fig12…fig18
-//! binaries individually — handy for regenerating EXPERIMENTS.md.
+//! binaries individually — handy for regenerating the paper's
+//! evaluation (`PAPER.md`, §6) in one command.
 //!
 //! Run: `cargo run --release -p seal-bench --bin sweep_all [--objects N]`
 

@@ -28,52 +28,6 @@ pub fn mean_query_ms<Q, T>(queries: &[Q], mut f: impl FnMut(&Q) -> T) -> f64 {
     start.elapsed().as_secs_f64() * 1e3 / (PASSES * queries.len()) as f64
 }
 
-/// Measures batch-serving throughput for any engine shape: one
-/// warm-up pass, then `passes` measured runs of the given
-/// `search_batch` dispatch over the workload at the given thread
-/// count. The dispatch is a closure so `SealEngine`, `LiveEngine` and
-/// `ShardedEngine` (or anything implementing
-/// `seal_core::QueryEngine`) all fit:
-///
-/// ```ignore
-/// let qps = batch_qps(&qs, threads, 3, |q, t| engine.search_batch(q, t));
-/// ```
-///
-/// Returns queries per second (mean across passes).
-pub fn batch_qps(
-    queries: &[seal_core::Query],
-    threads: usize,
-    passes: usize,
-    search_batch: impl Fn(&[seal_core::Query], usize) -> Vec<seal_core::SearchResult>,
-) -> f64 {
-    if queries.is_empty() || passes == 0 {
-        return 0.0;
-    }
-    std::hint::black_box(search_batch(queries, threads));
-    let start = Instant::now();
-    for _ in 0..passes {
-        std::hint::black_box(search_batch(queries, threads));
-    }
-    (passes * queries.len()) as f64 / start.elapsed().as_secs_f64().max(1e-9)
-}
-
-/// Parses `--out PATH` from the process argv, falling back to
-/// `default`. Shared by the `bench_*` bins that record JSON baselines.
-pub fn out_path(default: &str) -> String {
-    let args: Vec<String> = std::env::args().collect();
-    args.iter()
-        .position(|a| a == "--out")
-        .and_then(|i| args.get(i + 1).cloned())
-        .unwrap_or_else(|| default.to_string())
-}
-
-/// Writes a recorded JSON baseline to `path` and announces it (the
-/// `bench_*` bins' common epilogue).
-pub fn write_json(path: &str, json: &str) {
-    std::fs::write(path, json).expect("write bench json");
-    println!("wrote {path}");
-}
-
 /// Prints a fixed-width table row.
 pub fn print_row(cells: &[String], widths: &[usize]) {
     let mut line = String::new();

@@ -2,7 +2,9 @@
 //!
 //! Each binary in `src/bin/` reproduces one table or figure of the
 //! paper; this library holds the shared scaffolding (dataset caching,
-//! timing, table printing). See `DESIGN.md` §3 for the experiment index.
+//! timing, table printing). The experiments are those of the paper's
+//! evaluation (`PAPER.md`, §6: Table 1, Figures 12–18); serving-side
+//! numbers come from the `benchmark/` package instead.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -88,8 +88,7 @@ impl FilterKind {
 
 /// The result of [`SealEngine::build_next_generation`]: the engine
 /// plus what the rebuild managed to reuse from the previous
-/// generation (surfaced by `LiveEngine::refresh` stats and
-/// `bench_ingest`).
+/// generation (surfaced by `LiveEngine::refresh` stats).
 pub struct GenerationBuild {
     /// The next generation's engine.
     pub engine: SealEngine,

@@ -113,7 +113,7 @@ pub(crate) fn empty_token_objects(store: &crate::ObjectStore) -> Vec<ObjectId> {
 /// ([`seal_index::parallel`]). Builds are **deterministic for every
 /// thread count** — parallelism changes wall-clock time only, never
 /// the selected cells or the arena contents (asserted by the
-/// parallel-determinism tests and by `bench_build`).
+/// parallel-determinism tests).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BuildOpts {
     /// Worker threads for build-side fan-outs: `0` = one per core

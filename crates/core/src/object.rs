@@ -2,11 +2,10 @@
 
 use seal_geom::Rect;
 use seal_text::TokenSet;
-use serde::{Deserialize, Serialize};
 
 /// A dense object identifier: the object's row in the
 /// [`ObjectStore`](crate::ObjectStore).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct ObjectId(pub u32);
 
 impl ObjectId {
@@ -25,7 +24,7 @@ impl From<u32> for ObjectId {
 
 /// A region-of-interest object `o = (R, T)`: an MBR region plus a token
 /// set (Section 2.1's data model).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RoiObject {
     /// The spatial information `o.R` (an MBR).
     pub region: Rect,

@@ -2,7 +2,6 @@
 
 use seal_geom::Rect;
 use seal_text::{TokenId, TokenSet};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Errors raised when constructing a [`Query`].
@@ -37,7 +36,7 @@ impl std::error::Error for QueryError {}
 /// A spatio-textual similarity search query
 /// `q = (R, T, τ_R, τ_T)` (Definition 3): find all objects with
 /// `simR(q,o) ≥ τ_R` **and** `simT(q,o) ≥ τ_T`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Query {
     /// The query region `q.R`.
     pub region: Rect,

@@ -359,8 +359,8 @@ impl HierarchicalScheme {
     /// Every token's selected cells as sorted `(token, packed cell)`
     /// pairs — a canonical fingerprint of the whole HSS selection.
     /// Two schemes built from the same store select the same cells iff
-    /// these vectors are equal; `bench_build` and the
-    /// parallel-determinism tests compare them across thread counts.
+    /// these vectors are equal; the parallel-determinism tests compare
+    /// them across thread counts.
     pub fn selected_cells_sorted(&self) -> Vec<(u32, u64)> {
         let mut out: Vec<(u32, u64)> = self
             .tokens()

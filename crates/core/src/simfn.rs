@@ -3,11 +3,10 @@
 use crate::{Query, RoiObject};
 use seal_geom::{Rect, SpatialSim};
 use seal_text::{similarity::TextualSimFn, TokenSet, TokenWeights};
-use serde::{Deserialize, Serialize};
 
 /// Which spatial similarity function a deployment uses (Definition 1
 /// plus the Dice extension the paper notes).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SpatialSimFn {
     /// Spatial Jaccard `|a∩b|/|a∪b|` (the paper's default).
     Jaccard,
@@ -40,7 +39,7 @@ impl SpatialSimFn {
 
 /// The pair of similarity functions a SEAL deployment is configured
 /// with. Defaults to the paper's Jaccard/weighted-Jaccard.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct SimilarityConfig {
     /// Spatial function.
     pub spatial: SpatialSimFn,

@@ -23,8 +23,8 @@ pub struct SearchStats {
     /// Tree nodes visited (IR-tree baseline only).
     pub nodes_visited: usize,
     /// Shards probed by a sharded engine (0 for single-engine
-    /// searches; the fan-out numerator of `bench_shard`'s
-    /// shards-touched / N ratio).
+    /// searches; the numerator of the shards-touched / N fan-out
+    /// ratio).
     pub shards_probed: usize,
     /// Wall-clock time of the filter step.
     pub filter_time: Duration,

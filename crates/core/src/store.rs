@@ -3,7 +3,6 @@
 use crate::{ObjectId, RoiObject};
 use seal_geom::Rect;
 use seal_text::{Dictionary, GlobalTokenOrder, IdfWeights, TokenSet, TokenWeights};
-use serde::{Deserialize, Serialize};
 
 /// Summary statistics of a store (the "Data statistics" rows of
 /// Table 1).
@@ -97,7 +96,7 @@ impl CorpusArtifacts {
 /// * [`IdfWeights`] — `w(t) = ln(|O| / count(t,O))` (Section 2.1);
 /// * [`GlobalTokenOrder`] — tokens by descending idf, the global
 ///   signature-element order for textual prefix filtering (Section 4.2).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ObjectStore {
     objects: Vec<RoiObject>,
     space: Rect,

@@ -9,8 +9,8 @@
 //! * **USA** — 1M POI-centred regions (random extents, avg ~5 km²)
 //!   with DBLP publication records as token sets (avg 12.5 tokens).
 //!
-//! This crate builds the closest synthetic equivalents (see DESIGN.md §4
-//! for the substitution argument): spatially clustered regions whose
+//! This crate builds the closest synthetic equivalents (the datasets
+//! of `PAPER.md` §6): spatially clustered regions whose
 //! area distribution is fitted to the paper's published quantiles, and
 //! Zipf-distributed token sets with topic locality. It also generates
 //! the paper's two query workloads (large-region / small-region).

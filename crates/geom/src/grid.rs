@@ -14,10 +14,9 @@
 //! *weight* in the far cell is zero, which keeps Lemma 1 exact.
 
 use crate::{GeomError, Rect, Result};
-use serde::{Deserialize, Serialize};
 
 /// Identifier of one cell of a [`Grid`], by column (`ix`) and row (`iy`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct GridCell {
     /// Column index, `0 ≤ ix < side`.
     pub ix: u32,
@@ -55,7 +54,7 @@ pub struct CellOverlap {
 }
 
 /// A uniform `side × side` grid over a space rectangle.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Grid {
     space: Rect,
     side: u32,

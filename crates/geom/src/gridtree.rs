@@ -15,7 +15,6 @@
 //! different levels can share one inverted-index key space.
 
 use crate::{GeomError, Grid, GridCell, Rect, Result};
-use serde::{Deserialize, Serialize};
 
 /// Maximum supported tree level. `2^26` cells per side is far beyond any
 /// granularity the paper evaluates (its finest is 8192 = level 13) while
@@ -27,7 +26,7 @@ const COORD_MASK: u64 = (1 << COORD_BITS) - 1;
 
 /// Identifier of one cell of the grid tree: a level plus the cell's
 /// column/row at that level.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct GridCellId {
     level: u8,
     ix: u32,
@@ -165,7 +164,7 @@ impl GridCellId {
 
 /// The grid tree: a space rectangle plus a maximum depth. Levels are
 /// materialized lazily as [`Grid`]s.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct GridTree {
     space: Rect,
     max_level: u8,

@@ -1,14 +1,13 @@
 //! 2-D points.
 
 use crate::{GeomError, Result};
-use serde::{Deserialize, Serialize};
 
 /// A point in the planar data space.
 ///
 /// SEAL's data space is the MBR of all object regions (Section 4.1); we
 /// keep coordinates as `f64` "map units" (the paper uses metres-scale
 /// units, e.g. the 120×120 running example of Figure 1).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Point {
     /// Horizontal coordinate.
     pub x: f64,

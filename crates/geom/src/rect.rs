@@ -1,7 +1,6 @@
 //! Axis-aligned rectangles (MBRs) and overlap-based spatial similarity.
 
 use crate::{GeomError, Point, Result};
-use serde::{Deserialize, Serialize};
 
 /// An axis-aligned rectangle (`min ≤ max` on both axes).
 ///
@@ -10,7 +9,7 @@ use serde::{Deserialize, Serialize};
 /// region o.R through the bottom-left point and top-right point",
 /// Section 2.1). Degenerate rectangles (points, segments) are valid: the
 /// MBR of a single geotagged tweet is a point.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Rect {
     min: Point,
     max: Point,

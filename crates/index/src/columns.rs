@@ -28,7 +28,6 @@
 //! sorts/merges *items* while splicing *columns*.
 
 use crate::{DualPosting, ObjId, Posting};
-use serde::{Deserialize, Serialize};
 use std::ops::Range;
 
 /// A columnar posting store the CSR core can splice: append items,
@@ -105,7 +104,7 @@ impl<T: Copy + Send + Sync + std::fmt::Debug> PostingColumns for Vec<T> {
 }
 
 /// The single-bound frozen arena: one id column, one bound column.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub(crate) struct SingleColumns {
     /// Object ids, row-aligned with `bounds`.
     pub(crate) ids: Vec<ObjId>,
@@ -158,7 +157,7 @@ impl PostingColumns for SingleColumns {
 }
 
 /// The dual-bound frozen arena: one id column, two bound columns.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub(crate) struct DualColumns {
     /// Object ids, row-aligned with both bound columns.
     pub(crate) ids: Vec<ObjId>,

@@ -64,7 +64,6 @@
 //!    appends to every column in lockstep.
 
 use crate::columns::PostingColumns;
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::hash::Hash;
 use std::ops::Range;
@@ -99,8 +98,8 @@ const LANES: usize = 16;
 
 /// The qualifying-prefix length of a **non-increasing** bound column at
 /// threshold `c` — the one cut every probe in this crate goes through
-/// (uncompressed single and dual arenas, [`crate::BoundedPostingList`],
-/// and, via its private `u16` twin, the compressed arenas).
+/// (uncompressed single and dual arenas and, via its private `u16`
+/// twin, the compressed arenas).
 ///
 /// Equivalent to `bounds.partition_point(|&b| b >= c)` (the column is
 /// sorted, so the count of qualifying bounds *is* the partition
@@ -235,7 +234,7 @@ fn merge_group<C: PostingColumns>(
 /// A keyed collection of posting groups in the frozen-CSR columnar
 /// layout. `C` chooses the column set ([`crate::columns`]); staged
 /// postings are held as `C::Item` structs until the next finalize.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub(crate) struct CsrCore<K: Eq + Hash + Ord, C: PostingColumns> {
     /// Postings pushed since the last finalize, keyed for grouping.
     staging: HashMap<K, Vec<C::Item>>,

@@ -5,7 +5,6 @@
 use crate::columns::{DualColumns, DualPostingsView};
 use crate::csr::CsrCore;
 use crate::{DualPosting, ObjId};
-use serde::{Deserialize, Serialize};
 use std::hash::Hash;
 
 /// The hybrid inverted index of Sections 5.1/5.2: hash-based hybrid
@@ -22,7 +21,7 @@ use std::hash::Hash;
 /// the surviving prefix. The probe touches the spatial column for the
 /// cut, the textual column for the per-row check, and the id column
 /// for the survivors; never an interleaved struct.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct HybridIndex<K: Eq + Hash + Ord> {
     pub(crate) core: CsrCore<K, DualColumns>,
 }
@@ -84,16 +83,6 @@ impl<K: Eq + Hash + Ord + Copy + Sync> HybridIndex<K> {
     /// finalize, then +1 for every finalize that folded staged
     /// postings in (no-op finalizes do not count).
     pub fn generation(&self) -> u64 {
-        self.core.generation()
-    }
-
-    /// Generation-aware re-finalize: merges staged postings into the
-    /// frozen arena and returns the generation now being served. For
-    /// the applicability caveat (bounds must not depend on corpus
-    /// statistics) see
-    /// [`InvertedIndex::refinalize_generation`](crate::InvertedIndex::refinalize_generation).
-    pub fn refinalize_generation(&mut self, threads: usize) -> u64 {
-        self.finalize_with_threads(threads);
         self.core.generation()
     }
 
@@ -341,18 +330,6 @@ mod tests {
         let base = idx.size_bytes();
         idx.push(key(1, 1), 0, 1.0, 1.0);
         assert!(idx.size_bytes() > base);
-    }
-
-    #[test]
-    fn refinalize_generation_tracks_folding_freezes() {
-        let mut idx: HybridIndex<u128> = HybridIndex::new();
-        assert_eq!(idx.generation(), 0);
-        idx.push(key(1, 1), 0, 1.0, 1.0);
-        assert_eq!(idx.refinalize_generation(1), 1);
-        assert_eq!(idx.refinalize_generation(2), 1, "no-op freeze");
-        idx.push(key(1, 2), 1, 2.0, 0.5);
-        assert_eq!(idx.refinalize_generation(0), 2);
-        assert_eq!(idx.posting_count(), 2);
     }
 
     #[test]

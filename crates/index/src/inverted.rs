@@ -5,7 +5,6 @@
 use crate::columns::{PostingsView, SingleColumns};
 use crate::csr::CsrCore;
 use crate::{ObjId, Posting};
-use serde::{Deserialize, Serialize};
 use std::hash::Hash;
 
 /// An inverted index: signature element → threshold-bounded posting
@@ -28,7 +27,7 @@ use std::hash::Hash;
 /// we keep everything in memory but report exact byte sizes of the
 /// arena layout via [`size_bytes`](InvertedIndex::size_bytes) so
 /// Table 1's relative index sizes can be reproduced.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct InvertedIndex<K: Eq + Hash + Ord> {
     pub(crate) core: CsrCore<K, SingleColumns>,
 }
@@ -94,26 +93,6 @@ impl<K: Eq + Hash + Ord + Copy + Sync> InvertedIndex<K> {
     /// serving layers use this to name the arena a reader snapshot
     /// captured.
     pub fn generation(&self) -> u64 {
-        self.core.generation()
-    }
-
-    /// Generation-aware re-finalize: merges any staged postings into
-    /// the frozen arena ([`finalize_with_threads`]
-    /// semantics — staged-only sorts, frozen groups merged, never
-    /// re-sorted) and returns the generation now being served.
-    ///
-    /// The streaming entry point for callers whose posting bounds do
-    /// **not** shift with the corpus (externally managed weights,
-    /// uniform weights, raw spatial areas): push a delta, call this,
-    /// and the returned generation names the new frozen arena. The
-    /// engine-level `LiveEngine` cannot use it for its signature
-    /// indexes — idf-derived bounds change with every corpus change,
-    /// so its refresh rebuilds postings — but its generation counter
-    /// follows the same "one bump per folding freeze" convention.
-    ///
-    /// [`finalize_with_threads`]: Self::finalize_with_threads
-    pub fn refinalize_generation(&mut self, threads: usize) -> u64 {
-        self.finalize_with_threads(threads);
         self.core.generation()
     }
 
@@ -324,21 +303,6 @@ mod tests {
     fn nan_bound_rejected_at_insert() {
         let mut idx: InvertedIndex<u64> = InvertedIndex::new();
         idx.push(1, 0, f64::NAN);
-    }
-
-    #[test]
-    fn refinalize_generation_tracks_folding_freezes() {
-        let mut idx: InvertedIndex<u64> = InvertedIndex::new();
-        assert_eq!(idx.generation(), 0);
-        idx.push(1, 0, 1.0);
-        assert_eq!(idx.refinalize_generation(1), 1);
-        // Nothing staged: the freeze is a no-op and the generation —
-        // and therefore the served arena — is unchanged.
-        assert_eq!(idx.refinalize_generation(4), 1);
-        idx.push(1, 1, 2.0);
-        assert_eq!(idx.refinalize_generation(0), 2);
-        assert_eq!(idx.generation(), 2);
-        assert_eq!(idx.list_len(&1), 2);
     }
 
     #[test]

@@ -22,8 +22,6 @@
 //! * [`Posting`] / [`DualPosting`] — the logical posting structs, used
 //!   for staging/sorting and as materialized rows of the columnar
 //!   views ([`PostingsView`] / [`DualPostingsView`]).
-//! * [`BoundedPostingList`] — a standalone single-bound list in the
-//!   same columnar form.
 //! * [`CompressedInvertedIndex`] / [`CompressedHybridIndex`] — the
 //!   same lists in one compressed arena (quantized `u16` bound
 //!   columns + delta-coded, bit-packed 128-id blocks), served in place
@@ -35,8 +33,7 @@
 //!   itself writes and reads exactly four kinds (SoA arenas 5/6,
 //!   compressed arenas 7/8).
 //! * [`bound_cut`] — the one shared qualifying-cut path: every probe
-//!   (uncompressed, compressed, standalone list) goes through it or
-//!   its quantized twin.
+//!   (uncompressed, compressed) goes through it or its quantized twin.
 //!
 //! Object identifiers are bare `u32`s here ([`ObjId`]); the `seal-core`
 //! crate wraps them in its typed `ObjectId`.
@@ -50,7 +47,6 @@ pub mod container;
 mod csr;
 mod hybrid;
 mod inverted;
-mod list;
 pub mod parallel;
 mod posting;
 mod serialize;
@@ -61,7 +57,6 @@ pub use container::{Container, ContainerError, ContainerWriter};
 pub use csr::bound_cut;
 pub use hybrid::HybridIndex;
 pub use inverted::InvertedIndex;
-pub use list::BoundedPostingList;
 pub use posting::{DualPosting, Posting};
 pub use serialize::{IndexCodecError, IndexKey};
 

@@ -15,8 +15,8 @@
 //! Determinism contract: each task index is claimed by exactly one
 //! worker and the task function sees only its own index, so any
 //! deterministic per-task function produces results independent of the
-//! thread count — the property `bench_build` and the parallel-build
-//! determinism tests assert end to end.
+//! thread count — the property the parallel-build determinism tests
+//! assert end to end.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;

@@ -7,7 +7,6 @@
 //! structs.
 
 use crate::ObjId;
-use serde::{Deserialize, Serialize};
 
 /// A posting with a single threshold bound (Lemma 3's `c_s(o)`).
 ///
@@ -15,7 +14,7 @@ use serde::{Deserialize, Serialize};
 /// `Σ_{j≥i} w(t_j)`; for the grid index it is the residual grid weight.
 /// Either way the pruning rule is identical: given a query threshold
 /// `c`, the posting qualifies iff `bound ≥ c`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Posting {
     /// The object this posting refers to.
     pub object: ObjId,
@@ -38,7 +37,7 @@ impl Posting {
 ///
 /// The object can be pruned if *either* `c_T > textual_bound` or
 /// `c_R > spatial_bound`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DualPosting {
     /// The object this posting refers to.
     pub object: ObjId,

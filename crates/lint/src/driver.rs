@@ -153,7 +153,7 @@ pub fn lint_paths(paths: &[PathBuf]) -> io::Result<Vec<Diag>> {
 /// Collects the workspace's lintable files: `crates/*/src/**/*.rs`
 /// plus the facade root `src/**/*.rs`. Shims are deliberately out of
 /// scope (they are stand-ins for external crates, not this codebase),
-/// as are `tests/`, `examples/` and benches — the invariants guard the
+/// as are `tests/` and `examples/` — the invariants guard the
 /// shipped library and serving surfaces.
 pub fn workspace_files(root: &Path) -> io::Result<Vec<PathBuf>> {
     let mut files = Vec::new();

@@ -17,7 +17,6 @@
 //! | `lock-discipline` | refresh-gate → route → shard-state lock order; route/state guards never live across a probe | the PR 4/PR 8 swap protocols |
 //! | `crate-docs` | crate roots open with `//!` docs; libraries warn on missing docs | the PR 2 `cargo doc -D warnings` gate |
 //! | `persisted-narrowing-cast` | no `as` narrowing on the persisted-format paths (`serialize.rs`, `container.rs`, `persist.rs`) | the PR 10 codec widening |
-//! | `bench-parallelism-recorded` | bench binaries record `available_parallelism` in their JSON output | the PR 10 bench comparability audit |
 //! | `waiver-discipline` | waivers name real rules, justify themselves, and suppress something | the PR 9 lint gate |
 //!
 //! See `docs/ARCHITECTURE.md#enforced-invariants-seal-lint` for the
@@ -61,7 +60,6 @@ pub const RULES: &[&str] = &[
     "lock-discipline",
     "crate-docs",
     "persisted-narrowing-cast",
-    "bench-parallelism-recorded",
     "waiver-discipline",
 ];
 
@@ -74,7 +72,6 @@ pub fn anchor(rule: &str) -> &'static str {
         "lock-discipline" => "lock-discipline",
         "crate-docs" => "crate-docs",
         "persisted-narrowing-cast" => "persisted-narrowing-cast",
-        "bench-parallelism-recorded" => "bench-parallelism-recorded",
         _ => "waiver-discipline",
     }
 }
@@ -100,9 +97,6 @@ pub fn rationale(rule: &str) -> &'static str {
         "persisted-narrowing-cast" => {
             "no `as` narrowing to u8/u16/u32/usize on the persisted-format paths — counts and offsets cross the disk boundary via try_from or a waived losslessness argument (PR 10)"
         }
-        "bench-parallelism-recorded" => {
-            "bench binaries must record available_parallelism in their JSON output so recorded baselines state their core count (PR 10)"
-        }
         _ => "waivers must name real rules, carry a justification, and actually suppress a diagnostic",
     }
 }
@@ -125,9 +119,6 @@ pub fn check_file(path: &str, lexed: &Lexed) -> Vec<Diag> {
     crate_docs(&norm, lexed, &mut out);
     if matches!(name, "serialize.rs" | "container.rs" | "persist.rs") {
         persisted_narrowing_cast(&norm, lexed, &mask, &mut out);
-    }
-    if norm.contains("/bin/") && name.starts_with("bench_") {
-        bench_parallelism_recorded(&norm, lexed, &mut out);
     }
     out
 }
@@ -556,28 +547,6 @@ fn persisted_narrowing_cast(path: &str, lexed: &Lexed, mask: &[bool], out: &mut 
     }
 }
 
-/// `bench-parallelism-recorded`: every bench binary
-/// (`…/bin/bench_*.rs`) must mention `available_parallelism` — the
-/// recorded-baseline convention since PR 10 is that each bench JSON
-/// states the core count it ran under, because a "regression" measured
-/// on a different machine shape is noise, not signal.
-fn bench_parallelism_recorded(path: &str, lexed: &Lexed, out: &mut Vec<Diag>) {
-    if !lexed
-        .toks
-        .iter()
-        .any(|t| t.is_ident("available_parallelism"))
-    {
-        out.push(Diag {
-            file: path.to_string(),
-            line: 1,
-            rule: "bench-parallelism-recorded",
-            msg: "bench binary never records std::thread::available_parallelism(): put the \
-                  core count in the emitted JSON so recorded baselines are comparable"
-                .to_string(),
-        });
-    }
-}
-
 /// `crate-docs`: crate roots must open with `//!` docs, and library
 /// roots (`lib.rs`) must carry `#![warn(missing_docs)]` so the CI doc
 /// gate (`cargo doc -D warnings` since PR 2) has teeth on new items.
@@ -690,20 +659,6 @@ mod tests {
         // Test code on a persisted path is exempt.
         let test_src = "#[cfg(test)]\nmod tests { fn g(n: usize) -> u32 { n as u32 } }";
         assert!(diags("crates/core/src/persist.rs", test_src).is_empty());
-    }
-
-    #[test]
-    fn bench_bins_must_record_parallelism() {
-        let bad = "fn main() { println!(\"{}\", 1); }";
-        let d = diags("crates/bench/src/bin/bench_probe.rs", bad);
-        assert_eq!(d.len(), 1, "{d:?}");
-        assert_eq!(d[0].rule, "bench-parallelism-recorded");
-        assert_eq!(d[0].line, 1);
-        let ok = "fn main() { let cores = std::thread::available_parallelism()\
-                  .map(|n| n.get()).unwrap_or(1); println!(\"{cores}\"); }";
-        assert!(diags("crates/bench/src/bin/bench_probe.rs", ok).is_empty());
-        // Non-bench binaries are exempt.
-        assert!(diags("crates/cli/src/bin/tool.rs", bad).is_empty());
     }
 
     #[test]

@@ -7,8 +7,6 @@
 //! * **STR bulk loading** (Leutenegger et al.) — the standard way to
 //!   build a packed R-tree over a known dataset, used for the IR-tree
 //!   baseline's construction.
-//! * **Guttman insertion** with the *quadratic split* heuristic — so the
-//!   tree also supports incremental updates.
 //! * **Overlap queries** and an **open traversal API** (visit nodes,
 //!   decide per-node whether to descend) that the IR-tree baseline uses
 //!   to apply its spatial/textual overlap bounds at internal nodes.
@@ -38,7 +36,6 @@
 #![warn(missing_docs)]
 
 mod bulk;
-mod insert;
 mod node;
 mod query;
 mod stats;

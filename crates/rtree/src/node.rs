@@ -47,27 +47,19 @@ pub(crate) struct NodeData<T> {
 pub struct RTreeConfig {
     /// Maximum entries per node (fan-out), ≥ 2.
     pub max_entries: usize,
-    /// Minimum entries per node after a split; Guttman recommends
-    /// `max_entries / 2` or less. Must satisfy `1 ≤ min ≤ max/2`.
-    pub min_entries: usize,
 }
 
 impl Default for RTreeConfig {
     fn default() -> Self {
-        RTreeConfig {
-            max_entries: 64,
-            min_entries: 26,
-        }
+        RTreeConfig { max_entries: 64 }
     }
 }
 
 impl RTreeConfig {
-    /// A config with the given fan-out and `min = max * 40%` (clamped).
+    /// A config with the given fan-out (at least 2).
     pub fn with_fanout(max_entries: usize) -> Self {
-        let max = max_entries.max(2);
         RTreeConfig {
-            max_entries: max,
-            min_entries: (max * 2 / 5).clamp(1, max / 2),
+            max_entries: max_entries.max(2),
         }
     }
 }
@@ -86,10 +78,6 @@ impl<T> RTree<T> {
     /// An empty tree.
     pub fn new(config: RTreeConfig) -> Self {
         assert!(config.max_entries >= 2, "fan-out must be at least 2");
-        assert!(
-            (1..=config.max_entries / 2).contains(&config.min_entries),
-            "min_entries must be in 1..=max/2"
-        );
         RTree {
             nodes: Vec::new(),
             root: None,
@@ -141,8 +129,7 @@ impl<T> RTree<T> {
         &self.nodes[id.index()].kind
     }
 
-    /// Total number of allocated nodes (including any detached by
-    /// splits — none in the current implementation).
+    /// Total number of allocated nodes.
     #[inline]
     pub fn node_count(&self) -> usize {
         self.nodes.len()
@@ -152,19 +139,6 @@ impl<T> RTree<T> {
         let id = NodeId(u32::try_from(self.nodes.len()).expect("too many R-tree nodes"));
         self.nodes.push(NodeData { mbr, kind });
         id
-    }
-
-    pub(crate) fn recompute_mbr(&mut self, id: NodeId) {
-        let mbr = match &self.nodes[id.index()].kind {
-            NodeKind::Leaf(entries) => Rect::mbr_of(entries.iter().map(|e| &e.rect)),
-            NodeKind::Internal(children) => {
-                let rects: Vec<Rect> = children.iter().map(|c| self.mbr(*c)).collect();
-                Rect::mbr_of(rects.iter())
-            }
-        };
-        if let Some(m) = mbr {
-            self.nodes[id.index()].mbr = m;
-        }
     }
 }
 
@@ -183,21 +157,8 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "min_entries")]
-    fn rejects_bad_min_entries() {
-        let _t: RTree<u32> = RTree::new(RTreeConfig {
-            max_entries: 4,
-            min_entries: 3,
-        });
-    }
-
-    #[test]
     fn with_fanout_clamps() {
-        let c = RTreeConfig::with_fanout(3);
-        assert_eq!(c.max_entries, 3);
-        assert_eq!(c.min_entries, 1);
-        let c = RTreeConfig::with_fanout(10);
-        assert_eq!(c.max_entries, 10);
-        assert_eq!(c.min_entries, 4);
+        assert_eq!(RTreeConfig::with_fanout(1).max_entries, 2);
+        assert_eq!(RTreeConfig::with_fanout(10).max_entries, 10);
     }
 }

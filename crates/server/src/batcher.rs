@@ -175,8 +175,11 @@ impl Batcher {
 mod tests {
     use super::*;
     use seal_core::store::figure1_store;
-    use seal_core::{FilterKind, LiveEngine};
-    use std::sync::atomic::{AtomicUsize, Ordering};
+    use seal_core::{EngineStatus, FilterKind, LiveEngine, ObjectId, RefreshStats, RoiObject};
+    use seal_geom::Rect;
+    use seal_text::{TokenId, TokenSet};
+    use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+    use std::sync::Barrier;
 
     fn live() -> (Arc<LiveEngine>, seal_core::Query) {
         let (store, q) = figure1_store();
@@ -224,16 +227,96 @@ mod tests {
         assert!(max_seen.load(Ordering::Relaxed) <= 64);
     }
 
+    /// A `LiveEngine` whose first `search_batch` meets the test at
+    /// `gate` twice: once to say the leader is dispatching, once to be
+    /// let go. Later batches run straight through.
+    struct ParkFirstBatch {
+        inner: Arc<LiveEngine>,
+        gate: Arc<Barrier>,
+        parked: AtomicBool,
+    }
+
+    impl QueryEngine for ParkFirstBatch {
+        fn search(&self, q: &Query) -> SearchResult {
+            self.inner.search(q)
+        }
+        fn search_batch(&self, queries: &[Query], threads: usize) -> Vec<SearchResult> {
+            if !self.parked.swap(true, Ordering::SeqCst) {
+                self.gate.wait();
+                self.gate.wait();
+            }
+            self.inner.search_batch(queries, threads)
+        }
+        fn search_top_k(
+            &self,
+            region: Rect,
+            tokens: TokenSet,
+            k: usize,
+            alpha: f64,
+        ) -> Vec<(ObjectId, f64)> {
+            self.inner.search_top_k(region, tokens, k, alpha)
+        }
+        fn push(&self, object: RoiObject) -> ObjectId {
+            self.inner.push(object)
+        }
+        fn push_all(&self, objects: Vec<RoiObject>) -> Option<ObjectId> {
+            self.inner.push_all(objects)
+        }
+        fn refresh(&self) -> RefreshStats {
+            self.inner.refresh()
+        }
+        fn generation(&self) -> u64 {
+            self.inner.generation()
+        }
+        fn staged_len(&self) -> usize {
+            self.inner.staged_len()
+        }
+        fn len(&self) -> usize {
+            self.inner.len()
+        }
+        fn resolve_token(&self, token: &str) -> Option<TokenId> {
+            QueryEngine::resolve_token(&*self.inner, token)
+        }
+        fn status(&self) -> EngineStatus {
+            QueryEngine::status(&*self.inner)
+        }
+    }
+
     #[test]
     fn queue_bound_sheds_load() {
         let (live, q) = live();
-        // max_queued = 1: a second submission while one is queued
-        // must be refused, not deadlock.
-        let batcher = Arc::new(Batcher::new(live, 1, 1, 1));
-        // Serial submissions always fit (queue drains in between).
-        for _ in 0..3 {
-            assert!(batcher.submit(q.clone(), &|_| {}).is_ok());
-        }
+        let expect = live.search(&q).sorted().answers;
+        let gate = Arc::new(Barrier::new(2));
+        let engine = Arc::new(ParkFirstBatch {
+            inner: live,
+            gate: gate.clone(),
+            parked: AtomicBool::new(false),
+        });
+        let batcher = Batcher::new(engine, 1, 1, 1);
+        std::thread::scope(|scope| {
+            let leader = scope.spawn(|| batcher.submit(q.clone(), &|_| {}));
+            // The leader has drained its own query and is dispatching.
+            gate.wait();
+            let follower = scope.spawn(|| batcher.submit(q.clone(), &|_| {}));
+            while batcher.queued() < 1 && !follower.is_finished() {
+                std::thread::yield_now();
+            }
+            // max_queued = 1 and the follower holds the one place: the
+            // third is refused at once (a queued third would show as
+            // two pending instead of hanging the test).
+            let third = scope.spawn(|| batcher.submit(q.clone(), &|_| {}));
+            while !third.is_finished() && batcher.queued() < 2 {
+                std::thread::yield_now();
+            }
+            gate.wait();
+            let third = third.join().expect("third submitter");
+            assert!(matches!(third, Err(Busy)), "third submission queued");
+            for submitter in [leader, follower] {
+                let r = submitter.join().expect("submitter thread");
+                assert_eq!(r.expect("within the bound").sorted().answers, expect);
+            }
+        });
+        assert_eq!(batcher.queued(), 0);
     }
 
     #[test]

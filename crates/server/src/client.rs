@@ -1,7 +1,7 @@
 //! A minimal blocking HTTP/1.1 client and an open-loop load
 //! generator — enough to drive the serving tier from the CLI
-//! (`seal loadgen`), the bench (`bench_serve`) and CI smoke tests
-//! without any external dependency.
+//! (`seal loadgen`) and the CI smoke test without any external
+//! dependency.
 
 use std::io::{self, Read, Write};
 use std::net::TcpStream;
@@ -167,7 +167,7 @@ pub struct LoadReport {
 }
 
 impl LoadReport {
-    /// The report as a JSON object (the `BENCH_serve.json` row shape).
+    /// The report as a JSON object.
     pub fn to_json(&self) -> String {
         format!(
             "{{\"offered_qps\":{:.1},\"achieved_qps\":{:.1},\"sent\":{},\"ok\":{},\

@@ -6,7 +6,7 @@
 //! `[2^i, 2^(i+1))` µs), which bounds any reported percentile's
 //! relative error at 2× — plenty for `/metrics` dashboards and
 //! backpressure decisions. The load generator measures *exact*
-//! percentiles client-side; the two are compared in `bench_serve`.
+//! percentiles client-side.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 

@@ -1,7 +1,6 @@
 //! String-interning dictionary mapping tokens to dense [`TokenId`]s.
 
 use crate::TokenId;
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// A bidirectional token dictionary.
@@ -9,7 +8,7 @@ use std::collections::HashMap;
 /// Index construction interns every distinct token string once; all
 /// downstream structures (token sets, inverted lists, signatures) work
 /// with the dense [`TokenId`] space `0..len()`.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct Dictionary {
     by_name: HashMap<String, TokenId>,
     names: Vec<String>,

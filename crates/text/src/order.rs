@@ -7,11 +7,10 @@
 //! are short too.
 
 use crate::{TokenId, TokenWeights};
-use serde::{Deserialize, Serialize};
 
 /// A fixed permutation of the token-id space giving each token a rank;
 /// lower rank = earlier in every signature.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct GlobalTokenOrder {
     /// `rank[token.index()]` = position of the token in the global order.
     rank: Vec<u32>,

@@ -59,7 +59,7 @@ pub fn weighted_overlap<W: TokenWeights>(a: &TokenSet, b: &TokenSet, w: &W) -> f
 }
 
 /// Which textual similarity function a SEAL deployment uses.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum TextualSimFn {
     /// Weighted Jaccard (the paper's default, Definition 2).
     Jaccard,

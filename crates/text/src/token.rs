@@ -1,13 +1,11 @@
 //! Token ids and token sets.
 
-use serde::{Deserialize, Serialize};
-
 /// A dense token identifier assigned by a [`crate::Dictionary`].
 ///
 /// `u32` comfortably covers real vocabularies (the paper's Twitter
 /// dataset has well under 2^32 distinct tokens) while halving the memory
 /// of posting lists compared to `usize`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct TokenId(pub u32);
 
 impl TokenId {
@@ -29,7 +27,7 @@ impl From<u32> for TokenId {
 ///
 /// Keeping the ids sorted makes intersection/union a linear merge, which
 /// the weighted similarity functions and the verifier rely on.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq, Hash)]
 pub struct TokenSet {
     ids: Vec<TokenId>,
 }

@@ -1,7 +1,6 @@
 //! Token weighting (idf) as defined in Section 2.1 of the paper.
 
 use crate::{TokenId, TokenSet};
-use serde::{Deserialize, Serialize};
 
 /// Anything that can assign a non-negative weight to a token.
 ///
@@ -35,7 +34,7 @@ impl TokenWeights for UniformWeights {
 /// Tokens never seen in the corpus (e.g. brand-new query keywords) fall
 /// back to the weight of a frequency-1 token, `ln(|O|)`, which is the
 /// natural limit of the formula and keeps query weights finite.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct IdfWeights {
     weights: Vec<f64>,
     fallback: f64,

@@ -132,7 +132,7 @@ fn assert_matches_fresh(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// Any push/query/refresh interleaving at N ∈ {1, 2, 3, 4}: the
+    /// Any push/query/refresh interleaving at N ∈ {1, 2, 3, 4, 8}: the
     /// staged overlay matches a single `LiveEngine` mirror at every
     /// step, each refresh matches a fresh union build and the oracle.
     #[test]
@@ -145,7 +145,7 @@ proptest! {
         let initial = (objects.len() * initial_frac / 5).max(1).min(objects.len());
         let queries = workload();
         for kind in kinds() {
-            for n in [1usize, 2, 3, 4] {
+            for n in [1usize, 2, 3, 4, 8] {
                 let store0 = Arc::new(ObjectStore::from_objects(objects[..initial].to_vec(), VOCAB));
                 let sharded = ShardedEngine::with_opts(
                     &store0,
