@@ -73,7 +73,7 @@ impl CandidateFilter for KeywordFirst {
             stats.lists_probed += 1;
             if let Some(list) = self.index.list(&t.0) {
                 stats.postings_scanned += list.len();
-                for (&o, &w) in list.ids.iter().zip(list.bounds) {
+                for (&o, &w) in list.ids.iter().zip(list.bounds[0]) {
                     ctx.acc.add(o, w, &mut ctx.touched); // = w(t)
                 }
             }

@@ -5,9 +5,8 @@
 use crate::baselines::{IrTreeBaseline, KeywordFirst, SpatialFirst};
 use crate::filters::{
     AdaptiveFilter, CandidateFilter, GridFilter, HierarchicalFilter, HybridFilter, NaiveFilter,
-    QueryContext, TokenFilter, TokenFilterBasic,
+    QueryContext, Storage, TokenFilter, TokenFilterBasic,
 };
-use crate::signatures::hash_hybrid::BucketScheme;
 use crate::{ObjectId, ObjectStore, Query, SearchStats, SimilarityConfig};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
@@ -84,6 +83,18 @@ impl FilterKind {
             budget: 16,
         }
     }
+
+    /// The storage form the configuration serves its posting lists
+    /// from: compressed for the two `*Compressed` configurations, the
+    /// uncompressed arena for every other one.
+    pub(crate) fn storage(&self) -> Storage {
+        match self {
+            FilterKind::TokenCompressed | FilterKind::HashHybridCompressed { .. } => {
+                Storage::Compressed
+            }
+            _ => Storage::Arena,
+        }
+    }
 }
 
 /// The result of [`SealEngine::build_next_generation`]: the engine
@@ -154,43 +165,26 @@ impl SealEngine {
         cfg: SimilarityConfig,
         opts: crate::BuildOpts,
     ) -> Self {
+        let storage = kind.storage();
         let filter: Box<dyn CandidateFilter> = match kind {
-            FilterKind::Token => Box::new(TokenFilter::build_with_opts(store.clone(), cfg, opts)),
-            FilterKind::TokenCompressed => Box::new(TokenFilter::build_compressed_with_opts(
-                store.clone(),
-                cfg,
-                opts,
-            )),
+            FilterKind::Token | FilterKind::TokenCompressed => Box::new(
+                TokenFilter::build_with_opts(store.clone(), cfg, opts, storage),
+            ),
             FilterKind::TokenBasic => {
                 Box::new(TokenFilterBasic::build_with_config(store.clone(), cfg))
             }
             FilterKind::Grid { side } => {
                 Box::new(GridFilter::build_with_opts(store.clone(), side, cfg, opts))
             }
-            FilterKind::HashHybrid { side, buckets } => {
-                let scheme = match buckets {
-                    Some(m) => BucketScheme::Buckets(m),
-                    None => BucketScheme::Full,
-                };
+            FilterKind::HashHybrid { side, buckets }
+            | FilterKind::HashHybridCompressed { side, buckets } => {
                 Box::new(HybridFilter::build_with_opts(
                     store.clone(),
                     side,
-                    scheme,
+                    crate::persist::bucket_scheme(buckets),
                     cfg,
                     opts,
-                ))
-            }
-            FilterKind::HashHybridCompressed { side, buckets } => {
-                let scheme = match buckets {
-                    Some(m) => BucketScheme::Buckets(m),
-                    None => BucketScheme::Full,
-                };
-                Box::new(HybridFilter::build_compressed_with_opts(
-                    store.clone(),
-                    side,
-                    scheme,
-                    cfg,
-                    opts,
+                    storage,
                 ))
             }
             FilterKind::Hierarchical { max_level, budget } => Box::new(
@@ -436,41 +430,102 @@ impl SealEngine {
         alpha: f64,
     ) -> Vec<(ObjectId, f64)> {
         let alpha = alpha.clamp(0.0, 1.0);
-        let mut tau = 0.5f64;
-        const TAU_MIN: f64 = 0.01;
-        // One warm context for the whole deepening loop (up to ~7
-        // threshold levels re-probe the same store).
-        let mut ctx = QueryContext::with_capacity(self.store.len());
-        let answers: Vec<ObjectId> = loop {
-            let q = Query::new(region, tokens.clone(), tau, tau).expect("tau stays within (0,1]");
-            let found = self.search_with_ctx(&q, &mut ctx).answers;
-            if found.len() >= k || tau <= TAU_MIN {
-                break found;
-            }
-            tau = (tau / 2.0).max(TAU_MIN);
-        };
         let w = self.store.weights();
-        // One scoring query for the whole ranking pass: `Query::new`
-        // clones the token set, which used to happen once per scored
-        // candidate.
-        let scoring_q = Query::new(region, tokens, 1.0, 1.0).expect("static thresholds are valid");
-        let mut scored: Vec<(ObjectId, f64)> = answers
-            .into_iter()
-            .map(|id| {
+        // One scoring query for every depth: `Query::new` clones the
+        // token set.
+        let scoring_q =
+            Query::new(region, tokens.clone(), 1.0, 1.0).expect("static thresholds are valid");
+        top_k_by_deepening(k, |tau| {
+            let q = Query::new(region, tokens.clone(), tau, tau).expect("tau stays within (0,1]");
+            let score = |id| {
                 let o = self.store.get(id);
-                let s = alpha * self.cfg.spatial_sim(&scoring_q, o)
-                    + (1.0 - alpha) * self.cfg.textual_sim(&scoring_q, o, w);
-                (id, s)
-            })
-            .collect();
-        // Total order: scores are NaN-free by the simfn boundary
-        // contract (`SimilarityConfig` rejects NaN similarities the
-        // way `csr::check_bound` rejects NaN bounds), and `total_cmp`
-        // removes the `unwrap_or(Equal)` escape hatch that would let a
-        // stray NaN silently destabilize the ranking.
-        scored.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
-        scored.truncate(k);
-        scored
+                alpha * self.cfg.spatial_sim(&scoring_q, o)
+                    + (1.0 - alpha) * self.cfg.textual_sim(&scoring_q, o, w)
+            };
+            let answers = self.search(&q).answers;
+            answers.into_iter().map(|id| (id, score(id))).collect()
+        })
+    }
+}
+
+/// Top-k by iterative threshold deepening — the one loop behind every
+/// engine's `search_top_k`. `scored_at(τ)` runs one exact threshold
+/// search at `τ_R = τ_T = τ` and scores its answers; starting from
+/// `τ = 0.5` both thresholds are halved until at least `k` answers
+/// exist (or the floor `τ = 0.01` is reached), then the answers are
+/// ranked by descending score, ties by ascending id.
+///
+/// The order is total: scores are NaN-free by the simfn boundary
+/// contract (`SimilarityConfig` rejects NaN similarities the way
+/// `Arena::push_row` rejects NaN bounds), and `total_cmp` removes the
+/// `unwrap_or(Equal)` escape hatch that would let a stray NaN silently
+/// destabilize the ranking.
+pub(crate) fn top_k_by_deepening(
+    k: usize,
+    mut scored_at: impl FnMut(f64) -> Vec<(ObjectId, f64)>,
+) -> Vec<(ObjectId, f64)> {
+    const TAU_MIN: f64 = 0.01;
+    let mut tau = 0.5f64;
+    let mut scored = loop {
+        let found = scored_at(tau);
+        if found.len() >= k || tau <= TAU_MIN {
+            break found;
+        }
+        tau = (tau / 2.0).max(TAU_MIN);
+    };
+    scored.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
+    scored.truncate(k);
+    scored
+}
+
+#[cfg(test)]
+impl FilterKind {
+    /// Every configuration as the product of two lists — the schemes
+    /// and the storage forms their posting lists can be served from —
+    /// in scheme-major order, the hash-hybrid scheme once per entry of
+    /// `buckets` in each of its forms (`tests/util::kinds` is the
+    /// integration tests' twin).
+    pub(crate) fn matrix(
+        side: u32,
+        buckets: &[Option<u64>],
+        max_level: u8,
+        budget: usize,
+    ) -> Vec<FilterKind> {
+        use FilterKind::*;
+        let schemes = [
+            Token,
+            TokenBasic,
+            Grid { side },
+            HashHybrid {
+                side,
+                buckets: None,
+            },
+            Hierarchical { max_level, budget },
+            KeywordFirst,
+            SpatialFirst,
+            IrTree { fanout: 3 },
+            Adaptive { side },
+            Naive,
+        ];
+        let mut kinds = Vec::new();
+        for scheme in schemes {
+            for storage in [Storage::Arena, Storage::Compressed] {
+                match (scheme, storage) {
+                    (HashHybrid { side, .. }, Storage::Arena) => {
+                        kinds.extend(buckets.iter().map(|&buckets| HashHybrid { side, buckets }))
+                    }
+                    (HashHybrid { side, .. }, Storage::Compressed) => kinds.extend(
+                        buckets
+                            .iter()
+                            .map(|&buckets| HashHybridCompressed { side, buckets }),
+                    ),
+                    (Token, Storage::Compressed) => kinds.push(TokenCompressed),
+                    (scheme, Storage::Arena) => kinds.push(scheme),
+                    (_, Storage::Compressed) => {} // no compressed form
+                }
+            }
+        }
+        kinds
     }
 }
 
@@ -481,37 +536,7 @@ mod tests {
     use crate::verify::naive_search;
 
     fn all_kinds() -> Vec<FilterKind> {
-        vec![
-            FilterKind::Token,
-            FilterKind::TokenCompressed,
-            FilterKind::TokenBasic,
-            FilterKind::Grid { side: 8 },
-            FilterKind::HashHybrid {
-                side: 8,
-                buckets: None,
-            },
-            FilterKind::HashHybrid {
-                side: 8,
-                buckets: Some(64),
-            },
-            FilterKind::HashHybridCompressed {
-                side: 8,
-                buckets: None,
-            },
-            FilterKind::HashHybridCompressed {
-                side: 8,
-                buckets: Some(64),
-            },
-            FilterKind::Hierarchical {
-                max_level: 4,
-                budget: 8,
-            },
-            FilterKind::KeywordFirst,
-            FilterKind::SpatialFirst,
-            FilterKind::IrTree { fanout: 3 },
-            FilterKind::Adaptive { side: 8 },
-            FilterKind::Naive,
-        ]
+        FilterKind::matrix(8, &[None, Some(64)], 4, 8)
     }
 
     #[test]
@@ -715,30 +740,11 @@ mod tests {
         )
         .unwrap();
         let cfg = SimilarityConfig::default();
-        let kinds = [
-            FilterKind::Token,
-            FilterKind::TokenCompressed,
-            FilterKind::TokenBasic,
-            FilterKind::Grid { side: 8 },
-            FilterKind::HashHybrid {
-                side: 8,
-                buckets: Some(64),
-            },
-            FilterKind::HashHybridCompressed {
-                side: 8,
-                buckets: Some(64),
-            },
-            FilterKind::Hierarchical {
-                max_level: 4,
-                budget: 8,
-            },
-            FilterKind::Adaptive { side: 8 },
-        ];
         let mut expect_small = naive_search(&small, &cfg, &q_small);
         expect_small.sort_unstable();
         let mut expect_big = naive_search(&big, &cfg, &q_big);
         expect_big.sort_unstable();
-        for kind in kinds {
+        for kind in all_kinds() {
             let e_small = SealEngine::build(small.clone(), kind);
             let e_big = SealEngine::build(big.clone(), kind);
             for round in 0..2 {

@@ -19,7 +19,7 @@
 //! worse than the *sum* of a fixed choice's postings across a workload
 //! and stays oracle-correct.
 
-use crate::filters::{CandidateFilter, GridFilter, QueryContext, TokenFilter};
+use crate::filters::{CandidateFilter, GridFilter, QueryContext, Storage, TokenFilter};
 use crate::signatures::grid::GridScheme;
 use crate::{ObjectStore, Query, SearchStats};
 use std::sync::Arc;
@@ -68,7 +68,7 @@ impl AdaptiveFilter {
         cfg: crate::SimilarityConfig,
         opts: crate::BuildOpts,
     ) -> Self {
-        let token = TokenFilter::build_with_opts(store.clone(), cfg, opts);
+        let token = TokenFilter::build_with_opts(store.clone(), cfg, opts, Storage::Arena);
         let grid = GridFilter::build_with_opts(store.clone(), side, cfg, opts);
         AdaptiveFilter {
             store,

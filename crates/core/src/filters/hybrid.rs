@@ -6,32 +6,26 @@ use crate::signatures::grid::GridScheme;
 use crate::signatures::hash_hybrid::BucketScheme;
 use crate::signatures::textual::TextualSignature;
 use crate::{ObjectId, ObjectStore, Query, SearchStats};
-use seal_index::{CompressedHybridIndex, HybridIndex};
+use seal_index::{HybridIndex, Postings, Storage};
 use std::sync::Arc;
 use std::time::Instant;
 
-/// Posting storage for the hybrid filter: the uncompressed dual-bound
-/// CSR arena, or the compressed arena served in place through the
-/// `QueryContext` dual-posting scratch.
-enum HybridStorage {
-    Arena(HybridIndex<u64>),
-    Compressed(CompressedHybridIndex<u64>),
-}
-
 /// The hash-based hybrid filter: elements are `(token, cell)` pairs
 /// hashed into buckets, postings carry *both* spatial and textual
-/// bounds, and only `Sp_T(q) × Sp_R(q)` pairs are probed.
+/// bounds, and only `Sp_T(q) × Sp_R(q)` pairs are probed. The lists
+/// are served in the [`Storage`] form the filter was built with.
 pub struct HybridFilter {
     store: Arc<ObjectStore>,
     cfg: crate::SimilarityConfig,
     grid: GridScheme,
     buckets: BucketScheme,
-    storage: HybridStorage,
+    postings: Postings<u64, 2>,
     empty_token_objects: Vec<ObjectId>,
 }
 
 impl HybridFilter {
-    /// Builds the `HashInv` index.
+    /// Builds the `HashInv` index (default similarity configuration,
+    /// uncompressed arena).
     ///
     /// * `side` — grid granularity (cells per side).
     /// * `buckets` — [`BucketScheme::Full`] or a bucket count (the
@@ -47,81 +41,26 @@ impl HybridFilter {
         buckets: BucketScheme,
         cfg: crate::SimilarityConfig,
     ) -> Self {
-        Self::build_with_opts(store, side, buckets, cfg, crate::BuildOpts::default())
+        let opts = crate::BuildOpts::default();
+        Self::build_with_opts(store, side, buckets, cfg, opts, Storage::Arena)
     }
 
     /// Builds with explicit build options (`BuildOpts::threads`
     /// parallelizes the finalize-time group sorts; contents are
-    /// identical for every thread count).
+    /// identical for every thread count) and storage form (the
+    /// finalized arena as it is, or compressed once).
     pub fn build_with_opts(
         store: Arc<ObjectStore>,
         side: u32,
         buckets: BucketScheme,
         cfg: crate::SimilarityConfig,
         opts: crate::BuildOpts,
+        storage: Storage,
     ) -> Self {
-        let (grid, index, empty) = Self::build_index(&store, side, buckets, opts);
-        HybridFilter {
-            store,
-            cfg,
-            grid,
-            buckets,
-            storage: HybridStorage::Arena(index),
-            empty_token_objects: empty,
-        }
-    }
-
-    /// Builds the compressed serving mode (default configuration):
-    /// the same `HashInv` lists folded into one compressed dual-bound
-    /// arena and queried in place.
-    pub fn build_compressed(store: Arc<ObjectStore>, side: u32, buckets: BucketScheme) -> Self {
-        Self::build_compressed_with_config(store, side, buckets, crate::SimilarityConfig::default())
-    }
-
-    /// Builds the compressed serving mode with an explicit similarity
-    /// configuration.
-    pub fn build_compressed_with_config(
-        store: Arc<ObjectStore>,
-        side: u32,
-        buckets: BucketScheme,
-        cfg: crate::SimilarityConfig,
-    ) -> Self {
-        Self::build_compressed_with_opts(store, side, buckets, cfg, crate::BuildOpts::default())
-    }
-
-    /// Compressed serving mode with explicit build options: the
-    /// uncompressed CSR build (finalize fanned out over
-    /// `opts.threads`) feeds the arena compressor unchanged.
-    pub fn build_compressed_with_opts(
-        store: Arc<ObjectStore>,
-        side: u32,
-        buckets: BucketScheme,
-        cfg: crate::SimilarityConfig,
-        opts: crate::BuildOpts,
-    ) -> Self {
-        let (grid, index, empty) = Self::build_index(&store, side, buckets, opts);
-        HybridFilter {
-            store,
-            cfg,
-            grid,
-            buckets,
-            storage: HybridStorage::Compressed(CompressedHybridIndex::compress(&index)),
-            empty_token_objects: empty,
-        }
-    }
-
-    fn build_index(
-        store: &ObjectStore,
-        side: u32,
-        buckets: BucketScheme,
-        opts: crate::BuildOpts,
-    ) -> (GridScheme, HybridIndex<u64>, Vec<ObjectId>) {
-        let grid = GridScheme::build(store, side);
+        let grid = GridScheme::build(&store, side);
         let mut index: HybridIndex<u64> = HybridIndex::new();
-        let mut empty = Vec::new();
         for (id, o) in store.iter() {
             if o.tokens.is_empty() {
-                empty.push(id);
                 continue;
             }
             let tsig = TextualSignature::build(&o.tokens, store.weights(), store.token_order());
@@ -135,48 +74,39 @@ impl HybridFilter {
             }
         }
         index.finalize_with_threads(opts.threads);
-        (grid, index, empty)
+        let postings = Postings::freeze(index, storage);
+        Self::assemble(store, grid, buckets, cfg, postings)
     }
 
-    /// Reassembles an arena-mode filter around a loaded index. The
-    /// grid scheme is a deterministic function of `(store, side)` and
-    /// the empty-token list of the store, so only the index, the
+    /// Reassembles the filter around loaded postings. The grid scheme
+    /// is a deterministic function of `(store, side)` and the
+    /// empty-token list of the store, so only the postings, the
     /// granularity and the bucket scheme need persisting.
-    pub(crate) fn from_loaded_arena(
+    pub(crate) fn from_loaded(
         store: Arc<ObjectStore>,
         side: u32,
         buckets: BucketScheme,
         cfg: crate::SimilarityConfig,
-        index: HybridIndex<u64>,
+        postings: Postings<u64, 2>,
     ) -> Self {
         let grid = GridScheme::build(&store, side);
-        let empty = crate::filters::empty_token_objects(&store);
-        HybridFilter {
-            store,
-            cfg,
-            grid,
-            buckets,
-            storage: HybridStorage::Arena(index),
-            empty_token_objects: empty,
-        }
+        Self::assemble(store, grid, buckets, cfg, postings)
     }
 
-    /// Reassembles a compressed-mode filter around a loaded index.
-    pub(crate) fn from_loaded_compressed(
+    fn assemble(
         store: Arc<ObjectStore>,
-        side: u32,
+        grid: GridScheme,
         buckets: BucketScheme,
         cfg: crate::SimilarityConfig,
-        index: CompressedHybridIndex<u64>,
+        postings: Postings<u64, 2>,
     ) -> Self {
-        let grid = GridScheme::build(&store, side);
         let empty = crate::filters::empty_token_objects(&store);
         HybridFilter {
             store,
             cfg,
             grid,
             buckets,
-            storage: HybridStorage::Compressed(index),
+            postings,
             empty_token_objects: empty,
         }
     }
@@ -191,30 +121,18 @@ impl HybridFilter {
         self.buckets
     }
 
-    /// The uncompressed index, when serving from the CSR arena
-    /// (diagnostics; `None` in compressed mode).
-    pub fn index(&self) -> Option<&HybridIndex<u64>> {
-        match &self.storage {
-            HybridStorage::Arena(i) => Some(i),
-            HybridStorage::Compressed(_) => None,
-        }
-    }
-
-    /// The compressed index, when serving in place (`None` in arena
-    /// mode).
-    pub fn compressed_index(&self) -> Option<&CompressedHybridIndex<u64>> {
-        match &self.storage {
-            HybridStorage::Arena(_) => None,
-            HybridStorage::Compressed(c) => Some(c),
-        }
+    /// The posting lists, in the storage form they are served from
+    /// (diagnostics).
+    pub fn postings(&self) -> &Postings<u64, 2> {
+        &self.postings
     }
 }
 
 impl CandidateFilter for HybridFilter {
     fn name(&self) -> &'static str {
-        match &self.storage {
-            HybridStorage::Arena(_) => "HybridFilter",
-            HybridStorage::Compressed(_) => "HybridFilterCompressed",
+        match self.postings.storage() {
+            Storage::Arena => "HybridFilter",
+            Storage::Compressed => "HybridFilterCompressed",
         }
     }
 
@@ -240,23 +158,13 @@ impl CandidateFilter for HybridFilter {
             for gelem in gprefix {
                 let key = self.buckets.key(telem.token, gelem.cell);
                 stats.lists_probed += 1;
-                match &self.storage {
-                    HybridStorage::Arena(index) => {
-                        for o in index.qualifying(&key, c_r, c_t) {
-                            stats.postings_scanned += 1;
-                            if ctx.dedup.insert(o) {
-                                ctx.candidates.push(ObjectId(o));
-                            }
-                        }
-                    }
-                    HybridStorage::Compressed(index) => {
-                        let ids = index.qualifying_into(&key, c_r, c_t, &mut ctx.decode);
-                        stats.postings_scanned += ids.len();
-                        for &o in ids {
-                            if ctx.dedup.insert(o) {
-                                ctx.candidates.push(ObjectId(o));
-                            }
-                        }
+                let ids = self
+                    .postings
+                    .qualifying_into(&key, [c_r, c_t], &mut ctx.decode);
+                stats.postings_scanned += ids.len();
+                for &o in ids {
+                    if ctx.dedup.insert(o) {
+                        ctx.candidates.push(ObjectId(o));
                     }
                 }
             }
@@ -265,18 +173,11 @@ impl CandidateFilter for HybridFilter {
     }
 
     fn index_bytes(&self) -> usize {
-        let index = match &self.storage {
-            HybridStorage::Arena(i) => i.size_bytes(),
-            HybridStorage::Compressed(c) => c.size_bytes(),
-        };
-        index + self.grid.size_bytes()
+        self.postings.size_bytes() + self.grid.size_bytes()
     }
 
     fn persisted_sections(&self) -> Vec<(u16, Vec<u8>)> {
-        crate::persist::primary_section(match &self.storage {
-            HybridStorage::Arena(i) => i.to_bytes(),
-            HybridStorage::Compressed(c) => c.to_bytes(),
-        })
+        crate::persist::primary_section(self.postings.to_bytes())
     }
 }
 
@@ -357,8 +258,8 @@ mod tests {
         assert_eq!(f.buckets(), BucketScheme::Buckets(32));
         assert_eq!(f.grid().side(), 4);
         assert!(f.index_bytes() > 0);
-        assert!(f.index().unwrap().posting_count() > 0);
-        assert!(f.compressed_index().is_none());
+        assert!(f.postings().arena().unwrap().posting_count() > 0);
+        assert!(f.postings().compressed().is_none());
     }
 
     #[test]
@@ -366,10 +267,17 @@ mod tests {
         let (store, q0) = figure1_store();
         let store = Arc::new(store);
         let cfg = SimilarityConfig::default();
-        let compressed = HybridFilter::build_compressed(store.clone(), 8, BucketScheme::Full);
+        let compressed = HybridFilter::build_with_opts(
+            store.clone(),
+            8,
+            BucketScheme::Full,
+            cfg,
+            crate::BuildOpts::default(),
+            Storage::Compressed,
+        );
         assert_eq!(compressed.name(), "HybridFilterCompressed");
-        assert!(compressed.index().is_none());
-        assert!(compressed.compressed_index().is_some());
+        assert!(compressed.postings().arena().is_none());
+        assert!(compressed.postings().compressed().is_some());
         // Size wins only show on dense lists (the 7-object fixture's
         // directory overhead dominates); see seal-index's
         // `dual_compression_shrinks` for the size assertion.

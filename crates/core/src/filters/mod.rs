@@ -15,11 +15,17 @@
 //! | [`AdaptiveFilter`] | cost-routed Token/Grid (Fig 12's conclusion) | `TokenInv` + `GridInv` |
 //! | [`NaiveFilter`] | no filtering (every object is a candidate) | — |
 //!
+//! Storage is a field, not a filter: [`TokenFilter`] and
+//! [`HybridFilter`] hold their lists as one `seal_index::Postings`,
+//! built in the [`Storage`] form their `build_with_opts` is given (the
+//! uncompressed arena, or the compressed arena served in place) and
+//! probed through one `qualifying_into` either way.
+//!
 //! # Concurrency model
 //!
 //! Filters are **stateless at query time**: every byte of per-query
 //! scratch (the query's signatures, dedup stamps, accumulator arrays,
-//! candidate buffers, compressed-arena decode buffers) lives in a
+//! candidate buffers, the posting-probe id scratch) lives in a
 //! caller-owned [`QueryContext`], so `&self` probes never contend on a
 //! lock. A serving loop keeps one context per worker thread and calls
 //! [`CandidateFilter::candidates_into`]; once the buffers have grown
@@ -44,12 +50,14 @@
 //!   clears `ctx.candidates` (and whatever scratch it uses) before
 //!   writing, so contexts may be freely reused across filters, engines
 //!   and stores of different sizes — buffers only ever grow.
-//! * **The compressed decode buffer is per-probe.** The compressed
-//!   filters decode each qualifying prefix's *object ids* into the
-//!   context's decode scratch and consume them before the next list
-//!   probe; nothing in the context outlives the query it served.
-//!   (Uncompressed probes need no decode at all — they return id-column
-//!   slices in place.)
+//! * **The id scratch is per-probe.** A filter holding its lists as
+//!   `seal_index::Postings` (Token, HashHybrid — in either
+//!   [`Storage`] form) gets every qualifying prefix back as an id
+//!   slice and consumes it before the next list probe: compressed
+//!   lists are block-decoded into the context's scratch, dual-bound
+//!   arena lists are filtered into it, single-bound arena lists are
+//!   returned as id-column slices in place. Nothing in the context
+//!   outlives the query it served.
 //!
 //! ```
 //! use seal_core::{CandidateFilter, ObjectStore, Query, QueryContext, SearchStats};
@@ -88,6 +96,7 @@ pub use grid::GridFilter;
 pub use hierarchical::HierarchicalFilter;
 pub use hybrid::HybridFilter;
 pub use naive::NaiveFilter;
+pub use seal_index::Storage;
 pub use token::{TokenFilter, TokenFilterBasic};
 
 use crate::{ObjectId, Query, SearchStats};
@@ -211,13 +220,11 @@ pub struct QueryContext {
     pub(crate) candidates: Vec<ObjectId>,
     /// Object ids touched by the accumulator this query.
     pub(crate) touched: Vec<u32>,
-    /// Decode scratch for compressed arenas: qualifying prefixes'
-    /// object ids are block-unpacked here (single- and dual-bound
-    /// arenas both decode ids only — bounds are cut in the quantized
-    /// domain and never materialized), so the compressed serving path
-    /// allocates nothing once this has grown to the largest
-    /// qualifying prefix. Sized off the id column, like every other
-    /// per-probe buffer.
+    /// Id scratch for `Postings` probes: compressed arenas
+    /// block-unpack a qualifying prefix's object ids here (bounds are
+    /// cut in the quantized domain and never materialized), dual-bound
+    /// arenas collect the rows passing their second bound. Nothing is
+    /// allocated once this has grown to the largest qualifying prefix.
     pub(crate) decode: Vec<seal_index::ObjId>,
     /// The query's textual signature (every prefix-probing filter).
     pub(crate) textual: crate::signatures::textual::TextualSignature,

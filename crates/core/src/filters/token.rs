@@ -5,37 +5,28 @@ use crate::filters::{CandidateFilter, QueryContext};
 use crate::persist::primary_section;
 use crate::signatures::textual::TextualSignature;
 use crate::{ObjectId, ObjectStore, Query, SearchStats};
-use seal_index::{CompressedInvertedIndex, InvertedIndex};
+use seal_index::{InvertedIndex, Postings, Storage};
 use seal_text::TokenWeights;
 use std::sync::Arc;
 use std::time::Instant;
-
-/// How a filter stores its posting lists: the uncompressed CSR arena,
-/// or the compressed arena served in place (quantized bound columns +
-/// block-packed ids decoded through the `QueryContext` scratch).
-enum TokenStorage {
-    Arena(InvertedIndex<u32>),
-    Compressed(CompressedInvertedIndex<u32>),
-}
 
 /// `Sig-Filter+` with textual signatures: token inverted lists with
 /// Lemma 3 threshold bounds, probed only for the query's Lemma 2
 /// prefix.
 ///
-/// Two serving modes share the probe logic: the uncompressed CSR
-/// arena ([`TokenFilter::build`]) returns qualifying prefixes as
-/// slices of the arena; the compressed arena
-/// ([`TokenFilter::build_compressed`]) binary-searches the quantized
-/// bound column in place and decodes only the qualifying prefix into
-/// the caller's [`QueryContext`] scratch. Both are allocation-free on
-/// a warm context; the compressed mode trades ~4× smaller lists for
-/// the prefix decode and a superset-only candidate guarantee (bounds
-/// round up by at most one quantization step — verification removes
-/// the extras).
+/// The lists are served in the [`Storage`] form the filter was built
+/// with, behind one probe: the uncompressed arena returns qualifying
+/// prefixes as slices of its id column; the compressed arena cuts the
+/// quantized bound column in place and decodes only the qualifying
+/// prefix into the caller's [`QueryContext`] scratch. Both are
+/// allocation-free on a warm context; the compressed form trades ~4×
+/// smaller lists for the prefix decode and a superset-only candidate
+/// guarantee (bounds round up by at most one quantization step —
+/// verification removes the extras).
 pub struct TokenFilter {
     store: Arc<ObjectStore>,
     cfg: crate::SimilarityConfig,
-    storage: TokenStorage,
+    postings: Postings<u32, 1>,
     /// Objects with empty token sets: they can only match queries whose
     /// token sets are also empty (simT = 1 by convention), and inverted
     /// lists never enumerate them.
@@ -44,7 +35,7 @@ pub struct TokenFilter {
 
 impl TokenFilter {
     /// Builds the `TokenInv` index over a store (default similarity
-    /// configuration).
+    /// configuration, uncompressed arena).
     pub fn build(store: Arc<ObjectStore>) -> Self {
         Self::build_with_config(store, crate::SimilarityConfig::default())
     }
@@ -54,144 +45,67 @@ impl TokenFilter {
     /// function, which keeps the filter a safe superset for Dice /
     /// Cosine deployments too.
     pub fn build_with_config(store: Arc<ObjectStore>, cfg: crate::SimilarityConfig) -> Self {
-        Self::build_with_opts(store, cfg, crate::BuildOpts::default())
+        Self::build_with_opts(store, cfg, crate::BuildOpts::default(), Storage::Arena)
     }
 
-    /// Builds with explicit similarity configuration and build options
+    /// Builds with explicit similarity configuration, build options
     /// (`BuildOpts::threads` parallelizes the finalize-time group
     /// sorts; the index contents are identical for every thread
-    /// count).
+    /// count) and storage form (the finalized arena as it is, or
+    /// compressed once).
     pub fn build_with_opts(
         store: Arc<ObjectStore>,
         cfg: crate::SimilarityConfig,
         opts: crate::BuildOpts,
+        storage: Storage,
     ) -> Self {
-        let (index, empty) = Self::build_index(&store, opts);
-        TokenFilter {
-            store,
-            cfg,
-            storage: TokenStorage::Arena(index),
-            empty_token_objects: empty,
-        }
-    }
-
-    /// Builds the compressed serving mode (default configuration).
-    pub fn build_compressed(store: Arc<ObjectStore>) -> Self {
-        Self::build_compressed_with_config(store, crate::SimilarityConfig::default())
-    }
-
-    /// Builds the compressed serving mode: the same finalized CSR
-    /// index, folded into one compressed arena and queried in place.
-    pub fn build_compressed_with_config(
-        store: Arc<ObjectStore>,
-        cfg: crate::SimilarityConfig,
-    ) -> Self {
-        Self::build_compressed_with_opts(store, cfg, crate::BuildOpts::default())
-    }
-
-    /// Compressed serving mode with explicit build options: the
-    /// uncompressed CSR build (finalize sorts fanned out over
-    /// `opts.threads`) feeds the arena compressor unchanged.
-    pub fn build_compressed_with_opts(
-        store: Arc<ObjectStore>,
-        cfg: crate::SimilarityConfig,
-        opts: crate::BuildOpts,
-    ) -> Self {
-        let (index, empty) = Self::build_index(&store, opts);
-        TokenFilter {
-            store,
-            cfg,
-            storage: TokenStorage::Compressed(CompressedInvertedIndex::compress(&index)),
-            empty_token_objects: empty,
-        }
-    }
-
-    /// Reassembles an arena-mode filter around a loaded index. The
-    /// empty-token list is recomputed from the store (it is a pure
-    /// function of it), so only the index itself needs persisting.
-    pub(crate) fn from_loaded_arena(
-        store: Arc<ObjectStore>,
-        cfg: crate::SimilarityConfig,
-        index: InvertedIndex<u32>,
-    ) -> Self {
-        let empty = crate::filters::empty_token_objects(&store);
-        TokenFilter {
-            store,
-            cfg,
-            storage: TokenStorage::Arena(index),
-            empty_token_objects: empty,
-        }
-    }
-
-    /// Reassembles a compressed-mode filter around a loaded index.
-    pub(crate) fn from_loaded_compressed(
-        store: Arc<ObjectStore>,
-        cfg: crate::SimilarityConfig,
-        index: CompressedInvertedIndex<u32>,
-    ) -> Self {
-        let empty = crate::filters::empty_token_objects(&store);
-        TokenFilter {
-            store,
-            cfg,
-            storage: TokenStorage::Compressed(index),
-            empty_token_objects: empty,
-        }
-    }
-
-    fn build_index(
-        store: &ObjectStore,
-        opts: crate::BuildOpts,
-    ) -> (InvertedIndex<u32>, Vec<ObjectId>) {
         let mut index: InvertedIndex<u32> = InvertedIndex::new();
-        let mut empty = Vec::new();
         for (id, o) in store.iter() {
-            if o.tokens.is_empty() {
-                empty.push(id);
-                continue;
-            }
             let sig = TextualSignature::build(&o.tokens, store.weights(), store.token_order());
             for (elem, bound) in sig.elements_with_bounds() {
                 index.push(elem.token.0, id.0, bound);
             }
         }
         index.finalize_with_threads(opts.threads);
-        (index, empty)
+        Self::from_loaded(store, cfg, Postings::freeze(index, storage))
     }
 
-    /// The uncompressed inverted index, when serving from the CSR
-    /// arena (diagnostics; `None` in compressed mode).
-    pub fn index(&self) -> Option<&InvertedIndex<u32>> {
-        match &self.storage {
-            TokenStorage::Arena(i) => Some(i),
-            TokenStorage::Compressed(_) => None,
+    /// Assembles the filter around built or loaded postings. The
+    /// empty-token list is a pure function of the store, so only the
+    /// postings need persisting.
+    pub(crate) fn from_loaded(
+        store: Arc<ObjectStore>,
+        cfg: crate::SimilarityConfig,
+        postings: Postings<u32, 1>,
+    ) -> Self {
+        let empty = crate::filters::empty_token_objects(&store);
+        TokenFilter {
+            store,
+            cfg,
+            postings,
+            empty_token_objects: empty,
         }
     }
 
-    /// The compressed index, when serving in place (`None` in arena
-    /// mode).
-    pub fn compressed_index(&self) -> Option<&CompressedInvertedIndex<u32>> {
-        match &self.storage {
-            TokenStorage::Arena(_) => None,
-            TokenStorage::Compressed(c) => Some(c),
-        }
+    /// The posting lists, in the storage form they are served from
+    /// (diagnostics).
+    pub fn postings(&self) -> &Postings<u32, 1> {
+        &self.postings
     }
 
     /// `|I_c(token)|` — the qualifying-prefix length, costed without
     /// decoding anything (the §4.3 cost-model probe; used by the
-    /// adaptive router). Works in both serving modes.
+    /// adaptive router).
     pub fn qualifying_len(&self, token: u32, c: f64) -> usize {
-        match &self.storage {
-            TokenStorage::Arena(i) => i.qualifying_len(&token, c),
-            TokenStorage::Compressed(i) => i.qualifying_len(&token, c),
-        }
+        self.postings.qualifying_len(&token, c)
     }
 }
 
 impl CandidateFilter for TokenFilter {
     fn name(&self) -> &'static str {
-        match &self.storage {
-            TokenStorage::Arena(_) => "TokenFilter",
-            TokenStorage::Compressed(_) => "TokenFilterCompressed",
+        match self.postings.storage() {
+            Storage::Arena => "TokenFilter",
+            Storage::Compressed => "TokenFilterCompressed",
         }
     }
 
@@ -212,15 +126,11 @@ impl CandidateFilter for TokenFilter {
         ctx.dedup.begin(store.len());
         for elem in ctx.textual.prefix(c_t) {
             stats.lists_probed += 1;
-            // Both storage modes share one contract: the qualifying
-            // probe yields an id slice — in place from the arena's id
+            // An id slice either way: in place from the arena's id
             // column, or block-decoded into the context scratch.
-            let ids = match &self.storage {
-                TokenStorage::Arena(index) => index.qualifying(&elem.token.0, c_t),
-                TokenStorage::Compressed(index) => {
-                    index.qualifying_into(&elem.token.0, c_t, &mut ctx.decode)
-                }
-            };
+            let ids = self
+                .postings
+                .qualifying_into(&elem.token.0, [c_t], &mut ctx.decode);
             stats.postings_scanned += ids.len();
             for &o in ids {
                 if ctx.dedup.insert(o) {
@@ -232,17 +142,11 @@ impl CandidateFilter for TokenFilter {
     }
 
     fn index_bytes(&self) -> usize {
-        match &self.storage {
-            TokenStorage::Arena(i) => i.size_bytes(),
-            TokenStorage::Compressed(c) => c.size_bytes(),
-        }
+        self.postings.size_bytes()
     }
 
     fn persisted_sections(&self) -> Vec<(u16, Vec<u8>)> {
-        primary_section(match &self.storage {
-            TokenStorage::Arena(i) => i.to_bytes(),
-            TokenStorage::Compressed(c) => c.to_bytes(),
-        })
+        primary_section(self.postings.to_bytes())
     }
 }
 
@@ -327,7 +231,7 @@ impl CandidateFilter for TokenFilterBasic {
             stats.lists_probed += 1;
             if let Some(list) = self.index.list(&t.0) {
                 stats.postings_scanned += list.len();
-                for (&o, &w) in list.ids.iter().zip(list.bounds) {
+                for (&o, &w) in list.ids.iter().zip(list.bounds[0]) {
                     ctx.acc.add(o, w, &mut ctx.touched); // bound slot = w(t)
                 }
             }

@@ -500,18 +500,7 @@ impl LiveEngine {
         k: usize,
         alpha: f64,
     ) -> Vec<(ObjectId, f64)> {
-        let mut tau = 0.5f64;
-        const TAU_MIN: f64 = 0.01;
-        let mut scored = loop {
-            let found = self.search_scored(region, &tokens, tau, alpha);
-            if found.len() >= k || tau <= TAU_MIN {
-                break found;
-            }
-            tau = (tau / 2.0).max(TAU_MIN);
-        };
-        scored.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
-        scored.truncate(k);
-        scored
+        crate::engine::top_k_by_deepening(k, |tau| self.search_scored(region, &tokens, tau, alpha))
     }
 }
 

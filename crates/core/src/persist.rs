@@ -43,8 +43,8 @@ use crate::signatures::hierarchical::HierarchicalScheme;
 use crate::{FilterKind, ObjectStore, SealEngine, SimilarityConfig, SpatialSimFn};
 use seal_geom::{GridCellId, GridTree, Rect};
 use seal_index::{
-    CompressedHybridIndex, CompressedInvertedIndex, Container, ContainerError, ContainerWriter,
-    HybridIndex, IndexCodecError, InvertedIndex, ObjId,
+    Container, ContainerError, ContainerWriter, HybridIndex, IndexCodecError, IndexKey,
+    InvertedIndex, ObjId, Postings,
 };
 use seal_text::similarity::TextualSimFn;
 use seal_text::{Dictionary, TokenId, TokenSet};
@@ -586,6 +586,15 @@ fn check_ids(
     Ok(())
 }
 
+/// The display name of an index section kind in load errors.
+fn section_name(kind: u16) -> &'static str {
+    if kind == SECTION_PRIMARY_INDEX {
+        "primary index"
+    } else {
+        "secondary index"
+    }
+}
+
 /// Decodes the index section `kind` with its type's `from_bytes` and
 /// checks its ids against the store ([`check_ids`]).
 fn index_section<'a, I>(
@@ -596,16 +605,42 @@ fn index_section<'a, I>(
     max_id: impl FnOnce(&I) -> Option<ObjId>,
 ) -> Result<I, ContainerError> {
     let index = decode(container.require(kind)?)?;
-    let what = if kind == SECTION_PRIMARY_INDEX {
-        "primary index"
-    } else {
-        "secondary index"
-    };
-    check_ids(max_id(&index), store.len(), what)?;
+    check_ids(max_id(&index), store.len(), section_name(kind))?;
     Ok(index)
 }
 
-fn bucket_scheme(buckets: Option<u64>) -> BucketScheme {
+/// [`index_section`] for a filter that serves either storage form: the
+/// primary section decodes as whichever form its own kind byte names,
+/// and that form must be the one the engine meta's [`FilterKind`]
+/// declares — a compressed section under an arena configuration (or
+/// the reverse) is a cross-section disagreement, not a second way to
+/// spell the configuration.
+fn postings_section<K: IndexKey, const N: usize>(
+    container: &Container<'_>,
+    store: &ObjectStore,
+    kind: FilterKind,
+) -> Result<Postings<K, N>, ContainerError> {
+    let postings = index_section(
+        container,
+        SECTION_PRIMARY_INDEX,
+        store,
+        Postings::<K, N>::from_bytes,
+        Postings::max_object_id,
+    )?;
+    if postings.storage() != kind.storage() {
+        return Err(ContainerError::Section {
+            section: section_name(SECTION_PRIMARY_INDEX),
+            offset: 5,
+            detail: format!(
+                "section holds {:?} postings but engine meta declares {kind:?}",
+                postings.storage()
+            ),
+        });
+    }
+    Ok(postings)
+}
+
+pub(crate) fn bucket_scheme(buckets: Option<u64>) -> BucketScheme {
     match buckets {
         Some(m) => BucketScheme::Buckets(m),
         None => BucketScheme::Full,
@@ -687,21 +722,10 @@ impl SealEngine {
             )
         };
         let filter: Box<dyn CandidateFilter> = match kind {
-            FilterKind::Token => Box::new(TokenFilter::from_loaded_arena(
+            FilterKind::Token | FilterKind::TokenCompressed => Box::new(TokenFilter::from_loaded(
                 store.clone(),
                 cfg,
-                token_arena()?,
-            )),
-            FilterKind::TokenCompressed => Box::new(TokenFilter::from_loaded_compressed(
-                store.clone(),
-                cfg,
-                index_section(
-                    &container,
-                    SECTION_PRIMARY_INDEX,
-                    &store,
-                    CompressedInvertedIndex::<u32>::from_bytes,
-                    CompressedInvertedIndex::max_object_id,
-                )?,
+                postings_section(&container, &store, kind)?,
             )),
             FilterKind::TokenBasic => Box::new(TokenFilterBasic::from_loaded(
                 store.clone(),
@@ -714,32 +738,14 @@ impl SealEngine {
                 cfg,
                 grid_arena(SECTION_PRIMARY_INDEX)?,
             )),
-            FilterKind::HashHybrid { side, buckets } => Box::new(HybridFilter::from_loaded_arena(
-                store.clone(),
-                side,
-                bucket_scheme(buckets),
-                cfg,
-                index_section(
-                    &container,
-                    SECTION_PRIMARY_INDEX,
-                    &store,
-                    HybridIndex::<u64>::from_bytes,
-                    HybridIndex::max_object_id,
-                )?,
-            )),
-            FilterKind::HashHybridCompressed { side, buckets } => {
-                Box::new(HybridFilter::from_loaded_compressed(
+            FilterKind::HashHybrid { side, buckets }
+            | FilterKind::HashHybridCompressed { side, buckets } => {
+                Box::new(HybridFilter::from_loaded(
                     store.clone(),
                     side,
                     bucket_scheme(buckets),
                     cfg,
-                    index_section(
-                        &container,
-                        SECTION_PRIMARY_INDEX,
-                        &store,
-                        CompressedHybridIndex::<u64>::from_bytes,
-                        CompressedHybridIndex::max_object_id,
-                    )?,
+                    postings_section(&container, &store, kind)?,
                 ))
             }
             FilterKind::Hierarchical { max_level, budget } => {
@@ -765,7 +771,7 @@ impl SealEngine {
             FilterKind::Adaptive { side } => Box::new(AdaptiveFilter::from_loaded(
                 store.clone(),
                 cfg,
-                TokenFilter::from_loaded_arena(store.clone(), cfg, token_arena()?),
+                TokenFilter::from_loaded(store.clone(), cfg, Postings::Arena(token_arena()?)),
                 GridFilter::from_loaded(&store, side, cfg, grid_arena(SECTION_SECONDARY_INDEX)?),
             )),
             // Derivable filters rebuild from the (validated) store.
@@ -877,33 +883,7 @@ mod tests {
 
     #[test]
     fn meta_roundtrips_every_kind_and_config() {
-        let kinds = [
-            FilterKind::Token,
-            FilterKind::TokenCompressed,
-            FilterKind::TokenBasic,
-            FilterKind::Grid { side: 256 },
-            FilterKind::HashHybrid {
-                side: 512,
-                buckets: None,
-            },
-            FilterKind::HashHybrid {
-                side: 512,
-                buckets: Some(4096),
-            },
-            FilterKind::HashHybridCompressed {
-                side: 64,
-                buckets: Some(7),
-            },
-            FilterKind::Hierarchical {
-                max_level: 10,
-                budget: 16,
-            },
-            FilterKind::KeywordFirst,
-            FilterKind::SpatialFirst,
-            FilterKind::IrTree { fanout: 32 },
-            FilterKind::Adaptive { side: 128 },
-            FilterKind::Naive,
-        ];
+        let kinds = FilterKind::matrix(512, &[None, Some(4096)], 10, 16);
         let configs = [
             SimilarityConfig::default(),
             SimilarityConfig {

@@ -397,16 +397,14 @@ impl ShardedEngine {
         k: usize,
         alpha: f64,
     ) -> Vec<(ObjectId, f64)> {
-        let mut tau = 0.5f64;
-        const TAU_MIN: f64 = 0.01;
-        let mut scored = loop {
+        crate::engine::top_k_by_deepening(k, |tau| {
             let probe = self.probe_set(&region);
             let partials: Vec<(usize, Vec<(ObjectId, f64)>)> = probe
                 .into_iter()
                 .map(|i| (i, self.shards[i].search_scored(region, tokens, tau, alpha)))
                 .collect();
             let r = self.route_lock();
-            let found: Vec<(ObjectId, f64)> = partials
+            partials
                 .into_iter()
                 .flat_map(|(i, v)| {
                     let map = &r.to_global[i];
@@ -414,16 +412,8 @@ impl ShardedEngine {
                         .map(move |(id, s)| (map[id.index()], s))
                         .collect::<Vec<_>>()
                 })
-                .collect();
-            drop(r);
-            if found.len() >= k || tau <= TAU_MIN {
-                break found;
-            }
-            tau = (tau / 2.0).max(TAU_MIN);
-        };
-        scored.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
-        scored.truncate(k);
-        scored
+                .collect()
+        })
     }
 
     /// Folds every shard's staged prefix into its next generation

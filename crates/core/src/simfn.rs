@@ -57,7 +57,7 @@ impl Default for SimilarityConfig {
 }
 
 /// Rejects NaN similarity scores at the evaluation boundary — the
-/// same policy `csr::check_bound` applies to index bounds at insert
+/// same policy `Arena::push_row` applies to index bounds at insert
 /// time. Every score consumer (the answer predicate, `search_top_k`'s
 /// `total_cmp` ranking) assumes a NaN-free domain; a NaN that slipped
 /// through would order arbitrarily rather than fail loudly, so it is

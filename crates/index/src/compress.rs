@@ -1,30 +1,27 @@
 //! Compressed posting arenas served **in place**: quantized bound
 //! columns plus delta-coded, block-bitpacked object-id columns, laid
-//! out exactly like the uncompressed columnar CSR form so queries run
+//! out exactly like the uncompressed columnar arena so queries run
 //! directly off the compressed bytes.
 //!
 //! Table 1 is an index-size study: the paper's inverted lists live on
 //! disk and their footprint is a first-class metric. This module
-//! mirrors the in-memory CSR layout (the private `csr` module shared
-//! by [`InvertedIndex`] and [`HybridIndex`]) — **one contiguous
+//! mirrors the layout of the uncompressed [`Arena`] — **one contiguous
 //! compressed arena plus a sorted key/offset table** — and serves
 //! [`qualifying_into`] probes straight off the arena through a
 //! caller-owned scratch buffer. Compressed indexes are a serving mode,
-//! not just a storage artifact. Since the uncompressed arenas are
-//! themselves columnar (structure-of-arrays), the compressor reads the
-//! id and bound columns directly — quantizing one dense `f64` run per
-//! bound column and packing one dense `u32` run per group, never
-//! striding over interleaved structs.
+//! not just a storage artifact. The compressor reads the arena's id
+//! and bound columns directly — quantizing one dense `f64` run per
+//! bound column and packing one dense `u32` run per group.
 //!
-//! There is one implementation, [`CompressedArena`], generic over the
-//! number `N` of quantized bound columns per group:
+//! [`CompressedArena<K, N>`] is the one-shot frozen form of an
+//! [`Arena<K, N>`] ([`compress`], and [`decompress`] back):
 //! [`CompressedInvertedIndex`] is `N = 1`, [`CompressedHybridIndex`]
 //! is `N = 2`.
 //!
 //! # Arena layout (the index-layout contract)
 //!
 //! Groups appear in ascending key order, postings within a group in
-//! the *same order as the uncompressed CSR group* (descending primary
+//! the *same order as the uncompressed group* (descending primary
 //! bound, ties by ascending object id — the `finalize()` order):
 //!
 //! ```text
@@ -66,7 +63,7 @@
 //!
 //! # Id columns
 //!
-//! The CSR finalize order (descending bound, ties by **ascending id**)
+//! The finalize order (descending bound, ties by **ascending id**)
 //! makes equal-bound runs locally sorted, so ids are delta-coded and
 //! bit-packed in 128-id blocks: each full block stores one bit width,
 //! the first id as an absolute varint, and 127 zigzag-encoded deltas
@@ -85,9 +82,10 @@
 //!
 //! [`qualifying_into`]: CompressedArena::qualifying_into
 //! [`compress`]: CompressedArena::compress
+//! [`decompress`]: CompressedArena::decompress
 
-use crate::csr::{bound_cut_u16, column_u16, group_range};
-use crate::{HybridIndex, InvertedIndex, ObjId};
+use crate::cut::{bound_cut_u16, column_u16};
+use crate::{Arena, ObjId};
 use bytes::{BufMut, Bytes, BytesMut};
 
 /// Number of quantization steps for bounds (u16 range).
@@ -433,10 +431,9 @@ pub(crate) struct GroupMeta<const N: usize> {
 ///
 /// Stores exactly one compressed arena plus the sorted key/offset
 /// directory (see the [module docs](self) for the byte layout). Built
-/// from a finalized [`InvertedIndex`] (`N = 1`) or [`HybridIndex`]
-/// (`N = 2`) whose CSR group order it preserves verbatim; column 0 is
-/// the cut axis, the remaining columns are checked per surviving
-/// posting.
+/// from a finalized [`Arena`] whose group order it preserves verbatim;
+/// column 0 is the cut axis, the remaining columns are checked per
+/// surviving posting.
 #[derive(Debug, Clone)]
 pub struct CompressedArena<K, const N: usize> {
     /// Sorted keys (one per non-empty group).
@@ -470,52 +467,13 @@ pub type CompressedInvertedIndex<K> = CompressedArena<K, 1>;
 
 /// A fully compressed dual-bound hybrid index (Section 5.1's lists in
 /// their at-rest form), served in place: postings keep the
-/// descending-*spatial*-bound order of [`HybridIndex::finalize`], the
+/// descending-*spatial*-bound order of [`Arena::finalize`], the
 /// spatial column is cut in the quantized domain, and the textual
 /// bound is checked per surviving posting — also as a raw `u16`
 /// compare against the lifted textual threshold.
 pub type CompressedHybridIndex<K> = CompressedArena<K, 2>;
 
 impl<K: Ord + Copy, const N: usize> CompressedArena<K, N> {
-    /// Encodes `groups` — `(key, bound columns, ids)` in ascending key
-    /// order, rows already in finalize order — into one arena: per
-    /// group, each bound column quantized to its own maximum, then the
-    /// block-packed id column.
-    fn from_groups<'a>(
-        key_count: usize,
-        posting_count: usize,
-        groups: impl Iterator<Item = (K, [&'a [f64]; N], &'a [ObjId])>,
-    ) -> Self {
-        let mut keys = Vec::with_capacity(key_count);
-        let mut offsets = Vec::with_capacity(key_count + 1);
-        let mut meta = Vec::with_capacity(key_count);
-        let mut buf = BytesMut::with_capacity(posting_count * (2 + 2 * N));
-        offsets.push(0);
-        for (key, bounds, ids) in groups {
-            let quant =
-                bounds.map(|col| Quantizer::for_max(col.iter().copied().fold(0.0f64, f64::max)));
-            for (col, q) in bounds.iter().zip(&quant) {
-                for &b in *col {
-                    buf.put_u16_le(q.quantize(b));
-                }
-            }
-            put_ids_blockpacked(&mut buf, ids);
-            meta.push(GroupMeta {
-                len: u32::try_from(ids.len()).expect("group length fits u32"),
-                quant,
-            });
-            keys.push(key);
-            offsets.push(buf.len());
-        }
-        CompressedArena {
-            keys,
-            offsets,
-            meta,
-            arena: buf.freeze(),
-            posting_count,
-        }
-    }
-
     /// Number of keys.
     pub fn key_count(&self) -> usize {
         self.keys.len()
@@ -552,17 +510,15 @@ impl<K: Ord + Copy, const N: usize> CompressedArena<K, N> {
 
     /// Length of the list for `key` (0 if absent).
     pub fn list_len(&self, key: &K) -> usize {
-        match group_range(&self.keys, &self.offsets, key) {
-            Some((i, _)) => self.meta[i].len as usize,
-            None => 0,
-        }
+        let slot = self.keys.binary_search(key);
+        slot.map_or(0, |i| self.meta[i].len as usize)
     }
 
     /// Number of postings whose primary bound qualifies at threshold
     /// `c` — the quantized column cut alone, no decoding. This is the
     /// cost-model probe (`|I_c(s)|`) at compressed-column price.
     pub fn qualifying_len(&self, key: &K, c: f64) -> usize {
-        let Some((i, _)) = group_range(&self.keys, &self.offsets, key) else {
+        let Ok(i) = self.keys.binary_search(key) else {
             return 0;
         };
         let (m, bounds, _) = self.group_at(i);
@@ -572,16 +528,22 @@ impl<K: Ord + Copy, const N: usize> CompressedArena<K, N> {
         }
     }
 
-    /// The shared probe: lifts each column's threshold into the
-    /// quantized domain once (no step qualifying on any column empties
-    /// the result), cuts column 0, block-decodes the prefix's ids into
-    /// `scratch` (cleared first), then keeps the rows whose remaining
-    /// columns also qualify — raw `u16` compares, filtered in place so
-    /// the warm path allocates nothing.
+    /// The probe behind both `qualifying_into` signatures: lifts each
+    /// column's threshold into the quantized domain once (no step
+    /// qualifying on any column empties the result), cuts column 0,
+    /// block-decodes the prefix's ids into `scratch` (cleared first),
+    /// then keeps the rows whose remaining columns also qualify — raw
+    /// `u16` compares, filtered in place so the warm path allocates
+    /// nothing.
     #[inline]
-    fn probe<'a>(&self, key: &K, c: [f64; N], scratch: &'a mut Vec<ObjId>) -> &'a [ObjId] {
+    pub(crate) fn probe<'a>(
+        &self,
+        key: &K,
+        c: [f64; N],
+        scratch: &'a mut Vec<ObjId>,
+    ) -> &'a [ObjId] {
         scratch.clear();
-        let Some((i, _)) = group_range(&self.keys, &self.offsets, key) else {
+        let Ok(i) = self.keys.binary_search(key) else {
             return &[];
         };
         let (m, bounds, ids) = self.group_at(i);
@@ -648,27 +610,64 @@ impl<K: Ord + Copy, const N: usize> CompressedArena<K, N> {
     }
 }
 
-impl<K: Ord + Copy + std::hash::Hash + Sync> CompressedArena<K, 1> {
-    /// Compresses a finalized [`InvertedIndex`], preserving its CSR
-    /// group order. Reads the arena's bound and id columns directly.
+impl<K: Ord + Copy + std::hash::Hash + Sync, const N: usize> CompressedArena<K, N> {
+    /// Compresses a finalized [`Arena`], preserving its group order:
+    /// per group, each bound column quantized to its own maximum, then
+    /// the block-packed id column.
     ///
     /// # Panics
-    /// If postings are staged (push without finalize) — the underlying
+    /// If postings are staged (push without finalize) — the arena's
     /// iterator refuses to silently drop them — or if any bound is
     /// non-finite (unquantizable).
-    pub fn compress(index: &InvertedIndex<K>) -> Self {
-        Self::from_groups(
-            index.key_count(),
-            index.posting_count(),
-            index.iter().map(|(key, g)| (key, [g.bounds], g.ids)),
-        )
+    pub fn compress(index: &Arena<K, N>) -> Self {
+        let key_count = index.key_count();
+        let mut keys = Vec::with_capacity(key_count);
+        let mut offsets = Vec::with_capacity(key_count + 1);
+        let mut meta = Vec::with_capacity(key_count);
+        let mut buf = BytesMut::with_capacity(index.posting_count() * (2 + 2 * N));
+        offsets.push(0);
+        for (key, group) in index.iter() {
+            let quant = group
+                .bounds
+                .map(|col| Quantizer::for_max(col.iter().copied().fold(0.0f64, f64::max)));
+            for (col, q) in group.bounds.iter().zip(&quant) {
+                for &b in *col {
+                    buf.put_u16_le(q.quantize(b));
+                }
+            }
+            put_ids_blockpacked(&mut buf, group.ids);
+            meta.push(GroupMeta {
+                len: u32::try_from(group.len()).expect("group length fits u32"),
+                quant,
+            });
+            keys.push(key);
+            offsets.push(buf.len());
+        }
+        CompressedArena {
+            keys,
+            offsets,
+            meta,
+            arena: buf.freeze(),
+            posting_count: index.posting_count(),
+        }
     }
 
+    /// Decompresses the whole index back to the uncompressed arena
+    /// (bounds come back rounded up by at most one quantization step).
+    pub fn decompress(&self) -> Arena<K, N> {
+        let mut out = Arena::new();
+        self.for_each_row(|key, id, bounds| out.push_row(key, id, bounds));
+        out.finalize();
+        out
+    }
+}
+
+impl<K: Ord + Copy> CompressedArena<K, 1> {
     /// Decodes the object ids of the qualifying postings `I_c(key)`
     /// into `scratch` (cleared first) and returns them as a slice —
     /// the same id-slice contract as the uncompressed
-    /// [`InvertedIndex::qualifying`], with an id-column decode standing
-    /// in for the in-place column suffix.
+    /// [`Arena::qualifying`], with an id-column decode standing in for
+    /// the in-place column prefix.
     ///
     /// The cut runs over the compressed bound column in the quantized
     /// domain; only the qualifying prefix's ids are decoded (bounds
@@ -682,34 +681,9 @@ impl<K: Ord + Copy + std::hash::Hash + Sync> CompressedArena<K, 1> {
     pub fn qualifying_into<'a>(&self, key: &K, c: f64, scratch: &'a mut Vec<ObjId>) -> &'a [ObjId] {
         self.probe(key, [c], scratch)
     }
-
-    /// Decompresses the whole index back to the uncompressed columnar
-    /// CSR form (bounds come back rounded up by at most one
-    /// quantization step).
-    pub fn decompress(&self) -> InvertedIndex<K> {
-        let mut out = InvertedIndex::new();
-        self.for_each_row(|key, id, [bound]| out.push(key, id, bound));
-        out.finalize();
-        out
-    }
 }
 
-impl<K: Ord + Copy + std::hash::Hash + Sync> CompressedArena<K, 2> {
-    /// Compresses a finalized [`HybridIndex`], preserving its CSR
-    /// group order. Reads the three arena columns directly.
-    ///
-    /// # Panics
-    /// If postings are staged, or any bound is non-finite.
-    pub fn compress(index: &HybridIndex<K>) -> Self {
-        Self::from_groups(
-            index.key_count(),
-            index.posting_count(),
-            index
-                .iter()
-                .map(|(key, g)| (key, [g.spatial_bounds, g.textual_bounds], g.ids)),
-        )
-    }
-
+impl<K: Ord + Copy> CompressedArena<K, 2> {
     /// Decodes the object ids of the postings qualifying under both
     /// thresholds, `I_{c_R, c_T}(key)`, into `scratch` (cleared
     /// first): a quantized-domain cut over the compressed spatial
@@ -724,21 +698,11 @@ impl<K: Ord + Copy + std::hash::Hash + Sync> CompressedArena<K, 2> {
     ) -> &'a [ObjId] {
         self.probe(key, [c_spatial, c_textual], scratch)
     }
-
-    /// Decompresses the whole index back to the uncompressed columnar
-    /// CSR form (both bounds rounded up by at most one quantization
-    /// step).
-    pub fn decompress(&self) -> HybridIndex<K> {
-        let mut out = HybridIndex::new();
-        self.for_each_row(|key, id, [sb, tb]| out.push(key, id, sb, tb));
-        out.finalize();
-        out
-    }
 }
 
 /// Walks one serialized group, checking that the `columns` bound
 /// columns fit, the quantized primary column is non-increasing (the
-/// CSR order survived), and exactly `len` ids ≤ `u32::MAX` follow
+/// finalize order survived), and exactly `len` ids ≤ `u32::MAX` follow
 /// (block widths in `1..=64`, per-block byte availability, and
 /// overflow-checked delta reconstruction). Returns the group's byte
 /// length. Used by the deserializer in [`crate::serialize`] so the
@@ -756,9 +720,11 @@ pub(crate) fn validate_group(bytes: &[u8], len: usize, columns: usize) -> Option
     }
     walk_blockpacked(bytes, header, len, None)
 }
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::InvertedIndex;
 
     fn sample_index(n: u32, spread: f64) -> InvertedIndex<u64> {
         let mut idx: InvertedIndex<u64> = InvertedIndex::new();
@@ -944,13 +910,13 @@ mod tests {
         assert_eq!(back.key_count(), idx.key_count());
         let step = 1000.0 / QUANT_STEPS + 1e-9;
         for (key, group) in idx.iter() {
-            let mut orig: Vec<(ObjId, f64)> = group.iter().map(|p| (p.object, p.bound)).collect();
+            let mut orig: Vec<(ObjId, f64)> = group.rows().map(|(id, [b])| (id, b)).collect();
             orig.sort_unstable_by_key(|(id, _)| *id);
             let mut rest: Vec<(ObjId, f64)> = back
                 .list(&key)
                 .unwrap()
-                .iter()
-                .map(|p| (p.object, p.bound))
+                .rows()
+                .map(|(id, [b])| (id, b))
                 .collect();
             rest.sort_unstable_by_key(|(id, _)| *id);
             for ((ia, ba), (ib, bb)) in orig.iter().zip(rest.iter()) {
@@ -1109,6 +1075,7 @@ mod tests {
 #[cfg(test)]
 mod dual_tests {
     use super::*;
+    use crate::HybridIndex;
 
     fn key(token: u64, cell: u64) -> u128 {
         (u128::from(token) << 64) | u128::from(cell)
@@ -1221,6 +1188,7 @@ mod dual_tests {
 #[cfg(test)]
 mod proptests {
     use super::*;
+    use crate::InvertedIndex;
     use proptest::prelude::*;
 
     proptest! {

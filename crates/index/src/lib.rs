@@ -12,28 +12,27 @@
 //!
 //! The crate provides:
 //!
-//! * [`InvertedIndex`] / [`HybridIndex`] — keyed posting collections
-//!   frozen into **columnar (structure-of-arrays) arenas**: one id
-//!   column plus one (or two) bound columns per arena, so the
-//!   qualifying cut scans a dense bound column ([`bound_cut`], chunked
-//!   and auto-vectorizable) and returns ids straight from the id
-//!   column. Byte-level size accounting (Table 1 reports index sizes)
-//!   and binary serialization included.
-//! * [`Posting`] / [`DualPosting`] — the logical posting structs, used
-//!   for staging/sorting and as materialized rows of the columnar
-//!   views ([`PostingsView`] / [`DualPostingsView`]).
-//! * [`CompressedInvertedIndex`] / [`CompressedHybridIndex`] — the
-//!   same lists in one compressed arena (quantized `u16` bound
-//!   columns + delta-coded, bit-packed 128-id blocks), served in place
-//!   through a caller-owned id scratch buffer; both are one
-//!   [`compress::CompressedArena`], see [`compress`] for the layout
-//!   contract.
+//! * [`Arena<K, N>`](Arena) — the one uncompressed index: keyed posting
+//!   lists with `N` bounds per posting, pushed, then frozen once into a
+//!   **columnar (structure-of-arrays) arena** — one id column plus `N`
+//!   bound columns — so the qualifying cut scans a dense bound column
+//!   ([`bound_cut`], chunked and auto-vectorizable) and returns ids
+//!   straight from the id column. [`InvertedIndex`] is `N = 1` (token
+//!   and grid lists), [`HybridIndex`] is `N = 2` (hybrid lists: a
+//!   spatial and a textual bound). Byte-level size accounting (Table 1
+//!   reports index sizes) and binary serialization included.
+//! * [`CompressedArena<K, N>`](compress::CompressedArena) — the same
+//!   lists compressed once into one arena (quantized `u16` bound
+//!   columns + delta-coded, bit-packed 128-id blocks) and served in
+//!   place through a caller-owned id scratch buffer
+//!   ([`CompressedInvertedIndex`] / [`CompressedHybridIndex`]); see
+//!   [`compress`] for the layout contract.
+//! * [`Postings<K, N>`](Postings) — either of the two behind one probe
+//!   contract, chosen by a [`Storage`] value: what a filter holds.
 //! * [`Container`] / [`ContainerWriter`] — the checksummed `.seal`
 //!   framing the engine persists its sections in; the index codec
 //!   itself writes and reads exactly four kinds (SoA arenas 5/6,
 //!   compressed arenas 7/8).
-//! * [`bound_cut`] — the one shared qualifying-cut path: every probe
-//!   (uncompressed, compressed) goes through it or its quantized twin.
 //!
 //! Object identifiers are bare `u32`s here ([`ObjId`]); the `seal-core`
 //! crate wraps them in its typed `ObjectId`.
@@ -41,23 +40,19 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod columns;
+mod arena;
 pub mod compress;
 pub mod container;
-mod csr;
-mod hybrid;
-mod inverted;
+mod cut;
 pub mod parallel;
-mod posting;
+mod postings;
 mod serialize;
 
-pub use columns::{DualPostingsView, PostingsView};
+pub use arena::{Arena, HybridIndex, InvertedIndex, PostingsView};
 pub use compress::{CompressedHybridIndex, CompressedInvertedIndex};
 pub use container::{Container, ContainerError, ContainerWriter};
-pub use csr::bound_cut;
-pub use hybrid::HybridIndex;
-pub use inverted::InvertedIndex;
-pub use posting::{DualPosting, Posting};
+pub use cut::bound_cut;
+pub use postings::{Postings, Storage};
 pub use serialize::{IndexCodecError, IndexKey};
 
 /// A dense object identifier (row number in the object store).

@@ -22,7 +22,10 @@
 //! ```
 //!
 //! Every kind persists the serving form **as-is** and is written and
-//! read by one generic routine per shape. The SoA kinds dump whole
+//! read by one routine per storage form, generic over the number `N`
+//! of bound columns (kinds 5/7 are `N = 1`, 6/8 are `N = 2`); a
+//! [`Postings`] reads whichever of its two kinds the payload's own
+//! kind byte names. The SoA kinds dump whole
 //! columns in group order (the arena's column layout), and loading
 //! rebuilds the frozen arena directly — no per-posting re-push, no
 //! re-sort — after a full validation walk (keys strictly ascending,
@@ -35,20 +38,29 @@
 //! bytes are corruption, not padding. Any other kind byte — including
 //! 1–4, which earlier revisions wrote — is [`IndexCodecError::BadKind`].
 
-use crate::columns::{DualColumns, PostingColumns, SingleColumns};
+use crate::arena::Columns;
 use crate::compress::{validate_group, CompressedArena, GroupMeta, Quantizer};
-use crate::csr::CsrCore;
-use crate::{HybridIndex, InvertedIndex, ObjId};
+use crate::{Arena, ObjId, Postings};
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use std::fmt;
 use std::hash::Hash;
 
 const MAGIC: u32 = 0x5EA1_1D8E;
 const VERSION: u8 = 1;
-const KIND_SOA_SINGLE: u8 = 5;
-const KIND_SOA_DUAL: u8 = 6;
-const KIND_PACKED_SINGLE: u8 = 7;
-const KIND_PACKED_DUAL: u8 = 8;
+
+/// The kind byte of an SoA arena with `N` bound columns (5, 6).
+const fn soa_kind<const N: usize>() -> u8 {
+    match N {
+        1 => 5,
+        2 => 6,
+        _ => panic!("the codec has kinds for one and two bound columns only"),
+    }
+}
+
+/// The kind byte of a compressed arena with `N` bound columns (7, 8).
+const fn packed_kind<const N: usize>() -> u8 {
+    soa_kind::<N>() + 2
+}
 
 /// Errors produced when decoding serialized indexes.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -176,9 +188,10 @@ fn put_header(buf: &mut BytesMut, kind: u8, key_count: usize) {
     buf.put_u64_le(key_count as u64);
 }
 
-/// Reads and validates the shared header for an index that reads only
-/// `kind`, returning the key count.
-fn read_header(buf: &mut impl Buf, kind: u8) -> Result<usize, IndexCodecError> {
+/// Reads and validates the shared header, returning the payload's kind
+/// byte — the caller's to check against the kinds it reads — and the
+/// key count.
+fn read_header(buf: &mut impl Buf) -> Result<(u8, usize), IndexCodecError> {
     check_remaining(buf, 4 + 1 + 1 + 8)?;
     if buf.get_u32_le() != MAGIC {
         return Err(IndexCodecError::BadMagic);
@@ -187,11 +200,17 @@ fn read_header(buf: &mut impl Buf, kind: u8) -> Result<usize, IndexCodecError> {
     if version != VERSION {
         return Err(IndexCodecError::BadVersion(version));
     }
-    let found = buf.get_u8();
-    if found != kind {
-        return Err(IndexCodecError::BadKind(found));
+    let kind = buf.get_u8();
+    let key_count = usize::try_from(buf.get_u64_le()).map_err(|_| IndexCodecError::Truncated)?;
+    Ok((kind, key_count))
+}
+
+/// [`read_header`] for a type that reads only `kind`.
+fn read_header_of(buf: &mut impl Buf, kind: u8) -> Result<usize, IndexCodecError> {
+    match read_header(buf)? {
+        (found, key_count) if found == kind => Ok(key_count),
+        (found, _) => Err(IndexCodecError::BadKind(found)),
     }
-    usize::try_from(buf.get_u64_le()).map_err(|_| IndexCodecError::Truncated)
 }
 
 /// Reads one directory key (entry starts at byte `at` of `section`),
@@ -226,61 +245,6 @@ fn check_ascending<K: Ord>(
             "keys not strictly ascending",
         )),
         None => Ok(()),
-    }
-}
-
-/// A column set with an on-disk SoA form: its kind byte and its
-/// columns in file order (ids, then the bound columns, cut axis
-/// first).
-trait SoaColumns: PostingColumns {
-    /// The serialize kind byte.
-    const KIND: u8;
-    /// Bound columns per row.
-    const BOUNDS: usize;
-    /// The id column.
-    fn ids(&self) -> &[ObjId];
-    /// Bound column `col` (0 = the cut axis).
-    fn bounds(&self, col: usize) -> &[f64];
-    /// Reassembles the set from its id column and `BOUNDS` equally
-    /// long bound columns.
-    fn from_columns(ids: Vec<ObjId>, bounds: Vec<Vec<f64>>) -> Self;
-}
-
-impl SoaColumns for SingleColumns {
-    const KIND: u8 = KIND_SOA_SINGLE;
-    const BOUNDS: usize = 1;
-    fn ids(&self) -> &[ObjId] {
-        &self.ids
-    }
-    fn bounds(&self, _col: usize) -> &[f64] {
-        &self.bounds
-    }
-    fn from_columns(ids: Vec<ObjId>, bounds: Vec<Vec<f64>>) -> Self {
-        let [bounds] = <[Vec<f64>; 1]>::try_from(bounds).expect("one bound column");
-        SingleColumns { ids, bounds }
-    }
-}
-
-impl SoaColumns for DualColumns {
-    const KIND: u8 = KIND_SOA_DUAL;
-    const BOUNDS: usize = 2;
-    fn ids(&self) -> &[ObjId] {
-        &self.ids
-    }
-    fn bounds(&self, col: usize) -> &[f64] {
-        if col == 0 {
-            &self.spatial
-        } else {
-            &self.textual
-        }
-    }
-    fn from_columns(ids: Vec<ObjId>, bounds: Vec<Vec<f64>>) -> Self {
-        let [spatial, textual] = <[Vec<f64>; 2]>::try_from(bounds).expect("two bound columns");
-        DualColumns {
-            ids,
-            spatial,
-            textual,
-        }
     }
 }
 
@@ -333,9 +297,9 @@ fn read_soa_directory<K: IndexKey>(
 /// path depends on: the primary bound column (`bounds[0]`)
 /// non-increasing under `total_cmp`, ties in ascending-id order, no
 /// NaN anywhere in any bound column.
-fn validate_soa_group(
+fn validate_soa_group<const N: usize>(
     ids: &[ObjId],
-    bounds: &[Vec<f64>],
+    bounds: &[Vec<f64>; N],
     span: std::ops::Range<usize>,
 ) -> Result<(), IndexCodecError> {
     let primary = &bounds[0];
@@ -370,137 +334,89 @@ fn validate_soa_group(
     Ok(())
 }
 
-/// Serializes a frozen arena in the SoA column format: the directory,
-/// then the id column, then each bound column — the arena's own
-/// layout, so loading is a validation walk plus bulk column reads
-/// rather than a re-sort.
-fn encode_soa<K: IndexKey, C: SoaColumns>(core: &CsrCore<K, C>) -> Bytes {
-    assert!(
-        core.is_finalized(),
-        "to_bytes requires finalize() after the last push"
-    );
-    let arena = core.arena();
-    let mut buf =
-        BytesMut::with_capacity(64 + core.key_count() * 24 + arena.len() * (4 + 8 * C::BOUNDS));
-    put_header(&mut buf, C::KIND, core.key_count());
-    buf.put_u64_le(arena.len() as u64);
-    for (key, span) in core.iter_spans() {
-        buf.put_u128_le(key.to_u128());
-        buf.put_u64_le(span.len() as u64);
-    }
-    // Groups are arena-contiguous in key order, so each column is
-    // emitted exactly as it sits in memory.
-    for &id in arena.ids() {
-        buf.put_u32_le(id);
-    }
-    for col in 0..C::BOUNDS {
-        for &b in arena.bounds(col) {
-            buf.put_f64_le(b);
-        }
-    }
-    buf.freeze()
-}
-
-/// Decodes an SoA payload straight into a frozen arena (finalized,
-/// ready to query) after validating every CSR invariant.
-fn decode_soa<K: IndexKey, C: SoaColumns>(
+/// Decodes the body of an SoA payload (everything after the shared
+/// header) straight into a frozen arena after validating every
+/// invariant the probe path relies on.
+fn decode_soa<K: IndexKey, const N: usize>(
     mut buf: impl Buf,
-) -> Result<CsrCore<K, C>, IndexCodecError> {
-    let key_count = read_header(&mut buf, C::KIND)?;
+    key_count: usize,
+) -> Result<Arena<K, N>, IndexCodecError> {
     check_remaining(&buf, 8)?;
     let posting_count = usize::try_from(buf.get_u64_le())
         .map_err(|_| corrupt("header", 0, "posting count exceeds the address space"))?;
     let (keys, offsets) = read_soa_directory::<K>(&mut buf, key_count, posting_count)?;
     let column_bytes = posting_count
-        .checked_mul(4 + 8 * C::BOUNDS)
+        .checked_mul(4 + 8 * N)
         .ok_or(IndexCodecError::Truncated)?;
     check_remaining(&buf, column_bytes)?;
     let ids: Vec<ObjId> = (0..posting_count).map(|_| buf.get_u32_le()).collect();
-    let bounds: Vec<Vec<f64>> = (0..C::BOUNDS)
-        .map(|_| (0..posting_count).map(|_| buf.get_f64_le()).collect())
-        .collect();
+    let bounds: [Vec<f64>; N] =
+        std::array::from_fn(|_| (0..posting_count).map(|_| buf.get_f64_le()).collect());
     check_consumed(&buf, "posting columns", column_bytes)?;
     for w in offsets.windows(2) {
         validate_soa_group(&ids, &bounds, w[0]..w[1])?;
     }
-    Ok(CsrCore::from_frozen(
-        keys,
-        offsets,
-        C::from_columns(ids, bounds),
-    ))
+    Ok(Arena::from_frozen(keys, offsets, Columns { ids, bounds }))
 }
 
-impl<K: IndexKey> InvertedIndex<K> {
-    /// Serializes the index in the SoA column format (kind 5): the
-    /// directory, then the id column, then the bound column.
+impl<K: IndexKey, const N: usize> Arena<K, N> {
+    /// Serializes the arena in the SoA column format (kind 5 for one
+    /// bound, 6 for two): the directory, then the id column, then each
+    /// bound column — the arena's own layout, so loading is a
+    /// validation walk plus bulk column reads rather than a re-sort.
     ///
     /// # Panics
     /// If postings have been pushed since the last
-    /// [`finalize`](InvertedIndex::finalize): only the frozen arena is
+    /// [`finalize`](Arena::finalize): only the frozen columns are
     /// serialized, so encoding a half-staged index would silently drop
     /// data.
     pub fn to_bytes(&self) -> Bytes {
-        encode_soa(&self.core)
-    }
-
-    /// Decodes a kind-5 payload; the result is finalized and ready to
-    /// query.
-    pub fn from_bytes(buf: impl Buf) -> Result<Self, IndexCodecError> {
-        Ok(InvertedIndex {
-            core: decode_soa(buf)?,
-        })
-    }
-}
-
-impl<K: IndexKey> HybridIndex<K> {
-    /// Serializes the hybrid index in the SoA column format (kind 6):
-    /// directory, id column, spatial column, textual column.
-    ///
-    /// # Panics
-    /// If postings have been pushed since the last
-    /// [`finalize`](HybridIndex::finalize) (same contract as
-    /// [`InvertedIndex::to_bytes`]).
-    pub fn to_bytes(&self) -> Bytes {
-        encode_soa(&self.core)
-    }
-
-    /// Decodes a kind-6 payload (finalized, ready to query).
-    pub fn from_bytes(buf: impl Buf) -> Result<Self, IndexCodecError> {
-        Ok(HybridIndex {
-            core: decode_soa(buf)?,
-        })
-    }
-}
-
-/// Serializes a compressed arena: the directory, then the arena
-/// verbatim. This *is* the at-rest form — nothing is re-encoded.
-fn encode_packed<K: IndexKey, const N: usize>(index: &CompressedArena<K, N>, kind: u8) -> Bytes {
-    let mut buf = BytesMut::with_capacity(64 + index.keys.len() * (20 + 8 * N) + index.arena.len());
-    put_header(&mut buf, kind, index.keys.len());
-    buf.put_u64_le(index.arena.len() as u64);
-    for (key, m) in index.keys.iter().zip(&index.meta) {
-        buf.put_u128_le(key.to_u128());
-        buf.put_u32_le(m.len);
-        for q in m.quant {
-            buf.put_f64_le(q.scale());
+        assert!(
+            self.is_finalized(),
+            "to_bytes requires finalize() after the last push"
+        );
+        let columns = self.columns();
+        let rows = columns.ids.len();
+        let mut buf = BytesMut::with_capacity(64 + self.key_count() * 24 + rows * (4 + 8 * N));
+        put_header(&mut buf, soa_kind::<N>(), self.key_count());
+        buf.put_u64_le(rows as u64);
+        for (key, group) in self.iter() {
+            buf.put_u128_le(key.to_u128());
+            buf.put_u64_le(group.len() as u64);
         }
+        // Groups are contiguous in key order, so each column is
+        // emitted exactly as it sits in memory.
+        for &id in &columns.ids {
+            buf.put_u32_le(id);
+        }
+        for col in &columns.bounds {
+            for &b in col {
+                buf.put_f64_le(b);
+            }
+        }
+        buf.freeze()
     }
-    buf.put_slice(index.arena.as_slice());
-    buf.freeze()
+
+    /// Decodes an SoA payload of this arena's kind; the result is
+    /// finalized and ready to query.
+    pub fn from_bytes(mut buf: impl Buf) -> Result<Self, IndexCodecError> {
+        let key_count = read_header_of(&mut buf, soa_kind::<N>())?;
+        decode_soa(buf, key_count)
+    }
 }
 
-/// Untrusted-input decode of a compressed arena: header,
-/// overflow-checked directory sizing (a corrupt count must fail, not
-/// abort on a huge allocation), per-key meta parse, sorted-key check,
-/// arena copy, and the full validation walk that rebuilds the byte
-/// offsets so the probe path stays infallible.
+/// Untrusted-input decode of a compressed arena's body (everything
+/// after the shared header): overflow-checked directory sizing (a
+/// corrupt count must fail, not abort on a huge allocation), per-key
+/// meta parse, sorted-key check, arena copy, and the full validation
+/// walk that rebuilds the byte offsets so the probe path stays
+/// infallible.
 fn decode_packed<K: IndexKey, const N: usize>(
     mut buf: impl Buf,
-    kind: u8,
+    key_count: usize,
 ) -> Result<CompressedArena<K, N>, IndexCodecError> {
     const SECTION: &str = "compressed directory";
     let entry = 16 + 4 + 8 * N;
-    let key_count = read_header(&mut buf, kind)?;
     check_remaining(&buf, 8)?;
     let arena_len = usize::try_from(buf.get_u64_le()).map_err(|_| IndexCodecError::Truncated)?;
     let directory = key_count
@@ -566,38 +482,68 @@ fn decode_packed<K: IndexKey, const N: usize>(
     })
 }
 
-impl<K: IndexKey> CompressedArena<K, 1> {
-    /// Serializes the compressed index (kind 7): the directory, then
-    /// the arena verbatim.
+impl<K: IndexKey, const N: usize> CompressedArena<K, N> {
+    /// Serializes the compressed index (kind 7 for one bound column, 8
+    /// for two): the directory, then the arena verbatim. This *is* the
+    /// at-rest form — nothing is re-encoded.
     pub fn to_bytes(&self) -> Bytes {
-        encode_packed(self, KIND_PACKED_SINGLE)
+        let mut buf =
+            BytesMut::with_capacity(64 + self.keys.len() * (20 + 8 * N) + self.arena.len());
+        put_header(&mut buf, packed_kind::<N>(), self.keys.len());
+        buf.put_u64_le(self.arena.len() as u64);
+        for (key, m) in self.keys.iter().zip(&self.meta) {
+            buf.put_u128_le(key.to_u128());
+            buf.put_u32_le(m.len);
+            for q in m.quant {
+                buf.put_f64_le(q.scale());
+            }
+        }
+        buf.put_slice(self.arena.as_slice());
+        buf.freeze()
     }
 
-    /// Decodes a kind-7 payload and validates the whole arena (keys
-    /// sorted, bound columns non-increasing, id columns well-formed),
-    /// so the returned index can serve probes infallibly.
-    pub fn from_bytes(buf: impl Buf) -> Result<Self, IndexCodecError> {
-        decode_packed(buf, KIND_PACKED_SINGLE)
+    /// Decodes a payload of this arena's kind and validates the whole
+    /// arena (keys sorted, bound columns non-increasing, id columns
+    /// well-formed), so the returned index can serve probes infallibly.
+    pub fn from_bytes(mut buf: impl Buf) -> Result<Self, IndexCodecError> {
+        let key_count = read_header_of(&mut buf, packed_kind::<N>())?;
+        decode_packed(buf, key_count)
     }
 }
 
-impl<K: IndexKey> CompressedArena<K, 2> {
-    /// Serializes the compressed hybrid index (kind 8): directory +
-    /// arena verbatim.
+impl<K: IndexKey, const N: usize> Postings<K, N> {
+    /// Serializes the storage form in use (see [`Arena::to_bytes`] and
+    /// [`CompressedArena::to_bytes`]).
     pub fn to_bytes(&self) -> Bytes {
-        encode_packed(self, KIND_PACKED_DUAL)
+        match self {
+            Postings::Arena(a) => a.to_bytes(),
+            Postings::Compressed(p) => p.to_bytes(),
+        }
     }
 
-    /// Decodes and fully validates a kind-8 payload.
-    pub fn from_bytes(buf: impl Buf) -> Result<Self, IndexCodecError> {
-        decode_packed(buf, KIND_PACKED_DUAL)
+    /// Decodes whichever storage form the payload's kind byte names —
+    /// the SoA or the compressed kind **for `N` bound columns**; every
+    /// other kind is [`IndexCodecError::BadKind`]. A caller that
+    /// expects one particular form checks
+    /// [`storage`](Postings::storage) on the result.
+    pub fn from_bytes(mut buf: impl Buf) -> Result<Self, IndexCodecError> {
+        let (kind, key_count) = read_header(&mut buf)?;
+        if kind == soa_kind::<N>() {
+            decode_soa(buf, key_count).map(Postings::Arena)
+        } else if kind == packed_kind::<N>() {
+            decode_packed(buf, key_count).map(Postings::Compressed)
+        } else {
+            Err(IndexCodecError::BadKind(kind))
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{CompressedHybridIndex, CompressedInvertedIndex};
+    use crate::{
+        CompressedHybridIndex, CompressedInvertedIndex, HybridIndex, InvertedIndex, Storage,
+    };
 
     #[test]
     fn single_roundtrip() {
@@ -614,7 +560,6 @@ mod tests {
         assert_eq!(back.qualifying(&7, 0.0).len(), 2);
         assert_eq!(back.qualifying(&42, 9.0), &[2]);
         assert!(back.is_finalized());
-        assert_eq!(back.generation(), 1);
     }
 
     #[test]
@@ -668,7 +613,7 @@ mod tests {
         idx.finalize();
         assert_eq!(
             HybridIndex::<u64>::from_bytes(idx.to_bytes()).unwrap_err(),
-            IndexCodecError::BadKind(KIND_SOA_SINGLE)
+            IndexCodecError::BadKind(soa_kind::<1>())
         );
     }
 
@@ -749,7 +694,7 @@ mod tests {
         let mut raw = Vec::new();
         raw.put_u32_le(MAGIC);
         raw.put_u8(VERSION);
-        raw.put_u8(KIND_SOA_SINGLE);
+        raw.put_u8(soa_kind::<1>());
         raw.put_u64_le(1u64 << 60); // key_count
         raw.put_u64_le(0); // posting_count
         assert_eq!(
@@ -760,7 +705,7 @@ mod tests {
         let mut raw = Vec::new();
         raw.put_u32_le(MAGIC);
         raw.put_u8(VERSION);
-        raw.put_u8(KIND_SOA_SINGLE);
+        raw.put_u8(soa_kind::<1>());
         raw.put_u64_le(1);
         raw.put_u64_le(1);
         raw.put_u128_le(9);
@@ -863,14 +808,14 @@ mod tests {
     fn compressed_rejects_wrong_kind_and_truncation() {
         let c = sample_compressed();
         let bytes = c.to_bytes();
-        assert_eq!(bytes.as_slice()[5], KIND_PACKED_SINGLE);
+        assert_eq!(bytes.as_slice()[5], packed_kind::<1>());
         assert_eq!(
             InvertedIndex::<u64>::from_bytes(bytes.clone()).unwrap_err(),
-            IndexCodecError::BadKind(KIND_PACKED_SINGLE)
+            IndexCodecError::BadKind(packed_kind::<1>())
         );
         assert_eq!(
             CompressedHybridIndex::<u64>::from_bytes(bytes.clone()).unwrap_err(),
-            IndexCodecError::BadKind(KIND_PACKED_SINGLE)
+            IndexCodecError::BadKind(packed_kind::<1>())
         );
         let cut = bytes.slice(..bytes.len() - 3);
         assert_eq!(
@@ -908,6 +853,33 @@ mod tests {
     }
 
     #[test]
+    fn postings_decode_the_form_their_kind_byte_names() {
+        let mut idx: InvertedIndex<u64> = InvertedIndex::new();
+        idx.push(7, 0, 3.5);
+        idx.push(7, 1, 1.25);
+        idx.finalize();
+        let soa = idx.to_bytes();
+        let packed = CompressedInvertedIndex::compress(&idx).to_bytes();
+        for (bytes, storage) in [(&soa, Storage::Arena), (&packed, Storage::Compressed)] {
+            let back = Postings::<u64, 1>::from_bytes(bytes.clone()).unwrap();
+            assert_eq!(back.storage(), storage);
+            assert_eq!(&back.to_bytes(), bytes, "re-encoding is the identity");
+            assert_eq!(back.qualifying_into(&7, [2.0], &mut Vec::new()), &[0]);
+            // Single-bound kinds are not a dual-bound posting source.
+            assert_eq!(
+                Postings::<u64, 2>::from_bytes(bytes.clone()).unwrap_err(),
+                IndexCodecError::BadKind(bytes.as_slice()[5])
+            );
+        }
+        let mut raw = soa.as_slice().to_vec();
+        raw[5] = 9;
+        assert_eq!(
+            Postings::<u64, 1>::from_bytes(&raw[..]).unwrap_err(),
+            IndexCodecError::BadKind(9)
+        );
+    }
+
+    #[test]
     fn compressed_rejects_corrupt_bound_column() {
         let c = sample_compressed();
         let mut raw = c.to_bytes().as_slice().to_vec();
@@ -932,14 +904,14 @@ mod tests {
         let mut raw = Vec::new();
         raw.put_u32_le(MAGIC);
         raw.put_u8(VERSION);
-        raw.put_u8(KIND_PACKED_SINGLE);
+        raw.put_u8(packed_kind::<1>());
         raw.put_u64_le(1u64 << 60);
         raw.put_u64_le(0); // arena_len
         assert_eq!(
             CompressedInvertedIndex::<u64>::from_bytes(&raw[..]).unwrap_err(),
             IndexCodecError::Truncated
         );
-        raw[5] = KIND_PACKED_DUAL;
+        raw[5] = packed_kind::<2>();
         assert_eq!(
             CompressedHybridIndex::<u64>::from_bytes(&raw[..]).unwrap_err(),
             IndexCodecError::Truncated

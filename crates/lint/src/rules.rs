@@ -655,7 +655,7 @@ mod tests {
         assert_eq!(d[0].rule, "persisted-narrowing-cast");
         // The same cast outside the persisted-format files is exempt,
         // and `as u64` widenings never flag.
-        assert!(diags("crates/index/src/columns.rs", src).is_empty());
+        assert!(diags("crates/index/src/arena.rs", src).is_empty());
         // Test code on a persisted path is exempt.
         let test_src = "#[cfg(test)]\nmod tests { fn g(n: usize) -> u32 { n as u32 } }";
         assert!(diags("crates/core/src/persist.rs", test_src).is_empty());

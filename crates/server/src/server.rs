@@ -18,13 +18,16 @@
 //! One acceptor thread; one thread per live connection, bounded by
 //! [`ServerConfig::max_connections`] (beyond it, connections are
 //! answered `503` and closed — admission control at the accept gate).
-//! Each connection thread owns a [`QueryContext`]-equivalent through
-//! the shared [`Batcher`]: every `/query` flows through
-//! [`QueryEngine::search_batch`], whose work-stealing workers each own
-//! one context, allocation-free when warm. Requests never hold the
-//! engine's swap lock; `/push` and `/refresh` ride the engine's
-//! generation protocol unchanged, so everything the `live_ingest.rs`
-//! oracle proves about swap atomicity holds verbatim over the wire.
+//! Connection threads own no query scratch: every `/query` flows
+//! through the shared [`Batcher`] into
+//! [`QueryEngine::search_batch`], which on a single-arena backend
+//! allocates a store-sized `QueryContext` per batch (per worker when
+//! a batch fans out) and drops it with the batch; a sharded backend
+//! probes each shard through its thread-local context. Requests never
+//! hold the engine's swap lock; `/push` and `/refresh` ride the
+//! engine's generation protocol unchanged, so everything the
+//! `live_ingest.rs` oracle proves about swap atomicity holds verbatim
+//! over the wire.
 //!
 //! # Backpressure
 //!

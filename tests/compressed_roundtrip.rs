@@ -43,7 +43,7 @@ fn serialize_load_qualifying_matches_uncompressed() {
 
     let mut scratch = Vec::new();
     for (key, group) in idx.iter() {
-        let max = group.bounds.iter().copied().fold(0.0f64, f64::max);
+        let max = group.bounds[0].iter().copied().fold(0.0f64, f64::max);
         for thr in [0.0, max * 0.3, max * 0.7, max, max * 1.5] {
             let exact: std::collections::BTreeSet<u32> =
                 idx.qualifying(&key, thr).iter().copied().collect();

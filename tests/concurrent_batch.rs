@@ -19,33 +19,7 @@ use util::twitter_fixture;
 const THREADS: usize = 64;
 
 fn kinds() -> Vec<FilterKind> {
-    vec![
-        FilterKind::Token,
-        FilterKind::TokenCompressed,
-        FilterKind::TokenBasic,
-        FilterKind::Grid { side: 64 },
-        FilterKind::HashHybrid {
-            side: 64,
-            buckets: Some(1 << 12),
-        },
-        FilterKind::HashHybridCompressed {
-            side: 64,
-            buckets: Some(1 << 12),
-        },
-        FilterKind::HashHybrid {
-            side: 32,
-            buckets: None,
-        },
-        FilterKind::Hierarchical {
-            max_level: 5,
-            budget: 8,
-        },
-        FilterKind::Adaptive { side: 64 },
-        FilterKind::KeywordFirst,
-        FilterKind::SpatialFirst,
-        FilterKind::IrTree { fanout: 16 },
-        FilterKind::Naive,
-    ]
+    util::kinds(64, &[Some(1 << 12), None], 5, 8)
 }
 
 #[test]

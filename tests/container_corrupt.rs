@@ -197,6 +197,91 @@ fn trailing_byte_in_an_index_section_behind_valid_crcs_errors() {
 }
 
 #[test]
+fn primary_index_of_another_storage_form_or_bound_count_errors() {
+    // The loader picks the posting decoder from the primary section's
+    // own codec kind byte, so the engine meta must still have the last
+    // word: a section of the other storage form, or with the other
+    // number of bound columns, spliced in behind valid CRCs is a typed
+    // error — never an engine silently serving in the other mode.
+    let (store, _) = twitter_fixture(300, 1);
+    let store = Arc::new(store);
+    let hash = |compressed: bool| {
+        let (side, buckets) = (16, Some(64));
+        if compressed {
+            FilterKind::HashHybridCompressed { side, buckets }
+        } else {
+            FilterKind::HashHybrid { side, buckets }
+        }
+    };
+    let container_of = |kind| {
+        SealEngine::build(store.clone(), kind)
+            .to_container_bytes()
+            .expect("serializing a healthy engine must succeed")
+    };
+    // (codec kind byte of the primary section, container)
+    let token = (5u8, container_of(FilterKind::Token));
+    let token_packed = (7u8, container_of(FilterKind::TokenCompressed));
+    let hybrid = (6u8, container_of(hash(false)));
+    let hybrid_packed = (8u8, container_of(hash(true)));
+    let load_spliced = |meta_from: &(u8, Vec<u8>), primary_from: &(u8, Vec<u8>)| {
+        let donor = Container::parse(&primary_from.1).expect("pristine container must parse");
+        let primary = donor.require(SECTION_PRIMARY_INDEX).expect("indexed kind");
+        assert_eq!(primary[5], primary_from.0, "codec kind byte of the donor");
+        let container = Container::parse(&meta_from.1).expect("pristine container must parse");
+        let mut w = ContainerWriter::new();
+        for s in container.sections() {
+            let payload = if s.kind == SECTION_PRIMARY_INDEX {
+                primary
+            } else {
+                s.payload
+            };
+            w.push_section(s.kind, payload.to_vec());
+        }
+        SealEngine::load_from_bytes(&w.finish(), 1).err()
+    };
+    // Same bound count, other storage form: both directions, both
+    // schemes.
+    for (meta, primary) in [
+        (&token, &token_packed),
+        (&token_packed, &token),
+        (&hybrid, &hybrid_packed),
+        (&hybrid_packed, &hybrid),
+    ] {
+        match load_spliced(meta, primary) {
+            Some(ContainerError::Section {
+                section, detail, ..
+            }) => {
+                assert_eq!(section, "primary index");
+                assert!(detail.contains("engine meta declares"), "{detail}");
+            }
+            other => panic!(
+                "kind-{} section under kind-{} meta: expected a typed section error, got {other:?}",
+                primary.0, meta.0
+            ),
+        }
+    }
+    // Other bound count: the codec itself refuses the kind byte.
+    for (meta, primary) in [
+        (&hybrid, &token),
+        (&hybrid_packed, &token),
+        (&hybrid_packed, &token_packed),
+        (&token, &hybrid),
+        (&token_packed, &hybrid_packed),
+    ] {
+        match load_spliced(meta, primary) {
+            Some(ContainerError::Codec(IndexCodecError::BadKind(k))) => assert_eq!(k, primary.0),
+            other => panic!(
+                "kind-{} section under kind-{} meta: expected BadKind, got {other:?}",
+                primary.0, meta.0
+            ),
+        }
+    }
+    // The splice helper itself is sound: a section put back where it
+    // came from loads.
+    assert!(load_spliced(&hybrid_packed, &hybrid_packed).is_none());
+}
+
+#[test]
 fn hostile_scheme_sections_behind_valid_crcs_error() {
     // The scheme section is [max_level u8 | budget u64 | n_tokens u64]
     // then per token [id u32 | n_cells u32 | packed cells u64...]. The

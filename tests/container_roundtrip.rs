@@ -26,39 +26,10 @@ fn answers(engine: &SealEngine, queries: &[Query]) -> Vec<Vec<ObjectId>> {
 }
 
 /// Every [`FilterKind`] variant, the hash-hybrid pair both with and
-/// without a bucket count.
-fn all_kinds() -> [FilterKind; 14] {
-    [
-        FilterKind::Token,
-        FilterKind::TokenCompressed,
-        FilterKind::TokenBasic,
-        FilterKind::Grid { side: 64 },
-        FilterKind::HashHybrid {
-            side: 64,
-            buckets: None,
-        },
-        FilterKind::HashHybrid {
-            side: 64,
-            buckets: Some(1 << 12),
-        },
-        FilterKind::HashHybridCompressed {
-            side: 64,
-            buckets: None,
-        },
-        FilterKind::HashHybridCompressed {
-            side: 64,
-            buckets: Some(1 << 12),
-        },
-        FilterKind::Hierarchical {
-            max_level: 5,
-            budget: 8,
-        },
-        FilterKind::KeywordFirst,
-        FilterKind::SpatialFirst,
-        FilterKind::IrTree { fanout: 16 },
-        FilterKind::Adaptive { side: 64 },
-        FilterKind::Naive,
-    ]
+/// without a bucket count — 14 configurations, in the order of the
+/// recorded digests below.
+fn all_kinds() -> Vec<FilterKind> {
+    util::kinds(64, &[None, Some(1 << 12)], 5, 8)
 }
 
 /// Every indexed and derivable filter kind: build → save → load must

@@ -1,13 +1,12 @@
-//! Incremental (merge-based) finalize and parallel builds.
+//! Re-freezing and parallel builds.
 //!
 //! Two properties anchor the build path:
 //!
 //! 1. **Re-finalize ≡ fresh build.** The same pushes, split across any
 //!    push/finalize interleaving (streaming ingest), produce an index
 //!    whose `iter()` output is identical to pushing everything once
-//!    and finalizing once — for both index types and every build
-//!    thread count. The merge-based finalize is an optimization, never
-//!    a semantic change.
+//!    and finalizing once — for one and two bounds per posting and
+//!    every build thread count.
 //! 2. **Parallel builds are deterministic.** The hierarchical
 //!    (HSS-Greedy) build selects exactly the same cells — and the
 //!    resulting engine returns exactly the same answers — at every
@@ -17,14 +16,14 @@ use proptest::prelude::*;
 use seal_core::filters::HierarchicalFilter;
 use seal_core::signatures::hierarchical::HierarchicalScheme;
 use seal_core::{BuildOpts, FilterKind, SealEngine, SimilarityConfig};
-use seal_index::{HybridIndex, InvertedIndex};
+use seal_index::{Arena, InvertedIndex};
 use std::sync::Arc;
 
 #[path = "util/mod.rs"]
 mod util;
 use util::twitter_fixture;
 
-/// One push: key, object id, bound (dual bounds derive from it).
+/// One push: key, object id, bound (further bounds derive from it).
 type Entry = (u64, u32, f64);
 
 fn entries() -> impl Strategy<Value = Vec<Entry>> {
@@ -36,25 +35,41 @@ fn cuts() -> impl Strategy<Value = Vec<usize>> {
     proptest::collection::vec(0usize..250, 0..5)
 }
 
-fn inverted_snapshot(idx: &InvertedIndex<u64>) -> Vec<(u64, Vec<(u32, f64)>)> {
-    idx.iter()
-        .map(|(k, g)| (k, g.iter().map(|p| (p.object, p.bound)).collect()))
-        .collect()
+/// `(key, rows)` per group, every column of every row.
+type Snapshot<const N: usize> = Vec<(u64, Vec<(u32, [f64; N])>)>;
+
+fn snapshot<const N: usize>(idx: &Arena<u64, N>) -> Snapshot<N> {
+    idx.iter().map(|(k, g)| (k, g.rows().collect())).collect()
 }
 
-type HybridGroup = (u64, Vec<(u32, f64, f64)>);
+/// The property, once for any number of bounds: `entries` pushed with
+/// a finalize after each index in `cuts` equals `entries` pushed and
+/// finalized once.
+fn refinalize_equals_fresh_build<const N: usize>(
+    entries: &[Entry],
+    cuts: &[usize],
+    threads: usize,
+) {
+    // Distinct, NaN-free bounds per column: b, 1e5 − b, ...
+    let bounds = |b: f64| std::array::from_fn(|col| if col % 2 == 0 { b } else { 1e5 - b });
+    let mut fresh: Arena<u64, N> = Arena::new();
+    for &(k, o, b) in entries {
+        fresh.push_row(k, o, bounds(b));
+    }
+    fresh.finalize();
 
-fn hybrid_snapshot(idx: &HybridIndex<u64>) -> Vec<HybridGroup> {
-    idx.iter()
-        .map(|(k, g)| {
-            (
-                k,
-                g.iter()
-                    .map(|p| (p.object, p.spatial_bound, p.textual_bound))
-                    .collect(),
-            )
-        })
-        .collect()
+    let mut incremental: Arena<u64, N> = Arena::new();
+    for (i, &(k, o, b)) in entries.iter().enumerate() {
+        incremental.push_row(k, o, bounds(b));
+        if cuts.contains(&i) {
+            incremental.finalize_with_threads(threads);
+        }
+    }
+    incremental.finalize_with_threads(threads);
+
+    assert_eq!(incremental.posting_count(), fresh.posting_count());
+    assert_eq!(incremental.key_count(), fresh.key_count());
+    assert_eq!(snapshot(&incremental), snapshot(&fresh));
 }
 
 proptest! {
@@ -66,24 +81,7 @@ proptest! {
         cuts in cuts(),
         threads in 1usize..5,
     ) {
-        let mut fresh: InvertedIndex<u64> = InvertedIndex::new();
-        for &(k, o, b) in &entries {
-            fresh.push(k, o, b);
-        }
-        fresh.finalize();
-
-        let mut incremental: InvertedIndex<u64> = InvertedIndex::new();
-        for (i, &(k, o, b)) in entries.iter().enumerate() {
-            incremental.push(k, o, b);
-            if cuts.contains(&i) {
-                incremental.finalize_with_threads(threads);
-            }
-        }
-        incremental.finalize_with_threads(threads);
-
-        prop_assert_eq!(incremental.posting_count(), fresh.posting_count());
-        prop_assert_eq!(incremental.key_count(), fresh.key_count());
-        prop_assert_eq!(inverted_snapshot(&incremental), inverted_snapshot(&fresh));
+        refinalize_equals_fresh_build::<1>(&entries, &cuts, threads);
     }
 
     #[test]
@@ -92,26 +90,7 @@ proptest! {
         cuts in cuts(),
         threads in 1usize..5,
     ) {
-        let dual = |b: f64| (b, 1e5 - b); // distinct, NaN-free bounds
-        let mut fresh: HybridIndex<u64> = HybridIndex::new();
-        for &(k, o, b) in &entries {
-            let (sb, tb) = dual(b);
-            fresh.push(k, o, sb, tb);
-        }
-        fresh.finalize();
-
-        let mut incremental: HybridIndex<u64> = HybridIndex::new();
-        for (i, &(k, o, b)) in entries.iter().enumerate() {
-            let (sb, tb) = dual(b);
-            incremental.push(k, o, sb, tb);
-            if cuts.contains(&i) {
-                incremental.finalize_with_threads(threads);
-            }
-        }
-        incremental.finalize_with_threads(threads);
-
-        prop_assert_eq!(incremental.posting_count(), fresh.posting_count());
-        prop_assert_eq!(hybrid_snapshot(&incremental), hybrid_snapshot(&fresh));
+        refinalize_equals_fresh_build::<2>(&entries, &cuts, threads);
     }
 }
 
@@ -180,10 +159,9 @@ fn parallel_hierarchical_filter_answers_identically() {
 
 #[test]
 fn streaming_ingest_serves_correct_answers_after_each_refinalize() {
-    // The scenario the merge-based finalize opens: push a batch,
-    // re-finalize, serve — repeatedly — and at every step the frozen
-    // index answers exactly like a fresh one built from the same
-    // postings.
+    // Streaming ingest: push a batch, re-finalize, serve — repeatedly
+    // — and at every step the frozen index answers exactly like a
+    // fresh one built from the same postings.
     let (store, _qs) = twitter_fixture(900, 1);
     let all: Vec<(u32, seal_core::RoiObject)> =
         store.iter().map(|(id, o)| (id.0, o.clone())).collect();

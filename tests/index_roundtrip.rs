@@ -4,18 +4,42 @@
 
 use seal_core::signatures::grid::GridScheme;
 use seal_core::signatures::textual::TextualSignature;
-use seal_index::{HybridIndex, InvertedIndex};
+use seal_index::{Arena, IndexKey};
 use std::sync::Arc;
 
 #[path = "util/mod.rs"]
 mod util;
 use util::twitter_fixture;
 
+/// The round trip, once for any key type and number of bounds: the
+/// decoded arena has the same keys and postings and answers the
+/// spot-checked probes (a sample of keys, `thresholds` on the cut
+/// axis, the other thresholds at 0.5) identically.
+fn roundtrips_through_bytes<K: IndexKey + std::fmt::Debug, const N: usize>(
+    idx: &Arena<K, N>,
+    thresholds: &[f64],
+) {
+    let back: Arena<K, N> = Arena::from_bytes(idx.to_bytes()).unwrap();
+    assert_eq!(back.key_count(), idx.key_count());
+    assert_eq!(back.posting_count(), idx.posting_count());
+    let (mut s1, mut s2) = (Vec::new(), Vec::new());
+    for (key, _) in idx.iter().take(50) {
+        for &c0 in thresholds {
+            let c: [f64; N] = std::array::from_fn(|col| if col == 0 { c0 } else { 0.5 });
+            assert_eq!(
+                idx.qualifying_into(&key, c, &mut s1),
+                back.qualifying_into(&key, c, &mut s2),
+                "key {key:?} thresholds {c:?}"
+            );
+        }
+    }
+}
+
 #[test]
 fn token_index_roundtrips_through_bytes() {
     let (store, _) = twitter_fixture(800, 1);
     let store = Arc::new(store);
-    let mut idx: InvertedIndex<u32> = InvertedIndex::new();
+    let mut idx: Arena<u32, 1> = Arena::new();
     for (id, o) in store.iter() {
         let sig = TextualSignature::build(&o.tokens, store.weights(), store.token_order());
         for (e, b) in sig.elements_with_bounds() {
@@ -23,20 +47,7 @@ fn token_index_roundtrips_through_bytes() {
         }
     }
     idx.finalize();
-    let bytes = idx.to_bytes();
-    let back: InvertedIndex<u32> = InvertedIndex::from_bytes(bytes).unwrap();
-    assert_eq!(back.key_count(), idx.key_count());
-    assert_eq!(back.posting_count(), idx.posting_count());
-    // Spot-check qualifying sets for a sample of keys and thresholds.
-    for (key, _) in idx.iter().take(50) {
-        for c in [0.0, 0.5, 2.0, 10.0] {
-            assert_eq!(
-                idx.qualifying(&key, c),
-                back.qualifying(&key, c),
-                "key {key} threshold {c}"
-            );
-        }
-    }
+    roundtrips_through_bytes(&idx, &[0.0, 0.5, 2.0, 10.0]);
 }
 
 #[test]
@@ -44,15 +55,14 @@ fn grid_index_roundtrips_through_bytes() {
     let (store, _) = twitter_fixture(800, 1);
     let store = Arc::new(store);
     let scheme = GridScheme::build(&store, 64);
-    let mut idx: InvertedIndex<u64> = InvertedIndex::new();
+    let mut idx: Arena<u64, 1> = Arena::new();
     for (id, o) in store.iter() {
         for (e, b) in scheme.signature(&o.region).elements_with_bounds() {
             idx.push(e.cell, id.0, b);
         }
     }
     idx.finalize();
-    let back: InvertedIndex<u64> = InvertedIndex::from_bytes(idx.to_bytes()).unwrap();
-    assert_eq!(back.posting_count(), idx.posting_count());
+    roundtrips_through_bytes(&idx, &[0.0, 10.0]);
 }
 
 #[test]
@@ -60,7 +70,7 @@ fn hybrid_index_roundtrips_through_bytes() {
     let (store, _) = twitter_fixture(400, 1);
     let store = Arc::new(store);
     let scheme = GridScheme::build(&store, 32);
-    let mut idx: HybridIndex<u128> = HybridIndex::new();
+    let mut idx: Arena<u128, 2> = Arena::new();
     for (id, o) in store.iter() {
         let tsig = TextualSignature::build(&o.tokens, store.weights(), store.token_order());
         let gsig = scheme.signature(&o.region);
@@ -72,12 +82,5 @@ fn hybrid_index_roundtrips_through_bytes() {
         }
     }
     idx.finalize();
-    let back: HybridIndex<u128> = HybridIndex::from_bytes(idx.to_bytes()).unwrap();
-    assert_eq!(back.posting_count(), idx.posting_count());
-    assert_eq!(back.key_count(), idx.key_count());
-    for (key, _) in idx.iter().take(25) {
-        let a: Vec<u32> = idx.qualifying(&key, 10.0, 0.5).collect();
-        let b: Vec<u32> = back.qualifying(&key, 10.0, 0.5).collect();
-        assert_eq!(a, b);
-    }
+    roundtrips_through_bytes(&idx, &[0.0, 10.0]);
 }

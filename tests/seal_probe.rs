@@ -48,14 +48,7 @@ fn assert_slots_cover_the_index(engine: &SealEngine, what: &str) {
                 bound[slot] += 1;
                 let (at, by_key) = (index.list_at(slot), index.list(&key).unwrap());
                 assert_eq!(at.ids, by_key.ids, "{what}: slot {slot}");
-                assert_eq!(
-                    at.spatial_bounds, by_key.spatial_bounds,
-                    "{what}: slot {slot}"
-                );
-                assert_eq!(
-                    at.textual_bounds, by_key.textual_bounds,
-                    "{what}: slot {slot}"
-                );
+                assert_eq!(at.bounds, by_key.bounds, "{what}: slot {slot}");
             }
         }
     }

@@ -23,22 +23,22 @@ use seal_geom::Rect;
 use seal_text::{TokenId, TokenSet};
 use std::sync::Arc;
 
+#[path = "util/mod.rs"]
+mod util;
+
 /// A cross-section of filter kinds: the sharded layer is
 /// filter-agnostic, so a plain arena, a hierarchical scheme and a
 /// hashed hybrid cover the interesting per-shard index paths without
 /// re-running the whole `live_ingest` matrix.
 fn kinds() -> Vec<FilterKind> {
-    vec![
-        FilterKind::Token,
-        FilterKind::Hierarchical {
-            max_level: 4,
-            budget: 8,
-        },
-        FilterKind::HashHybrid {
-            side: 8,
-            buckets: Some(64),
-        },
-    ]
+    let mut kinds = util::kinds(8, &[Some(64)], 4, 8);
+    kinds.retain(|k| {
+        matches!(
+            k,
+            FilterKind::Token | FilterKind::Hierarchical { .. } | FilterKind::HashHybrid { .. }
+        )
+    });
+    kinds
 }
 
 const VOCAB: usize = 12;

@@ -91,7 +91,7 @@ proptest! {
                 let rows: Vec<(u32, f64)> = view
                     .ids
                     .iter()
-                    .zip(view.bounds)
+                    .zip(view.bounds[0])
                     .map(|(&i, &b)| (i, b))
                     .collect();
                 prop_assert_eq!(&rows, &oracle.groups[&key]);

@@ -5,11 +5,55 @@
 // every fixture.
 #![allow(dead_code)]
 
-use seal_core::{ObjectStore, Query, RoiObject};
+use seal_core::filters::Storage;
+use seal_core::{FilterKind, ObjectStore, Query, RoiObject};
 use seal_datagen::{
     generate_queries, twitter_like, usa_like, QueryParams, QuerySpec, TwitterParams, UsaParams,
 };
 use seal_text::TokenSet;
+
+/// Every engine configuration as the product of two lists — the
+/// schemes and the storage forms their posting lists can be served
+/// from — in scheme-major order (the hash-hybrid scheme once per entry
+/// of `buckets` in each of its forms). A scheme has a [`FilterKind`]
+/// per form it supports; most support the arena only.
+pub fn kinds(side: u32, buckets: &[Option<u64>], max_level: u8, budget: usize) -> Vec<FilterKind> {
+    use FilterKind::*;
+    let schemes = [
+        Token,
+        TokenBasic,
+        Grid { side },
+        HashHybrid {
+            side,
+            buckets: None,
+        },
+        Hierarchical { max_level, budget },
+        KeywordFirst,
+        SpatialFirst,
+        IrTree { fanout: 16 },
+        Adaptive { side },
+        Naive,
+    ];
+    let mut kinds = Vec::new();
+    for scheme in schemes {
+        for storage in [Storage::Arena, Storage::Compressed] {
+            match (scheme, storage) {
+                (HashHybrid { side, .. }, Storage::Arena) => {
+                    kinds.extend(buckets.iter().map(|&buckets| HashHybrid { side, buckets }))
+                }
+                (HashHybrid { side, .. }, Storage::Compressed) => kinds.extend(
+                    buckets
+                        .iter()
+                        .map(|&buckets| HashHybridCompressed { side, buckets }),
+                ),
+                (Token, Storage::Compressed) => kinds.push(TokenCompressed),
+                (scheme, Storage::Arena) => kinds.push(scheme),
+                (_, Storage::Compressed) => {} // no compressed form
+            }
+        }
+    }
+    kinds
+}
 
 /// A Twitter-like store plus a mixed-threshold query workload.
 pub fn twitter_fixture(objects: usize, queries_per_spec: usize) -> (ObjectStore, Vec<Query>) {
