@@ -1,18 +1,18 @@
-//! Dataset/workload construction shared by the figure binaries.
+//! Datasets and query sets for the sweep driver.
 
 use seal_core::{ObjectStore, Query, RoiObject};
 use seal_datagen::{
-    generate_queries, twitter_like, usa_like, Dataset, QueryParams, QuerySpec, RawQuery,
-    TwitterParams, UsaParams,
+    generate_queries, twitter_like, usa_like, Dataset, QueryParams, QuerySpec, TwitterParams,
+    UsaParams,
 };
 use seal_text::TokenSet;
 use std::sync::Arc;
 
-/// Scale knobs every figure binary accepts on its command line.
+/// Scale knobs `repro` accepts on its command line.
 #[derive(Debug, Clone)]
 pub struct BenchConfig {
     /// Number of objects (paper: 1,000,000; default here 50,000 so the
-    /// full suite runs in minutes — pass `--objects 1000000` for the
+    /// full sweep runs in minutes — pass `--objects 1000000` for the
     /// paper scale).
     pub objects: usize,
     /// Queries per workload (paper: 100).
@@ -50,102 +50,46 @@ impl BenchConfig {
     }
 }
 
-/// Which of the two evaluation datasets.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Which {
-    /// The Twitter-like dataset.
-    Twitter,
-    /// The USA-like dataset.
-    Usa,
+/// The Twitter-like dataset at the configured scale.
+pub fn twitter(cfg: &BenchConfig) -> Dataset {
+    let (count, seed) = (cfg.objects, cfg.seed);
+    twitter_like(&TwitterParams {
+        count,
+        seed,
+        ..TwitterParams::default()
+    })
 }
 
-/// Generates a dataset at the configured scale.
-pub fn dataset(which: Which, cfg: &BenchConfig) -> Dataset {
-    match which {
-        Which::Twitter => twitter_like(&TwitterParams {
-            count: cfg.objects,
-            seed: cfg.seed,
-            ..TwitterParams::default()
-        }),
-        Which::Usa => usa_like(&UsaParams {
-            count: cfg.objects,
-            seed: cfg.seed,
-            ..UsaParams::default()
-        }),
-    }
-}
-
-/// A dataset's records as engine objects, in stream order (shared by
-/// [`build_store`] and the ingest bench, which splits the stream into
-/// generations itself).
-pub fn raw_objects(dataset: &Dataset) -> Vec<RoiObject> {
-    dataset
-        .objects
-        .iter()
-        .map(|o| RoiObject::new(o.region, TokenSet::from_ids(o.tokens.iter().copied())))
-        .collect()
+/// The USA-like dataset at the configured scale.
+pub fn usa(cfg: &BenchConfig) -> Dataset {
+    let (count, seed) = (cfg.objects, cfg.seed);
+    usa_like(&UsaParams {
+        count,
+        seed,
+        ..UsaParams::default()
+    })
 }
 
 /// Builds the object store from a generated dataset.
 pub fn build_store(dataset: &Dataset) -> Arc<ObjectStore> {
-    Arc::new(ObjectStore::from_objects(
-        raw_objects(dataset),
-        dataset.vocab_size,
-    ))
+    let objects = dataset
+        .objects
+        .iter()
+        .map(|o| RoiObject::new(o.region, TokenSet::from_ids(o.tokens.iter().copied())))
+        .collect();
+    Arc::new(ObjectStore::from_objects(objects, dataset.vocab_size))
 }
 
-/// Generates the paper's large-region / small-region workloads.
-pub fn workload(dataset: &Dataset, spec: QuerySpec, cfg: &BenchConfig) -> Vec<RawQuery> {
-    generate_queries(
-        dataset,
-        &QueryParams {
-            spec,
-            count: cfg.queries,
-            seed: cfg.seed ^ 0xABCD,
-        },
-    )
-}
-
-/// Instantiates raw queries with thresholds.
-pub fn with_thresholds(raw: &[RawQuery], tau_r: f64, tau_t: f64) -> Vec<Query> {
-    raw.iter()
+/// `cfg.queries` queries of the paper's large- or small-region
+/// workload over `d`, at thresholds `(τ_R, τ_T)`.
+pub fn queries(d: &Dataset, spec: QuerySpec, cfg: &BenchConfig, taus: (f64, f64)) -> Vec<Query> {
+    let seed = cfg.seed ^ 0xABCD;
+    let count = cfg.queries;
+    generate_queries(d, &QueryParams { spec, count, seed })
+        .iter()
         .map(|r| {
-            Query::with_token_ids(r.region, r.tokens.iter().copied(), tau_r, tau_t)
+            Query::with_token_ids(r.region, r.tokens.iter().copied(), taus.0, taus.1)
                 .expect("thresholds in (0,1]")
         })
         .collect()
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn pipeline_produces_store_and_queries() {
-        let cfg = BenchConfig {
-            objects: 500,
-            queries: 10,
-            seed: 1,
-        };
-        let d = dataset(Which::Twitter, &cfg);
-        let store = build_store(&d);
-        assert_eq!(store.len(), 500);
-        let raw = workload(&d, QuerySpec::SmallRegion, &cfg);
-        let qs = with_thresholds(&raw, 0.4, 0.4);
-        assert_eq!(qs.len(), 10);
-        assert!(qs.iter().all(|q| q.tau_spatial == 0.4));
-    }
-
-    #[test]
-    fn usa_dataset_builds() {
-        let cfg = BenchConfig {
-            objects: 300,
-            queries: 5,
-            seed: 2,
-        };
-        let d = dataset(Which::Usa, &cfg);
-        assert_eq!(d.name, "usa-like");
-        let store = build_store(&d);
-        assert_eq!(store.len(), 300);
-    }
 }

@@ -1,14 +1,15 @@
-//! # seal-bench — shared harness utilities for the SEAL experiments.
+//! # seal-bench — the paper's evaluation as cost-counter rows.
 //!
-//! Each binary in `src/bin/` reproduces one table or figure of the
-//! paper; this library holds the shared scaffolding (dataset caching,
-//! timing, table printing). The experiments are those of the paper's
-//! evaluation (`PAPER.md`, §6: Table 1, Figures 12–18); serving-side
-//! numbers come from the `benchmark/` package instead.
+//! [`sweep::run`] regenerates Table 1 and Figures 12–18 of the paper's
+//! evaluation (`PAPER.md`, §6) as JSON-lines rows of the machine-
+//! independent costs `SearchStats` counts (π₁'s postings, π₂'s
+//! candidates) plus index bytes. The `repro` binary prints them;
+//! `tests/reproduction.rs` asserts each figure's qualitative claim on
+//! them and pins them against the recorded `REPRODUCTION.json`.
+//! Serving-side timing belongs to the `benchmark/` package.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod data;
-pub mod figures;
-pub mod harness;
+pub mod sweep;

@@ -5,10 +5,7 @@ use seal_core::{
     BuildOpts, FilterKind, LiveEngine, ObjectStore, Query, QueryEngine, RoiObject, SealEngine,
     ShardedEngine, SimilarityConfig,
 };
-use seal_datagen::{
-    generate_queries, io as dio, twitter_like, usa_like, Dataset, QueryParams, QuerySpec,
-    TwitterParams, UsaParams,
-};
+use seal_datagen::{io as dio, twitter_like, usa_like, Dataset, TwitterParams, UsaParams};
 use seal_text::{TokenId, TokenSet};
 use std::error::Error;
 use std::fs::File;
@@ -32,16 +29,6 @@ commands:
   query     --data FILE --region x0,y0,x1,y1 --tokens a,b,c
             [--tau-r F] [--tau-t F] [--filter ...] [--top-k N]
             run one spatio-textual similarity query
-  batch     --data FILE [--queries N] [--threads N] [--shards N]
-            [--filter ...] [--tau-r F] [--tau-t F] [--spec large|small]
-            [--seed N]
-            generate a query workload and serve it in parallel
-  ingest    --data FILE [--initial N] [--batch N] [--rounds N]
-            [--queries N] [--threads N] [--shards N] [--filter ...]
-            [--tau-r F] [--tau-t F] [--spec large|small] [--seed N]
-            online ingest: build over the first N objects, then drive
-            push -> query -> refresh cycles (generation swaps) over
-            the rest, reporting staged visibility and refresh latency
   save      --data FILE --out FILE.seal [--filter ...] [--threads N]
             build an index and persist data + index as one atomic,
             checksummed .seal container
@@ -76,8 +63,6 @@ pub fn run(argv: &[String]) -> Result<(), Box<dyn Error>> {
         "stats" => cmd_stats(&args),
         "index" | "build" => cmd_index(&args),
         "query" => cmd_query(&args),
-        "batch" => cmd_batch(&args),
-        "ingest" => cmd_ingest(&args),
         "save" => cmd_save(&args),
         "load" => cmd_load(&args),
         "serve" => cmd_serve(&args),
@@ -125,20 +110,13 @@ fn load(path: &str) -> Result<(Arc<ObjectStore>, Vec<String>), Box<dyn Error>> {
     Ok((store_from(&dataset), names))
 }
 
-/// A dataset's records as engine objects, in stream order.
-fn raw_objects(dataset: &Dataset) -> Vec<RoiObject> {
-    dataset
+fn store_from(dataset: &Dataset) -> Arc<ObjectStore> {
+    let objects = dataset
         .objects
         .iter()
         .map(|o| RoiObject::new(o.region, TokenSet::from_ids(o.tokens.iter().copied())))
-        .collect()
-}
-
-fn store_from(dataset: &Dataset) -> Arc<ObjectStore> {
-    Arc::new(ObjectStore::from_objects(
-        raw_objects(dataset),
-        dataset.vocab_size,
-    ))
+        .collect();
+    Arc::new(ObjectStore::from_objects(objects, dataset.vocab_size))
 }
 
 /// A dataset's records as an object store built over token *names*,
@@ -165,35 +143,6 @@ fn labeled_store_from(
         items.push((o.region, tokens));
     }
     Ok(Arc::new(ObjectStore::from_labeled(items)))
-}
-
-/// Parses the shared workload options (`--queries`, `--tau-r`,
-/// `--tau-t`, `--seed`, `--spec`) and generates the anchored query
-/// workload `batch` and `ingest` both serve. The spec default differs
-/// per command (batch: large regions, ingest: small), hence the
-/// parameters.
-fn parse_workload(
-    args: &Args,
-    dataset: &Dataset,
-    default_queries: usize,
-    default_spec: &str,
-) -> Result<Vec<Query>, Box<dyn Error>> {
-    let count: usize = args.parsed_or("queries", default_queries)?;
-    let tau_r: f64 = args.parsed_or("tau-r", 0.4)?;
-    let tau_t: f64 = args.parsed_or("tau-t", 0.4)?;
-    let seed: u64 = args.parsed_or("seed", 2012)?;
-    let spec = match args.optional("spec").unwrap_or(default_spec) {
-        "large" => QuerySpec::LargeRegion,
-        "small" => QuerySpec::SmallRegion,
-        other => return Err(format!("unknown query spec {other:?}").into()),
-    };
-    let raw = generate_queries(dataset, &QueryParams { spec, count, seed });
-    raw.iter()
-        .map(|r| {
-            Query::with_token_ids(r.region, r.tokens.iter().copied(), tau_r, tau_t)
-                .map_err(|e| format!("invalid thresholds: {e}").into())
-        })
-        .collect()
 }
 
 /// Builds the serving engine every engine-generic command drives: one
@@ -329,13 +278,14 @@ fn cmd_query(args: &Args) -> Result<(), Box<dyn Error>> {
 
     let q = Query::with_token_ids(region, ids, tau_r, tau_t)
         .map_err(|e| format!("invalid thresholds: {e}"))?;
-    let result = engine.search(&q).sorted();
+    let t0 = std::time::Instant::now();
+    let result = engine.search(&q);
+    let elapsed = t0.elapsed();
+    let result = result.sorted();
     println!(
-        "{} answers ({} candidates, filter {:?}, verify {:?}, engine {})",
+        "{} answers ({} candidates, {elapsed:?}, engine {})",
         result.answers.len(),
         result.stats.candidates,
-        result.stats.filter_time,
-        result.stats.verify_time,
         engine.filter_name(),
     );
     for id in result.answers.iter().take(20) {
@@ -355,125 +305,6 @@ fn cmd_query(args: &Args) -> Result<(), Box<dyn Error>> {
     if result.answers.len() > 20 {
         println!("  … and {} more", result.answers.len() - 20);
     }
-    Ok(())
-}
-
-/// Parallel batch serving: generate a workload anchored on the dataset
-/// and drive it through `search_batch`'s work-stealing loop.
-fn cmd_batch(args: &Args) -> Result<(), Box<dyn Error>> {
-    let path = args.required("data")?;
-    let reader = BufReader::new(File::open(path)?);
-    let (dataset, _names) = dio::read_tsv(reader)?;
-    let store = store_from(&dataset);
-    let kind = filter_kind(args.optional("filter").unwrap_or("seal"))?;
-    let default_threads = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let threads: usize = args.parsed_or("threads", default_threads)?;
-    let shards: usize = args.parsed_or("shards", 1)?;
-    let queries = parse_workload(args, &dataset, 200, "large")?;
-
-    let t0 = std::time::Instant::now();
-    // The serving thread count also drives the build-side fan-out:
-    // a box provisioned to serve N-wide is provisioned to build N-wide.
-    let engine = build_engine(store, kind, threads, shards);
-    let build_s = t0.elapsed().as_secs_f64();
-
-    let t1 = std::time::Instant::now();
-    let results = engine.search_batch(&queries, threads);
-    let wall = t1.elapsed().as_secs_f64();
-    let answers: usize = results.iter().map(|r| r.answers.len()).sum();
-    println!(
-        "served {} queries on {} threads with {}: {:.1} q/s ({:.3}s wall, {} answers, built in {:.3}s)",
-        queries.len(),
-        threads,
-        engine_label(engine.as_ref()),
-        queries.len() as f64 / wall.max(1e-9),
-        wall,
-        answers,
-        build_s,
-    );
-    Ok(())
-}
-
-/// Online ingest: generation 0 over the first `--initial` objects,
-/// then `--rounds` cycles of push a batch → serve the workload (staged
-/// objects answered from the delta overlay) → `refresh()` (generation
-/// swap), reporting per-round qps and refresh latency.
-fn cmd_ingest(args: &Args) -> Result<(), Box<dyn Error>> {
-    let path = args.required("data")?;
-    let reader = BufReader::new(File::open(path)?);
-    let (dataset, _names) = dio::read_tsv(reader)?;
-    let total = dataset.objects.len();
-    let kind = filter_kind(args.optional("filter").unwrap_or("seal"))?;
-    let default_threads = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let threads: usize = args.parsed_or("threads", default_threads)?;
-    let shards: usize = args.parsed_or("shards", 1)?;
-    let initial: usize = args.parsed_or("initial", (total * 9 / 10).max(1))?;
-    let initial = initial.min(total);
-    let rounds: usize = args.parsed_or("rounds", 5)?;
-    // Ceiling division: a floor here would strand up to rounds−1
-    // trailing objects outside every round, silently under-ingesting
-    // the stream the help text promises to cover.
-    let batch: usize = args.parsed_or("batch", (total - initial).div_ceil(rounds.max(1)).max(1))?;
-    let objects = raw_objects(&dataset);
-    let queries = parse_workload(args, &dataset, 100, "small")?;
-
-    let t0 = std::time::Instant::now();
-    let gen0 = Arc::new(ObjectStore::from_objects(
-        objects[..initial].to_vec(),
-        dataset.vocab_size,
-    ));
-    let live = build_engine(gen0, kind, threads, shards);
-    println!(
-        "generation 0: {} objects, {} built in {:.3}s ({} serve thread(s))",
-        initial,
-        engine_label(live.as_ref()),
-        t0.elapsed().as_secs_f64(),
-        threads,
-    );
-
-    let mut pushed = initial;
-    for round in 1..=rounds {
-        if pushed >= objects.len() {
-            println!("round {round}: stream exhausted");
-            break;
-        }
-        let end = (pushed + batch).min(objects.len());
-        live.push_all(objects[pushed..end].to_vec());
-        let staged = end - pushed;
-        pushed = end;
-
-        // Serve with the delta staged: new objects are answerable now,
-        // against the current generation's frozen weights.
-        let t1 = std::time::Instant::now();
-        let results = live.search_batch(&queries, threads);
-        let wall = t1.elapsed().as_secs_f64();
-        let answers: usize = results.iter().map(|r| r.answers.len()).sum();
-
-        let stats = live.refresh();
-        println!(
-            "round {round}: +{staged} staged, {:.1} q/s over {} queries ({answers} answers), \
-             refresh {:.3}s -> generation {} ({} objects{})",
-            queries.len() as f64 / wall.max(1e-9),
-            queries.len(),
-            stats.build_seconds,
-            stats.generation,
-            stats.total,
-            if stats.scheme_reused {
-                ", HSS selections reused"
-            } else {
-                ""
-            },
-        );
-    }
-
-    let final_results = live.search_batch(&queries, threads);
-    let final_answers: usize = final_results.iter().map(|r| r.answers.len()).sum();
-    println!(
-        "final: generation {} serving {} objects, {} answers over the workload",
-        live.generation(),
-        live.len(),
-        final_answers,
-    );
     Ok(())
 }
 
@@ -548,13 +379,14 @@ fn cmd_load(args: &Args) -> Result<(), Box<dyn Error>> {
     }
     let q = Query::with_token_ids(region, ids, tau_r, tau_t)
         .map_err(|e| format!("invalid thresholds: {e}"))?;
-    let result = engine.search(&q).sorted();
+    let t0 = std::time::Instant::now();
+    let result = engine.search(&q);
+    let elapsed = t0.elapsed();
+    let result = result.sorted();
     println!(
-        "{} answers ({} candidates, filter {:?}, verify {:?})",
+        "{} answers ({} candidates, {elapsed:?})",
         result.answers.len(),
         result.stats.candidates,
-        result.stats.filter_time,
-        result.stats.verify_time,
     );
     for id in result.answers.iter().take(20) {
         let o = engine.store().get(*id);
@@ -731,33 +563,6 @@ mod tests {
             "query --data {data_s} --region 0,0,40000,40000 --tokens tok0 --top-k 5"
         )))
         .unwrap();
-        run(&argv(&format!(
-            "batch --data {data_s} --queries 20 --threads 4 --filter adaptive \
-             --tau-r 0.2 --tau-t 0.2 --spec small"
-        )))
-        .unwrap();
-        run(&argv(&format!(
-            "batch --data {data_s} --queries 10 --threads 2 --shards 2 \
-             --filter token --tau-r 0.2 --tau-t 0.2 --spec small"
-        )))
-        .unwrap();
-        // Online ingest: 3 push → query → refresh rounds over the
-        // last 20% of the stream, generation swaps included.
-        run(&argv(&format!(
-            "ingest --data {data_s} --initial 400 --batch 30 --rounds 3 \
-             --queries 10 --threads 2 --filter seal --tau-r 0.2 --tau-t 0.2"
-        )))
-        .unwrap();
-        run(&argv(&format!(
-            "ingest --data {data_s} --initial 450 --queries 5 --filter token"
-        )))
-        .unwrap();
-        // Sharded ingest: per-shard refreshes under one weight epoch.
-        run(&argv(&format!(
-            "ingest --data {data_s} --initial 400 --batch 50 --rounds 2 \
-             --queries 5 --threads 2 --shards 2 --filter token"
-        )))
-        .unwrap();
         std::fs::remove_file(&data).ok();
     }
 
@@ -799,19 +604,6 @@ mod tests {
 
         std::fs::remove_file(&data).ok();
         std::fs::remove_file(&seal).ok();
-    }
-
-    #[test]
-    fn ingest_rejects_bad_spec() {
-        // Spec validation fires before any dataset work beyond the read.
-        let data = temp_path("ingest-bad-spec.tsv");
-        let data_s = data.to_str().unwrap().to_string();
-        run(&argv(&format!(
-            "generate --kind twitter --objects 50 --seed 3 --out {data_s}"
-        )))
-        .unwrap();
-        assert!(run(&argv(&format!("ingest --data {data_s} --spec bogus"))).is_err());
-        std::fs::remove_file(&data).ok();
     }
 
     #[test]
@@ -858,6 +650,11 @@ mod tests {
     #[test]
     fn helpful_errors() {
         assert!(run(&argv("bogus")).is_err());
+        // The measurement commands are gone: the benchmark owns timing.
+        for gone in ["batch", "ingest"] {
+            let e = run(&argv(&format!("{gone} --data x.tsv"))).unwrap_err();
+            assert!(e.to_string().starts_with("unknown command"), "{e}");
+        }
         assert!(run(&argv("generate --kind nope --out /tmp/x")).is_err());
         assert!(run(&argv(
             "query --data /nonexistent-file.tsv --region 0,0,1,1 --tokens a"

@@ -17,7 +17,6 @@ use seal_rtree::{Descend, NodeId, NodeKind, RTree, RTreeConfig};
 use seal_text::{TokenId, TokenSet, TokenWeights};
 use std::collections::HashMap;
 use std::sync::Arc;
-use std::time::Instant;
 
 /// The IR-tree: R-tree + per-node subtree token sets.
 pub struct IrTreeBaseline {
@@ -140,7 +139,6 @@ impl CandidateFilter for IrTreeBaseline {
     }
 
     fn candidates_into(&self, q: &Query, ctx: &mut QueryContext, stats: &mut SearchStats) {
-        let start = Instant::now();
         let cfg = self.cfg;
         let c_r = crate::signatures::relax(cfg.spatial_threshold(q));
         let c_t = crate::signatures::relax(cfg.textual_threshold(q, self.store.weights()));
@@ -178,7 +176,6 @@ impl CandidateFilter for IrTreeBaseline {
             },
         );
         stats.nodes_visited += visited;
-        stats.filter_time += start.elapsed();
     }
 
     fn index_bytes(&self) -> usize {

@@ -8,7 +8,6 @@ use crate::{ObjectId, ObjectStore, Query, SearchStats};
 use seal_index::InvertedIndex;
 use seal_text::TokenWeights;
 use std::sync::Arc;
-use std::time::Instant;
 
 /// Keyword-first: exact textual filtering, no spatial pruning.
 pub struct KeywordFirst {
@@ -59,11 +58,9 @@ impl CandidateFilter for KeywordFirst {
     }
 
     fn candidates_into(&self, q: &Query, ctx: &mut QueryContext, stats: &mut SearchStats) {
-        let start = Instant::now();
         ctx.candidates.clear();
         if q.tokens.is_empty() {
             ctx.candidates.extend_from_slice(&self.empty_token_objects);
-            stats.filter_time += start.elapsed();
             return;
         }
         let w_q = self.store.weights().set_weight(&q.tokens);
@@ -86,7 +83,6 @@ impl CandidateFilter for KeywordFirst {
                 ctx.candidates.push(ObjectId(o));
             }
         }
-        stats.filter_time += start.elapsed();
     }
 
     fn index_bytes(&self) -> usize {

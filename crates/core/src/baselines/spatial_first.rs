@@ -8,7 +8,6 @@ use crate::{ObjectId, ObjectStore, Query, SearchStats};
 
 use seal_rtree::{Descend, RTree, RTreeConfig};
 use std::sync::Arc;
-use std::time::Instant;
 
 /// Spatial-first: exact spatial filtering via R-tree, no textual
 /// pruning.
@@ -44,7 +43,6 @@ impl CandidateFilter for SpatialFirst {
     }
 
     fn candidates_into(&self, q: &Query, ctx: &mut QueryContext, stats: &mut SearchStats) {
-        let start = Instant::now();
         ctx.candidates.clear();
         let out = &mut ctx.candidates;
         let region = q.region;
@@ -67,7 +65,6 @@ impl CandidateFilter for SpatialFirst {
             },
         );
         stats.nodes_visited += visited;
-        stats.filter_time += start.elapsed();
     }
 
     fn index_bytes(&self) -> usize {

@@ -114,7 +114,7 @@ pub struct SearchResult {
     /// Answer object ids (ascending by candidate discovery, then
     /// verified; call [`SearchResult::sorted`] for id order).
     pub answers: Vec<ObjectId>,
-    /// Filter/verify counters and timings.
+    /// Filter/verify counters.
     pub stats: SearchStats,
 }
 

@@ -23,7 +23,6 @@ use crate::filters::{CandidateFilter, GridFilter, QueryContext, Storage, TokenFi
 use crate::signatures::grid::GridScheme;
 use crate::{ObjectStore, Query, SearchStats};
 use std::sync::Arc;
-use std::time::Instant;
 
 /// Which route the adaptive filter picked for a query (exposed for
 /// diagnostics and tests).
@@ -141,14 +140,11 @@ impl CandidateFilter for AdaptiveFilter {
     }
 
     fn candidates_into(&self, q: &Query, ctx: &mut QueryContext, stats: &mut SearchStats) {
-        let start = Instant::now();
         let (_, _, route) = self.plan_with(q, ctx);
-        let planning = start.elapsed();
         match route {
             Route::Token => self.token.candidates_into(q, ctx, stats),
             Route::Grid => self.grid.candidates_into(q, ctx, stats),
         }
-        stats.filter_time += planning;
     }
 
     fn index_bytes(&self) -> usize {

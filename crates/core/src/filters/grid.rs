@@ -6,7 +6,6 @@ use crate::signatures::grid::GridScheme;
 use crate::{ObjectId, ObjectStore, Query, SearchStats};
 use seal_index::InvertedIndex;
 use std::sync::Arc;
-use std::time::Instant;
 
 /// `Sig-Filter+` with grid-based signatures: one inverted list per grid
 /// cell, postings carry Lemma 3 spatial bounds, probed only for the
@@ -95,7 +94,6 @@ impl CandidateFilter for GridFilter {
     }
 
     fn candidates_into(&self, q: &Query, ctx: &mut QueryContext, stats: &mut SearchStats) {
-        let start = Instant::now();
         let cfg = self.cfg;
         let c_r = crate::signatures::relax(cfg.spatial_threshold(q));
         self.scheme.signature_into(&q.region, &mut ctx.grid);
@@ -113,7 +111,6 @@ impl CandidateFilter for GridFilter {
                 }
             }
         }
-        stats.filter_time += start.elapsed();
     }
 
     fn index_bytes(&self) -> usize {
@@ -205,7 +202,6 @@ mod tests {
         let mut stats = SearchStats::new();
         let _ = f.candidates(&q, &mut stats);
         assert!(stats.lists_probed > 0);
-        assert!(stats.filter_time.as_nanos() > 0);
         assert_eq!(f.name(), "GridFilter");
         assert!(f.index_bytes() > 0);
     }

@@ -8,7 +8,6 @@ use crate::signatures::textual::TextualSignature;
 use crate::{ObjectId, ObjectStore, Query, SearchStats};
 use seal_index::HybridIndex;
 use std::sync::Arc;
-use std::time::Instant;
 
 /// The hierarchical hybrid filter: per-token HSS-selected grids, keys
 /// are exact `(token, tree-cell)` pairs, postings carry dual bounds.
@@ -142,12 +141,10 @@ impl CandidateFilter for HierarchicalFilter {
     }
 
     fn candidates_into(&self, q: &Query, ctx: &mut QueryContext, stats: &mut SearchStats) {
-        let start = Instant::now();
         let (store, cfg) = (&self.store, self.cfg);
         ctx.candidates.clear();
         if q.tokens.is_empty() {
             ctx.candidates.extend_from_slice(&self.empty_token_objects);
-            stats.filter_time += start.elapsed();
             return;
         }
         let c_t = crate::signatures::relax(cfg.textual_threshold(q, store.weights()));
@@ -172,7 +169,6 @@ impl CandidateFilter for HierarchicalFilter {
                 }
             }
         }
-        stats.filter_time += start.elapsed();
     }
 
     fn index_bytes(&self) -> usize {

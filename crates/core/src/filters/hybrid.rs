@@ -8,7 +8,6 @@ use crate::signatures::textual::TextualSignature;
 use crate::{ObjectId, ObjectStore, Query, SearchStats};
 use seal_index::{HybridIndex, Postings, Storage};
 use std::sync::Arc;
-use std::time::Instant;
 
 /// The hash-based hybrid filter: elements are `(token, cell)` pairs
 /// hashed into buckets, postings carry *both* spatial and textual
@@ -137,13 +136,11 @@ impl CandidateFilter for HybridFilter {
     }
 
     fn candidates_into(&self, q: &Query, ctx: &mut QueryContext, stats: &mut SearchStats) {
-        let start = Instant::now();
         let store = &self.store;
         let cfg = self.cfg;
         ctx.candidates.clear();
         if q.tokens.is_empty() {
             ctx.candidates.extend_from_slice(&self.empty_token_objects);
-            stats.filter_time += start.elapsed();
             return;
         }
         let c_t = crate::signatures::relax(cfg.textual_threshold(q, store.weights()));
@@ -169,7 +166,6 @@ impl CandidateFilter for HybridFilter {
                 }
             }
         }
-        stats.filter_time += start.elapsed();
     }
 
     fn index_bytes(&self) -> usize {

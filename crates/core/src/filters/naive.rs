@@ -5,7 +5,6 @@
 use crate::filters::{CandidateFilter, QueryContext};
 use crate::{ObjectStore, Query, SearchStats};
 use std::sync::Arc;
-use std::time::Instant;
 
 /// Trivial filter returning all object ids.
 pub struct NaiveFilter {
@@ -24,11 +23,9 @@ impl CandidateFilter for NaiveFilter {
         "NaiveScan"
     }
 
-    fn candidates_into(&self, _q: &Query, ctx: &mut QueryContext, stats: &mut SearchStats) {
-        let start = Instant::now();
+    fn candidates_into(&self, _q: &Query, ctx: &mut QueryContext, _stats: &mut SearchStats) {
         ctx.candidates.clear();
         ctx.candidates.extend(self.store.iter().map(|(id, _)| id));
-        stats.filter_time += start.elapsed();
     }
 
     fn index_bytes(&self) -> usize {

@@ -8,7 +8,6 @@ use crate::{ObjectId, ObjectStore, Query, SearchStats};
 use seal_index::{InvertedIndex, Postings, Storage};
 use seal_text::TokenWeights;
 use std::sync::Arc;
-use std::time::Instant;
 
 /// `Sig-Filter+` with textual signatures: token inverted lists with
 /// Lemma 3 threshold bounds, probed only for the query's Lemma 2
@@ -110,14 +109,12 @@ impl CandidateFilter for TokenFilter {
     }
 
     fn candidates_into(&self, q: &Query, ctx: &mut QueryContext, stats: &mut SearchStats) {
-        let start = Instant::now();
         let store = &self.store;
         let cfg = self.cfg;
         ctx.candidates.clear();
         if q.tokens.is_empty() {
             // Only empty-token objects can reach simT ≥ τT > 0.
             ctx.candidates.extend_from_slice(&self.empty_token_objects);
-            stats.filter_time += start.elapsed();
             return;
         }
         ctx.textual
@@ -138,7 +135,6 @@ impl CandidateFilter for TokenFilter {
                 }
             }
         }
-        stats.filter_time += start.elapsed();
     }
 
     fn index_bytes(&self) -> usize {
@@ -216,11 +212,9 @@ impl CandidateFilter for TokenFilterBasic {
     }
 
     fn candidates_into(&self, q: &Query, ctx: &mut QueryContext, stats: &mut SearchStats) {
-        let start = Instant::now();
         ctx.candidates.clear();
         if q.tokens.is_empty() {
             ctx.candidates.extend_from_slice(&self.empty_token_objects);
-            stats.filter_time += start.elapsed();
             return;
         }
         let cfg = self.cfg;
@@ -241,7 +235,6 @@ impl CandidateFilter for TokenFilterBasic {
                 ctx.candidates.push(ObjectId(o));
             }
         }
-        stats.filter_time += start.elapsed();
     }
 
     fn index_bytes(&self) -> usize {

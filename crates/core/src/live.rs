@@ -351,7 +351,6 @@ impl LiveEngine {
                 result.answers.extend_from_slice(&overlay.answers);
                 result.stats.results += overlay.stats.results;
                 result.stats.candidates += overlay.stats.candidates;
-                result.stats.verify_time += overlay.stats.verify_time;
             }
         }
         results
@@ -519,7 +518,6 @@ fn overlay_delta(
     if delta.is_empty() {
         return;
     }
-    let start = std::time::Instant::now();
     let base = engine.store().len() as u32;
     let weights = engine.store().weights();
     for (i, o) in delta.iter().enumerate() {
@@ -529,7 +527,6 @@ fn overlay_delta(
         }
     }
     result.stats.candidates += delta.len();
-    result.stats.verify_time += start.elapsed();
 }
 
 #[cfg(test)]

@@ -26,10 +26,6 @@ pub struct SearchStats {
     /// searches; the numerator of the shards-touched / N fan-out
     /// ratio).
     pub shards_probed: usize,
-    /// Wall-clock time of the filter step.
-    pub filter_time: Duration,
-    /// Wall-clock time of the verification step.
-    pub verify_time: Duration,
     /// Wall-clock time a sharded engine spent merging and remapping
     /// per-shard answers (zero for single-engine searches).
     pub merge_time: Duration,
@@ -41,11 +37,6 @@ impl SearchStats {
         SearchStats::default()
     }
 
-    /// Total elapsed time (filter + verification).
-    pub fn total_time(&self) -> Duration {
-        self.filter_time + self.verify_time
-    }
-
     /// Accumulates another record into this one (for workload totals).
     pub fn accumulate(&mut self, other: &SearchStats) {
         self.lists_probed += other.lists_probed;
@@ -54,8 +45,6 @@ impl SearchStats {
         self.results += other.results;
         self.nodes_visited += other.nodes_visited;
         self.shards_probed += other.shards_probed;
-        self.filter_time += other.filter_time;
-        self.verify_time += other.verify_time;
         self.merge_time += other.merge_time;
     }
 
@@ -78,8 +67,6 @@ mod tests {
             results: 2,
             nodes_visited: 3,
             shards_probed: 2,
-            filter_time: Duration::from_millis(4),
-            verify_time: Duration::from_millis(6),
             merge_time: Duration::from_millis(1),
         };
         let b = a.clone();
@@ -91,7 +78,6 @@ mod tests {
         assert_eq!(a.nodes_visited, 6);
         assert_eq!(a.shards_probed, 4);
         assert_eq!(a.merge_time, Duration::from_millis(2));
-        assert_eq!(a.total_time(), Duration::from_millis(20));
     }
 
     #[test]

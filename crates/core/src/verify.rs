@@ -2,10 +2,9 @@
 //! oracle every filter is tested against.
 
 use crate::{ObjectId, ObjectStore, Query, SearchStats, SimilarityConfig};
-use std::time::Instant;
 
 /// Verifies candidates against the exact similarity predicates
-/// (Definition 3), appending timing/counters to `stats`.
+/// (Definition 3), appending counters to `stats`.
 pub fn verify(
     store: &ObjectStore,
     cfg: &SimilarityConfig,
@@ -13,7 +12,6 @@ pub fn verify(
     candidates: &[ObjectId],
     stats: &mut SearchStats,
 ) -> Vec<ObjectId> {
-    let start = Instant::now();
     let w = store.weights();
     let mut answers = Vec::new();
     for &id in candidates {
@@ -21,7 +19,6 @@ pub fn verify(
             answers.push(id);
         }
     }
-    stats.verify_time += start.elapsed();
     stats.candidates += candidates.len();
     stats.results += answers.len();
     answers
@@ -61,7 +58,6 @@ mod tests {
         assert_eq!(answers, naive_search(&store, &cfg, &q));
         assert_eq!(stats.candidates, 7);
         assert_eq!(stats.results, answers.len());
-        assert!(stats.verify_time.as_nanos() > 0);
     }
 
     #[test]

@@ -17,6 +17,7 @@
 //! | `lock-discipline` | refresh-gate → route → shard-state lock order; route/state guards never live across a probe | the PR 4/PR 8 swap protocols |
 //! | `crate-docs` | crate roots open with `//!` docs; libraries warn on missing docs | the PR 2 `cargo doc -D warnings` gate |
 //! | `persisted-narrowing-cast` | no `as` narrowing on the persisted-format paths (`serialize.rs`, `container.rs`, `persist.rs`) | the PR 10 codec widening |
+//! | `probe-path-clock` | no `Instant::now` in `seal-core`'s filters, baselines, signatures or verifier: callers time around the call | the PR 26 clock removal |
 //! | `waiver-discipline` | waivers name real rules, justify themselves, and suppress something | the PR 9 lint gate |
 //!
 //! See `docs/ARCHITECTURE.md#enforced-invariants-seal-lint` for the
@@ -60,6 +61,7 @@ pub const RULES: &[&str] = &[
     "lock-discipline",
     "crate-docs",
     "persisted-narrowing-cast",
+    "probe-path-clock",
     "waiver-discipline",
 ];
 
@@ -72,6 +74,7 @@ pub fn anchor(rule: &str) -> &'static str {
         "lock-discipline" => "lock-discipline",
         "crate-docs" => "crate-docs",
         "persisted-narrowing-cast" => "persisted-narrowing-cast",
+        "probe-path-clock" => "probe-path-clock",
         _ => "waiver-discipline",
     }
 }
@@ -97,6 +100,9 @@ pub fn rationale(rule: &str) -> &'static str {
         "persisted-narrowing-cast" => {
             "no `as` narrowing to u8/u16/u32/usize on the persisted-format paths — counts and offsets cross the disk boundary via try_from or a waived losslessness argument (PR 10)"
         }
+        "probe-path-clock" => {
+            "no Instant::now in seal-core's filters/, baselines/, signatures/ or verify.rs — the probe path counts work, callers time around the call (PR 26)"
+        }
         _ => "waivers must name real rules, carry a justification, and actually suppress a diagnostic",
     }
 }
@@ -120,7 +126,22 @@ pub fn check_file(path: &str, lexed: &Lexed) -> Vec<Diag> {
     if matches!(name, "serialize.rs" | "container.rs" | "persist.rs") {
         persisted_narrowing_cast(&norm, lexed, &mask, &mut out);
     }
+    if is_probe_path(&norm) {
+        probe_path_clock(&norm, lexed, &mut out);
+    }
     out
+}
+
+/// The files a query's filter and verify steps run through.
+fn is_probe_path(path: &str) -> bool {
+    [
+        "core/src/filters/",
+        "core/src/baselines/",
+        "core/src/signatures/",
+    ]
+    .iter()
+    .any(|dir| path.contains(dir))
+        || path.ends_with("core/src/verify.rs")
 }
 
 /// True for `…/src/lib.rs` and `…/src/main.rs` — the files rustc uses
@@ -547,6 +568,32 @@ fn persisted_narrowing_cast(path: &str, lexed: &Lexed, mask: &[bool], out: &mut 
     }
 }
 
+/// `probe-path-clock`: any `Instant::now` on the probe path is
+/// flagged. PR 26 removed eleven per-filter clocks that fed
+/// `SearchStats` timers no benchmark read, at ~7 % of a 5 µs query;
+/// the probe path reports work as counters, and whoever wants a time
+/// (the benchmark's layer trace, `repro`, the CLI) takes it around the
+/// call.
+fn probe_path_clock(path: &str, lexed: &Lexed, out: &mut Vec<Diag>) {
+    let toks = &lexed.toks;
+    for (i, t) in toks.iter().enumerate() {
+        if t.is_ident("Instant")
+            && toks.get(i + 1).is_some_and(|t| t.is_punct(':'))
+            && toks.get(i + 2).is_some_and(|t| t.is_punct(':'))
+            && toks.get(i + 3).is_some_and(|t| t.is_ident("now"))
+        {
+            out.push(Diag {
+                file: path.to_string(),
+                line: t.line,
+                rule: "probe-path-clock",
+                msg: "clock on the probe path: count the work in SearchStats and let the \
+                      caller time around the call"
+                    .to_string(),
+            });
+        }
+    }
+}
+
 /// `crate-docs`: crate roots must open with `//!` docs, and library
 /// roots (`lib.rs`) must carry `#![warn(missing_docs)]` so the CI doc
 /// gate (`cargo doc -D warnings` since PR 2) has teeth on new items.
@@ -659,6 +706,23 @@ mod tests {
         // Test code on a persisted path is exempt.
         let test_src = "#[cfg(test)]\nmod tests { fn g(n: usize) -> u32 { n as u32 } }";
         assert!(diags("crates/core/src/persist.rs", test_src).is_empty());
+    }
+
+    #[test]
+    fn clocks_flagged_only_on_the_probe_path() {
+        let src = "fn f() { let t = std::time::Instant::now(); g(); t.elapsed(); }";
+        for path in [
+            "crates/core/src/filters/grid.rs",
+            "crates/core/src/baselines/irtree.rs",
+            "crates/core/src/signatures/grid.rs",
+            "crates/core/src/verify.rs",
+        ] {
+            let d = diags(path, src);
+            assert_eq!(d.len(), 1, "{path}: {d:?}");
+            assert_eq!(d[0].rule, "probe-path-clock");
+        }
+        assert!(diags("crates/core/src/live.rs", src).is_empty());
+        assert!(diags("crates/server/src/server.rs", src).is_empty());
     }
 
     #[test]

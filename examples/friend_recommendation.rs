@@ -10,6 +10,7 @@ use seal_core::{FilterKind, ObjectId, ObjectStore, Query, RoiObject, SealEngine}
 use seal_datagen::{twitter_like, TwitterParams};
 use seal_text::TokenSet;
 use std::sync::Arc;
+use std::time::Instant;
 
 fn main() {
     let dataset = twitter_like(&TwitterParams {
@@ -52,15 +53,17 @@ fn main() {
 
     let mut reference: Option<Vec<ObjectId>> = None;
     for engine in &engines {
-        let mut result = engine.search(&q).sorted();
+        let t0 = Instant::now();
+        let result = engine.search(&q);
+        let elapsed = t0.elapsed();
+        let mut result = result.sorted();
         result.answers.retain(|&id| id != me);
         println!(
-            "{:<10} {:>4} friends   {:>8} candidates   filter {:>9.3?}   verify {:>9.3?}",
+            "{:<10} {:>4} friends   {:>8} candidates   {:>8} postings   {elapsed:>9.3?}",
             engine.filter_name(),
             result.answers.len(),
             result.stats.candidates,
-            result.stats.filter_time,
-            result.stats.verify_time,
+            result.stats.postings_scanned,
         );
         match &reference {
             None => reference = Some(result.answers.clone()),

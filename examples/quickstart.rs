@@ -6,6 +6,7 @@
 use seal_core::{FilterKind, ObjectStore, Query, SealEngine};
 use seal_geom::Rect;
 use std::sync::Arc;
+use std::time::Instant;
 
 fn main() {
     // 1. A tiny collection of ROIs: coffee shops and parks around a
@@ -57,12 +58,13 @@ fn main() {
     )
     .expect("thresholds in (0,1]");
 
+    let t0 = Instant::now();
     let result = engine.search(&q);
+    let elapsed = t0.elapsed();
     println!(
-        "query produced {} candidates, {} answers in {:?}",
+        "query produced {} candidates, {} answers in {elapsed:?}",
         result.stats.candidates,
         result.answers.len(),
-        result.stats.total_time()
     );
     for id in &result.answers {
         let o = store.get(*id);
