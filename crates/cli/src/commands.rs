@@ -22,7 +22,8 @@ commands:
   stats     --data FILE
             print dataset statistics (Table 1's data rows)
   index     --data FILE [--filter seal|token|token-compressed|grid|hash|
-            hash-compressed|adaptive|irtree] [--threads N] [--shards N]
+            hash-compressed|irtree|keyword|spatial] [--threads N]
+            [--shards N]
             build an index and report build time + size (alias: build;
             --threads 0 = one worker per core, default 1; --shards N>1
             partitions the corpus across N engine shards)
@@ -200,7 +201,6 @@ fn filter_kind(name: &str) -> Result<FilterKind, Box<dyn Error>> {
             side: 1024,
             buckets: Some(1 << 20),
         },
-        "adaptive" => FilterKind::Adaptive { side: 1024 },
         "irtree" => FilterKind::IrTree { fanout: 64 },
         "keyword" => FilterKind::KeywordFirst,
         "spatial" => FilterKind::SpatialFirst,
@@ -540,7 +540,7 @@ mod tests {
         )))
         .unwrap();
         run(&argv(&format!("stats --data {data_s}"))).unwrap();
-        run(&argv(&format!("index --data {data_s} --filter adaptive"))).unwrap();
+        run(&argv(&format!("index --data {data_s} --filter grid"))).unwrap();
         // `build` is an alias of `index`; --threads drives the
         // build-side fan-out (0 = one worker per core).
         run(&argv(&format!(
@@ -577,7 +577,7 @@ mod tests {
         )))
         .unwrap();
         run(&argv(&format!(
-            "save --data {data_s} --out {seal_s} --filter adaptive --threads 2"
+            "save --data {data_s} --out {seal_s} --filter seal --threads 2"
         )))
         .unwrap();
         run(&argv(&format!("load --index {seal_s} --threads 2"))).unwrap();
@@ -675,13 +675,15 @@ mod tests {
             "hash",
             "hash-compressed",
             "hashc",
-            "adaptive",
             "irtree",
             "keyword",
             "spatial",
         ] {
             assert!(filter_kind(f).is_ok(), "{f}");
         }
-        assert!(filter_kind("nope").is_err());
+        for gone in ["nope", "adaptive"] {
+            let e = filter_kind(gone).unwrap_err();
+            assert!(e.to_string().starts_with("unknown filter"), "{e}");
+        }
     }
 }

@@ -4,8 +4,11 @@
 //! seal generate --kind twitter --objects 10000 --out data.tsv
 //! seal stats    --data data.tsv
 //! seal query    --data data.tsv --region 0,0,50,50 --tokens coffee,mocha \
-//!               --tau-r 0.3 --tau-t 0.3 [--filter seal|token|grid|adaptive]
+//!               --tau-r 0.3 --tau-t 0.3 [--filter KIND]
 //! ```
+//!
+//! `KIND` is one of `seal`, `token`, `token-compressed`, `grid`,
+//! `hash`, `hash-compressed`, `irtree`, `keyword` or `spatial`.
 //!
 //! The data format is the TSV of `seal_datagen::io` (one object per
 //! line: `min_x min_y max_x max_y tokens,comma,separated`).

@@ -4,8 +4,8 @@
 
 use crate::baselines::{IrTreeBaseline, KeywordFirst, SpatialFirst};
 use crate::filters::{
-    AdaptiveFilter, CandidateFilter, GridFilter, HierarchicalFilter, HybridFilter, NaiveFilter,
-    QueryContext, Storage, TokenFilter, TokenFilterBasic,
+    CandidateFilter, GridFilter, HierarchicalFilter, HybridFilter, QueryContext, Storage,
+    TokenFilter,
 };
 use crate::{ObjectId, ObjectStore, Query, SearchStats, SimilarityConfig};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -22,8 +22,6 @@ pub enum FilterKind {
     /// lists, probes decode only the qualifying prefix into the
     /// per-worker [`QueryContext`] scratch.
     TokenCompressed,
-    /// Basic `Sig-Filter` on textual signatures (ablation).
-    TokenBasic,
     /// `Sig-Filter+` on grid signatures (`GridInv`) at the given
     /// granularity (cells per side).
     Grid {
@@ -62,15 +60,6 @@ pub enum FilterKind {
         /// R-tree fan-out.
         fanout: usize,
     },
-    /// Cost-routed combination of Token and Grid filtering (per-query
-    /// routing by the §4.3 cost model — the engineering answer to
-    /// Figure 12's "combine both filters").
-    Adaptive {
-        /// Grid granularity for the spatial route.
-        side: u32,
-    },
-    /// No filtering (scan everything, verify everything).
-    Naive,
 }
 
 impl FilterKind {
@@ -157,8 +146,8 @@ impl SealEngine {
     /// staged group sorts inside `finalize`) out over a work-stealing
     /// pool; the resulting index is **identical for every thread
     /// count** — parallelism buys wall-clock time only. Filters
-    /// without a parallel build path (the baselines, `Naive`) ignore
-    /// the options.
+    /// without a parallel build path (the baselines) ignore the
+    /// options.
     pub fn build_with_opts(
         store: Arc<ObjectStore>,
         kind: FilterKind,
@@ -170,9 +159,6 @@ impl SealEngine {
             FilterKind::Token | FilterKind::TokenCompressed => Box::new(
                 TokenFilter::build_with_opts(store.clone(), cfg, opts, storage),
             ),
-            FilterKind::TokenBasic => {
-                Box::new(TokenFilterBasic::build_with_config(store.clone(), cfg))
-            }
             FilterKind::Grid { side } => {
                 Box::new(GridFilter::build_with_opts(store.clone(), side, cfg, opts))
             }
@@ -201,13 +187,6 @@ impl SealEngine {
                 fanout,
                 cfg,
             )),
-            FilterKind::Adaptive { side } => Box::new(AdaptiveFilter::build_with_opts(
-                store.clone(),
-                side,
-                cfg,
-                opts,
-            )),
-            FilterKind::Naive => Box::new(NaiveFilter::new(store.clone())),
         };
         SealEngine {
             store,
@@ -494,7 +473,6 @@ impl FilterKind {
         use FilterKind::*;
         let schemes = [
             Token,
-            TokenBasic,
             Grid { side },
             HashHybrid {
                 side,
@@ -504,8 +482,6 @@ impl FilterKind {
             KeywordFirst,
             SpatialFirst,
             IrTree { fanout: 3 },
-            Adaptive { side },
-            Naive,
         ];
         let mut kinds = Vec::new();
         for scheme in schemes {
@@ -638,7 +614,7 @@ mod tests {
     fn batch_search_matches_sequential() {
         let (store, q0) = figure1_store();
         let store = Arc::new(store);
-        let engine = SealEngine::build(store, FilterKind::Adaptive { side: 8 });
+        let engine = SealEngine::build(store, FilterKind::Grid { side: 8 });
         let queries: Vec<Query> = [(0.1, 0.1), (0.25, 0.3), (0.5, 0.5), (0.7, 0.2), (0.2, 0.7)]
             .iter()
             .map(|&(tr, tt)| q0.with_thresholds(tr, tt).unwrap())

@@ -76,16 +76,6 @@ impl GridFilter {
             n_objects: store.len(),
         }
     }
-
-    /// The grid scheme (granularity, counts).
-    pub fn scheme(&self) -> &GridScheme {
-        &self.scheme
-    }
-
-    /// The underlying index (diagnostics).
-    pub fn index(&self) -> &InvertedIndex<u64> {
-        &self.index
-    }
 }
 
 impl CandidateFilter for GridFilter {

@@ -8,12 +8,9 @@
 //! | filter | paper name | index |
 //! |--------|------------|-------|
 //! | [`TokenFilter`] | `Sig-Filter+` on textual signatures ("TokenFilter", §6.2) | `TokenInv` |
-//! | [`TokenFilterBasic`] | `Sig-Filter` (no prefix/bounds) — ablation | weighted `TokenInv` |
 //! | [`GridFilter`] | `Sig-Filter+` on grid signatures ("GridFilter") | `GridInv` |
 //! | [`HybridFilter`] | `Hybrid-Sig-Filter+` (§5.1, "HybridFilter") | `HashInv` |
 //! | [`HierarchicalFilter`] | `Hybrid-Sig-Filter+` on HSS signatures (§5.2, "Seal") | `HierarchicalInv` |
-//! | [`AdaptiveFilter`] | cost-routed Token/Grid (Fig 12's conclusion) | `TokenInv` + `GridInv` |
-//! | [`NaiveFilter`] | no filtering (every object is a candidate) | — |
 //!
 //! Storage is a field, not a filter: [`TokenFilter`] and
 //! [`HybridFilter`] hold their lists as one `seal_index::Postings`,
@@ -84,20 +81,16 @@
 //! assert_eq!(ctx.candidates().len(), 1); // warm probes now allocate nothing
 //! ```
 
-mod adaptive;
 mod grid;
 mod hierarchical;
 mod hybrid;
-mod naive;
 mod token;
 
-pub use adaptive::{AdaptiveFilter, Route};
 pub use grid::GridFilter;
 pub use hierarchical::HierarchicalFilter;
 pub use hybrid::HybridFilter;
-pub use naive::NaiveFilter;
 pub use seal_index::Storage;
-pub use token::{TokenFilter, TokenFilterBasic};
+pub use token::TokenFilter;
 
 use crate::{ObjectId, Query, SearchStats};
 
@@ -213,7 +206,7 @@ pub trait CandidateFilter: Send + Sync {
 pub struct QueryContext {
     /// Epoch-stamped dedup scratch (candidate set membership).
     pub(crate) dedup: DedupScratch,
-    /// Epoch-stamped weighted accumulator (basic/keyword filters).
+    /// Epoch-stamped weighted accumulator (Keyword-first).
     pub(crate) acc: AccScratch,
     /// The candidate output buffer of the last
     /// [`CandidateFilter::candidates_into`] call.
@@ -228,7 +221,7 @@ pub struct QueryContext {
     pub(crate) decode: Vec<seal_index::ObjId>,
     /// The query's textual signature (every prefix-probing filter).
     pub(crate) textual: crate::signatures::textual::TextualSignature,
-    /// The query's grid signature (Grid, Hybrid and Adaptive filters).
+    /// The query's grid signature (Grid and Hybrid filters).
     pub(crate) grid: crate::signatures::grid::GridSignature,
     /// The query's signature over one prefix token's grids, refilled
     /// per token (Hierarchical filter).
@@ -313,9 +306,8 @@ impl DedupScratch {
     }
 }
 
-/// Epoch-stamped weighted accumulator: per-object running sums for the
-/// filters that compute exact signature similarities (`Sig-Filter`
-/// without bounds, Keyword-first).
+/// Epoch-stamped weighted accumulator: per-object running sums for
+/// Keyword-first, which computes exact signature similarities.
 #[derive(Debug, Default)]
 pub(crate) struct AccScratch {
     sums: Vec<f64>,

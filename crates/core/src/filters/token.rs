@@ -1,12 +1,11 @@
 //! Textual filtering: `Sig-Filter+` on token signatures (the paper's
-//! **TokenFilter**) and the basic `Sig-Filter` ablation.
+//! **TokenFilter**).
 
 use crate::filters::{CandidateFilter, QueryContext};
 use crate::persist::primary_section;
 use crate::signatures::textual::TextualSignature;
 use crate::{ObjectId, ObjectStore, Query, SearchStats};
 use seal_index::{InvertedIndex, Postings, Storage};
-use seal_text::TokenWeights;
 use std::sync::Arc;
 
 /// `Sig-Filter+` with textual signatures: token inverted lists with
@@ -91,13 +90,6 @@ impl TokenFilter {
     pub fn postings(&self) -> &Postings<u32, 1> {
         &self.postings
     }
-
-    /// `|I_c(token)|` — the qualifying-prefix length, costed without
-    /// decoding anything (the §4.3 cost-model probe; used by the
-    /// adaptive router).
-    pub fn qualifying_len(&self, token: u32, c: f64) -> usize {
-        self.postings.qualifying_len(&token, c)
-    }
 }
 
 impl CandidateFilter for TokenFilter {
@@ -146,106 +138,6 @@ impl CandidateFilter for TokenFilter {
     }
 }
 
-/// The basic `Sig-Filter` (Figure 3) on textual signatures: no prefix,
-/// no threshold bounds — every query token's full list is scanned and
-/// the signature similarity `Σ_{t∈q∩o} w(t)` is accumulated exactly.
-///
-/// Kept as an ablation baseline to quantify what Section 4.2's
-/// threshold-aware pruning buys.
-pub struct TokenFilterBasic {
-    store: Arc<ObjectStore>,
-    cfg: crate::SimilarityConfig,
-    index: InvertedIndex<u32>,
-    empty_token_objects: Vec<ObjectId>,
-}
-
-impl TokenFilterBasic {
-    /// Builds the plain (bound-free) token index.
-    pub fn build(store: Arc<ObjectStore>) -> Self {
-        Self::build_with_config(store, crate::SimilarityConfig::default())
-    }
-
-    /// Builds with an explicit similarity configuration.
-    pub fn build_with_config(store: Arc<ObjectStore>, cfg: crate::SimilarityConfig) -> Self {
-        let mut index: InvertedIndex<u32> = InvertedIndex::new();
-        let mut empty = Vec::new();
-        for (id, o) in store.iter() {
-            if o.tokens.is_empty() {
-                empty.push(id);
-                continue;
-            }
-            for t in o.tokens.iter() {
-                // The "bound" slot stores the token weight so the filter
-                // can accumulate sim(S(q), S(o)) without a second lookup.
-                index.push(t.0, id.0, store.weights().weight(t));
-            }
-        }
-        index.finalize();
-        TokenFilterBasic {
-            store,
-            cfg,
-            index,
-            empty_token_objects: empty,
-        }
-    }
-
-    /// Reassembles the filter around a loaded index (empty-token list
-    /// recomputed from the store).
-    pub(crate) fn from_loaded(
-        store: Arc<ObjectStore>,
-        cfg: crate::SimilarityConfig,
-        index: InvertedIndex<u32>,
-    ) -> Self {
-        let empty = crate::filters::empty_token_objects(&store);
-        TokenFilterBasic {
-            store,
-            cfg,
-            index,
-            empty_token_objects: empty,
-        }
-    }
-}
-
-impl CandidateFilter for TokenFilterBasic {
-    fn name(&self) -> &'static str {
-        "TokenFilterBasic"
-    }
-
-    fn candidates_into(&self, q: &Query, ctx: &mut QueryContext, stats: &mut SearchStats) {
-        ctx.candidates.clear();
-        if q.tokens.is_empty() {
-            ctx.candidates.extend_from_slice(&self.empty_token_objects);
-            return;
-        }
-        let cfg = self.cfg;
-        let c_t = crate::signatures::relax(cfg.textual_threshold(q, self.store.weights()));
-        ctx.acc.begin(self.store.len());
-        ctx.touched.clear();
-        for t in q.tokens.iter() {
-            stats.lists_probed += 1;
-            if let Some(list) = self.index.list(&t.0) {
-                stats.postings_scanned += list.len();
-                for (&o, &w) in list.ids.iter().zip(list.bounds[0]) {
-                    ctx.acc.add(o, w, &mut ctx.touched); // bound slot = w(t)
-                }
-            }
-        }
-        for &o in &ctx.touched {
-            if ctx.acc.sum(o) >= c_t {
-                ctx.candidates.push(ObjectId(o));
-            }
-        }
-    }
-
-    fn index_bytes(&self) -> usize {
-        self.index.size_bytes()
-    }
-
-    fn persisted_sections(&self) -> Vec<(u16, Vec<u8>)> {
-        primary_section(self.index.to_bytes())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -291,42 +183,6 @@ mod tests {
             let verified = verify(&store, &cfg, &q, &cands, &mut vstats);
             assert_eq!(verified, answers);
         }
-    }
-
-    #[test]
-    fn basic_filter_agrees_with_plus_on_answers() {
-        let (store, q) = figure1_store();
-        let store = Arc::new(store);
-        let cfg = SimilarityConfig::default();
-        let plus = TokenFilter::build(store.clone());
-        let basic = TokenFilterBasic::build(store.clone());
-        let mut s1 = SearchStats::new();
-        let mut s2 = SearchStats::new();
-        let c_plus = plus.candidates(&q, &mut s1);
-        let c_basic = basic.candidates(&q, &mut s2);
-        let mut v1 = SearchStats::new();
-        let mut v2 = SearchStats::new();
-        assert_eq!(
-            verify(&store, &cfg, &q, &c_plus, &mut v1),
-            verify(&store, &cfg, &q, &c_basic, &mut v2),
-        );
-        // The basic filter scans full lists; the + filter cannot scan more.
-        assert!(s1.postings_scanned <= s2.postings_scanned);
-    }
-
-    #[test]
-    fn basic_filter_is_tighter_or_equal() {
-        // Accumulating the exact signature similarity prunes at least as
-        // well as prefix-membership.
-        let (store, q) = figure1_store();
-        let store = Arc::new(store);
-        let basic = TokenFilterBasic::build(store);
-        let mut stats = SearchStats::new();
-        let mut got = basic.candidates(&q, &mut stats);
-        got.sort_unstable();
-        // sim values from Figure 4: o1 1.1, o2 1.9, o3 0.8, o4 1.1,
-        // o5 1.1 — all ≥ 0.57, so the candidate set matches Figure 4.
-        assert_eq!(got, ids(&[0, 1, 2, 3, 4]));
     }
 
     #[test]

@@ -52,7 +52,7 @@
 //! | [`store`] / [`Query`] | §2.1 | data & query model, corpus weights |
 //! | [`SimilarityConfig`] / [`verify`] | §2.1, §3.1 | similarity functions, `Sig-Verify`, oracle |
 //! | [`signatures`] | §3.2, §4.1, §5.1, §5.2 | the four signature schemes |
-//! | [`filters`] | §3–§5 | `Sig-Filter`, `Sig-Filter+`, `Hybrid-Sig-Filter+` |
+//! | [`filters`] | §3–§5 | `Sig-Filter+`, `Hybrid-Sig-Filter+` |
 //! | [`baselines`] | §2.3 | Keyword-first, Spatial-first, IR-tree |
 //! | [`hss`] | §5.2 | `HSS-Greedy` (Figure 11) |
 //! | [`granularity`] | §4.3 | cost model & level selection |

@@ -506,8 +506,8 @@ impl LiveEngine {
 /// Appends the staged delta's answers to a generation result: a naive
 /// scan under the generation's **frozen** weights (the staleness
 /// window of the module docs), ids offset past the generation's store.
-/// Mirrors what `NaiveFilter` + `Sig-Verify` would do, so delta
-/// semantics match the oracle over "old corpus + this object".
+/// Mirrors what `verify::naive_search` would do, so delta semantics
+/// match the oracle over "old corpus + this object".
 fn overlay_delta(
     engine: &SealEngine,
     delta: &DeltaSnapshot,
@@ -655,7 +655,7 @@ mod tests {
     #[test]
     fn batch_sees_one_consistent_snapshot() {
         let (store, q0) = figure1_store();
-        let live = LiveEngine::new(Arc::new(store), FilterKind::Adaptive { side: 8 });
+        let live = LiveEngine::new(Arc::new(store), FilterKind::Grid { side: 8 });
         assert_eq!(live.push_all(Vec::new()), None, "empty batch stages no id");
         assert_eq!(live.push_all(delta_objects()), Some(ObjectId(7)));
         let queries: Vec<Query> = [(0.1, 0.1), (0.25, 0.3), (0.5, 0.5)]
@@ -830,7 +830,7 @@ mod tests {
     #[test]
     fn empty_live_engine_is_safe() {
         let store = Arc::new(ObjectStore::from_objects(Vec::new(), 0));
-        let live = LiveEngine::new(store, FilterKind::Naive);
+        let live = LiveEngine::new(store, FilterKind::Token);
         assert!(live.is_empty());
         live.push(RoiObject::new(
             Rect::new(0.0, 0.0, 1.0, 1.0).unwrap(),

@@ -21,23 +21,23 @@
 //! | 4 | engine meta | [`FilterKind`] tag + parameters, similarity-function tags |
 //! | 5 | hier scheme | per-token HSS cell selections ([`FilterKind::Hierarchical`] only) |
 //! | 6 | primary index | the filter's index in the `seal_index` codec format |
-//! | 7 | secondary index | the adaptive router's grid index ([`FilterKind::Adaptive`] only) |
+//!
+//! Kind 7 is retired (it held a secondary grid index for a filter that
+//! no longer exists); a container carrying it is refused.
 //!
 //! Filters whose build is a cheap deterministic function of the store
-//! (the baselines and [`FilterKind::Naive`]) persist no index sections
-//! and are rebuilt on load. Which index sections an engine writes is
-//! the filter's own answer ([`CandidateFilter::persisted_sections`]);
-//! [`FilterKind`] is matched once, on load.
+//! (the baselines) persist no index sections and are rebuilt on load.
+//! Which index sections an engine writes is the filter's own answer
+//! ([`CandidateFilter::persisted_sections`]); [`FilterKind`] is matched
+//! once, on load.
 //!
 //! There is one load path: [`SealEngine::load`] reads the file and
 //! hands the bytes to [`SealEngine::load_from_bytes`], whose framing
 //! validator is [`Container::parse_with_threads`]. Sections are looked
-//! up by kind, so their order in the file does not matter.
+//! up by kind, so their order in the file does not matter; a section
+//! the engine meta's kind does not read is an error, never skipped.
 
-use crate::filters::{
-    AdaptiveFilter, CandidateFilter, GridFilter, HierarchicalFilter, HybridFilter, TokenFilter,
-    TokenFilterBasic,
-};
+use crate::filters::{CandidateFilter, GridFilter, HierarchicalFilter, HybridFilter, TokenFilter};
 use crate::signatures::hash_hybrid::BucketScheme;
 use crate::signatures::hierarchical::HierarchicalScheme;
 use crate::{FilterKind, ObjectStore, SealEngine, SimilarityConfig, SpatialSimFn};
@@ -63,8 +63,6 @@ pub const SECTION_ENGINE_META: u16 = 4;
 pub const SECTION_HIER_SCHEME: u16 = 5;
 /// Section kind: the filter's primary index (codec bytes).
 pub const SECTION_PRIMARY_INDEX: u16 = 6;
-/// Section kind: the adaptive router's grid index (codec bytes).
-pub const SECTION_SECONDARY_INDEX: u16 = 7;
 
 /// What a filter with one index persists: its codec bytes as the
 /// primary index section.
@@ -354,7 +352,6 @@ fn encode_meta(kind: FilterKind, cfg: SimilarityConfig) -> Vec<u8> {
     match kind {
         FilterKind::Token => put_u8(&mut buf, 0),
         FilterKind::TokenCompressed => put_u8(&mut buf, 1),
-        FilterKind::TokenBasic => put_u8(&mut buf, 2),
         FilterKind::Grid { side } => {
             put_u8(&mut buf, 3);
             put_u32(&mut buf, side);
@@ -382,24 +379,20 @@ fn encode_meta(kind: FilterKind, cfg: SimilarityConfig) -> Vec<u8> {
             put_u8(&mut buf, 9);
             put_u64(&mut buf, fanout as u64);
         }
-        FilterKind::Adaptive { side } => {
-            put_u8(&mut buf, 10);
-            put_u32(&mut buf, side);
-        }
-        FilterKind::Naive => put_u8(&mut buf, 11),
     }
     put_u8(&mut buf, spatial_tag(cfg.spatial));
     put_u8(&mut buf, textual_tag(cfg.textual));
     buf
 }
 
+/// Tags 2, 10 and 11 are retired: they named filters that no longer
+/// exist, and decode as unknown.
 fn decode_meta(payload: &[u8]) -> Result<(FilterKind, SimilarityConfig), ContainerError> {
     let mut r = R::new(payload, "engine meta");
     let tag = r.u8()?;
     let kind = match tag {
         0 => FilterKind::Token,
         1 => FilterKind::TokenCompressed,
-        2 => FilterKind::TokenBasic,
         3 => FilterKind::Grid { side: r.u32()? },
         4 | 5 => {
             let side = r.u32()?;
@@ -429,8 +422,6 @@ fn decode_meta(payload: &[u8]) -> Result<(FilterKind, SimilarityConfig), Contain
                 usize::try_from(r.u64()?).map_err(|_| r.err("fanout exceeds the address space"))?;
             FilterKind::IrTree { fanout }
         }
-        10 => FilterKind::Adaptive { side: r.u32()? },
-        11 => FilterKind::Naive,
         other => return Err(r.err(format!("unknown filter kind tag {other}"))),
     };
     let spatial = match r.u8()? {
@@ -586,26 +577,41 @@ fn check_ids(
     Ok(())
 }
 
-/// The display name of an index section kind in load errors.
-fn section_name(kind: u16) -> &'static str {
-    if kind == SECTION_PRIMARY_INDEX {
-        "primary index"
-    } else {
-        "secondary index"
+/// Refuses a section the engine meta's kind does not read: the store
+/// sections (1, 2, and 3 when present) and the meta (4) belong to
+/// every container, the HSS scheme (5) only to `Hierarchical`, and the
+/// primary index (6) only to the kinds that persist one. Anything else
+/// — a retired kind, another kind's section — would load silently and
+/// vanish on the next save.
+fn check_sections(container: &Container<'_>, kind: FilterKind) -> Result<(), ContainerError> {
+    let index_sections: &[u16] = match kind {
+        FilterKind::Hierarchical { .. } => &[SECTION_HIER_SCHEME, SECTION_PRIMARY_INDEX],
+        FilterKind::KeywordFirst | FilterKind::SpatialFirst | FilterKind::IrTree { .. } => &[],
+        _ => &[SECTION_PRIMARY_INDEX],
+    };
+    let read = |s: u16| {
+        (SECTION_STORE_STATS..=SECTION_ENGINE_META).contains(&s) || index_sections.contains(&s)
+    };
+    match container.sections().iter().find(|s| !read(s.kind)) {
+        Some(s) => Err(ContainerError::Section {
+            section: "engine meta",
+            offset: 0,
+            detail: format!("{kind:?} reads no section of kind {}", s.kind),
+        }),
+        None => Ok(()),
     }
 }
 
-/// Decodes the index section `kind` with its type's `from_bytes` and
+/// Decodes the primary index section with its type's `from_bytes` and
 /// checks its ids against the store ([`check_ids`]).
 fn index_section<'a, I>(
     container: &Container<'a>,
-    kind: u16,
     store: &ObjectStore,
     decode: impl FnOnce(&'a [u8]) -> Result<I, IndexCodecError>,
     max_id: impl FnOnce(&I) -> Option<ObjId>,
 ) -> Result<I, ContainerError> {
-    let index = decode(container.require(kind)?)?;
-    check_ids(max_id(&index), store.len(), section_name(kind))?;
+    let index = decode(container.require(SECTION_PRIMARY_INDEX)?)?;
+    check_ids(max_id(&index), store.len(), "primary index")?;
     Ok(index)
 }
 
@@ -622,14 +628,13 @@ fn postings_section<K: IndexKey, const N: usize>(
 ) -> Result<Postings<K, N>, ContainerError> {
     let postings = index_section(
         container,
-        SECTION_PRIMARY_INDEX,
         store,
         Postings::<K, N>::from_bytes,
         Postings::max_object_id,
     )?;
     if postings.storage() != kind.storage() {
         return Err(ContainerError::Section {
-            section: section_name(SECTION_PRIMARY_INDEX),
+            section: "primary index",
             offset: 5,
             detail: format!(
                 "section holds {:?} postings but engine meta declares {kind:?}",
@@ -702,41 +707,24 @@ impl SealEngine {
         }
         check_stats(container.require(SECTION_STORE_STATS)?, &store)?;
         let (kind, cfg) = decode_meta(container.require(SECTION_ENGINE_META)?)?;
+        check_sections(&container, kind)?;
         let store = Arc::new(store);
-        let token_arena = || {
-            index_section(
-                &container,
-                SECTION_PRIMARY_INDEX,
-                &store,
-                InvertedIndex::<u32>::from_bytes,
-                InvertedIndex::max_object_id,
-            )
-        };
-        let grid_arena = |section: u16| {
-            index_section(
-                &container,
-                section,
-                &store,
-                InvertedIndex::<u64>::from_bytes,
-                InvertedIndex::max_object_id,
-            )
-        };
         let filter: Box<dyn CandidateFilter> = match kind {
             FilterKind::Token | FilterKind::TokenCompressed => Box::new(TokenFilter::from_loaded(
                 store.clone(),
                 cfg,
                 postings_section(&container, &store, kind)?,
             )),
-            FilterKind::TokenBasic => Box::new(TokenFilterBasic::from_loaded(
-                store.clone(),
-                cfg,
-                token_arena()?,
-            )),
             FilterKind::Grid { side } => Box::new(GridFilter::from_loaded(
                 &store,
                 side,
                 cfg,
-                grid_arena(SECTION_PRIMARY_INDEX)?,
+                index_section(
+                    &container,
+                    &store,
+                    InvertedIndex::<u64>::from_bytes,
+                    InvertedIndex::max_object_id,
+                )?,
             )),
             FilterKind::HashHybrid { side, buckets }
             | FilterKind::HashHybridCompressed { side, buckets } => {
@@ -761,24 +749,14 @@ impl SealEngine {
                     scheme,
                     index_section(
                         &container,
-                        SECTION_PRIMARY_INDEX,
                         &store,
                         HybridIndex::<u128>::from_bytes,
                         HybridIndex::max_object_id,
                     )?,
                 ))
             }
-            FilterKind::Adaptive { side } => Box::new(AdaptiveFilter::from_loaded(
-                store.clone(),
-                cfg,
-                TokenFilter::from_loaded(store.clone(), cfg, Postings::Arena(token_arena()?)),
-                GridFilter::from_loaded(&store, side, cfg, grid_arena(SECTION_SECONDARY_INDEX)?),
-            )),
             // Derivable filters rebuild from the (validated) store.
-            FilterKind::KeywordFirst
-            | FilterKind::SpatialFirst
-            | FilterKind::IrTree { .. }
-            | FilterKind::Naive => {
+            FilterKind::KeywordFirst | FilterKind::SpatialFirst | FilterKind::IrTree { .. } => {
                 let opts = crate::BuildOpts::with_threads(threads);
                 return Ok(SealEngine::build_with_opts(store, kind, cfg, opts));
             }

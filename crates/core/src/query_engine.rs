@@ -4,8 +4,8 @@
 //! PR 7 hard-wired `seal-server`'s batcher and handlers to
 //! `Arc<LiveEngine>`, so any new engine shape forced a serving-tier
 //! rewrite. [`QueryEngine`] is that boundary made explicit: the
-//! batcher, the HTTP handlers and the CLI's `serve`/`ingest`/`batch`
-//! commands all take `Arc<dyn QueryEngine>`, and
+//! batcher, the HTTP handlers and the CLI's `index`/`serve` commands
+//! all take `Arc<dyn QueryEngine>`, and
 //! both the single-arena [`LiveEngine`] and the partitioned
 //! [`ShardedEngine`](crate::ShardedEngine) implement it. Construction
 //! sites pick the concrete engine; everything downstream is

@@ -750,7 +750,7 @@ mod tests {
     #[test]
     fn empty_and_single_shard_degenerate_safely() {
         let store = ObjectStore::from_objects(Vec::new(), 0);
-        let engine = ShardedEngine::build(&store, FilterKind::Naive, 2);
+        let engine = ShardedEngine::build(&store, FilterKind::Token, 2);
         assert!(engine.is_empty());
         let q = Query::with_token_ids(
             Rect::new(0.0, 0.0, 1.0, 1.0).unwrap(),

@@ -332,15 +332,6 @@ impl<K: Eq + Hash + Ord + Copy + Sync, const N: usize> Arena<K, N> {
         scratch
     }
 
-    /// `|I_c(key)|` on the cut axis alone — the qualifying-prefix
-    /// length without touching any other column (the §4.3 cost-model
-    /// probe).
-    #[inline]
-    pub fn qualifying_len(&self, key: &K, c: f64) -> usize {
-        debug_assert!(self.is_finalized(), "query on non-finalized index");
-        self.list(key).map_or(0, |l| bound_cut(l.bounds[0], c))
-    }
-
     /// Length of the **frozen** list for `key` (0 if absent) — the
     /// `|I(g)|` of the §4.3 cost model, exactly what a probe can scan.
     pub fn list_len(&self, key: &K) -> usize {
@@ -610,9 +601,7 @@ mod tests {
         assert_eq!(idx.list_len(&4), 2);
         assert_eq!(idx.list_len(&99), 0);
         assert_eq!(idx.qualifying(&1, 1.8), &[0, 1]);
-        assert_eq!(idx.qualifying_len(&1, 1.8), 2);
         assert!(idx.qualifying(&99, 0.0).is_empty());
-        assert_eq!(idx.qualifying_len(&99, 0.0), 0);
     }
 
     #[test]
@@ -663,7 +652,6 @@ mod tests {
         assert_eq!(rows, vec![(9, [3.0]), (4, [2.0]), (7, [1.0])]);
         let q = idx.qualifying(&1, 2.0);
         assert_eq!(q, &view.ids[..2], "prefix of the id column, in place");
-        assert_eq!(idx.qualifying_len(&1, 2.0), q.len());
         // The generic probe returns the same slice and leaves the
         // scratch alone.
         let mut scratch = vec![77];
@@ -752,8 +740,6 @@ mod tests {
         assert_eq!(idx.key_count(), 3);
         assert_eq!(idx.posting_count(), 6);
         assert_eq!(idx.qualifying(&key(9, 9), 0.0, 0.0).count(), 0);
-        assert_eq!(idx.qualifying_len(&key(1, 10), 600.0), 2);
-        assert_eq!(idx.qualifying_len(&key(9, 9), 0.0), 0);
     }
 
     #[test]

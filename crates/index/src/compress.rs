@@ -514,20 +514,6 @@ impl<K: Ord + Copy, const N: usize> CompressedArena<K, N> {
         slot.map_or(0, |i| self.meta[i].len as usize)
     }
 
-    /// Number of postings whose primary bound qualifies at threshold
-    /// `c` — the quantized column cut alone, no decoding. This is the
-    /// cost-model probe (`|I_c(s)|`) at compressed-column price.
-    pub fn qualifying_len(&self, key: &K, c: f64) -> usize {
-        let Ok(i) = self.keys.binary_search(key) else {
-            return 0;
-        };
-        let (m, bounds, _) = self.group_at(i);
-        match m.quant[0].quantize_threshold(c) {
-            Some(qc) => bound_cut_u16(bounds, m.len as usize, qc),
-            None => 0,
-        }
-    }
-
     /// The probe behind both `qualifying_into` signatures: lifts each
     /// column's threshold into the quantized domain once (no step
     /// qualifying on any column empties the result), cuts column 0,
@@ -867,19 +853,10 @@ mod tests {
     }
 
     #[test]
-    fn qualifying_len_equals_decoded_len() {
+    fn absent_keys_probe_empty_and_list_len_counts() {
         let idx = sample_index(150, 20.0);
         let c = CompressedInvertedIndex::compress(&idx);
         let mut scratch = Vec::new();
-        for key in 0u64..8 {
-            for thr in [0.0, 5.0, 19.0, 100.0] {
-                assert_eq!(
-                    c.qualifying_len(&key, thr),
-                    c.qualifying_into(&key, thr, &mut scratch).len()
-                );
-            }
-        }
-        assert_eq!(c.qualifying_len(&999, 0.0), 0);
         assert!(c.qualifying_into(&999, 0.0, &mut scratch).is_empty());
         assert_eq!(c.list_len(&0), 150);
         assert_eq!(c.list_len(&999), 0);
@@ -1255,7 +1232,8 @@ mod proptests {
             let reference = (0..len)
                 .take_while(|&j| m.quant[0].dequantize(column_u16(col, j)) >= c)
                 .count();
-            prop_assert_eq!(compressed.qualifying_len(&1, c), reference);
+            let mut scratch = Vec::new();
+            prop_assert_eq!(compressed.qualifying_into(&1, c, &mut scratch).len(), reference);
         }
     }
 }

@@ -102,11 +102,12 @@ fn one_context_serves_engines_of_different_sizes() {
 #[test]
 fn context_query_interleaving_across_filters() {
     // One context alternating between filters with different scratch
-    // needs (dedup vs accumulator) must never leak state between them.
+    // needs (dedup, id decode, accumulator) must never leak state
+    // between them.
     let (store, queries) = twitter_fixture(1_500, 6);
     let store = Arc::new(store);
     let token = SealEngine::build(store.clone(), FilterKind::Token);
-    let basic = SealEngine::build(store.clone(), FilterKind::TokenBasic);
+    let compressed = SealEngine::build(store.clone(), FilterKind::TokenCompressed);
     let keyword = SealEngine::build(store.clone(), FilterKind::KeywordFirst);
     let mut ctx = QueryContext::with_capacity(store.len());
     let check = |engine: &SealEngine, q: &Query, ctx: &mut QueryContext| {
@@ -121,7 +122,7 @@ fn context_query_interleaving_across_filters() {
     };
     for q in &queries {
         check(&token, q, &mut ctx);
-        check(&basic, q, &mut ctx);
+        check(&compressed, q, &mut ctx);
         check(&keyword, q, &mut ctx);
     }
 }

@@ -361,6 +361,106 @@ fn hostile_scheme_sections_behind_valid_crcs_error() {
     }
 }
 
+/// The container of `kind` over the 150-object fixture.
+fn container_of(kind: FilterKind) -> Vec<u8> {
+    let (store, _) = twitter_fixture(150, 1);
+    SealEngine::build(Arc::new(store), kind)
+        .to_container_bytes()
+        .expect("serializing a healthy engine must succeed")
+}
+
+/// `bytes`' sections rewritten by `edit` and re-framed, so every CRC is
+/// valid and only the loader's own checks stand between a lie and an
+/// engine.
+fn reframed(bytes: &[u8], edit: impl Fn(u16, &[u8]) -> Vec<u8>) -> ContainerWriter {
+    let container = Container::parse(bytes).expect("pristine container must parse");
+    let mut w = ContainerWriter::new();
+    for s in container.sections() {
+        w.push_section(s.kind, edit(s.kind, s.payload));
+    }
+    w
+}
+
+#[test]
+fn sections_the_kind_does_not_read_behind_valid_crcs_error() {
+    // A container holds only the sections its kind reads: anything
+    // else would load silently and vanish on the next save.
+    let token = container_of(FilterKind::Token);
+    let keyword = container_of(FilterKind::KeywordFirst);
+    let seal = Container::parse(seal_bytes()).expect("pristine container must parse");
+    let scheme = seal
+        .require(SECTION_HIER_SCHEME)
+        .expect("hierarchical kind");
+    let primary = Container::parse(&token)
+        .expect("pristine container must parse")
+        .require(SECTION_PRIMARY_INDEX)
+        .expect("indexed kind")
+        .to_vec();
+    let cases: [(&str, &[u8], u16, &[u8]); 4] = [
+        (
+            "a hierarchical scheme under Token",
+            &token,
+            SECTION_HIER_SCHEME,
+            scheme,
+        ),
+        ("retired section 7 under Token", &token, 7, &primary),
+        ("unknown section 99 under Token", &token, 99, b"junk"),
+        (
+            "a primary index under KeywordFirst",
+            &keyword,
+            SECTION_PRIMARY_INDEX,
+            &primary,
+        ),
+    ];
+    for (what, bytes, extra, payload) in cases {
+        let mut w = reframed(bytes, |_, p| p.to_vec());
+        w.push_section(extra, payload.to_vec());
+        match SealEngine::load_from_bytes(&w.finish(), 1).err() {
+            Some(ContainerError::Section { detail, .. }) => {
+                assert!(
+                    detail.contains(&format!("reads no section of kind {extra}")),
+                    "{what}: {detail}"
+                )
+            }
+            other => panic!("{what}: expected a typed section error, got {other:?}"),
+        }
+    }
+}
+
+#[test]
+fn retired_filter_kind_tags_behind_valid_crcs_error() {
+    // Tags 2, 10 and 11 named filters that no longer exist. The meta
+    // payload is [tag u8 | parameters | spatial u8 | textual u8]; tag 10
+    // carried a u32 grid side.
+    let token = container_of(FilterKind::Token);
+    for (tag, params) in [
+        (2u8, &[][..]),
+        (10, &1024u32.to_le_bytes()[..]),
+        (11, &[][..]),
+    ] {
+        let w = reframed(&token, |kind, p| {
+            if kind != SECTION_ENGINE_META {
+                return p.to_vec();
+            }
+            let mut meta = vec![tag];
+            meta.extend_from_slice(params);
+            meta.extend_from_slice(&p[1..]);
+            meta
+        });
+        match SealEngine::load_from_bytes(&w.finish(), 1).err() {
+            Some(ContainerError::Section {
+                section: "engine meta",
+                detail,
+                ..
+            }) => assert!(
+                detail.contains(&format!("unknown filter kind tag {tag}")),
+                "tag {tag}: {detail}"
+            ),
+            other => panic!("tag {tag}: expected a typed engine-meta error, got {other:?}"),
+        }
+    }
+}
+
 #[test]
 fn missing_required_section_errors() {
     let bytes = seal_bytes();

@@ -17,7 +17,6 @@ fn all_engines_agree_with_oracle_on_twitter_like_data() {
     let cfg = SimilarityConfig::default();
     let kinds = vec![
         FilterKind::Token,
-        FilterKind::TokenBasic,
         FilterKind::Grid { side: 64 },
         FilterKind::Grid { side: 512 },
         FilterKind::HashHybrid {

@@ -3,7 +3,7 @@
 //! and the documented containment relations between filters must hold.
 
 use seal_core::filters::{
-    CandidateFilter, GridFilter, HierarchicalFilter, HybridFilter, TokenFilter, TokenFilterBasic,
+    CandidateFilter, GridFilter, HierarchicalFilter, HybridFilter, TokenFilter,
 };
 use seal_core::signatures::hash_hybrid::BucketScheme;
 use seal_core::verify::naive_search;
@@ -27,7 +27,6 @@ fn every_filter_is_a_superset_of_the_answers() {
     let cfg = SimilarityConfig::default();
     let filters: Vec<Box<dyn CandidateFilter>> = vec![
         Box::new(TokenFilter::build(store.clone())),
-        Box::new(TokenFilterBasic::build(store.clone())),
         Box::new(GridFilter::build(store.clone(), 256)),
         Box::new(HybridFilter::build(store.clone(), 256, BucketScheme::Full)),
         Box::new(HybridFilter::build(
@@ -80,21 +79,6 @@ fn bucketed_hash_contains_full_hash() {
         let cf = candidate_set(&full, q);
         let cs = candidate_set(&small, q);
         assert!(cf.is_subset(&cs), "collisions removed candidates?!");
-    }
-}
-
-#[test]
-fn basic_token_filter_is_tighter_than_prefix_variant() {
-    // Sig-Filter computes the exact signature similarity; Sig-Filter+
-    // only tests prefix intersection. Basic ⊆ plus, always.
-    let (store, queries) = twitter_fixture(1_200, 8);
-    let store = Arc::new(store);
-    let plus = TokenFilter::build(store.clone());
-    let basic = TokenFilterBasic::build(store.clone());
-    for q in &queries {
-        let cb = candidate_set(&basic, q);
-        let cp = candidate_set(&plus, q);
-        assert!(cb.is_subset(&cp), "basic produced extra candidates");
     }
 }
 

@@ -28,12 +28,11 @@ mod util;
 use util::twitter_fixture;
 
 /// Every filter kind that serves off a signature index (the baselines
-/// and the naive scan have no index path to go stale).
+/// have no index path to go stale).
 fn indexed_kinds() -> Vec<FilterKind> {
     vec![
         FilterKind::Token,
         FilterKind::TokenCompressed,
-        FilterKind::TokenBasic,
         FilterKind::Grid { side: 8 },
         FilterKind::HashHybrid {
             side: 8,
@@ -51,7 +50,6 @@ fn indexed_kinds() -> Vec<FilterKind> {
             max_level: 4,
             budget: 8,
         },
-        FilterKind::Adaptive { side: 8 },
     ]
 }
 

@@ -82,26 +82,10 @@ fn warm_probes_do_not_allocate() {
     let store = Arc::new(store);
     // The counter itself must see an allocation when there is one.
     assert!(allocations_during(|| drop(std::hint::black_box(vec![0u8; 64]))) > 0);
-    for kind in [
-        FilterKind::Hierarchical {
-            max_level: 8,
-            budget: 16,
-        },
-        FilterKind::Token,
-        FilterKind::TokenCompressed,
-        FilterKind::Grid { side: 64 },
-        FilterKind::HashHybrid {
-            side: 64,
-            buckets: Some(1 << 12),
-        },
-        FilterKind::HashHybridCompressed {
-            side: 64,
-            buckets: None,
-        },
-        FilterKind::Adaptive { side: 64 },
-        FilterKind::TokenBasic,
-        FilterKind::KeywordFirst,
-    ] {
+    let list_probing = util::kinds(64, &[None, Some(1 << 12)], 8, 16)
+        .into_iter()
+        .filter(|k| !matches!(k, FilterKind::SpatialFirst | FilterKind::IrTree { .. }));
+    for kind in list_probing {
         let engine = SealEngine::build(store.clone(), kind);
         let mut ctx = QueryContext::with_capacity(store.len());
         // Warm-up: one pass grows every scratch buffer to the largest

@@ -21,7 +21,6 @@ pub fn kinds(side: u32, buckets: &[Option<u64>], max_level: u8, budget: usize) -
     use FilterKind::*;
     let schemes = [
         Token,
-        TokenBasic,
         Grid { side },
         HashHybrid {
             side,
@@ -31,8 +30,6 @@ pub fn kinds(side: u32, buckets: &[Option<u64>], max_level: u8, budget: usize) -
         KeywordFirst,
         SpatialFirst,
         IrTree { fanout: 16 },
-        Adaptive { side },
-        Naive,
     ];
     let mut kinds = Vec::new();
     for scheme in schemes {
