@@ -161,18 +161,13 @@ fn build_engine(
         Arc::new(ShardedEngine::with_opts(
             &store,
             kind,
-            SimilarityConfig::default(),
+            SimilarityConfig,
             opts,
             shards,
             None,
         ))
     } else {
-        Arc::new(LiveEngine::with_opts(
-            store,
-            kind,
-            SimilarityConfig::default(),
-            opts,
-        ))
+        Arc::new(LiveEngine::with_opts(store, kind, SimilarityConfig, opts))
     }
 }
 
@@ -323,7 +318,7 @@ fn cmd_save(args: &Args) -> Result<(), Box<dyn Error>> {
     let engine = SealEngine::build_with_opts(
         store,
         kind,
-        SimilarityConfig::default(),
+        SimilarityConfig,
         BuildOpts::with_threads(threads),
     );
     let build_s = t0.elapsed().as_secs_f64();

@@ -21,7 +21,6 @@ use std::sync::Arc;
 /// The IR-tree: R-tree + per-node subtree token sets.
 pub struct IrTreeBaseline {
     store: Arc<ObjectStore>,
-    cfg: crate::SimilarityConfig,
     tree: RTree<u32>,
     /// Subtree token union per node — the IR-tree's per-node inverted
     /// file, stored as a set (we only need membership for the bound).
@@ -45,15 +44,6 @@ impl IrTreeBaseline {
 
     /// Builds with an explicit fan-out (the paper's example uses 3).
     pub fn build_with_fanout(store: Arc<ObjectStore>, fanout: usize) -> Self {
-        Self::build_with_config(store, fanout, crate::SimilarityConfig::default())
-    }
-
-    /// Builds with an explicit similarity configuration.
-    pub fn build_with_config(
-        store: Arc<ObjectStore>,
-        fanout: usize,
-        cfg: crate::SimilarityConfig,
-    ) -> Self {
         let items: Vec<(seal_geom::Rect, u32)> =
             store.iter().map(|(id, o)| (o.region, id.0)).collect();
         let tree = RTree::bulk_load(items, RTreeConfig::with_fanout(fanout));
@@ -72,7 +62,6 @@ impl IrTreeBaseline {
         }
         IrTreeBaseline {
             store,
-            cfg,
             tree,
             node_tokens,
             stored_tokens: stored,
@@ -139,9 +128,8 @@ impl CandidateFilter for IrTreeBaseline {
     }
 
     fn candidates_into(&self, q: &Query, ctx: &mut QueryContext, stats: &mut SearchStats) {
-        let cfg = self.cfg;
-        let c_r = crate::signatures::relax(cfg.spatial_threshold(q));
-        let c_t = crate::signatures::relax(cfg.textual_threshold(q, self.store.weights()));
+        let c_r = crate::signatures::relax(crate::simfn::c_r(q));
+        let c_t = crate::signatures::relax(crate::simfn::c_t(q, self.store.weights()));
         let weights = self.store.weights();
         let region = q.region;
         ctx.candidates.clear();
@@ -201,7 +189,7 @@ mod tests {
     fn irtree_finds_all_answers() {
         let (store, q0) = figure1_store();
         let store = Arc::new(store);
-        let cfg = SimilarityConfig::default();
+        let cfg = SimilarityConfig;
         // Fan-out 3 matches Figure 2's example tree.
         let f = IrTreeBaseline::build_with_fanout(store.clone(), 3);
         for (tr, tt) in [(0.1, 0.1), (0.25, 0.3), (0.5, 0.5)] {
@@ -240,7 +228,7 @@ mod tests {
         let mut stats = SearchStats::new();
         let mut got = ir.candidates(&q, &mut stats);
         got.sort_unstable();
-        let c_r = SimilarityConfig::default().spatial_threshold(&q);
+        let c_r = crate::simfn::c_r(&q);
         let mut expect: Vec<ObjectId> = store
             .iter()
             .filter(|(_, o)| q.region.intersection_area(&o.region) >= c_r)

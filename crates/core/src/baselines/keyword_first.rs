@@ -12,7 +12,6 @@ use std::sync::Arc;
 /// Keyword-first: exact textual filtering, no spatial pruning.
 pub struct KeywordFirst {
     store: Arc<ObjectStore>,
-    cfg: crate::SimilarityConfig,
     index: InvertedIndex<u32>,
     /// Σ_{t ∈ o.T} w(t) per object, for the Jaccard denominator.
     object_weights: Vec<f64>,
@@ -22,12 +21,6 @@ pub struct KeywordFirst {
 impl KeywordFirst {
     /// Builds the token inverted index (postings carry token weights).
     pub fn build(store: Arc<ObjectStore>) -> Self {
-        Self::build_with_config(store, crate::SimilarityConfig::default())
-    }
-
-    /// Builds with an explicit similarity configuration: the exact
-    /// first-stage test evaluates the configured textual function.
-    pub fn build_with_config(store: Arc<ObjectStore>, cfg: crate::SimilarityConfig) -> Self {
         let mut index: InvertedIndex<u32> = InvertedIndex::new();
         let mut empty = Vec::new();
         let mut object_weights = Vec::with_capacity(store.len());
@@ -44,7 +37,6 @@ impl KeywordFirst {
         index.finalize();
         KeywordFirst {
             store,
-            cfg,
             index,
             object_weights,
             empty_token_objects: empty,
@@ -78,7 +70,11 @@ impl CandidateFilter for KeywordFirst {
         for &o in &ctx.touched {
             let inter = ctx.acc.sum(o);
             let w_o = self.object_weights[o as usize];
-            let sim = textual_sim_from_components(self.cfg.textual, inter, w_q, w_o);
+            // Weighted Jaccard from the accumulated intersection weight
+            // and the two set weights: the intersection set is never
+            // materialized.
+            let union = w_q + w_o - inter;
+            let sim = if union <= 0.0 { 1.0 } else { inter / union };
             if sim >= crate::signatures::relax(q.tau_textual) {
                 ctx.candidates.push(ObjectId(o));
             }
@@ -87,25 +83,6 @@ impl CandidateFilter for KeywordFirst {
 
     fn index_bytes(&self) -> usize {
         self.index.size_bytes() + self.object_weights.len() * std::mem::size_of::<f64>()
-    }
-}
-
-/// Evaluates a textual similarity function from the accumulated
-/// intersection weight and the two set weights (the keyword-first
-/// filter never materializes the intersection set).
-fn textual_sim_from_components(
-    f: seal_text::similarity::TextualSimFn,
-    inter: f64,
-    w_q: f64,
-    w_o: f64,
-) -> f64 {
-    use seal_text::similarity::TextualSimFn;
-    let safe = |num: f64, den: f64| if den <= 0.0 { 1.0 } else { num / den };
-    match f {
-        TextualSimFn::Jaccard => safe(inter, w_q + w_o - inter),
-        TextualSimFn::Dice => safe(2.0 * inter, w_q + w_o),
-        TextualSimFn::Cosine => safe(inter, (w_q * w_o).sqrt()),
-        TextualSimFn::Overlap => safe(inter, w_q.min(w_o)),
     }
 }
 
@@ -120,7 +97,7 @@ mod tests {
     fn keyword_first_finds_all_answers() {
         let (store, q0) = figure1_store();
         let store = Arc::new(store);
-        let cfg = SimilarityConfig::default();
+        let cfg = SimilarityConfig;
         let f = KeywordFirst::build(store.clone());
         for (tr, tt) in [(0.1, 0.1), (0.25, 0.3), (0.5, 0.5)] {
             let q = q0.with_thresholds(tr, tt).unwrap();
@@ -139,13 +116,12 @@ mod tests {
         let (store, q) = figure1_store();
         let store = Arc::new(store);
         let f = KeywordFirst::build(store.clone());
-        let cfg = SimilarityConfig::default();
         let mut stats = SearchStats::new();
         let mut got = f.candidates(&q, &mut stats);
         got.sort_unstable();
         let mut expect: Vec<ObjectId> = store
             .iter()
-            .filter(|(_, o)| cfg.textual_sim(&q, o, store.weights()) >= q.tau_textual)
+            .filter(|(_, o)| crate::simfn::textual_sim(&q, o, store.weights()) >= q.tau_textual)
             .map(|(id, _)| id)
             .collect();
         expect.sort_unstable();

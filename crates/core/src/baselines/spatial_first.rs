@@ -12,23 +12,16 @@ use std::sync::Arc;
 /// Spatial-first: exact spatial filtering via R-tree, no textual
 /// pruning.
 pub struct SpatialFirst {
-    cfg: crate::SimilarityConfig,
     tree: RTree<u32>,
 }
 
 impl SpatialFirst {
     /// Bulk-loads the R-tree over the store's regions.
     pub fn build(store: Arc<ObjectStore>) -> Self {
-        Self::build_with_config(store, crate::SimilarityConfig::default())
-    }
-
-    /// Builds with an explicit similarity configuration: the exact
-    /// first-stage test evaluates the configured spatial function.
-    pub fn build_with_config(store: Arc<ObjectStore>, cfg: crate::SimilarityConfig) -> Self {
         let items: Vec<(seal_geom::Rect, u32)> =
             store.iter().map(|(id, o)| (o.region, id.0)).collect();
         let tree = RTree::bulk_load(items, RTreeConfig::default());
-        SpatialFirst { cfg, tree }
+        SpatialFirst { tree }
     }
 
     /// The underlying R-tree (diagnostics).
@@ -58,7 +51,7 @@ impl CandidateFilter for SpatialFirst {
             |_, entries| {
                 for e in entries {
                     stats.postings_scanned += 1;
-                    if self.cfg.spatial.eval(&e.rect, &region) >= tau {
+                    if e.rect.jaccard(&region) >= tau {
                         out.push(ObjectId(e.value));
                     }
                 }
@@ -83,7 +76,7 @@ mod tests {
     fn spatial_first_finds_all_answers() {
         let (store, q0) = figure1_store();
         let store = Arc::new(store);
-        let cfg = SimilarityConfig::default();
+        let cfg = SimilarityConfig;
         let f = SpatialFirst::build(store.clone());
         for (tr, tt) in [(0.1, 0.1), (0.25, 0.3), (0.5, 0.5), (0.95, 0.95)] {
             let q = q0.with_thresholds(tr, tt).unwrap();
@@ -100,13 +93,12 @@ mod tests {
         let (store, q) = figure1_store();
         let store = Arc::new(store);
         let f = SpatialFirst::build(store.clone());
-        let cfg = SimilarityConfig::default();
         let mut stats = SearchStats::new();
         let mut got = f.candidates(&q, &mut stats);
         got.sort_unstable();
         let mut expect: Vec<ObjectId> = store
             .iter()
-            .filter(|(_, o)| cfg.spatial_sim(&q, o) >= q.tau_spatial)
+            .filter(|(_, o)| crate::simfn::spatial_sim(&q, o) >= q.tau_spatial)
             .map(|(id, _)| id)
             .collect();
         expect.sort_unstable();

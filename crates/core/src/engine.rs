@@ -7,6 +7,7 @@ use crate::filters::{
     CandidateFilter, GridFilter, HierarchicalFilter, HybridFilter, QueryContext, Storage,
     TokenFilter,
 };
+use crate::verify::verify;
 use crate::{ObjectId, ObjectStore, Query, SearchStats, SimilarityConfig};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
@@ -119,26 +120,13 @@ impl SearchResult {
 pub struct SealEngine {
     store: Arc<ObjectStore>,
     filter: Box<dyn CandidateFilter>,
-    cfg: SimilarityConfig,
     kind: FilterKind,
 }
 
 impl SealEngine {
     /// Builds an engine over a store with the chosen filter.
     pub fn build(store: Arc<ObjectStore>, kind: FilterKind) -> Self {
-        Self::build_with_config(store, kind, SimilarityConfig::default())
-    }
-
-    /// Builds with an explicit similarity configuration. Every filter
-    /// derives its signature thresholds from the configured functions
-    /// (e.g. Dice's `c_R = τ·|q.R|/2`), so the candidate-superset
-    /// guarantee holds for all supported similarity pairs.
-    pub fn build_with_config(
-        store: Arc<ObjectStore>,
-        kind: FilterKind,
-        cfg: SimilarityConfig,
-    ) -> Self {
-        Self::build_with_opts(store, kind, cfg, crate::BuildOpts::default())
+        Self::build_with_opts(store, kind, SimilarityConfig, crate::BuildOpts::default())
     }
 
     /// Builds with explicit build options. `BuildOpts::threads` fans
@@ -147,20 +135,21 @@ impl SealEngine {
     /// pool; the resulting index is **identical for every thread
     /// count** — parallelism buys wall-clock time only. Filters
     /// without a parallel build path (the baselines) ignore the
-    /// options.
+    /// options. `SimilarityConfig` has one value; the parameter stays
+    /// for linked callers.
     pub fn build_with_opts(
         store: Arc<ObjectStore>,
         kind: FilterKind,
-        cfg: SimilarityConfig,
+        _: SimilarityConfig,
         opts: crate::BuildOpts,
     ) -> Self {
         let storage = kind.storage();
         let filter: Box<dyn CandidateFilter> = match kind {
-            FilterKind::Token | FilterKind::TokenCompressed => Box::new(
-                TokenFilter::build_with_opts(store.clone(), cfg, opts, storage),
-            ),
+            FilterKind::Token | FilterKind::TokenCompressed => {
+                Box::new(TokenFilter::build_with_opts(store.clone(), opts, storage))
+            }
             FilterKind::Grid { side } => {
-                Box::new(GridFilter::build_with_opts(store.clone(), side, cfg, opts))
+                Box::new(GridFilter::build_with_opts(store.clone(), side, opts))
             }
             FilterKind::HashHybrid { side, buckets }
             | FilterKind::HashHybridCompressed { side, buckets } => {
@@ -168,30 +157,22 @@ impl SealEngine {
                     store.clone(),
                     side,
                     crate::persist::bucket_scheme(buckets),
-                    cfg,
                     opts,
                     storage,
                 ))
             }
             FilterKind::Hierarchical { max_level, budget } => Box::new(
-                HierarchicalFilter::build_with_opts(store.clone(), max_level, budget, cfg, opts),
+                HierarchicalFilter::build_with_opts(store.clone(), max_level, budget, opts),
             ),
-            FilterKind::KeywordFirst => {
-                Box::new(KeywordFirst::build_with_config(store.clone(), cfg))
+            FilterKind::KeywordFirst => Box::new(KeywordFirst::build(store.clone())),
+            FilterKind::SpatialFirst => Box::new(SpatialFirst::build(store.clone())),
+            FilterKind::IrTree { fanout } => {
+                Box::new(IrTreeBaseline::build_with_fanout(store.clone(), fanout))
             }
-            FilterKind::SpatialFirst => {
-                Box::new(SpatialFirst::build_with_config(store.clone(), cfg))
-            }
-            FilterKind::IrTree { fanout } => Box::new(IrTreeBaseline::build_with_config(
-                store.clone(),
-                fanout,
-                cfg,
-            )),
         };
         SealEngine {
             store,
             filter,
-            cfg,
             kind,
         }
     }
@@ -211,7 +192,6 @@ impl SealEngine {
         prev: &SealEngine,
         store: Arc<ObjectStore>,
         kind: FilterKind,
-        cfg: SimilarityConfig,
         opts: crate::BuildOpts,
         delta_start: usize,
     ) -> GenerationBuild {
@@ -224,18 +204,13 @@ impl SealEngine {
                 let same_shape = prev_h.scheme().budget() == budget
                     && prev_h.scheme().tree().max_level() == max_level;
                 if same_shape {
-                    if let Some(filter) = HierarchicalFilter::build_extended(
-                        prev_h,
-                        store.clone(),
-                        delta_start,
-                        cfg,
-                        opts,
-                    ) {
+                    if let Some(filter) =
+                        HierarchicalFilter::build_extended(prev_h, store.clone(), delta_start, opts)
+                    {
                         return GenerationBuild {
                             engine: SealEngine {
                                 store,
                                 filter: Box::new(filter),
-                                cfg,
                                 kind,
                             },
                             scheme_reused: true,
@@ -245,7 +220,7 @@ impl SealEngine {
             }
         }
         GenerationBuild {
-            engine: SealEngine::build_with_opts(store, kind, cfg, opts),
+            engine: SealEngine::build_with_opts(store, kind, SimilarityConfig, opts),
             scheme_reused: false,
         }
     }
@@ -273,8 +248,13 @@ impl SealEngine {
     pub fn search_with_ctx(&self, q: &Query, ctx: &mut QueryContext) -> SearchResult {
         let mut stats = SearchStats::new();
         self.filter.candidates_into(q, ctx, &mut stats);
-        let answers =
-            crate::verify::verify(&self.store, &self.cfg, q, ctx.candidates(), &mut stats);
+        let answers = verify(
+            &self.store,
+            &SimilarityConfig,
+            q,
+            ctx.candidates(),
+            &mut stats,
+        );
         SearchResult { answers, stats }
     }
 
@@ -346,13 +326,11 @@ impl SealEngine {
     pub(crate) fn from_loaded_parts(
         store: Arc<ObjectStore>,
         filter: Box<dyn CandidateFilter>,
-        cfg: SimilarityConfig,
         kind: FilterKind,
     ) -> Self {
         SealEngine {
             store,
             filter,
-            cfg,
             kind,
         }
     }
@@ -369,9 +347,10 @@ impl SealEngine {
         self.kind
     }
 
-    /// The similarity configuration in effect.
+    /// The similarity configuration (it has one value; the method
+    /// stays for linked callers).
     pub fn config(&self) -> SimilarityConfig {
-        self.cfg
+        SimilarityConfig
     }
 
     /// The active filter's display name.
@@ -418,8 +397,8 @@ impl SealEngine {
             let q = Query::new(region, tokens.clone(), tau, tau).expect("tau stays within (0,1]");
             let score = |id| {
                 let o = self.store.get(id);
-                alpha * self.cfg.spatial_sim(&scoring_q, o)
-                    + (1.0 - alpha) * self.cfg.textual_sim(&scoring_q, o, w)
+                alpha * crate::simfn::spatial_sim(&scoring_q, o)
+                    + (1.0 - alpha) * crate::simfn::textual_sim(&scoring_q, o, w)
             };
             let answers = self.search(&q).answers;
             answers.into_iter().map(|id| (id, score(id))).collect()
@@ -435,7 +414,7 @@ impl SealEngine {
 /// ranked by descending score, ties by ascending id.
 ///
 /// The order is total: scores are NaN-free by the simfn boundary
-/// contract (`SimilarityConfig` rejects NaN similarities the way
+/// contract (`simfn` rejects NaN similarities the way
 /// `Arena::push_row` rejects NaN bounds), and `total_cmp` removes the
 /// `unwrap_or(Equal)` escape hatch that would let a stray NaN silently
 /// destabilize the ranking.
@@ -519,7 +498,7 @@ mod tests {
     fn every_engine_matches_the_oracle() {
         let (store, q0) = figure1_store();
         let store = Arc::new(store);
-        let cfg = SimilarityConfig::default();
+        let cfg = SimilarityConfig;
         for kind in all_kinds() {
             let engine = SealEngine::build(store.clone(), kind);
             for (tr, tt) in [(0.1, 0.1), (0.25, 0.3), (0.6, 0.6)] {
@@ -560,31 +539,6 @@ mod tests {
             FilterKind::seal_default(),
             FilterKind::Hierarchical { .. }
         ));
-    }
-
-    #[test]
-    fn dice_configured_engines_match_the_dice_oracle() {
-        use crate::SpatialSimFn;
-        use seal_text::similarity::TextualSimFn;
-        let (store, q0) = figure1_store();
-        let store = Arc::new(store);
-        let cfg = SimilarityConfig {
-            spatial: SpatialSimFn::Dice,
-            textual: TextualSimFn::Dice,
-        };
-        for kind in all_kinds() {
-            let engine = SealEngine::build_with_config(store.clone(), kind, cfg);
-            for (tr, tt) in [(0.2, 0.2), (0.4, 0.4), (0.7, 0.7)] {
-                let q = q0.with_thresholds(tr, tt).unwrap();
-                let got = engine.search(&q).sorted();
-                let mut expect = naive_search(&store, &cfg, &q);
-                expect.sort_unstable();
-                assert_eq!(
-                    got.answers, expect,
-                    "{kind:?} with Dice τ=({tr},{tt}) disagrees with the Dice oracle"
-                );
-            }
-        }
     }
 
     #[test]
@@ -715,7 +669,7 @@ mod tests {
             0.05,
         )
         .unwrap();
-        let cfg = SimilarityConfig::default();
+        let cfg = SimilarityConfig;
         let mut expect_small = naive_search(&small, &cfg, &q_small);
         expect_small.sort_unstable();
         let mut expect_big = naive_search(&big, &cfg, &q_big);
@@ -744,7 +698,6 @@ mod tests {
         use seal_text::{TokenId, TokenSet};
         let (store, q0) = figure1_store();
         let store = Arc::new(store);
-        let cfg = SimilarityConfig::default();
         let kind = FilterKind::Hierarchical {
             max_level: 4,
             budget: 8,
@@ -759,7 +712,6 @@ mod tests {
             &prev,
             union.clone(),
             kind,
-            cfg,
             crate::BuildOpts::default(),
             store.len(),
         );
@@ -783,7 +735,6 @@ mod tests {
             &prev_t,
             union.clone(),
             FilterKind::Token,
-            cfg,
             crate::BuildOpts::default(),
             store.len(),
         );
@@ -804,11 +755,10 @@ mod tests {
         // α = 1: ranked purely spatially; α = 0: purely textually.
         let spatial = engine.search_top_k(q.region, q.tokens.clone(), 7, 1.0);
         let textual = engine.search_top_k(q.region, q.tokens.clone(), 7, 0.0);
-        let cfg = SimilarityConfig::default();
         for (id, score) in &spatial {
             let o = store.get(*id);
             let qq = q.with_thresholds(1.0, 1.0).unwrap();
-            assert!((score - cfg.spatial_sim(&qq, o)).abs() < 1e-12);
+            assert!((score - crate::simfn::spatial_sim(&qq, o)).abs() < 1e-12);
         }
         for w in textual.windows(2) {
             assert!(w[0].1 >= w[1].1);

@@ -11,7 +11,6 @@ use std::sync::Arc;
 /// cell, postings carry Lemma 3 spatial bounds, probed only for the
 /// query prefix under `c_R = τ_R · |q.R|`.
 pub struct GridFilter {
-    cfg: crate::SimilarityConfig,
     scheme: GridScheme,
     index: InvertedIndex<u64>,
     n_objects: usize,
@@ -21,28 +20,13 @@ impl GridFilter {
     /// Builds the `GridInv` index at the given granularity (cells per
     /// side — the paper's 256/512/1024 configurations).
     pub fn build(store: Arc<ObjectStore>, side: u32) -> Self {
-        Self::build_with_config(store, side, crate::SimilarityConfig::default())
-    }
-
-    /// Builds with an explicit similarity configuration (the spatial
-    /// threshold `c_R` follows the configured function's bound).
-    pub fn build_with_config(
-        store: Arc<ObjectStore>,
-        side: u32,
-        cfg: crate::SimilarityConfig,
-    ) -> Self {
-        Self::build_with_opts(store, side, cfg, crate::BuildOpts::default())
+        Self::build_with_opts(store, side, crate::BuildOpts::default())
     }
 
     /// Builds with explicit build options (`BuildOpts::threads`
     /// parallelizes the finalize-time group sorts; contents are
     /// identical for every thread count).
-    pub fn build_with_opts(
-        store: Arc<ObjectStore>,
-        side: u32,
-        cfg: crate::SimilarityConfig,
-        opts: crate::BuildOpts,
-    ) -> Self {
+    pub fn build_with_opts(store: Arc<ObjectStore>, side: u32, opts: crate::BuildOpts) -> Self {
         let scheme = GridScheme::build(&store, side);
         let mut index: InvertedIndex<u64> = InvertedIndex::new();
         for (id, o) in store.iter() {
@@ -53,7 +37,6 @@ impl GridFilter {
         }
         index.finalize_with_threads(opts.threads);
         GridFilter {
-            cfg,
             scheme,
             index,
             n_objects: store.len(),
@@ -63,14 +46,8 @@ impl GridFilter {
     /// Reassembles the filter around a loaded index. The scheme is a
     /// deterministic function of `(store, side)`, so only the index and
     /// the granularity need persisting.
-    pub(crate) fn from_loaded(
-        store: &ObjectStore,
-        side: u32,
-        cfg: crate::SimilarityConfig,
-        index: InvertedIndex<u64>,
-    ) -> Self {
+    pub(crate) fn from_loaded(store: &ObjectStore, side: u32, index: InvertedIndex<u64>) -> Self {
         GridFilter {
-            cfg,
             scheme: GridScheme::build(store, side),
             index,
             n_objects: store.len(),
@@ -84,8 +61,7 @@ impl CandidateFilter for GridFilter {
     }
 
     fn candidates_into(&self, q: &Query, ctx: &mut QueryContext, stats: &mut SearchStats) {
-        let cfg = self.cfg;
-        let c_r = crate::signatures::relax(cfg.spatial_threshold(q));
+        let c_r = crate::signatures::relax(crate::simfn::c_r(q));
         self.scheme.signature_into(&q.region, &mut ctx.grid);
         ctx.candidates.clear();
         ctx.dedup.begin(self.n_objects);
@@ -123,7 +99,7 @@ mod tests {
     fn grid_filter_is_complete_across_granularities() {
         let (store, q0) = figure1_store();
         let store = Arc::new(store);
-        let cfg = SimilarityConfig::default();
+        let cfg = SimilarityConfig;
         for side in [1u32, 2, 4, 8, 16, 64] {
             let f = GridFilter::build(store.clone(), side);
             for tau_r in [0.05, 0.25, 0.5, 0.9] {
@@ -175,7 +151,7 @@ mod tests {
         .unwrap();
         let mut stats = SearchStats::new();
         let cands = f.candidates(&q, &mut stats);
-        let cfg = SimilarityConfig::default();
+        let cfg = SimilarityConfig;
         let answers = naive_search(&store, &cfg, &q);
         assert!(answers.is_empty());
         // At fine granularity no object shares a prefix cell.

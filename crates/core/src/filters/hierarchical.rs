@@ -15,7 +15,6 @@ use std::sync::Arc;
 /// a probe reads each list by its pre-resolved slot.
 pub struct HierarchicalFilter {
     store: Arc<ObjectStore>,
-    cfg: crate::SimilarityConfig,
     scheme: HierarchicalScheme,
     index: HybridIndex<u128>,
     empty_token_objects: Vec<ObjectId>,
@@ -27,17 +26,7 @@ impl HierarchicalFilter {
     /// * `max_level` — grid-tree depth available to `HSS-Greedy`.
     /// * `budget` — `m_t`, maximum selected grids per token.
     pub fn build(store: Arc<ObjectStore>, max_level: u8, budget: usize) -> Self {
-        Self::build_with_config(store, max_level, budget, crate::SimilarityConfig::default())
-    }
-
-    /// Builds with an explicit similarity configuration.
-    pub fn build_with_config(
-        store: Arc<ObjectStore>,
-        max_level: u8,
-        budget: usize,
-        cfg: crate::SimilarityConfig,
-    ) -> Self {
-        Self::build_with_opts(store, max_level, budget, cfg, crate::BuildOpts::default())
+        Self::build_with_opts(store, max_level, budget, crate::BuildOpts::default())
     }
 
     /// Builds with explicit build options. `BuildOpts::threads` fans
@@ -49,13 +38,12 @@ impl HierarchicalFilter {
         store: Arc<ObjectStore>,
         max_level: u8,
         budget: usize,
-        cfg: crate::SimilarityConfig,
         opts: crate::BuildOpts,
     ) -> Self {
         let scheme =
             HierarchicalScheme::build_with_threads(&store, max_level, budget, opts.threads);
         let index = Self::index_over(&store, &scheme, opts.threads);
-        Self::assemble(store, cfg, scheme, index)
+        Self::assemble(store, scheme, index)
     }
 
     /// Builds the filter for the **next generation** of `prev`'s store
@@ -71,13 +59,12 @@ impl HierarchicalFilter {
         prev: &HierarchicalFilter,
         store: Arc<ObjectStore>,
         delta_start: usize,
-        cfg: crate::SimilarityConfig,
         opts: crate::BuildOpts,
     ) -> Option<Self> {
         let scheme =
             HierarchicalScheme::extend_from(&prev.scheme, &store, delta_start, opts.threads)?;
         let index = Self::index_over(&store, &scheme, opts.threads);
-        Some(Self::assemble(store, cfg, scheme, index))
+        Some(Self::assemble(store, scheme, index))
     }
 
     /// Pushes every object's hybrid signature postings over `scheme`
@@ -109,7 +96,6 @@ impl HierarchicalFilter {
     /// index and derives the empty-token list from the store.
     pub(crate) fn assemble(
         store: Arc<ObjectStore>,
-        cfg: crate::SimilarityConfig,
         mut scheme: HierarchicalScheme,
         index: HybridIndex<u128>,
     ) -> Self {
@@ -117,7 +103,6 @@ impl HierarchicalFilter {
         let empty = crate::filters::empty_token_objects(&store);
         HierarchicalFilter {
             store,
-            cfg,
             scheme,
             index,
             empty_token_objects: empty,
@@ -141,14 +126,14 @@ impl CandidateFilter for HierarchicalFilter {
     }
 
     fn candidates_into(&self, q: &Query, ctx: &mut QueryContext, stats: &mut SearchStats) {
-        let (store, cfg) = (&self.store, self.cfg);
+        let store = &self.store;
         ctx.candidates.clear();
         if q.tokens.is_empty() {
             ctx.candidates.extend_from_slice(&self.empty_token_objects);
             return;
         }
-        let c_t = crate::signatures::relax(cfg.textual_threshold(q, store.weights()));
-        let c_r = crate::signatures::relax(cfg.spatial_threshold(q));
+        let c_t = crate::signatures::relax(crate::simfn::c_t(q, store.weights()));
+        let c_r = crate::signatures::relax(crate::simfn::c_r(q));
         ctx.textual
             .rebuild(&q.tokens, store.weights(), store.token_order());
         ctx.dedup.begin(store.len());
@@ -200,7 +185,7 @@ mod tests {
     fn hierarchical_filter_is_complete() {
         let (store, q0) = figure1_store();
         let store = Arc::new(store);
-        let cfg = SimilarityConfig::default();
+        let cfg = SimilarityConfig;
         for budget in [1usize, 4, 8, 32] {
             let f = HierarchicalFilter::build(store.clone(), 4, budget);
             for (tr, tt) in [(0.1, 0.1), (0.25, 0.3), (0.6, 0.6)] {
@@ -241,14 +226,9 @@ mod tests {
         use seal_text::{TokenId, TokenSet};
         let (store, q0) = figure1_store();
         let store = Arc::new(store);
-        let cfg = SimilarityConfig::default();
-        let prev = HierarchicalFilter::build_with_opts(
-            store.clone(),
-            4,
-            8,
-            cfg,
-            crate::BuildOpts::default(),
-        );
+        let cfg = SimilarityConfig;
+        let prev =
+            HierarchicalFilter::build_with_opts(store.clone(), 4, 8, crate::BuildOpts::default());
         let delta = vec![
             crate::RoiObject::new(
                 Rect::new(25.0, 20.0, 60.0, 42.0).unwrap(),
@@ -264,11 +244,10 @@ mod tests {
             &prev,
             union.clone(),
             store.len(),
-            cfg,
             crate::BuildOpts::default(),
         )
         .expect("space unchanged");
-        let fresh = HierarchicalFilter::build_with_config(union.clone(), 4, 8, cfg);
+        let fresh = HierarchicalFilter::build(union.clone(), 4, 8);
         assert_eq!(
             extended.scheme().selected_cells_sorted(),
             fresh.scheme().selected_cells_sorted(),

@@ -15,7 +15,6 @@ use std::sync::Arc;
 /// are served in the [`Storage`] form the filter was built with.
 pub struct HybridFilter {
     store: Arc<ObjectStore>,
-    cfg: crate::SimilarityConfig,
     grid: GridScheme,
     buckets: BucketScheme,
     postings: Postings<u64, 2>,
@@ -23,25 +22,14 @@ pub struct HybridFilter {
 }
 
 impl HybridFilter {
-    /// Builds the `HashInv` index (default similarity configuration,
-    /// uncompressed arena).
+    /// Builds the `HashInv` index (uncompressed arena).
     ///
     /// * `side` — grid granularity (cells per side).
     /// * `buckets` — [`BucketScheme::Full`] or a bucket count (the
     ///   paper's index-size constraint).
     pub fn build(store: Arc<ObjectStore>, side: u32, buckets: BucketScheme) -> Self {
-        Self::build_with_config(store, side, buckets, crate::SimilarityConfig::default())
-    }
-
-    /// Builds with an explicit similarity configuration.
-    pub fn build_with_config(
-        store: Arc<ObjectStore>,
-        side: u32,
-        buckets: BucketScheme,
-        cfg: crate::SimilarityConfig,
-    ) -> Self {
         let opts = crate::BuildOpts::default();
-        Self::build_with_opts(store, side, buckets, cfg, opts, Storage::Arena)
+        Self::build_with_opts(store, side, buckets, opts, Storage::Arena)
     }
 
     /// Builds with explicit build options (`BuildOpts::threads`
@@ -52,7 +40,6 @@ impl HybridFilter {
         store: Arc<ObjectStore>,
         side: u32,
         buckets: BucketScheme,
-        cfg: crate::SimilarityConfig,
         opts: crate::BuildOpts,
         storage: Storage,
     ) -> Self {
@@ -74,7 +61,7 @@ impl HybridFilter {
         }
         index.finalize_with_threads(opts.threads);
         let postings = Postings::freeze(index, storage);
-        Self::assemble(store, grid, buckets, cfg, postings)
+        Self::assemble(store, grid, buckets, postings)
     }
 
     /// Reassembles the filter around loaded postings. The grid scheme
@@ -85,24 +72,21 @@ impl HybridFilter {
         store: Arc<ObjectStore>,
         side: u32,
         buckets: BucketScheme,
-        cfg: crate::SimilarityConfig,
         postings: Postings<u64, 2>,
     ) -> Self {
         let grid = GridScheme::build(&store, side);
-        Self::assemble(store, grid, buckets, cfg, postings)
+        Self::assemble(store, grid, buckets, postings)
     }
 
     fn assemble(
         store: Arc<ObjectStore>,
         grid: GridScheme,
         buckets: BucketScheme,
-        cfg: crate::SimilarityConfig,
         postings: Postings<u64, 2>,
     ) -> Self {
         let empty = crate::filters::empty_token_objects(&store);
         HybridFilter {
             store,
-            cfg,
             grid,
             buckets,
             postings,
@@ -137,14 +121,13 @@ impl CandidateFilter for HybridFilter {
 
     fn candidates_into(&self, q: &Query, ctx: &mut QueryContext, stats: &mut SearchStats) {
         let store = &self.store;
-        let cfg = self.cfg;
         ctx.candidates.clear();
         if q.tokens.is_empty() {
             ctx.candidates.extend_from_slice(&self.empty_token_objects);
             return;
         }
-        let c_t = crate::signatures::relax(cfg.textual_threshold(q, store.weights()));
-        let c_r = crate::signatures::relax(cfg.spatial_threshold(q));
+        let c_t = crate::signatures::relax(crate::simfn::c_t(q, store.weights()));
+        let c_r = crate::signatures::relax(crate::simfn::c_r(q));
         ctx.textual
             .rebuild(&q.tokens, store.weights(), store.token_order());
         self.grid.signature_into(&q.region, &mut ctx.grid);
@@ -188,7 +171,7 @@ mod tests {
     fn hybrid_filter_is_complete() {
         let (store, q0) = figure1_store();
         let store = Arc::new(store);
-        let cfg = SimilarityConfig::default();
+        let cfg = SimilarityConfig;
         for buckets in [
             BucketScheme::Full,
             BucketScheme::Buckets(64),
@@ -235,7 +218,7 @@ mod tests {
     fn fewer_buckets_never_lose_answers() {
         let (store, q) = figure1_store();
         let store = Arc::new(store);
-        let cfg = SimilarityConfig::default();
+        let cfg = SimilarityConfig;
         let answers = naive_search(&store, &cfg, &q);
         // Even a pathological 2-bucket hash stays a superset.
         let f = HybridFilter::build(store.clone(), 8, BucketScheme::Buckets(2));
@@ -262,12 +245,11 @@ mod tests {
     fn compressed_mode_is_complete() {
         let (store, q0) = figure1_store();
         let store = Arc::new(store);
-        let cfg = SimilarityConfig::default();
+        let cfg = SimilarityConfig;
         let compressed = HybridFilter::build_with_opts(
             store.clone(),
             8,
             BucketScheme::Full,
-            cfg,
             crate::BuildOpts::default(),
             Storage::Compressed,
         );

@@ -23,7 +23,6 @@ use std::sync::Arc;
 /// verification removes the extras).
 pub struct TokenFilter {
     store: Arc<ObjectStore>,
-    cfg: crate::SimilarityConfig,
     postings: Postings<u32, 1>,
     /// Objects with empty token sets: they can only match queries whose
     /// token sets are also empty (simT = 1 by convention), and inverted
@@ -32,28 +31,17 @@ pub struct TokenFilter {
 }
 
 impl TokenFilter {
-    /// Builds the `TokenInv` index over a store (default similarity
-    /// configuration, uncompressed arena).
+    /// Builds the `TokenInv` index over a store (uncompressed arena).
     pub fn build(store: Arc<ObjectStore>) -> Self {
-        Self::build_with_config(store, crate::SimilarityConfig::default())
+        Self::build_with_opts(store, crate::BuildOpts::default(), Storage::Arena)
     }
 
-    /// Builds with an explicit similarity configuration: the signature
-    /// thresholds `c_T` are derived from the configured textual
-    /// function, which keeps the filter a safe superset for Dice /
-    /// Cosine deployments too.
-    pub fn build_with_config(store: Arc<ObjectStore>, cfg: crate::SimilarityConfig) -> Self {
-        Self::build_with_opts(store, cfg, crate::BuildOpts::default(), Storage::Arena)
-    }
-
-    /// Builds with explicit similarity configuration, build options
-    /// (`BuildOpts::threads` parallelizes the finalize-time group
+    /// Builds with explicit build options (`BuildOpts::threads` parallelizes the finalize-time group
     /// sorts; the index contents are identical for every thread
     /// count) and storage form (the finalized arena as it is, or
     /// compressed once).
     pub fn build_with_opts(
         store: Arc<ObjectStore>,
-        cfg: crate::SimilarityConfig,
         opts: crate::BuildOpts,
         storage: Storage,
     ) -> Self {
@@ -65,21 +53,16 @@ impl TokenFilter {
             }
         }
         index.finalize_with_threads(opts.threads);
-        Self::from_loaded(store, cfg, Postings::freeze(index, storage))
+        Self::from_loaded(store, Postings::freeze(index, storage))
     }
 
     /// Assembles the filter around built or loaded postings. The
     /// empty-token list is a pure function of the store, so only the
     /// postings need persisting.
-    pub(crate) fn from_loaded(
-        store: Arc<ObjectStore>,
-        cfg: crate::SimilarityConfig,
-        postings: Postings<u32, 1>,
-    ) -> Self {
+    pub(crate) fn from_loaded(store: Arc<ObjectStore>, postings: Postings<u32, 1>) -> Self {
         let empty = crate::filters::empty_token_objects(&store);
         TokenFilter {
             store,
-            cfg,
             postings,
             empty_token_objects: empty,
         }
@@ -102,7 +85,6 @@ impl CandidateFilter for TokenFilter {
 
     fn candidates_into(&self, q: &Query, ctx: &mut QueryContext, stats: &mut SearchStats) {
         let store = &self.store;
-        let cfg = self.cfg;
         ctx.candidates.clear();
         if q.tokens.is_empty() {
             // Only empty-token objects can reach simT ≥ τT > 0.
@@ -111,7 +93,7 @@ impl CandidateFilter for TokenFilter {
         }
         ctx.textual
             .rebuild(&q.tokens, store.weights(), store.token_order());
-        let c_t = crate::signatures::relax(cfg.textual_threshold(q, store.weights()));
+        let c_t = crate::signatures::relax(crate::simfn::c_t(q, store.weights()));
         ctx.dedup.begin(store.len());
         for elem in ctx.textual.prefix(c_t) {
             stats.lists_probed += 1;
@@ -169,7 +151,7 @@ mod tests {
     fn candidates_are_supersets_across_thresholds() {
         let (store, q0) = figure1_store();
         let store = Arc::new(store);
-        let cfg = SimilarityConfig::default();
+        let cfg = SimilarityConfig;
         let f = TokenFilter::build(store.clone());
         for tau_t in [0.1, 0.3, 0.5, 0.8, 1.0] {
             let q = q0.with_thresholds(0.25, tau_t).unwrap();
@@ -209,7 +191,7 @@ mod tests {
         let cands = f.candidates(&q, &mut stats);
         assert_eq!(cands, vec![ObjectId(0)]);
         // And the oracle agrees that the empty-token object is the answer.
-        let cfg = SimilarityConfig::default();
+        let cfg = SimilarityConfig;
         assert_eq!(naive_search(&store, &cfg, &q), vec![ObjectId(0)]);
     }
 

@@ -276,7 +276,7 @@ mod tests {
         let store = std::sync::Arc::new(store);
         let engine = build_auto_grid_engine(store.clone(), std::slice::from_ref(&q), 1.0, 6);
         let got = engine.search(&q).sorted();
-        let mut expect = naive_search(&store, &crate::SimilarityConfig::default(), &q);
+        let mut expect = naive_search(&store, &crate::SimilarityConfig, &q);
         expect.sort_unstable();
         assert_eq!(got.answers, expect);
         assert_eq!(engine.filter_name(), "GridFilter");

@@ -50,7 +50,7 @@
 //! | module | paper section | contents |
 //! |--------|---------------|----------|
 //! | [`store`] / [`Query`] | §2.1 | data & query model, corpus weights |
-//! | [`SimilarityConfig`] / [`verify`] | §2.1, §3.1 | similarity functions, `Sig-Verify`, oracle |
+//! | `simfn` / [`verify`] | §2.1, §3.1 | Definition 3's predicate, `c_R` / `c_T`, `Sig-Verify`, oracle |
 //! | [`signatures`] | §3.2, §4.1, §5.1, §5.2 | the four signature schemes |
 //! | [`filters`] | §3–§5 | `Sig-Filter+`, `Hybrid-Sig-Filter+` |
 //! | [`baselines`] | §2.3 | Keyword-first, Spatial-first, IR-tree |
@@ -88,6 +88,6 @@ pub use object::{ObjectId, RoiObject};
 pub use query::{Query, QueryError};
 pub use query_engine::{EngineStatus, QueryEngine, ShardStatus};
 pub use sharded::{ShardPolicy, ShardedEngine};
-pub use simfn::{SimilarityConfig, SpatialSimFn};
+pub use simfn::SimilarityConfig;
 pub use stats::SearchStats;
 pub use store::{CorpusArtifacts, ObjectStore, StoreStats};

@@ -201,7 +201,6 @@ struct LiveState {
 /// the protocol and the staleness window.
 pub struct LiveEngine {
     kind: FilterKind,
-    cfg: SimilarityConfig,
     opts: crate::BuildOpts,
     state: Mutex<LiveState>,
     /// Serializes refreshes: concurrent callers queue here, not on
@@ -211,19 +210,15 @@ pub struct LiveEngine {
 
 impl LiveEngine {
     /// Builds generation 0 over `store` with the chosen filter
-    /// (default similarity configuration and build options).
+    /// (default build options).
     pub fn new(store: Arc<ObjectStore>, kind: FilterKind) -> Self {
-        Self::with_opts(
-            store,
-            kind,
-            SimilarityConfig::default(),
-            crate::BuildOpts::default(),
-        )
+        Self::with_opts(store, kind, SimilarityConfig, crate::BuildOpts::default())
     }
 
-    /// Builds generation 0 with explicit similarity configuration and
-    /// build options. `opts.threads` is reused by every refresh for
-    /// the build-side fan-out (0 = one worker per core).
+    /// Builds generation 0 with explicit build options. `opts.threads`
+    /// is reused by every refresh for the build-side fan-out (0 = one
+    /// worker per core). `SimilarityConfig` has one value; the
+    /// parameter stays for linked callers.
     pub fn with_opts(
         store: Arc<ObjectStore>,
         kind: FilterKind,
@@ -233,7 +228,6 @@ impl LiveEngine {
         let engine = Arc::new(SealEngine::build_with_opts(store, kind, cfg, opts));
         LiveEngine {
             kind,
-            cfg,
             opts,
             state: Mutex::new(LiveState {
                 engine,
@@ -312,7 +306,7 @@ impl LiveEngine {
     pub fn search(&self, q: &Query) -> SearchResult {
         let (engine, delta) = self.snapshot();
         let mut result = engine.search(q);
-        overlay_delta(&engine, &delta, self.cfg, q, &mut result);
+        overlay_delta(&engine, &delta, q, &mut result);
         result
     }
 
@@ -321,7 +315,7 @@ impl LiveEngine {
     pub fn search_with_ctx(&self, q: &Query, ctx: &mut QueryContext) -> SearchResult {
         let (engine, delta) = self.snapshot();
         let mut result = engine.search_with_ctx(q, ctx);
-        overlay_delta(&engine, &delta, self.cfg, q, &mut result);
+        overlay_delta(&engine, &delta, q, &mut result);
         result
     }
 
@@ -337,14 +331,13 @@ impl LiveEngine {
             // generation probe — a sequential O(queries × delta) scan
             // here would cap batch throughput whenever the staged
             // delta grows between refreshes.
-            let cfg = self.cfg;
             let overlays: Vec<SearchResult> =
                 seal_index::parallel::map_indexed(queries.len(), threads, |i| {
                     let mut r = SearchResult {
                         answers: Vec::new(),
                         stats: crate::SearchStats::new(),
                     };
-                    overlay_delta(&engine, &delta, cfg, &queries[i], &mut r);
+                    overlay_delta(&engine, &delta, &queries[i], &mut r);
                     r
                 });
             for (result, overlay) in results.iter_mut().zip(overlays) {
@@ -427,7 +420,6 @@ impl LiveEngine {
             &prev,
             union,
             self.kind,
-            self.cfg,
             self.opts,
             prev.store().len(),
         );
@@ -465,7 +457,7 @@ impl LiveEngine {
         let (engine, delta) = self.snapshot();
         let q = Query::new(region, tokens.clone(), tau, tau).expect("tau stays within (0,1]");
         let mut result = engine.search(&q);
-        overlay_delta(&engine, &delta, self.cfg, &q, &mut result);
+        overlay_delta(&engine, &delta, &q, &mut result);
         let w = engine.store().weights();
         let scoring_q =
             Query::new(region, tokens.clone(), 1.0, 1.0).expect("static thresholds are valid");
@@ -480,8 +472,8 @@ impl LiveEngine {
                 } else {
                     staged[id.index() - base]
                 };
-                let s = alpha * self.cfg.spatial_sim(&scoring_q, o)
-                    + (1.0 - alpha) * self.cfg.textual_sim(&scoring_q, o, w);
+                let s = alpha * crate::simfn::spatial_sim(&scoring_q, o)
+                    + (1.0 - alpha) * crate::simfn::textual_sim(&scoring_q, o, w);
                 (id, s)
             })
             .collect()
@@ -508,20 +500,14 @@ impl LiveEngine {
 /// window of the module docs), ids offset past the generation's store.
 /// Mirrors what `verify::naive_search` would do, so delta semantics
 /// match the oracle over "old corpus + this object".
-fn overlay_delta(
-    engine: &SealEngine,
-    delta: &DeltaSnapshot,
-    cfg: SimilarityConfig,
-    q: &Query,
-    result: &mut SearchResult,
-) {
+fn overlay_delta(engine: &SealEngine, delta: &DeltaSnapshot, q: &Query, result: &mut SearchResult) {
     if delta.is_empty() {
         return;
     }
     let base = engine.store().len() as u32;
     let weights = engine.store().weights();
     for (i, o) in delta.iter().enumerate() {
-        if cfg.is_answer(q, o, weights) {
+        if crate::simfn::is_answer(q, o, weights) {
             result.answers.push(ObjectId(base + i as u32));
             result.stats.results += 1;
         }
@@ -643,7 +629,7 @@ mod tests {
         live.push(o.clone());
         let q = q0.with_thresholds(0.25, 0.3).unwrap();
         let got = live.search(&q).sorted().answers;
-        let cfg = SimilarityConfig::default();
+        let cfg = SimilarityConfig;
         let mut expect = naive_search(&store, &cfg, &q);
         if cfg.is_answer(&q, &o, store.weights()) {
             expect.push(ObjectId(store.len() as u32));

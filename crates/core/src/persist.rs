@@ -18,7 +18,7 @@
 //! | 1 | store stats | summary counts + averages, cross-checked bit-exactly against the reloaded store |
 //! | 2 | store objects | vocab size, then each object's rect (4×f64) and sorted token ids |
 //! | 3 | dictionary | token names in id order (present only for stores built from strings) |
-//! | 4 | engine meta | [`FilterKind`] tag + parameters, similarity-function tags |
+//! | 4 | engine meta | [`FilterKind`] tag + parameters, two similarity tags (always 0) |
 //! | 5 | hier scheme | per-token HSS cell selections ([`FilterKind::Hierarchical`] only) |
 //! | 6 | primary index | the filter's index in the `seal_index` codec format |
 //!
@@ -40,13 +40,12 @@
 use crate::filters::{CandidateFilter, GridFilter, HierarchicalFilter, HybridFilter, TokenFilter};
 use crate::signatures::hash_hybrid::BucketScheme;
 use crate::signatures::hierarchical::HierarchicalScheme;
-use crate::{FilterKind, ObjectStore, SealEngine, SimilarityConfig, SpatialSimFn};
+use crate::{FilterKind, ObjectStore, SealEngine, SimilarityConfig};
 use seal_geom::{GridCellId, GridTree, Rect};
 use seal_index::{
     Container, ContainerError, ContainerWriter, HybridIndex, IndexCodecError, IndexKey,
     InvertedIndex, ObjId, Postings,
 };
-use seal_text::similarity::TextualSimFn;
 use seal_text::{Dictionary, TokenId, TokenSet};
 use std::path::Path;
 use std::sync::Arc;
@@ -57,7 +56,7 @@ pub const SECTION_STORE_STATS: u16 = 1;
 pub const SECTION_STORE_OBJECTS: u16 = 2;
 /// Section kind: the token dictionary (optional).
 pub const SECTION_DICTIONARY: u16 = 3;
-/// Section kind: filter kind and similarity configuration.
+/// Section kind: filter kind and the two similarity tags.
 pub const SECTION_ENGINE_META: u16 = 4;
 /// Section kind: hierarchical per-token HSS selections.
 pub const SECTION_HIER_SCHEME: u16 = 5;
@@ -331,23 +330,10 @@ fn decode_dictionary(payload: &[u8]) -> Result<Dictionary, ContainerError> {
 
 // ---------------------------------------------------------- engine meta
 
-fn spatial_tag(f: SpatialSimFn) -> u8 {
-    match f {
-        SpatialSimFn::Jaccard => 0,
-        SpatialSimFn::Dice => 1,
-    }
-}
-
-fn textual_tag(f: TextualSimFn) -> u8 {
-    match f {
-        TextualSimFn::Jaccard => 0,
-        TextualSimFn::Dice => 1,
-        TextualSimFn::Cosine => 2,
-        TextualSimFn::Overlap => 3,
-    }
-}
-
-fn encode_meta(kind: FilterKind, cfg: SimilarityConfig) -> Vec<u8> {
+/// The filter kind's tag and parameters, then the spatial and textual
+/// similarity tags. Those are always `0, 0` — spatial Jaccard and
+/// weighted Jaccard, the only similarity the engines answer with.
+fn encode_meta(kind: FilterKind) -> Vec<u8> {
     let mut buf = Vec::with_capacity(24);
     match kind {
         FilterKind::Token => put_u8(&mut buf, 0),
@@ -380,14 +366,15 @@ fn encode_meta(kind: FilterKind, cfg: SimilarityConfig) -> Vec<u8> {
             put_u64(&mut buf, fanout as u64);
         }
     }
-    put_u8(&mut buf, spatial_tag(cfg.spatial));
-    put_u8(&mut buf, textual_tag(cfg.textual));
+    put_u8(&mut buf, 0);
+    put_u8(&mut buf, 0);
     buf
 }
 
-/// Tags 2, 10 and 11 are retired: they named filters that no longer
-/// exist, and decode as unknown.
-fn decode_meta(payload: &[u8]) -> Result<(FilterKind, SimilarityConfig), ContainerError> {
+/// Filter tags 2, 10 and 11 are retired: they named filters that no
+/// longer exist, and decode as unknown. So do the non-zero similarity
+/// tags, which named the Dice / Cosine / Overlap functions.
+fn decode_meta(payload: &[u8]) -> Result<FilterKind, ContainerError> {
     let mut r = R::new(payload, "engine meta");
     let tag = r.u8()?;
     let kind = match tag {
@@ -424,20 +411,14 @@ fn decode_meta(payload: &[u8]) -> Result<(FilterKind, SimilarityConfig), Contain
         }
         other => return Err(r.err(format!("unknown filter kind tag {other}"))),
     };
-    let spatial = match r.u8()? {
-        0 => SpatialSimFn::Jaccard,
-        1 => SpatialSimFn::Dice,
-        other => return Err(r.err(format!("unknown spatial similarity tag {other}"))),
-    };
-    let textual = match r.u8()? {
-        0 => TextualSimFn::Jaccard,
-        1 => TextualSimFn::Dice,
-        2 => TextualSimFn::Cosine,
-        3 => TextualSimFn::Overlap,
-        other => return Err(r.err(format!("unknown textual similarity tag {other}"))),
-    };
+    for which in ["spatial", "textual"] {
+        let tag = r.u8()?;
+        if tag != 0 {
+            return Err(r.err(format!("unknown {which} similarity tag {tag}")));
+        }
+    }
     r.done()?;
-    Ok((kind, SimilarityConfig { spatial, textual }))
+    Ok(kind)
 }
 
 // ----------------------------------------------------- hierarchical HSS
@@ -675,7 +656,7 @@ impl SealEngine {
         if let Some(dict) = self.store().dictionary() {
             w.push_section(SECTION_DICTIONARY, encode_dictionary(dict));
         }
-        w.push_section(SECTION_ENGINE_META, encode_meta(self.kind(), self.config()));
+        w.push_section(SECTION_ENGINE_META, encode_meta(self.kind()));
         for (kind, payload) in self.filter().persisted_sections() {
             w.push_section(kind, payload);
         }
@@ -706,19 +687,17 @@ impl SealEngine {
             store.set_dictionary(Some(decode_dictionary(payload)?));
         }
         check_stats(container.require(SECTION_STORE_STATS)?, &store)?;
-        let (kind, cfg) = decode_meta(container.require(SECTION_ENGINE_META)?)?;
+        let kind = decode_meta(container.require(SECTION_ENGINE_META)?)?;
         check_sections(&container, kind)?;
         let store = Arc::new(store);
         let filter: Box<dyn CandidateFilter> = match kind {
             FilterKind::Token | FilterKind::TokenCompressed => Box::new(TokenFilter::from_loaded(
                 store.clone(),
-                cfg,
                 postings_section(&container, &store, kind)?,
             )),
             FilterKind::Grid { side } => Box::new(GridFilter::from_loaded(
                 &store,
                 side,
-                cfg,
                 index_section(
                     &container,
                     &store,
@@ -732,7 +711,6 @@ impl SealEngine {
                     store.clone(),
                     side,
                     bucket_scheme(buckets),
-                    cfg,
                     postings_section(&container, &store, kind)?,
                 ))
             }
@@ -745,7 +723,6 @@ impl SealEngine {
                 )?;
                 Box::new(HierarchicalFilter::assemble(
                     store.clone(),
-                    cfg,
                     scheme,
                     index_section(
                         &container,
@@ -758,10 +735,15 @@ impl SealEngine {
             // Derivable filters rebuild from the (validated) store.
             FilterKind::KeywordFirst | FilterKind::SpatialFirst | FilterKind::IrTree { .. } => {
                 let opts = crate::BuildOpts::with_threads(threads);
-                return Ok(SealEngine::build_with_opts(store, kind, cfg, opts));
+                return Ok(SealEngine::build_with_opts(
+                    store,
+                    kind,
+                    SimilarityConfig,
+                    opts,
+                ));
             }
         };
-        Ok(SealEngine::from_loaded_parts(store, filter, cfg, kind))
+        Ok(SealEngine::from_loaded_parts(store, filter, kind))
     }
 }
 
@@ -811,7 +793,7 @@ mod tests {
         let e = engine(FilterKind::Token);
         w.push_section(SECTION_STORE_STATS, encode_stats(e.store()));
         w.push_section(SECTION_STORE_OBJECTS, payload);
-        w.push_section(SECTION_ENGINE_META, encode_meta(e.kind(), e.config()));
+        w.push_section(SECTION_ENGINE_META, encode_meta(e.kind()));
         let bytes = w.finish();
         let err = SealEngine::load_from_bytes(&bytes, 1)
             .err()
@@ -830,7 +812,7 @@ mod tests {
         let mut w = ContainerWriter::new();
         w.push_section(SECTION_STORE_STATS, encode_stats(e.store()));
         w.push_section(SECTION_STORE_OBJECTS, encode_store(e.store()));
-        w.push_section(SECTION_ENGINE_META, encode_meta(e.kind(), e.config()));
+        w.push_section(SECTION_ENGINE_META, encode_meta(e.kind()));
         w.push_section(SECTION_PRIMARY_INDEX, rogue.to_bytes().as_slice().to_vec());
         let err = SealEngine::load_from_bytes(&w.finish(), 1)
             .err()
@@ -849,7 +831,7 @@ mod tests {
         let mut w = ContainerWriter::new();
         w.push_section(SECTION_STORE_STATS, stats);
         w.push_section(SECTION_STORE_OBJECTS, encode_store(e.store()));
-        w.push_section(SECTION_ENGINE_META, encode_meta(e.kind(), e.config()));
+        w.push_section(SECTION_ENGINE_META, encode_meta(e.kind()));
         for (kind, payload) in e.filter().persisted_sections() {
             w.push_section(kind, payload);
         }
@@ -860,25 +842,11 @@ mod tests {
     }
 
     #[test]
-    fn meta_roundtrips_every_kind_and_config() {
-        let kinds = FilterKind::matrix(512, &[None, Some(4096)], 10, 16);
-        let configs = [
-            SimilarityConfig::default(),
-            SimilarityConfig {
-                spatial: SpatialSimFn::Dice,
-                textual: TextualSimFn::Cosine,
-            },
-            SimilarityConfig {
-                spatial: SpatialSimFn::Jaccard,
-                textual: TextualSimFn::Overlap,
-            },
-        ];
-        for kind in kinds {
-            for cfg in configs {
-                let (k, c) = decode_meta(&encode_meta(kind, cfg)).unwrap();
-                assert_eq!(k, kind);
-                assert_eq!(c, cfg);
-            }
+    fn meta_roundtrips_every_kind() {
+        for kind in FilterKind::matrix(512, &[None, Some(4096)], 10, 16) {
+            let meta = encode_meta(kind);
+            assert_eq!(meta[meta.len() - 2..], [0, 0], "{kind:?}");
+            assert_eq!(decode_meta(&meta).unwrap(), kind);
         }
     }
 

@@ -35,8 +35,8 @@
 //! * Probes fan out only to shards whose **covering MBR** (the bound
 //!   of every region ever routed there) intersects the query region.
 //!   Skipping is exact: thresholds are validated strictly positive and
-//!   both spatial similarity functions need positive overlap area, so
-//!   a shard disjoint from `q.region` cannot contribute an answer.
+//!   spatial Jaccard needs positive overlap area, so a shard disjoint
+//!   from `q.region` cannot contribute an answer.
 //! * Shard-local ids remap through a stable **global id map** — global
 //!   ids are assigned in push order, exactly the ids a single engine
 //!   over the same push sequence would assign.
@@ -204,18 +204,12 @@ fn badly_skewed(max_count: usize, fair: usize) -> bool {
 }
 
 impl ShardedEngine {
-    /// Partitions `store` into `shards` shards with default similarity
-    /// configuration and build options, auto-selecting the policy
-    /// (spatial, falling back to round-robin on heavy skew).
+    /// Partitions `store` into `shards` shards with default build
+    /// options, auto-selecting the policy (spatial, falling back to
+    /// round-robin on heavy skew).
     pub fn build(store: &ObjectStore, kind: FilterKind, shards: usize) -> Self {
-        Self::with_opts(
-            store,
-            kind,
-            SimilarityConfig::default(),
-            crate::BuildOpts::default(),
-            shards,
-            None,
-        )
+        let opts = crate::BuildOpts::default();
+        Self::with_opts(store, kind, SimilarityConfig, opts, shards, None)
     }
 
     /// Full-control constructor. `policy: None` auto-selects: spatial
@@ -223,7 +217,8 @@ impl ShardedEngine {
     /// fair share, then round-robin. The corpus artifacts of `store`
     /// are injected into every shard, so the partition answers exactly
     /// like a single engine over `store` (the dictionary, if any, is
-    /// kept at this level for token resolution).
+    /// kept at this level for token resolution). `SimilarityConfig`
+    /// has one value; the parameter stays for linked callers.
     pub fn with_opts(
         store: &ObjectStore,
         kind: FilterKind,
@@ -611,7 +606,7 @@ mod tests {
         .unwrap();
         let result = engine.search(&q);
         assert!(result.stats.shards_probed <= 4);
-        let mut expect = naive_search(&Arc::new(store), &SimilarityConfig::default(), &q);
+        let mut expect = naive_search(&Arc::new(store), &SimilarityConfig, &q);
         expect.sort_unstable();
         assert_eq!(result.sorted().answers, expect);
     }
@@ -707,7 +702,7 @@ mod tests {
         )
         .unwrap();
         let store = Arc::new(store);
-        let mut expect = naive_search(&store, &SimilarityConfig::default(), &q);
+        let mut expect = naive_search(&store, &SimilarityConfig, &q);
         expect.sort_unstable();
         assert_eq!(engine.search(&q).sorted().answers, expect);
         // And a forced policy is respected either way (no silent
@@ -716,7 +711,7 @@ mod tests {
             let forced = ShardedEngine::with_opts(
                 &store,
                 FilterKind::Token,
-                SimilarityConfig::default(),
+                SimilarityConfig,
                 crate::BuildOpts::default(),
                 4,
                 Some(forced_policy),

@@ -1,60 +1,10 @@
-//! Combined spatio-textual similarity evaluation.
+//! Definition 3's answer predicate — spatial Jaccard (Definition 1)
+//! and weighted Jaccard (Definition 2) — and the two signature
+//! thresholds the filters derive from it: `c_R` (Section 4.1) and
+//! `c_T` (Section 3.2).
 
 use crate::{Query, RoiObject};
-use seal_geom::{Rect, SpatialSim};
-use seal_text::{similarity::TextualSimFn, TokenSet, TokenWeights};
-
-/// Which spatial similarity function a deployment uses (Definition 1
-/// plus the Dice extension the paper notes).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum SpatialSimFn {
-    /// Spatial Jaccard `|a∩b|/|a∪b|` (the paper's default).
-    Jaccard,
-    /// Spatial Dice `2|a∩b|/(|a|+|b|)`.
-    Dice,
-}
-
-impl SpatialSimFn {
-    /// Evaluates the function on two regions.
-    pub fn eval(self, a: &Rect, b: &Rect) -> f64 {
-        match self {
-            SpatialSimFn::Jaccard => a.jaccard(b),
-            SpatialSimFn::Dice => a.dice(b),
-        }
-    }
-
-    /// The overlap-area threshold `c_R` derived from `τ_R` for query
-    /// region `q` — the bound of Section 4.1 (`c_R = τ_R · |q.R|`).
-    ///
-    /// Safety: `sim(q,o) ≥ τ` must imply `|q∩o| ≥ c_R`.
-    /// * Jaccard: `|q∩o| ≥ τ·|q∪o| ≥ τ·|q.R|`.
-    /// * Dice: `|q∩o| ≥ τ·(|q|+|o|)/2 ≥ τ·|q.R|/2`.
-    pub fn overlap_threshold(self, q: &Rect, tau: f64) -> f64 {
-        match self {
-            SpatialSimFn::Jaccard => tau * q.area(),
-            SpatialSimFn::Dice => tau * q.area() / 2.0,
-        }
-    }
-}
-
-/// The pair of similarity functions a SEAL deployment is configured
-/// with. Defaults to the paper's Jaccard/weighted-Jaccard.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct SimilarityConfig {
-    /// Spatial function.
-    pub spatial: SpatialSimFn,
-    /// Textual function.
-    pub textual: TextualSimFn,
-}
-
-impl Default for SimilarityConfig {
-    fn default() -> Self {
-        SimilarityConfig {
-            spatial: SpatialSimFn::Jaccard,
-            textual: TextualSimFn::Jaccard,
-        }
-    }
-}
+use seal_text::{similarity, TokenWeights};
 
 /// Rejects NaN similarity scores at the evaluation boundary — the
 /// same policy `Arena::push_row` applies to index bounds at insert
@@ -71,66 +21,71 @@ fn check_sim(s: f64, what: &str) -> f64 {
     s
 }
 
+/// Spatial Jaccard similarity between a query and an object.
+///
+/// # Panics
+/// If the score is NaN (cannot happen over valid rectangles; the check
+/// guards the total-order contract downstream).
+#[inline]
+pub(crate) fn spatial_sim(q: &Query, o: &RoiObject) -> f64 {
+    check_sim(q.region.jaccard(&o.region), "spatial")
+}
+
+/// Weighted Jaccard similarity between a query and an object.
+///
+/// # Panics
+/// If the score is NaN (see [`spatial_sim`]).
+#[inline]
+pub(crate) fn textual_sim<W: TokenWeights>(q: &Query, o: &RoiObject, w: &W) -> f64 {
+    check_sim(
+        similarity::weighted_jaccard(&q.tokens, &o.tokens, w),
+        "textual",
+    )
+}
+
+/// The full answer predicate of Definition 3.
+#[inline]
+pub(crate) fn is_answer<W: TokenWeights>(q: &Query, o: &RoiObject, w: &W) -> bool {
+    // Spatial first: the area test is a handful of flops while the
+    // textual test walks two token lists.
+    spatial_sim(q, o) >= q.tau_spatial && textual_sim(q, o, w) >= q.tau_textual
+}
+
+/// `c_R = τ_R · |q.R|` (Section 4.1): `simR(q,o) ≥ τ_R` implies
+/// `|q∩o| ≥ τ_R·|q∪o| ≥ c_R`.
+#[inline]
+pub(crate) fn c_r(q: &Query) -> f64 {
+    q.tau_spatial * q.region.area()
+}
+
+/// `c_T = τ_T · Σ_{t∈q} w(t)` (Section 3.2).
+#[inline]
+pub(crate) fn c_t<W: TokenWeights>(q: &Query, w: &W) -> f64 {
+    similarity::signature_threshold(&q.tokens, w, q.tau_textual)
+}
+
+/// The similarity the engines answer with, as a value. It has one
+/// setting — spatial Jaccard plus weighted Jaccard — and exists only
+/// because the benchmark package links `SimilarityConfig::default()`,
+/// `SealEngine::config()`, `is_answer` and the `SimilarityConfig`
+/// parameters of `verify`, `naive_search` and the engine
+/// constructors.
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct SimilarityConfig;
+
 impl SimilarityConfig {
-    /// Spatial similarity between a query and an object.
-    ///
-    /// # Panics
-    /// If the configured function evaluates to NaN (cannot happen for
-    /// the built-in Jaccard/Dice over valid rectangles; the check
-    /// guards the total-order contract downstream).
-    #[inline]
-    pub fn spatial_sim(&self, q: &Query, o: &RoiObject) -> f64 {
-        check_sim(self.spatial.eval(&q.region, &o.region), "spatial")
-    }
-
-    /// Textual similarity between a query and an object.
-    ///
-    /// # Panics
-    /// If the configured function evaluates to NaN (see
-    /// [`spatial_sim`](Self::spatial_sim)).
-    #[inline]
-    pub fn textual_sim<W: TokenWeights>(&self, q: &Query, o: &RoiObject, w: &W) -> f64 {
-        check_sim(self.textual.eval(&q.tokens, &o.tokens, w), "textual")
-    }
-
-    /// The full answer predicate of Definition 3.
+    /// Definition 3's answer predicate.
     #[inline]
     pub fn is_answer<W: TokenWeights>(&self, q: &Query, o: &RoiObject, w: &W) -> bool {
-        // Spatial first: the area test is a handful of flops while the
-        // textual test walks two token lists.
-        self.spatial_sim(q, o) >= q.tau_spatial && self.textual_sim(q, o, w) >= q.tau_textual
-    }
-
-    /// `c_R` for a query (Section 4.1).
-    #[inline]
-    pub fn spatial_threshold(&self, q: &Query) -> f64 {
-        self.spatial.overlap_threshold(&q.region, q.tau_spatial)
-    }
-
-    /// `c_T` for a query (Section 3.2).
-    #[inline]
-    pub fn textual_threshold<W: TokenWeights>(&self, q: &Query, w: &W) -> f64 {
-        self.textual
-            .signature_threshold(&q.tokens, w, q.tau_textual)
-    }
-
-    /// `c_T` for an explicit token set (used when bounding tree nodes
-    /// in the IR-tree baseline).
-    #[inline]
-    pub fn textual_threshold_for<W: TokenWeights>(
-        &self,
-        tokens: &TokenSet,
-        w: &W,
-        tau: f64,
-    ) -> f64 {
-        self.textual.signature_threshold(tokens, w, tau)
+        is_answer(q, o, w)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use seal_text::{IdfWeights, TokenId};
+    use seal_geom::Rect;
+    use seal_text::{IdfWeights, TokenId, TokenSet};
 
     fn fig1_weights() -> IdfWeights {
         IdfWeights::from_values(vec![0.8, 0.3, 0.8, 1.3, 0.6])
@@ -149,7 +104,6 @@ mod tests {
 
     #[test]
     fn example1_answer_decision() {
-        let cfg = SimilarityConfig::default();
         let w = fig1_weights();
         let q = query();
         // o2 = same tokens as q, heavily-overlapping region.
@@ -157,48 +111,60 @@ mod tests {
             Rect::new(10.0, 20.0, 70.0, 80.0).unwrap(),
             TokenSet::from_ids([TokenId(0), TokenId(1), TokenId(2)]),
         );
-        assert_eq!(cfg.textual_sim(&q, &o2, &w), 1.0);
-        assert!(cfg.spatial_sim(&q, &o2) >= 0.25);
-        assert!(cfg.is_answer(&q, &o2, &w));
+        assert_eq!(textual_sim(&q, &o2, &w), 1.0);
+        assert!(spatial_sim(&q, &o2) >= 0.25);
+        assert!(is_answer(&q, &o2, &w));
+        assert!(SimilarityConfig.is_answer(&q, &o2, &w));
         // o1 = good tokens, poor region.
         let o1 = RoiObject::new(
             Rect::new(70.0, 80.0, 95.0, 95.0).unwrap(),
             TokenSet::from_ids([TokenId(0), TokenId(1)]),
         );
-        assert!(cfg.textual_sim(&q, &o1, &w) >= 0.3);
-        assert!(cfg.spatial_sim(&q, &o1) < 0.25);
-        assert!(!cfg.is_answer(&q, &o1, &w));
+        assert!(textual_sim(&q, &o1, &w) >= 0.3);
+        assert!(spatial_sim(&q, &o1) < 0.25);
+        assert!(!is_answer(&q, &o1, &w));
+        assert!(!SimilarityConfig.is_answer(&q, &o1, &w));
     }
 
     #[test]
     fn thresholds_match_paper_formulas() {
-        let cfg = SimilarityConfig::default();
         let w = fig1_weights();
         let q = query();
         // cR = τR · |q.R| = 0.25 · 3600 = 900.
-        assert!((cfg.spatial_threshold(&q) - 900.0).abs() < 1e-9);
+        assert!((c_r(&q) - 900.0).abs() < 1e-9);
         // cT = τT · Σ w = 0.3 · 1.9 = 0.57.
-        assert!((cfg.textual_threshold(&q, &w) - 0.57).abs() < 1e-12);
+        assert!((c_t(&q, &w) - 0.57).abs() < 1e-12);
+    }
+}
+
+#[cfg(test)]
+mod proptests {
+    use super::*;
+    use proptest::prelude::*;
+    use seal_geom::Rect;
+    use seal_text::TokenSet;
+
+    fn arb_rect() -> impl Strategy<Value = Rect> {
+        (0.0f64..100.0, 0.0f64..100.0, 0.0f64..60.0, 0.0f64..60.0)
+            .prop_map(|(x, y, w, h)| Rect::new(x, y, x + w, y + h).unwrap())
     }
 
-    #[test]
-    fn dice_threshold_is_halved() {
-        let q = query();
-        let j = SpatialSimFn::Jaccard.overlap_threshold(&q.region, 0.4);
-        let d = SpatialSimFn::Dice.overlap_threshold(&q.region, 0.4);
-        assert!((d - j / 2.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn dice_threshold_is_safe() {
-        // For any pair: dice ≥ τ ⇒ overlap ≥ τ|q|/2.
-        let q = Rect::new(0.0, 0.0, 10.0, 10.0).unwrap();
-        for (ox, size) in [(2.0, 12.0), (5.0, 6.0), (0.0, 10.0), (8.0, 30.0)] {
-            let o = Rect::new(ox, 0.0, ox + size, size).unwrap();
-            let dice = SpatialSimFn::Dice.eval(&q, &o);
-            if dice > 0.0 {
-                let c = SpatialSimFn::Dice.overlap_threshold(&q, dice);
-                assert!(q.intersection_area(&o) + 1e-9 >= c);
+    proptest! {
+        #[test]
+        fn jaccard_at_tau_implies_overlap_threshold(
+            qr in arb_rect(),
+            or in arb_rect(),
+            tau in 0.0f64..1.0,
+        ) {
+            // Section 4.1's bound, at a random τ and at the tightest τ
+            // (the pair's own similarity).
+            let sim = qr.jaccard(&or);
+            let overlap = qr.intersection_area(&or);
+            for tau in [tau, sim] {
+                if sim >= tau && tau > 0.0 {
+                    let q = Query::new(qr, TokenSet::empty(), tau, 1.0).unwrap();
+                    prop_assert!(overlap + 1e-9 * qr.area().max(1.0) >= c_r(&q));
+                }
             }
         }
     }

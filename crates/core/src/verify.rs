@@ -4,7 +4,8 @@
 use crate::{ObjectId, ObjectStore, Query, SearchStats, SimilarityConfig};
 
 /// Verifies candidates against the exact similarity predicates
-/// (Definition 3), appending counters to `stats`.
+/// (Definition 3), appending counters to `stats`. `SimilarityConfig`
+/// has one value; the parameter stays for linked callers.
 pub fn verify(
     store: &ObjectStore,
     cfg: &SimilarityConfig,
@@ -43,7 +44,7 @@ mod tests {
     #[test]
     fn example1_answer_is_o2() {
         let (store, q) = figure1_store();
-        let cfg = SimilarityConfig::default();
+        let cfg = SimilarityConfig;
         let answers = naive_search(&store, &cfg, &q);
         assert_eq!(answers, vec![ObjectId(1)], "Example 1: A = {{o2}}");
     }
@@ -51,7 +52,7 @@ mod tests {
     #[test]
     fn verify_filters_a_candidate_superset() {
         let (store, q) = figure1_store();
-        let cfg = SimilarityConfig::default();
+        let cfg = SimilarityConfig;
         let all: Vec<ObjectId> = store.iter().map(|(id, _)| id).collect();
         let mut stats = SearchStats::new();
         let answers = verify(&store, &cfg, &q, &all, &mut stats);
@@ -63,7 +64,7 @@ mod tests {
     #[test]
     fn verify_empty_candidates() {
         let (store, q) = figure1_store();
-        let cfg = SimilarityConfig::default();
+        let cfg = SimilarityConfig;
         let mut stats = SearchStats::new();
         let answers = verify(&store, &cfg, &q, &[], &mut stats);
         assert!(answers.is_empty());
@@ -73,7 +74,7 @@ mod tests {
     #[test]
     fn loose_thresholds_return_more() {
         let (store, q) = figure1_store();
-        let cfg = SimilarityConfig::default();
+        let cfg = SimilarityConfig;
         let loose = q.with_thresholds(0.01, 0.01).unwrap();
         let strict = q.with_thresholds(0.9, 0.9).unwrap();
         let a_loose = naive_search(&store, &cfg, &loose);

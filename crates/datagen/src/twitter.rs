@@ -303,7 +303,6 @@ mod tests {
 
     #[test]
     fn echoes_create_genuinely_similar_pairs() {
-        use seal_geom::SpatialSim;
         let d = twitter_like(&TwitterParams {
             count: 4_000,
             seed: 21,

@@ -10,9 +10,8 @@
 //!
 //! * [`Point`] — a 2-D point with `f64` coordinates.
 //! * [`Rect`] — an axis-aligned rectangle with exact intersection /
-//!   union area arithmetic and the overlap-based similarity functions of
-//!   Definition 1 (spatial Jaccard) plus the Dice variant the paper
-//!   mentions as an easy extension.
+//!   union area arithmetic and the spatial Jaccard similarity of
+//!   Definition 1.
 //! * [`Grid`] — a uniform `n × n` partition of a space rectangle
 //!   (Section 4.1), with completeness and disjointness guarantees and
 //!   cell/region intersection enumeration.
@@ -26,7 +25,7 @@
 //! zero-area active region).
 //!
 //! ```
-//! use seal_geom::{Rect, SpatialSim};
+//! use seal_geom::Rect;
 //!
 //! let q = Rect::new(0.0, 40.0, 60.0, 100.0).unwrap();
 //! let o = Rect::new(20.0, 60.0, 70.0, 110.0).unwrap();
@@ -48,7 +47,7 @@ pub use error::GeomError;
 pub use grid::{CellOverlap, Grid, GridCell};
 pub use gridtree::{GridCellId, GridTree, MAX_TREE_LEVEL};
 pub use point::Point;
-pub use rect::{Rect, SpatialSim};
+pub use rect::Rect;
 
 /// Result alias used throughout the geometry crate.
 pub type Result<T> = std::result::Result<T, GeomError>;

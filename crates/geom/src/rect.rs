@@ -211,50 +211,19 @@ impl Rect {
         let c = self.center();
         Rect::centered(c.x, c.y, self.width() * factor, self.height() * factor)
     }
-}
 
-/// Overlap-based spatial similarity functions (Definition 1 and the Dice
-/// extension noted below it).
-pub trait SpatialSim {
-    /// Spatial Jaccard similarity `|a∩b| / |a∪b|`.
+    /// Spatial Jaccard similarity `|a∩b| / |a∪b|` (Definition 1).
     ///
     /// Degenerate-vs-degenerate comparisons (both areas zero) return 1.0
     /// when the rectangles are equal and 0.0 otherwise, which keeps
     /// reflexivity (`simR(a,a)=1`) without dividing by zero.
-    fn jaccard(&self, other: &Self) -> f64;
-
-    /// Spatial Dice similarity `2|a∩b| / (|a| + |b|)`, same degenerate
-    /// handling as [`SpatialSim::jaccard`].
-    fn dice(&self, other: &Self) -> f64;
-
-    /// Overlap coefficient `|a∩b| / min(|a|, |b|)`.
-    fn overlap_coefficient(&self, other: &Self) -> f64;
-}
-
-impl SpatialSim for Rect {
-    fn jaccard(&self, other: &Rect) -> f64 {
+    pub fn jaccard(&self, other: &Rect) -> f64 {
         let union = self.union_area(other);
         if union <= 0.0 {
             // Both degenerate: identical rects are perfectly similar.
             return if self == other { 1.0 } else { 0.0 };
         }
         self.intersection_area(other) / union
-    }
-
-    fn dice(&self, other: &Rect) -> f64 {
-        let denom = self.area() + other.area();
-        if denom <= 0.0 {
-            return if self == other { 1.0 } else { 0.0 };
-        }
-        2.0 * self.intersection_area(other) / denom
-    }
-
-    fn overlap_coefficient(&self, other: &Rect) -> f64 {
-        let denom = self.area().min(other.area());
-        if denom <= 0.0 {
-            return if self == other { 1.0 } else { 0.0 };
-        }
-        self.intersection_area(other) / denom
     }
 }
 
@@ -365,25 +334,11 @@ mod tests {
     }
 
     #[test]
-    fn dice_and_overlap_coefficient() {
-        let a = r(0.0, 0.0, 10.0, 10.0);
-        let b = r(5.0, 0.0, 15.0, 10.0);
-        // dice = 2*50 / 200 = 0.5
-        assert!((a.dice(&b) - 0.5).abs() < 1e-12);
-        // overlap coefficient = 50 / 100
-        assert!((a.overlap_coefficient(&b) - 0.5).abs() < 1e-12);
-        // Dice >= Jaccard always.
-        assert!(a.dice(&b) >= a.jaccard(&b));
-    }
-
-    #[test]
     fn degenerate_similarity() {
         let p = Rect::point(Point::raw(3.0, 3.0));
         let q = Rect::point(Point::raw(4.0, 4.0));
         assert_eq!(p.jaccard(&p), 1.0);
         assert_eq!(p.jaccard(&q), 0.0);
-        assert_eq!(p.dice(&p), 1.0);
-        assert_eq!(p.overlap_coefficient(&q), 0.0);
         // Degenerate vs non-degenerate: zero intersection area.
         let big = r(0.0, 0.0, 10.0, 10.0);
         assert_eq!(big.jaccard(&p), 0.0);

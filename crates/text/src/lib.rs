@@ -12,9 +12,9 @@
 //!   intersections.
 //! * [`IdfWeights`] / [`TokenWeights`] — corpus-derived idf weighting
 //!   exactly as the paper defines it, plus the trait the similarity
-//!   functions are generic over.
-//! * [`similarity`] — weighted Jaccard (Definition 2), Dice, Cosine and
-//!   Overlap variants mentioned as drop-in alternatives (§2.1).
+//!   is generic over.
+//! * [`similarity`] — weighted Jaccard (Definition 2) and the signature
+//!   threshold `c_T` derived from it (§3.2).
 //! * [`GlobalTokenOrder`] — the global signature-element order needed by
 //!   prefix filtering (§4.2: "we can sort tokens in descending order of
 //!   their idfs").

@@ -1,9 +1,6 @@
-//! Weighted token-set similarity functions.
-//!
-//! Definition 2 of the paper uses the weighted Jaccard coefficient;
-//! Section 2.1 notes that Dice, Cosine, etc. from the string-similarity
-//! literature are drop-in alternatives, so we provide them all behind the
-//! same `(&TokenSet, &TokenSet, &W)` shape.
+//! Weighted token-set similarity: the weighted Jaccard coefficient of
+//! Definition 2 and the signature threshold `c_T` the textual filter
+//! derives from it (Section 3.2).
 
 use crate::{TokenSet, TokenWeights};
 
@@ -31,78 +28,12 @@ pub fn weighted_jaccard<W: TokenWeights>(a: &TokenSet, b: &TokenSet, w: &W) -> f
     intersection_weight(a, b, w) / union
 }
 
-/// Weighted Dice similarity `2·Σ_{a∩b} w / (Σ_a w + Σ_b w)`.
-pub fn weighted_dice<W: TokenWeights>(a: &TokenSet, b: &TokenSet, w: &W) -> f64 {
-    let denom = w.set_weight(a) + w.set_weight(b);
-    if denom <= 0.0 {
-        return if a == b { 1.0 } else { 0.0 };
-    }
-    2.0 * intersection_weight(a, b, w) / denom
-}
-
-/// Weighted Cosine similarity `Σ_{a∩b} w / sqrt(Σ_a w · Σ_b w)`.
-pub fn weighted_cosine<W: TokenWeights>(a: &TokenSet, b: &TokenSet, w: &W) -> f64 {
-    let denom = (w.set_weight(a) * w.set_weight(b)).sqrt();
-    if denom <= 0.0 {
-        return if a == b { 1.0 } else { 0.0 };
-    }
-    intersection_weight(a, b, w) / denom
-}
-
-/// Weighted overlap coefficient `Σ_{a∩b} w / min(Σ_a w, Σ_b w)`.
-pub fn weighted_overlap<W: TokenWeights>(a: &TokenSet, b: &TokenSet, w: &W) -> f64 {
-    let denom = w.set_weight(a).min(w.set_weight(b));
-    if denom <= 0.0 {
-        return if a == b { 1.0 } else { 0.0 };
-    }
-    intersection_weight(a, b, w) / denom
-}
-
-/// Which textual similarity function a SEAL deployment uses.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum TextualSimFn {
-    /// Weighted Jaccard (the paper's default, Definition 2).
-    Jaccard,
-    /// Weighted Dice.
-    Dice,
-    /// Weighted Cosine.
-    Cosine,
-    /// Weighted overlap coefficient.
-    Overlap,
-}
-
-impl TextualSimFn {
-    /// Evaluates the chosen function.
-    pub fn eval<W: TokenWeights>(self, a: &TokenSet, b: &TokenSet, w: &W) -> f64 {
-        match self {
-            TextualSimFn::Jaccard => weighted_jaccard(a, b, w),
-            TextualSimFn::Dice => weighted_dice(a, b, w),
-            TextualSimFn::Cosine => weighted_cosine(a, b, w),
-            TextualSimFn::Overlap => weighted_overlap(a, b, w),
-        }
-    }
-
-    /// The signature-similarity threshold `c_T` derived from a textual
-    /// threshold `τ_T` for a query set `q` (Section 3.2 for Jaccard;
-    /// the analogous prefix-filtering bounds for the other functions).
-    ///
-    /// The bound must satisfy: `sim(q,o) ≥ τ` ⇒
-    /// `Σ_{t∈q∩o} w(t) ≥ c_T`. For Jaccard the paper uses
-    /// `c_T = τ · Σ_{t∈q} w(t)`; Dice gives `τ/2 · Σ_q w`; Cosine gives
-    /// `τ · sqrt(Σ_q w · w_min_other)` which we relax to the safe
-    /// `τ² · Σ_q w` lower bound; Overlap cannot be bounded by the query
-    /// weight alone, so its safe bound is 0 (no textual pruning).
-    pub fn signature_threshold<W: TokenWeights>(self, q: &TokenSet, w: &W, tau: f64) -> f64 {
-        let qw = w.set_weight(q);
-        match self {
-            TextualSimFn::Jaccard => tau * qw,
-            TextualSimFn::Dice => tau * qw / 2.0,
-            // cosine(q,o) ≥ τ ⇒ I ≥ τ·sqrt(Wq·Wo) ≥ τ·sqrt(Wq·I)
-            // (since Wo ≥ I) ⇒ I ≥ τ²·Wq.
-            TextualSimFn::Cosine => tau * tau * qw,
-            TextualSimFn::Overlap => 0.0,
-        }
-    }
+/// The signature-similarity threshold `c_T = τ · Σ_{t∈q} w(t)`
+/// (Section 3.2): `weighted_jaccard(q, o) ≥ τ` implies
+/// `intersection_weight(q, o) ≥ c_T`, because the union weight is at
+/// least `q`'s own weight.
+pub fn signature_threshold<W: TokenWeights>(q: &TokenSet, w: &W, tau: f64) -> f64 {
+    tau * w.set_weight(q)
 }
 
 #[cfg(test)]
@@ -165,7 +96,7 @@ mod tests {
         // τT = 0.3, Σ_{t∈q} w(t) = 1.9 ⇒ cT = 0.57.
         let w = fig1_weights();
         let q = ts(&[0, 1, 2]);
-        let ct = TextualSimFn::Jaccard.signature_threshold(&q, &w, 0.3);
+        let ct = signature_threshold(&q, &w, 0.3);
         assert!((ct - 0.57).abs() < 1e-12);
     }
 
@@ -187,88 +118,30 @@ mod tests {
         let a = ts(&[1]);
         assert_eq!(weighted_jaccard(&e, &e, &w), 1.0);
         assert_eq!(weighted_jaccard(&a, &e, &w), 0.0);
-        assert_eq!(weighted_dice(&e, &e, &w), 1.0);
-        assert_eq!(weighted_cosine(&a, &e, &w), 0.0);
-        assert_eq!(weighted_overlap(&e, &e, &w), 1.0);
     }
 
     #[test]
-    fn dice_vs_jaccard_ordering() {
-        // Dice ≥ Jaccard for any pair (standard identity d = 2j/(1+j)).
-        let w = fig1_weights();
-        let a = ts(&[0, 1, 4]);
-        let b = ts(&[1, 2, 3]);
-        let j = weighted_jaccard(&a, &b, &w);
-        let d = weighted_dice(&a, &b, &w);
-        assert!(d >= j);
-        assert!((d - 2.0 * j / (1.0 + j)).abs() < 1e-12);
-    }
-
-    #[test]
-    fn cosine_and_overlap_reflexive() {
-        let w = fig1_weights();
-        let a = ts(&[0, 3]);
-        assert!((weighted_cosine(&a, &a, &w) - 1.0).abs() < 1e-12);
-        assert!((weighted_overlap(&a, &a, &w) - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn threshold_bounds_are_safe() {
-        // For each function: sim(q,o) ≥ τ must imply
-        // intersection_weight ≥ signature_threshold.
-        let w = fig1_weights();
-        let q = ts(&[0, 1, 2, 3]);
-        let candidates: Vec<TokenSet> = vec![
-            ts(&[0]),
-            ts(&[0, 1]),
-            ts(&[1, 2, 3]),
-            ts(&[0, 1, 2, 3]),
-            ts(&[2, 3, 4]),
-            ts(&[4]),
-        ];
-        for f in [
-            TextualSimFn::Jaccard,
-            TextualSimFn::Dice,
-            TextualSimFn::Cosine,
-            TextualSimFn::Overlap,
-        ] {
-            for tau in [0.1, 0.3, 0.5, 0.8] {
-                let c = f.signature_threshold(&q, &w, tau);
-                for o in &candidates {
-                    let sim = f.eval(&q, o, &w);
-                    if sim >= tau {
-                        let iw = intersection_weight(&q, o, &w);
-                        assert!(
-                            iw + 1e-12 >= c,
-                            "{f:?} τ={tau}: sim={sim} but I={iw} < c={c}"
-                        );
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn eval_dispatch() {
+    fn uniform_jaccard_counts_tokens() {
         let w = UniformWeights;
         let a = ts(&[1, 2]);
         let b = ts(&[2, 3]);
-        assert!((TextualSimFn::Jaccard.eval(&a, &b, &w) - 1.0 / 3.0).abs() < 1e-12);
-        assert!((TextualSimFn::Dice.eval(&a, &b, &w) - 0.5).abs() < 1e-12);
-        assert!((TextualSimFn::Cosine.eval(&a, &b, &w) - 0.5).abs() < 1e-12);
-        assert!((TextualSimFn::Overlap.eval(&a, &b, &w) - 0.5).abs() < 1e-12);
+        assert!((weighted_jaccard(&a, &b, &w) - 1.0 / 3.0).abs() < 1e-12);
     }
 }
 
 #[cfg(test)]
 mod proptests {
     use super::*;
-    use crate::{TokenId, UniformWeights};
+    use crate::{IdfWeights, TokenId, UniformWeights};
     use proptest::prelude::*;
 
     fn arb_set() -> impl Strategy<Value = TokenSet> {
         proptest::collection::vec(0u32..50, 0..20)
             .prop_map(|v| TokenSet::from_ids(v.into_iter().map(TokenId)))
+    }
+
+    fn arb_weights() -> impl Strategy<Value = IdfWeights> {
+        proptest::collection::vec(0.01f64..10.0, 50..51).prop_map(IdfWeights::from_values)
     }
 
     proptest! {
@@ -298,6 +171,25 @@ mod proptests {
                 a.intersection_size(&b) as f64 / a.union_size(&b) as f64
             };
             prop_assert!((weighted_jaccard(&a, &b, &w) - expect).abs() < 1e-12);
+        }
+
+        #[test]
+        fn jaccard_at_tau_implies_signature_threshold(
+            q in arb_set(),
+            o in arb_set(),
+            w in arb_weights(),
+            tau in 0.0f64..1.0,
+        ) {
+            // Section 3.2's bound, at a random τ and at the tightest τ
+            // (the pair's own similarity).
+            let sim = weighted_jaccard(&q, &o, &w);
+            let iw = intersection_weight(&q, &o, &w);
+            let slack = 1e-9 * w.set_weight(&q).max(1.0);
+            for tau in [tau, sim] {
+                if sim >= tau {
+                    prop_assert!(iw + slack >= signature_threshold(&q, &w, tau));
+                }
+            }
         }
     }
 }

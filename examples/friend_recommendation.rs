@@ -79,7 +79,7 @@ fn main() {
             "  user {:?}: {} shared interests, {:.4} spatial Jaccard",
             id,
             q.tokens.intersection_size(&o.tokens),
-            seal_geom::SpatialSim::jaccard(&q.region, &o.region),
+            q.region.jaccard(&o.region),
         );
     }
 }

@@ -17,7 +17,7 @@ use util::{twitter_fixture, usa_fixture};
 fn baselines_return_oracle_answers() {
     for (store, queries) in [twitter_fixture(1_500, 6), usa_fixture(1_500, 6)] {
         let store = Arc::new(store);
-        let cfg = SimilarityConfig::default();
+        let cfg = SimilarityConfig;
         let baselines: Vec<Box<dyn CandidateFilter>> = vec![
             Box::new(KeywordFirst::build(store.clone())),
             Box::new(SpatialFirst::build(store.clone())),

@@ -462,6 +462,43 @@ fn retired_filter_kind_tags_behind_valid_crcs_error() {
 }
 
 #[test]
+fn retired_similarity_tags_behind_valid_crcs_error() {
+    // The meta's last two bytes are the spatial and textual similarity
+    // tags; only 0 (spatial / weighted Jaccard) remains. Spatial 1 named
+    // Dice, textual 1, 2 and 3 named Dice, Cosine and Overlap.
+    let token = container_of(FilterKind::Token);
+    for (which, tags) in [
+        ("spatial", [1u8, 0]),
+        ("textual", [0, 1]),
+        ("textual", [0, 2]),
+        ("textual", [0, 3]),
+    ] {
+        let w = reframed(&token, |kind, p| {
+            let mut p = p.to_vec();
+            if kind == SECTION_ENGINE_META {
+                let n = p.len();
+                p[n - 2..].copy_from_slice(&tags);
+            }
+            p
+        });
+        let tag = tags[0].max(tags[1]);
+        match SealEngine::load_from_bytes(&w.finish(), 1).err() {
+            Some(ContainerError::Section {
+                section: "engine meta",
+                detail,
+                ..
+            }) => assert!(
+                detail.contains(&format!("unknown {which} similarity tag {tag}")),
+                "{which} tag {tag}: {detail}"
+            ),
+            other => {
+                panic!("{which} tag {tag}: expected a typed engine-meta error, got {other:?}")
+            }
+        }
+    }
+}
+
+#[test]
 fn missing_required_section_errors() {
     let bytes = seal_bytes();
     let container = Container::parse(bytes).expect("pristine container must parse");

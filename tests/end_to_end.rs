@@ -14,7 +14,7 @@ mod seal_bench_test_util;
 fn all_engines_agree_with_oracle_on_twitter_like_data() {
     let (store, queries) = twitter_fixture(2_000, 12);
     let store = Arc::new(store);
-    let cfg = SimilarityConfig::default();
+    let cfg = SimilarityConfig;
     let kinds = vec![
         FilterKind::Token,
         FilterKind::Grid { side: 64 },
@@ -50,7 +50,7 @@ fn all_engines_agree_with_oracle_on_twitter_like_data() {
 fn usa_like_data_round_trips_too() {
     let (store, queries) = usa_fixture(2_000, 3);
     let store = Arc::new(store);
-    let cfg = SimilarityConfig::default();
+    let cfg = SimilarityConfig;
     let engine = SealEngine::build(store.clone(), FilterKind::seal_default());
     for q in &queries {
         let got = engine.search(q).sorted();

@@ -24,7 +24,7 @@ fn candidate_set(f: &dyn CandidateFilter, q: &seal_core::Query) -> BTreeSet<Obje
 fn every_filter_is_a_superset_of_the_answers() {
     let (store, queries) = twitter_fixture(1_500, 8);
     let store = Arc::new(store);
-    let cfg = SimilarityConfig::default();
+    let cfg = SimilarityConfig;
     let filters: Vec<Box<dyn CandidateFilter>> = vec![
         Box::new(TokenFilter::build(store.clone())),
         Box::new(GridFilter::build(store.clone(), 256)),

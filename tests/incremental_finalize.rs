@@ -116,11 +116,11 @@ fn parallel_hierarchical_build_selects_the_same_cells() {
 fn parallel_hierarchical_filter_answers_identically() {
     let (store, queries) = twitter_fixture(1200, 6);
     let store = Arc::new(store);
-    let cfg = SimilarityConfig::default();
+    let cfg = SimilarityConfig;
     let sequential =
-        HierarchicalFilter::build_with_opts(store.clone(), 5, 8, cfg, BuildOpts::with_threads(1));
+        HierarchicalFilter::build_with_opts(store.clone(), 5, 8, BuildOpts::with_threads(1));
     let parallel =
-        HierarchicalFilter::build_with_opts(store.clone(), 5, 8, cfg, BuildOpts::with_threads(4));
+        HierarchicalFilter::build_with_opts(store.clone(), 5, 8, BuildOpts::with_threads(4));
     assert_eq!(
         sequential.index().posting_count(),
         parallel.index().posting_count(),

@@ -123,7 +123,7 @@ proptest! {
             let live = LiveEngine::with_opts(
                 store0,
                 kind,
-                SimilarityConfig::default(),
+                SimilarityConfig,
                 BuildOpts::with_threads(threads),
             );
             for (i, o) in objects[initial..].iter().enumerate() {
@@ -177,7 +177,7 @@ fn assert_matches_fresh(
 ) {
     let fresh_store = Arc::new(ObjectStore::from_objects(union.to_vec(), VOCAB));
     let fresh = SealEngine::build(fresh_store.clone(), kind);
-    let cfg = SimilarityConfig::default();
+    let cfg = SimilarityConfig;
     for (qi, q) in queries.iter().enumerate() {
         let got = live.search(q).sorted().answers;
         let expect = fresh.search(q).sorted().answers;
@@ -211,7 +211,7 @@ fn queries_keep_answering_while_refresh_runs() {
     let gen0_store = Arc::new(ObjectStore::from_objects(all[..split].to_vec(), vocab));
     let delta = &all[split..];
     let union_store = Arc::new(ObjectStore::from_objects(all.clone(), vocab));
-    let cfg = SimilarityConfig::default();
+    let cfg = SimilarityConfig;
 
     // Both legal snapshots per query, straight from the oracle.
     let legal: Vec<LegalAnswers> = queries
@@ -302,7 +302,7 @@ fn repeated_push_refresh_cycles_stay_exact() {
     let (store, queries) = twitter_fixture(600, 2);
     let all: Vec<RoiObject> = store.objects().to_vec();
     let vocab = store.vocab_size();
-    let cfg = SimilarityConfig::default();
+    let cfg = SimilarityConfig;
     let live = LiveEngine::new(
         Arc::new(ObjectStore::from_objects(all[..200].to_vec(), vocab)),
         FilterKind::Token,

@@ -45,7 +45,7 @@ proptest! {
     ) {
         let vocab = 30;
         let store = Arc::new(ObjectStore::from_objects(objects, vocab));
-        let cfg = SimilarityConfig::default();
+        let cfg = SimilarityConfig;
         let mut expect = naive_search(&store, &cfg, &query);
         expect.sort_unstable();
         for kind in [

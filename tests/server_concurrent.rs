@@ -94,7 +94,7 @@ fn concurrent_clients_see_only_legal_snapshots_across_a_swap() {
     let gen0_store = Arc::new(ObjectStore::from_objects(all[..split].to_vec(), vocab));
     let delta = &all[split..];
     let union_store = Arc::new(ObjectStore::from_objects(all.clone(), vocab));
-    let cfg = SimilarityConfig::default();
+    let cfg = SimilarityConfig;
 
     // Both legal snapshots per query, straight from the oracle.
     let legal: Vec<LegalAnswers> = queries

@@ -85,7 +85,7 @@ fn sharded_backend_serves_only_legal_snapshots_across_a_swap() {
     let gen0_store = Arc::new(ObjectStore::from_objects(all[..split].to_vec(), vocab));
     let delta = &all[split..];
     let union_store = Arc::new(ObjectStore::from_objects(all.clone(), vocab));
-    let cfg = SimilarityConfig::default();
+    let cfg = SimilarityConfig;
 
     // Both legal snapshots per query, straight from the oracle. The
     // sharded engine's global ids follow push order, so the staged

@@ -103,7 +103,7 @@ fn assert_matches_fresh(
 ) {
     let fresh_store = Arc::new(ObjectStore::from_objects(union.to_vec(), VOCAB));
     let fresh = SealEngine::build(fresh_store.clone(), kind);
-    let cfg = SimilarityConfig::default();
+    let cfg = SimilarityConfig;
     for (qi, q) in queries.iter().enumerate() {
         let got = sharded.search(q).sorted().answers;
         let expect = fresh.search(q).sorted().answers;
@@ -150,7 +150,7 @@ proptest! {
                 let sharded = ShardedEngine::with_opts(
                     &store0,
                     kind,
-                    SimilarityConfig::default(),
+                    SimilarityConfig,
                     BuildOpts::default(),
                     n,
                     None,
