@@ -248,15 +248,6 @@ impl QueryContext {
         &self.candidates
     }
 
-    /// Mutable access to the candidate output buffer, for
-    /// [`CandidateFilter`] implementations outside this crate: clear
-    /// it at entry, push candidate ids as you find them. (The built-in
-    /// filters additionally use crate-private dedup/accumulator
-    /// scratch; external filters manage their own.)
-    pub fn candidates_mut(&mut self) -> &mut Vec<ObjectId> {
-        &mut self.candidates
-    }
-
     /// Current capacity of the compressed-arena id-decode buffer.
     /// Once a context is warm this stops changing — tests use it to
     /// assert the compressed serving path performs no further

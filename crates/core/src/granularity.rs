@@ -1,13 +1,13 @@
-//! Cost-based grid granularity selection (Section 4.3).
+//! Cost estimates for grid granularity (Section 4.3).
 //!
 //! The expected query cost of a grid set `G` is
 //! `cost(G) = π1 · Σ_g P(g)·|I(g)| + π2 · |C|` (Equation 4): the filter
 //! step pays `π1` per posting retrieved, the verification step pays `π2`
-//! per candidate. The selector walks the grid-tree levels top-down,
-//! estimates the cost of each `2^l × 2^l` partition against a query
-//! workload, and stops when the benefit of the next split,
-//! `B(l, l+1) = cost(G_l) − cost(G_{l+1})`, falls below a threshold `B`
-//! (Lemma 4 guarantees such a level exists).
+//! per candidate. [`level_costs`] estimates the cost of each
+//! `2^l × 2^l` partition against a query workload; the reproduction of
+//! Figure 13 reads its optimum. The paper's top-down walk, which stops
+//! once a split's benefit falls below a threshold `B`, is not kept: no
+//! caller ever set `B`.
 
 use crate::{ObjectStore, Query};
 use seal_geom::Grid;
@@ -148,48 +148,6 @@ fn expansion_rect(grid: &Grid, q: &Query) -> seal_geom::Rect {
     lo.mbr_with(&hi)
 }
 
-/// Walks levels top-down and returns the first level whose split
-/// benefit falls below `benefit_threshold` (the `B` of Section 4.3) —
-/// or `max_level` if the benefit never does.
-pub fn select_granularity(
-    store: &ObjectStore,
-    workload: &[Query],
-    model: CostModel,
-    benefit_threshold: f64,
-    max_level: u8,
-) -> u32 {
-    let costs = level_costs(store, workload, max_level, model);
-    for w in costs.windows(2) {
-        let benefit = w[0].total() - w[1].total();
-        if benefit < benefit_threshold {
-            return w[0].side;
-        }
-    }
-    costs.last().map(|c| c.side).unwrap_or(1)
-}
-
-/// Convenience: builds a [`crate::SealEngine`] with a grid filter whose
-/// granularity was selected by the §4.3 walk against a probe workload.
-///
-/// This is the "GenSig must pick a granularity" step of the paper made
-/// executable: callers that don't know their data's density let the
-/// cost model choose.
-pub fn build_auto_grid_engine(
-    store: std::sync::Arc<ObjectStore>,
-    probe_workload: &[Query],
-    benefit_threshold: f64,
-    max_level: u8,
-) -> crate::SealEngine {
-    let side = select_granularity(
-        &store,
-        probe_workload,
-        CostModel::default(),
-        benefit_threshold,
-        max_level,
-    );
-    crate::SealEngine::build(store, crate::FilterKind::Grid { side })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -240,45 +198,10 @@ mod tests {
     }
 
     #[test]
-    fn selection_terminates_and_is_a_power_of_two() {
-        let (store, q) = figure1_store();
-        let side = select_granularity(&store, &[q], CostModel::default(), 0.5, 8);
-        assert!(side.is_power_of_two());
-        assert!(side <= 256);
-    }
-
-    #[test]
-    fn huge_benefit_threshold_selects_level_zero() {
-        let (store, q) = figure1_store();
-        let side = select_granularity(&store, &[q], CostModel::default(), f64::INFINITY, 8);
-        assert_eq!(side, 1);
-    }
-
-    #[test]
-    fn zero_threshold_reaches_max_level_or_plateau() {
-        let (store, q) = figure1_store();
-        let side = select_granularity(&store, &[q], CostModel::default(), f64::NEG_INFINITY, 6);
-        assert_eq!(side, 64, "negative threshold never stops early");
-    }
-
-    #[test]
     fn empty_workload_is_safe() {
         let (store, _q) = figure1_store();
         let costs = level_costs(&store, &[], 3, CostModel::default());
         assert_eq!(costs.len(), 4);
         assert!(costs.iter().all(|c| c.total() == 0.0));
-    }
-
-    #[test]
-    fn auto_grid_engine_answers_correctly() {
-        use crate::verify::naive_search;
-        let (store, q) = figure1_store();
-        let store = std::sync::Arc::new(store);
-        let engine = build_auto_grid_engine(store.clone(), std::slice::from_ref(&q), 1.0, 6);
-        let got = engine.search(&q).sorted();
-        let mut expect = naive_search(&store, &crate::SimilarityConfig, &q);
-        expect.sort_unstable();
-        assert_eq!(got.answers, expect);
-        assert_eq!(engine.filter_name(), "GridFilter");
     }
 }

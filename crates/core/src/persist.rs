@@ -7,9 +7,10 @@
 //! every payload, then validates each section semantically before
 //! reconstructing the engine. Every failure on the load path is a typed
 //! [`ContainerError`]: corrupt, truncated or adversarial input never
-//! panics and never triggers unbounded allocation — every declared
-//! count is checked against the bytes actually remaining before a
-//! buffer is sized from it.
+//! panics and never triggers unbounded allocation — every section is
+//! read through [`seal_index::container::Reader`], which checks every
+//! declared count against the bytes actually remaining before a buffer
+//! is sized from it.
 //!
 //! # Section layout (in directory order)
 //!
@@ -42,8 +43,9 @@ use crate::signatures::hash_hybrid::BucketScheme;
 use crate::signatures::hierarchical::HierarchicalScheme;
 use crate::{FilterKind, ObjectStore, SealEngine, SimilarityConfig};
 use seal_geom::{GridCellId, GridTree, Rect};
+use seal_index::container::{put_f64, put_u32, put_u64, Reader};
 use seal_index::{
-    Container, ContainerError, ContainerWriter, HybridIndex, IndexCodecError, IndexKey,
+    Container, ContainerError, ContainerWriter, HybridIndex, IndexBytes, IndexCodecError, IndexKey,
     InvertedIndex, ObjId, Postings,
 };
 use seal_text::{Dictionary, TokenId, TokenSet};
@@ -65,117 +67,8 @@ pub const SECTION_PRIMARY_INDEX: u16 = 6;
 
 /// What a filter with one index persists: its codec bytes as the
 /// primary index section.
-pub(crate) fn primary_section(codec_bytes: impl AsRef<[u8]>) -> Vec<(u16, Vec<u8>)> {
-    vec![(SECTION_PRIMARY_INDEX, codec_bytes.as_ref().to_vec())]
-}
-
-// ---------------------------------------------------------------- write
-
-fn put_u8(buf: &mut Vec<u8>, v: u8) {
-    buf.push(v);
-}
-
-fn put_u32(buf: &mut Vec<u8>, v: u32) {
-    buf.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_u64(buf: &mut Vec<u8>, v: u64) {
-    buf.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_f64(buf: &mut Vec<u8>, v: f64) {
-    buf.extend_from_slice(&v.to_le_bytes());
-}
-
-// ----------------------------------------------------------------- read
-
-/// A bounds-checked little-endian reader over one section payload.
-///
-/// Every read states what it needs before touching the buffer and
-/// reports shortfalls as [`ContainerError::Section`] with the section
-/// name and the byte offset — the hardened-load contract: no slicing
-/// panics, no `count * size` overflow, no allocation sized from an
-/// unvalidated count.
-struct R<'a> {
-    buf: &'a [u8],
-    pos: usize,
-    section: &'static str,
-}
-
-impl<'a> R<'a> {
-    fn new(buf: &'a [u8], section: &'static str) -> Self {
-        R {
-            buf,
-            pos: 0,
-            section,
-        }
-    }
-
-    fn err(&self, detail: impl Into<String>) -> ContainerError {
-        ContainerError::Section {
-            section: self.section,
-            offset: self.pos,
-            detail: detail.into(),
-        }
-    }
-
-    fn remaining(&self) -> usize {
-        self.buf.len() - self.pos
-    }
-
-    fn take(&mut self, n: usize) -> Result<&'a [u8], ContainerError> {
-        if self.remaining() < n {
-            return Err(self.err(format!("need {n} bytes, {} remain", self.remaining())));
-        }
-        let s = &self.buf[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(s)
-    }
-
-    fn u8(&mut self) -> Result<u8, ContainerError> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn u32(&mut self) -> Result<u32, ContainerError> {
-        let b = self.take(4)?;
-        Ok(u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
-    }
-
-    fn u64(&mut self) -> Result<u64, ContainerError> {
-        let b = self.take(8)?;
-        Ok(u64::from_le_bytes([
-            b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7],
-        ]))
-    }
-
-    fn f64(&mut self) -> Result<f64, ContainerError> {
-        Ok(f64::from_bits(self.u64()?))
-    }
-
-    /// Validates a declared element count against the bytes remaining
-    /// (`min_elem_bytes` per element) **before** the caller allocates
-    /// anything sized from it.
-    fn count(&mut self, declared: u64, min_elem_bytes: usize) -> Result<usize, ContainerError> {
-        let n = usize::try_from(declared)
-            .map_err(|_| self.err("declared count exceeds the address space"))?;
-        match n.checked_mul(min_elem_bytes) {
-            Some(total) if total <= self.remaining() => Ok(n),
-            _ => Err(self.err(format!(
-                "declared count {n} needs at least {min_elem_bytes}×{n} bytes, {} remain",
-                self.remaining()
-            ))),
-        }
-    }
-
-    /// Asserts the payload was consumed exactly — trailing bytes in a
-    /// section are corruption, not padding.
-    fn done(self) -> Result<(), ContainerError> {
-        if self.remaining() != 0 {
-            let n = self.remaining();
-            return Err(self.err(format!("{n} unconsumed trailing bytes")));
-        }
-        Ok(())
-    }
+pub(crate) fn primary_section(codec_bytes: IndexBytes) -> Vec<(u16, Vec<u8>)> {
+    vec![(SECTION_PRIMARY_INDEX, codec_bytes.into_vec())]
 }
 
 // ----------------------------------------------------------- store stats
@@ -198,14 +91,14 @@ fn encode_stats(store: &ObjectStore) -> Vec<u8> {
 /// data they describe. `data_bytes` is deliberately not persisted: it
 /// is capacity-based and so not a function of the logical contents.
 fn check_stats(payload: &[u8], store: &ObjectStore) -> Result<(), ContainerError> {
-    let mut r = R::new(payload, "store stats");
+    let mut r = Reader::new(payload, "store stats");
     let objects = r.u64()?;
     let vocab = r.u64()?;
     let avg_area = r.f64()?;
     let space_area = r.f64()?;
     let avg_tokens = r.f64()?;
     let s = store.stats();
-    let mismatch = |r: &R<'_>, what: &str| -> ContainerError {
+    let mismatch = |r: &Reader<'_>, what: &str| -> ContainerError {
         r.err(format!("{what} disagrees with the store objects section"))
     };
     if objects != s.objects as u64 {
@@ -223,7 +116,7 @@ fn check_stats(payload: &[u8], store: &ObjectStore) -> Result<(), ContainerError
     if avg_tokens.to_bits() != s.avg_token_count.to_bits() {
         return Err(mismatch(&r, "average token count"));
     }
-    r.done()
+    Ok(r.done()?)
 }
 
 // --------------------------------------------------------- store objects
@@ -250,7 +143,7 @@ fn encode_store(store: &ObjectStore) -> Vec<u8> {
 }
 
 fn decode_store(payload: &[u8]) -> Result<ObjectStore, ContainerError> {
-    let mut r = R::new(payload, "store objects");
+    let mut r = Reader::new(payload, "store objects");
     let vocab =
         usize::try_from(r.u64()?).map_err(|_| r.err("vocab size exceeds the address space"))?;
     let declared = r.u64()?;
@@ -309,7 +202,7 @@ fn encode_dictionary(dict: &Dictionary) -> Vec<u8> {
 }
 
 fn decode_dictionary(payload: &[u8]) -> Result<Dictionary, ContainerError> {
-    let mut r = R::new(payload, "dictionary");
+    let mut r = Reader::new(payload, "dictionary");
     let declared = r.u64()?;
     let n = r.count(declared, 4)?;
     let mut dict = Dictionary::new();
@@ -336,38 +229,38 @@ fn decode_dictionary(payload: &[u8]) -> Result<Dictionary, ContainerError> {
 fn encode_meta(kind: FilterKind) -> Vec<u8> {
     let mut buf = Vec::with_capacity(24);
     match kind {
-        FilterKind::Token => put_u8(&mut buf, 0),
-        FilterKind::TokenCompressed => put_u8(&mut buf, 1),
+        FilterKind::Token => buf.push(0),
+        FilterKind::TokenCompressed => buf.push(1),
         FilterKind::Grid { side } => {
-            put_u8(&mut buf, 3);
+            buf.push(3);
             put_u32(&mut buf, side);
         }
         FilterKind::HashHybrid { side, buckets } => {
-            put_u8(&mut buf, 4);
+            buf.push(4);
             put_u32(&mut buf, side);
-            put_u8(&mut buf, u8::from(buckets.is_some()));
+            buf.push(u8::from(buckets.is_some()));
             put_u64(&mut buf, buckets.unwrap_or(0));
         }
         FilterKind::HashHybridCompressed { side, buckets } => {
-            put_u8(&mut buf, 5);
+            buf.push(5);
             put_u32(&mut buf, side);
-            put_u8(&mut buf, u8::from(buckets.is_some()));
+            buf.push(u8::from(buckets.is_some()));
             put_u64(&mut buf, buckets.unwrap_or(0));
         }
         FilterKind::Hierarchical { max_level, budget } => {
-            put_u8(&mut buf, 6);
-            put_u8(&mut buf, max_level);
+            buf.push(6);
+            buf.push(max_level);
             put_u64(&mut buf, budget as u64);
         }
-        FilterKind::KeywordFirst => put_u8(&mut buf, 7),
-        FilterKind::SpatialFirst => put_u8(&mut buf, 8),
+        FilterKind::KeywordFirst => buf.push(7),
+        FilterKind::SpatialFirst => buf.push(8),
         FilterKind::IrTree { fanout } => {
-            put_u8(&mut buf, 9);
+            buf.push(9);
             put_u64(&mut buf, fanout as u64);
         }
     }
-    put_u8(&mut buf, 0);
-    put_u8(&mut buf, 0);
+    buf.push(0);
+    buf.push(0);
     buf
 }
 
@@ -375,7 +268,7 @@ fn encode_meta(kind: FilterKind) -> Vec<u8> {
 /// longer exist, and decode as unknown. So do the non-zero similarity
 /// tags, which named the Dice / Cosine / Overlap functions.
 fn decode_meta(payload: &[u8]) -> Result<FilterKind, ContainerError> {
-    let mut r = R::new(payload, "engine meta");
+    let mut r = Reader::new(payload, "engine meta");
     let tag = r.u8()?;
     let kind = match tag {
         0 => FilterKind::Token,
@@ -429,7 +322,7 @@ fn decode_meta(payload: &[u8]) -> Result<FilterKind, ContainerError> {
 /// signatures come out in).
 pub(crate) fn encode_scheme(scheme: &HierarchicalScheme) -> Vec<u8> {
     let mut buf = Vec::new();
-    put_u8(&mut buf, scheme.tree().max_level());
+    buf.push(scheme.tree().max_level());
     put_u64(&mut buf, scheme.budget() as u64);
     put_u64(&mut buf, scheme.tokens().count() as u64);
     for t in scheme.tokens() {
@@ -477,7 +370,7 @@ fn decode_scheme(
     expect_max_level: u8,
     expect_budget: usize,
 ) -> Result<HierarchicalScheme, ContainerError> {
-    let mut r = R::new(payload, "hier scheme");
+    let mut r = Reader::new(payload, "hier scheme");
     let max_level = r.u8()?;
     if max_level != expect_max_level {
         return Err(r.err(format!(
@@ -813,7 +706,7 @@ mod tests {
         w.push_section(SECTION_STORE_STATS, encode_stats(e.store()));
         w.push_section(SECTION_STORE_OBJECTS, encode_store(e.store()));
         w.push_section(SECTION_ENGINE_META, encode_meta(e.kind()));
-        w.push_section(SECTION_PRIMARY_INDEX, rogue.to_bytes().as_slice().to_vec());
+        w.push_section(SECTION_PRIMARY_INDEX, rogue.to_bytes().into_vec());
         let err = SealEngine::load_from_bytes(&w.finish(), 1)
             .err()
             .expect("load must fail");

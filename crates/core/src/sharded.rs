@@ -15,12 +15,11 @@
 //! interval covers, objects dealt through the interval by a per-cell
 //! counter so each shard receives exactly its proportional share — the
 //! one place balance is bought with fan-out, and only for queries that
-//! actually hit the hotspot. Should the assignment still come out
-//! badly skewed (one shard holding > 1.5× its fair share — possible
-//! when the initial mass map no longer matches what is pushed) the
-//! engine falls back to **round-robin** by global id: worse fan-out,
-//! perfect balance. The policy is frozen at construction so pushes
-//! route deterministically forever after.
+//! actually hit the hotspot. Every initial object owns one unit of
+//! the mass map, so shard `s` receives ⌈(s+1)T/N⌉ − ⌈sT/N⌉ ≤ ⌈T/N⌉ of
+//! the `T` initial objects: construction is balanced by arithmetic,
+//! and no second policy stands beside this one. The map is frozen at
+//! construction so pushes route deterministically forever after.
 //!
 //! # Exactness
 //!
@@ -73,13 +72,11 @@ pub enum ShardPolicy {
     /// Locality-preserving: grid cell of the region center, cells in
     /// contiguous row-major runs per shard.
     Spatial,
-    /// Balance-first fallback: global id modulo shard count.
-    RoundRobin,
 }
 
-/// The frozen routing function: policy + the grid it routes over.
+/// The frozen routing function: the grid it routes over and its
+/// mass map.
 struct Router {
-    policy: ShardPolicy,
     grid: Grid,
     shards: usize,
     /// Row-major cell → `(units before this cell, this cell's
@@ -107,10 +104,9 @@ fn cell_of(grid: &Grid, region: &Rect) -> usize {
 }
 
 impl Router {
-    /// The shard for an object (its region for `Spatial`, its global
-    /// id for `RoundRobin`).
+    /// The shard for an object's region.
     ///
-    /// Spatial routing is a quantile cut over the row-major cell
+    /// Routing is a quantile cut over the row-major cell
     /// sequence, weighted by initial corpus mass: the object's cell
     /// owns the unit interval `[before, before + count)`, the
     /// object's deal position within its cell (`cell_next`, a
@@ -123,29 +119,23 @@ impl Router {
     /// balance) splits across the run boundary in *exact* proportion
     /// to each shard's share of its interval. The counters live in
     /// [`RouteState`] under its lock, so routing is a pure function
-    /// of push order — deterministic forever, like `RoundRobin`.
-    fn route(&self, region: &Rect, global_id: usize, cell_next: &mut [u64]) -> usize {
-        match self.policy {
-            ShardPolicy::RoundRobin => global_id % self.shards,
-            ShardPolicy::Spatial => {
-                let cell = cell_of(&self.grid, region);
-                if self.total_mass == 0 {
-                    // Empty initial corpus: uniform contiguous runs.
-                    return ((cell as u128 * self.shards as u128) / self.cell_mass.len() as u128)
-                        as usize;
-                }
-                let (before, count) = self.cell_mass[cell];
-                let unit = if count > 1 {
-                    let dealt = cell_next[cell];
-                    cell_next[cell] = dealt + 1;
-                    before + dealt % count
-                } else {
-                    before
-                };
-                (((u128::from(unit) * self.shards as u128) / u128::from(self.total_mass)) as usize)
-                    .min(self.shards - 1)
-            }
+    /// of push order — deterministic forever.
+    fn route(&self, region: &Rect, cell_next: &mut [u64]) -> usize {
+        let cell = cell_of(&self.grid, region);
+        if self.total_mass == 0 {
+            // Empty initial corpus: uniform contiguous runs.
+            return ((cell as u128 * self.shards as u128) / self.cell_mass.len() as u128) as usize;
         }
+        let (before, count) = self.cell_mass[cell];
+        let unit = if count > 1 {
+            let dealt = cell_next[cell];
+            cell_next[cell] = dealt + 1;
+            before + dealt % count
+        } else {
+            before
+        };
+        (((u128::from(unit) * self.shards as u128) / u128::from(self.total_mass)) as usize)
+            .min(self.shards - 1)
     }
 }
 
@@ -196,36 +186,27 @@ fn grid_side_for(shards: usize) -> u32 {
     ((8.0 * (shards as f64).sqrt()).ceil() as u32).clamp(8, 64)
 }
 
-/// A shard assignment is "balanced enough" when no shard holds at most
-/// 1.5× its fair share (`2·max ≤ 3·fair`) — tight enough to catch a
-/// clustered corpus even at small shard counts.
-fn badly_skewed(max_count: usize, fair: usize) -> bool {
-    2 * max_count > 3 * fair
-}
-
 impl ShardedEngine {
-    /// Partitions `store` into `shards` shards with default build
-    /// options, auto-selecting the policy (spatial, falling back to
-    /// round-robin on heavy skew).
+    /// Partitions `store` into `shards` spatial shards with default
+    /// build options.
     pub fn build(store: &ObjectStore, kind: FilterKind, shards: usize) -> Self {
         let opts = crate::BuildOpts::default();
         Self::with_opts(store, kind, SimilarityConfig, opts, shards, None)
     }
 
-    /// Full-control constructor. `policy: None` auto-selects: spatial
-    /// routing unless the resulting assignment is skewed past 1.5× the
-    /// fair share, then round-robin. The corpus artifacts of `store`
-    /// are injected into every shard, so the partition answers exactly
+    /// Full-control constructor. The corpus artifacts of `store` are
+    /// injected into every shard, so the partition answers exactly
     /// like a single engine over `store` (the dictionary, if any, is
     /// kept at this level for token resolution). `SimilarityConfig`
-    /// has one value; the parameter stays for linked callers.
+    /// and [`ShardPolicy`] have one value each; the parameters stay
+    /// for linked callers.
     pub fn with_opts(
         store: &ObjectStore,
         kind: FilterKind,
         cfg: SimilarityConfig,
         opts: crate::BuildOpts,
         shards: usize,
-        policy: Option<ShardPolicy>,
+        _policy: Option<ShardPolicy>,
     ) -> Self {
         let n = shards.max(1);
         let artifacts = CorpusArtifacts::of(store);
@@ -241,31 +222,17 @@ impl ShardedEngine {
             cell_mass.push((total_mass, c));
             total_mass += c;
         }
-        let mut router = Router {
-            policy: policy.unwrap_or(ShardPolicy::Spatial),
+        let router = Router {
             cell_mass,
             total_mass,
             grid,
             shards: n,
         };
         let mut cell_next = vec![0u64; router.cell_mass.len()];
-        let mut assign: Vec<usize> = store
+        let assign: Vec<usize> = store
             .iter()
-            .map(|(id, o)| router.route(&o.region, id.index(), &mut cell_next))
+            .map(|(_, o)| router.route(&o.region, &mut cell_next))
             .collect();
-        if policy.is_none() && n > 1 {
-            let mut counts = vec![0usize; n];
-            for &s in &assign {
-                counts[s] += 1;
-            }
-            let fair = store.len().div_ceil(n).max(1);
-            if badly_skewed(counts.iter().copied().max().unwrap_or(0), fair) {
-                router.policy = ShardPolicy::RoundRobin;
-                for (i, slot) in assign.iter_mut().enumerate() {
-                    *slot = i % n;
-                }
-            }
-        }
         let mut locals: Vec<Vec<RoiObject>> = vec![Vec::new(); n];
         let mut to_global: Vec<Vec<ObjectId>> = vec![Vec::new(); n];
         let mut covering: Vec<Option<Rect>> = vec![None; n];
@@ -308,11 +275,6 @@ impl ShardedEngine {
         self.shards.len()
     }
 
-    /// The routing policy the constructor froze.
-    pub fn policy(&self) -> ShardPolicy {
-        self.router.policy
-    }
-
     /// The filter kind every shard was built with.
     pub fn kind(&self) -> FilterKind {
         self.kind
@@ -349,7 +311,7 @@ impl ShardedEngine {
             r.vocab = r.vocab.max(t.index() + 1);
         }
         let region = object.region;
-        let s = self.router.route(&region, r.total, &mut r.cell_next);
+        let s = self.router.route(&region, &mut r.cell_next);
         let local = self.shards[s].push(object);
         debug_assert_eq!(local.index(), r.to_global[s].len(), "id map out of sync");
         r.to_global[s].push(gid);
@@ -687,7 +649,6 @@ mod tests {
         ));
         let store = ObjectStore::from_objects(objects, 3);
         let engine = ShardedEngine::build(&store, FilterKind::Token, 4);
-        assert_eq!(engine.policy(), ShardPolicy::Spatial);
         let sizes = engine.shard_sizes();
         assert_eq!(sizes.iter().sum::<usize>(), 40);
         // The per-cell deal splits the 39-object mega-cell exactly
@@ -705,19 +666,6 @@ mod tests {
         let mut expect = naive_search(&store, &SimilarityConfig, &q);
         expect.sort_unstable();
         assert_eq!(engine.search(&q).sorted().answers, expect);
-        // And a forced policy is respected either way (no silent
-        // override when the caller chose).
-        for forced_policy in [ShardPolicy::Spatial, ShardPolicy::RoundRobin] {
-            let forced = ShardedEngine::with_opts(
-                &store,
-                FilterKind::Token,
-                SimilarityConfig,
-                crate::BuildOpts::default(),
-                4,
-                Some(forced_policy),
-            );
-            assert_eq!(forced.policy(), forced_policy);
-        }
     }
 
     #[test]

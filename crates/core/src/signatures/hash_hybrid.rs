@@ -30,14 +30,6 @@ impl BucketScheme {
             BucketScheme::Buckets(m) => h % m.max(1),
         }
     }
-
-    /// Number of possible keys (`None` for the full 64-bit space).
-    pub fn bucket_count(self) -> Option<u64> {
-        match self {
-            BucketScheme::Full => None,
-            BucketScheme::Buckets(m) => Some(m.max(1)),
-        }
-    }
 }
 
 /// SplitMix64 finalizer — a fast, well-distributed 64-bit mixer.
@@ -78,13 +70,6 @@ mod tests {
                 assert!(s.key(TokenId(t), g) < 1000);
             }
         }
-    }
-
-    #[test]
-    fn bucket_count() {
-        assert_eq!(BucketScheme::Full.bucket_count(), None);
-        assert_eq!(BucketScheme::Buckets(64).bucket_count(), Some(64));
-        assert_eq!(BucketScheme::Buckets(0).bucket_count(), Some(1));
     }
 
     #[test]

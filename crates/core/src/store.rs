@@ -2,7 +2,7 @@
 
 use crate::{ObjectId, RoiObject};
 use seal_geom::Rect;
-use seal_text::{Dictionary, GlobalTokenOrder, IdfWeights, TokenSet, TokenWeights};
+use seal_text::{Dictionary, GlobalTokenOrder, IdfWeights, TokenSet};
 
 /// Summary statistics of a store (the "Data statistics" rows of
 /// Table 1).
@@ -303,12 +303,6 @@ impl ObjectStore {
             data_bytes,
         }
     }
-
-    /// Total token weight of an object's set (used by signature bounds).
-    #[inline]
-    pub fn object_token_weight(&self, id: ObjectId) -> f64 {
-        self.weights.set_weight(&self.get(id).tokens)
-    }
 }
 
 /// MBR of all regions, padded to a non-degenerate rectangle so grid
@@ -381,7 +375,7 @@ pub fn figure1_store() -> (ObjectStore, crate::Query) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use seal_text::TokenId;
+    use seal_text::{TokenId, TokenWeights};
 
     #[test]
     fn from_objects_computes_space_and_weights() {

@@ -217,24 +217,6 @@ impl GridTree {
         let grid = self.level_grid(id.level())?;
         Ok(grid.cell_rect(id.as_grid_cell()))
     }
-
-    /// Overlap area `|cell ∩ r|` for a tree cell.
-    pub fn cell_overlap(&self, id: GridCellId, r: &Rect) -> Result<f64> {
-        Ok(self.cell_rect(id)?.intersection_area(r))
-    }
-
-    /// Enumerates the level-`level` cell ids intersecting `r`.
-    pub fn overlapping_cells(&self, level: u8, r: &Rect) -> Result<Vec<GridCellId>> {
-        let grid = self.level_grid(level)?;
-        Ok(grid
-            .overlaps(r)
-            .map(|ov| GridCellId {
-                level,
-                ix: ov.cell.ix,
-                iy: ov.cell.iy,
-            })
-            .collect())
-    }
 }
 
 #[cfg(test)]
@@ -331,22 +313,6 @@ mod tests {
             assert_eq!(tree.level_grid(l).unwrap().side(), 1u32 << l);
         }
         assert!(tree.level_grid(8).is_err());
-    }
-
-    #[test]
-    fn overlapping_cells_at_levels() {
-        let tree = GridTree::new(space(), 4).unwrap();
-        let r = Rect::new(0.0, 0.0, 64.0, 64.0).unwrap();
-        let l0 = tree.overlapping_cells(0, &r).unwrap();
-        assert_eq!(l0, vec![GridCellId::ROOT]);
-        let l1: Vec<_> = tree
-            .overlapping_cells(1, &r)
-            .unwrap()
-            .into_iter()
-            .filter(|c| tree.cell_overlap(*c, &r).unwrap() > 0.0)
-            .collect();
-        assert_eq!(l1.len(), 1, "r is exactly the bottom-left level-1 cell");
-        assert_eq!(l1[0], GridCellId::new(1, 0, 0).unwrap());
     }
 
     #[test]

@@ -37,14 +37,6 @@ impl Point {
         Point { x, y }
     }
 
-    /// Euclidean distance to another point.
-    #[inline]
-    pub fn distance(&self, other: &Point) -> f64 {
-        let dx = self.x - other.x;
-        let dy = self.y - other.y;
-        (dx * dx + dy * dy).sqrt()
-    }
-
     /// Component-wise minimum.
     #[inline]
     pub fn min(&self, other: &Point) -> Point {
@@ -74,15 +66,6 @@ mod tests {
         assert!(Point::new(0.0, f64::INFINITY).is_err());
         assert!(Point::new(0.0, f64::NEG_INFINITY).is_err());
         assert!(Point::new(1.5, -2.5).is_ok());
-    }
-
-    #[test]
-    fn distance_is_euclidean() {
-        let a = Point::raw(0.0, 0.0);
-        let b = Point::raw(3.0, 4.0);
-        assert_eq!(a.distance(&b), 5.0);
-        assert_eq!(b.distance(&a), 5.0);
-        assert_eq!(a.distance(&a), 0.0);
     }
 
     #[test]

@@ -42,12 +42,6 @@ impl Rect {
         })
     }
 
-    /// Creates a rectangle from two arbitrary corner points, normalizing
-    /// their order.
-    pub fn from_corners(a: Point, b: Point) -> Result<Self> {
-        Rect::new(a.x.min(b.x), a.y.min(b.y), a.x.max(b.x), a.y.max(b.y))
-    }
-
     /// A rectangle centred at `(cx, cy)` with the given width and height.
     pub fn centered(cx: f64, cy: f64, width: f64, height: f64) -> Result<Self> {
         Rect::new(
@@ -102,12 +96,6 @@ impl Rect {
         )
     }
 
-    /// Perimeter (used by the R-tree's quadratic split heuristic).
-    #[inline]
-    pub fn perimeter(&self) -> f64 {
-        2.0 * (self.width() + self.height())
-    }
-
     /// True if the rectangles share any point (boundary touch counts).
     ///
     /// Boundary-touching rectangles have zero intersection *area*, so the
@@ -137,12 +125,6 @@ impl Rect {
             && self.min.y <= other.min.y
             && self.max.x >= other.max.x
             && self.max.y >= other.max.y
-    }
-
-    /// True if the point lies inside the rectangle (boundaries included).
-    #[inline]
-    pub fn contains_point(&self, p: &Point) -> bool {
-        self.min.x <= p.x && p.x <= self.max.x && self.min.y <= p.y && p.y <= self.max.y
     }
 
     /// The intersection rectangle, if the two rectangles intersect at all.
@@ -187,13 +169,6 @@ impl Rect {
         let mut it = rects.into_iter();
         let first = *it.next()?;
         Some(it.fold(first, |acc, r| acc.mbr_with(r)))
-    }
-
-    /// How much `self`'s area would grow if enlarged to cover `other`
-    /// (the R-tree insertion heuristic's "least enlargement").
-    #[inline]
-    pub fn enlargement(&self, other: &Rect) -> f64 {
-        self.mbr_with(other).area() - self.area()
     }
 
     /// Translates the rectangle by `(dx, dy)`.
@@ -247,18 +222,11 @@ mod tests {
     }
 
     #[test]
-    fn from_corners_normalizes() {
-        let a = Rect::from_corners(Point::raw(5.0, 1.0), Point::raw(2.0, 9.0)).unwrap();
-        assert_eq!(a, r(2.0, 1.0, 5.0, 9.0));
-    }
-
-    #[test]
     fn area_width_height() {
         let x = r(1.0, 2.0, 4.0, 10.0);
         assert_eq!(x.width(), 3.0);
         assert_eq!(x.height(), 8.0);
         assert_eq!(x.area(), 24.0);
-        assert_eq!(x.perimeter(), 22.0);
         assert_eq!(x.center(), Point::raw(2.5, 6.0));
     }
 
@@ -306,18 +274,14 @@ mod tests {
         assert!(outer.contains_rect(&inner));
         assert!(!inner.contains_rect(&outer));
         assert!(outer.contains_rect(&outer));
-        assert!(outer.contains_point(&Point::raw(0.0, 10.0)));
-        assert!(!outer.contains_point(&Point::raw(10.1, 5.0)));
     }
 
     #[test]
-    fn mbr_and_enlargement() {
+    fn mbr() {
         let a = r(0.0, 0.0, 2.0, 2.0);
         let b = r(4.0, 4.0, 6.0, 6.0);
         let m = a.mbr_with(&b);
         assert_eq!(m, r(0.0, 0.0, 6.0, 6.0));
-        assert_eq!(a.enlargement(&b), 36.0 - 4.0);
-        assert_eq!(a.enlargement(&a), 0.0);
         let all = Rect::mbr_of([&a, &b]).unwrap();
         assert_eq!(all, m);
         assert!(Rect::mbr_of(std::iter::empty::<&Rect>()).is_none());

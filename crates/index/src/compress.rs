@@ -84,23 +84,23 @@
 //! [`compress`]: CompressedArena::compress
 //! [`decompress`]: CompressedArena::decompress
 
+use crate::container::put_u16;
 use crate::cut::{bound_cut_u16, column_u16};
 use crate::{Arena, ObjId};
-use bytes::{BufMut, Bytes, BytesMut};
 
 /// Number of quantization steps for bounds (u16 range).
 const QUANT_STEPS: f64 = 65535.0;
 
 /// LEB128 unsigned varint encoding.
-fn put_varint(buf: &mut BytesMut, mut v: u64) {
+fn put_varint(buf: &mut Vec<u8>, mut v: u64) {
     loop {
         let byte = (v & 0x7F) as u8;
         v >>= 7;
         if v == 0 {
-            buf.put_u8(byte);
+            buf.push(byte);
             return;
         }
-        buf.put_u8(byte | 0x80);
+        buf.push(byte | 0x80);
     }
 }
 
@@ -144,7 +144,7 @@ fn unzigzag(z: u64) -> i64 {
 /// Encodes one id column in the block-packed layout (see module docs):
 /// full 128-id blocks bit-packed at the block's minimal width, the
 /// partial tail delta-varint.
-fn put_ids_blockpacked(buf: &mut BytesMut, ids: &[ObjId]) {
+fn put_ids_blockpacked(buf: &mut Vec<u8>, ids: &[ObjId]) {
     let mut chunks = ids.chunks_exact(BLOCK_IDS);
     for block in &mut chunks {
         let first = block[0];
@@ -157,7 +157,7 @@ fn put_ids_blockpacked(buf: &mut BytesMut, ids: &[ObjId]) {
             *d = z;
             width = width.max(64 - z.leading_zeros());
         }
-        buf.put_u8(width as u8);
+        buf.push(width as u8);
         put_varint(buf, u64::from(first));
         // LSB-first accumulator; at most 7 leftover bits + 64 new ones
         // are ever in flight, so a u128 never overflows.
@@ -167,13 +167,13 @@ fn put_ids_blockpacked(buf: &mut BytesMut, ids: &[ObjId]) {
             acc |= u128::from(z) << nbits;
             nbits += width;
             while nbits >= 8 {
-                buf.put_u8((acc & 0xFF) as u8);
+                buf.push((acc & 0xFF) as u8);
                 acc >>= 8;
                 nbits -= 8;
             }
         }
         if nbits > 0 {
-            buf.put_u8((acc & 0xFF) as u8);
+            buf.push((acc & 0xFF) as u8);
         }
     }
     let tail = chunks.remainder();
@@ -443,7 +443,7 @@ pub struct CompressedArena<K, const N: usize> {
     /// Per-group posting count + quantization scales.
     pub(crate) meta: Vec<GroupMeta<N>>,
     /// The single contiguous compressed arena.
-    pub(crate) arena: Bytes,
+    pub(crate) arena: Box<[u8]>,
     /// Total postings across all groups.
     pub(crate) posting_count: usize,
 }
@@ -503,15 +503,9 @@ impl<K: Ord + Copy, const N: usize> CompressedArena<K, N> {
     #[inline]
     fn group_at(&self, i: usize) -> (GroupMeta<N>, &[u8], &[u8]) {
         let m = self.meta[i];
-        let group = &self.arena.as_slice()[self.offsets[i]..self.offsets[i + 1]];
+        let group = &self.arena[self.offsets[i]..self.offsets[i + 1]];
         let (bounds, ids) = group.split_at(2 * N * m.len as usize);
         (m, bounds, ids)
-    }
-
-    /// Length of the list for `key` (0 if absent).
-    pub fn list_len(&self, key: &K) -> usize {
-        let slot = self.keys.binary_search(key);
-        slot.map_or(0, |i| self.meta[i].len as usize)
     }
 
     /// The probe behind both `qualifying_into` signatures: lifts each
@@ -610,7 +604,7 @@ impl<K: Ord + Copy + std::hash::Hash + Sync, const N: usize> CompressedArena<K, 
         let mut keys = Vec::with_capacity(key_count);
         let mut offsets = Vec::with_capacity(key_count + 1);
         let mut meta = Vec::with_capacity(key_count);
-        let mut buf = BytesMut::with_capacity(index.posting_count() * (2 + 2 * N));
+        let mut buf = Vec::with_capacity(index.posting_count() * (2 + 2 * N));
         offsets.push(0);
         for (key, group) in index.iter() {
             let quant = group
@@ -618,7 +612,7 @@ impl<K: Ord + Copy + std::hash::Hash + Sync, const N: usize> CompressedArena<K, 
                 .map(|col| Quantizer::for_max(col.iter().copied().fold(0.0f64, f64::max)));
             for (col, q) in group.bounds.iter().zip(&quant) {
                 for &b in *col {
-                    buf.put_u16_le(q.quantize(b));
+                    put_u16(&mut buf, q.quantize(b));
                 }
             }
             put_ids_blockpacked(&mut buf, group.ids);
@@ -633,7 +627,7 @@ impl<K: Ord + Copy + std::hash::Hash + Sync, const N: usize> CompressedArena<K, 
             keys,
             offsets,
             meta,
-            arena: buf.freeze(),
+            arena: buf.into_boxed_slice(),
             posting_count: index.posting_count(),
         }
     }
@@ -727,7 +721,7 @@ mod tests {
 
     #[test]
     fn varint_roundtrip() {
-        let mut buf = BytesMut::new();
+        let mut buf = Vec::new();
         let values = [
             0u64,
             1,
@@ -742,8 +736,7 @@ mod tests {
         for &v in &values {
             put_varint(&mut buf, v);
         }
-        let frozen = buf.freeze();
-        let bytes = frozen.as_slice();
+        let bytes = &buf[..];
         let mut pos = 0;
         for &v in &values {
             assert_eq!(get_varint(bytes, &mut pos), Some(v));
@@ -853,13 +846,12 @@ mod tests {
     }
 
     #[test]
-    fn absent_keys_probe_empty_and_list_len_counts() {
+    fn absent_keys_probe_empty() {
         let idx = sample_index(150, 20.0);
         let c = CompressedInvertedIndex::compress(&idx);
         let mut scratch = Vec::new();
         assert!(c.qualifying_into(&999, 0.0, &mut scratch).is_empty());
-        assert_eq!(c.list_len(&0), 150);
-        assert_eq!(c.list_len(&999), 0);
+        assert_eq!(c.qualifying_into(&0, 0.0, &mut scratch).len(), 150);
     }
 
     #[test]
@@ -953,7 +945,7 @@ mod tests {
         let idx = sample_index(200, 10.0);
         let c = CompressedInvertedIndex::compress(&idx);
         for i in 0..c.keys.len() {
-            let bytes = &c.arena.as_slice()[c.offsets[i]..c.offsets[i + 1]];
+            let bytes = &c.arena[c.offsets[i]..c.offsets[i + 1]];
             let len = c.meta[i].len as usize;
             assert_eq!(validate_group(bytes, len, 1), Some(bytes.len()));
             // A truncated group fails.
@@ -990,17 +982,16 @@ mod tests {
         // exactly one block, block + 1, multiple blocks + tail.
         for n in [1usize, 2, 127, 128, 129, 255, 256, 257, 300] {
             let ids: Vec<ObjId> = (0..n).map(|i| (i as u32).wrapping_mul(7) % 4096).collect();
-            let mut buf = BytesMut::new();
+            let mut buf = Vec::new();
             put_ids_blockpacked(&mut buf, &ids);
-            let frozen = buf.freeze();
             let mut out = Vec::new();
-            let end = walk_blockpacked(frozen.as_slice(), 0, n, Some(&mut out));
-            assert_eq!(end, Some(frozen.len()), "len {n}: column length");
+            let end = walk_blockpacked(&buf, 0, n, Some(&mut out));
+            assert_eq!(end, Some(buf.len()), "len {n}: column length");
             assert_eq!(out, ids, "len {n}: ids");
             // The exact-minimal decoder agrees at every cut.
             for cut in [0, 1, n / 2, n.saturating_sub(1), n] {
                 let mut scratch = Vec::new();
-                decode_blockpacked_into(frozen.as_slice(), n, cut, &mut scratch);
+                decode_blockpacked_into(&buf, n, cut, &mut scratch);
                 assert_eq!(scratch, ids[..cut], "len {n} cut {cut}");
             }
         }
@@ -1011,15 +1002,11 @@ mod tests {
         // 256 sorted ids -> two full blocks, no tail. First byte of the
         // id column is a block width.
         let ids: Vec<ObjId> = (0..256u32).map(|i| i * 3).collect();
-        let mut buf = BytesMut::new();
-        put_ids_blockpacked(&mut buf, &ids);
-        let good = buf.freeze();
-        assert_eq!(
-            walk_blockpacked(good.as_slice(), 0, 256, None),
-            Some(good.len())
-        );
+        let mut good = Vec::new();
+        put_ids_blockpacked(&mut good, &ids);
+        assert_eq!(walk_blockpacked(&good, 0, 256, None), Some(good.len()));
         for bad_width in [0u8, 65, 255] {
-            let mut corrupt = good.as_slice().to_vec();
+            let mut corrupt = good.clone();
             corrupt[0] = bad_width;
             assert_eq!(
                 walk_blockpacked(&corrupt, 0, 256, None),
@@ -1030,7 +1017,7 @@ mod tests {
         // Truncation at every byte boundary fails, never panics.
         for cut in 0..good.len() {
             assert_eq!(
-                walk_blockpacked(&good.as_slice()[..cut], 0, 256, None),
+                walk_blockpacked(&good[..cut], 0, 256, None),
                 None,
                 "truncated at {cut}"
             );
@@ -1041,11 +1028,10 @@ mod tests {
     fn blockpacked_rejects_id_overflow_from_hostile_deltas() {
         // A tail block whose second delta pushes the id above u32::MAX
         // must fail the checked reconstruction.
-        let mut buf = BytesMut::new();
+        let mut buf = Vec::new();
         put_varint(&mut buf, u64::from(u32::MAX)); // first id: max
         put_varint(&mut buf, zigzag(1)); // +1 overflows the id domain
-        let frozen = buf.freeze();
-        assert_eq!(walk_blockpacked(frozen.as_slice(), 0, 2, None), None);
+        assert_eq!(walk_blockpacked(&buf, 0, 2, None), None);
     }
 }
 
@@ -1203,12 +1189,11 @@ mod proptests {
         ) {
             // The block codec never requires sorted input — zigzag
             // deltas cover any id sequence bit-exactly.
-            let mut buf = BytesMut::new();
+            let mut buf = Vec::new();
             put_ids_blockpacked(&mut buf, &ids);
-            let frozen = buf.freeze();
             let mut out = Vec::new();
-            let end = walk_blockpacked(frozen.as_slice(), 0, ids.len(), Some(&mut out));
-            prop_assert_eq!(end, Some(frozen.len()));
+            let end = walk_blockpacked(&buf, 0, ids.len(), Some(&mut out));
+            prop_assert_eq!(end, Some(buf.len()));
             prop_assert_eq!(out, ids);
         }
 
@@ -1227,7 +1212,7 @@ mod proptests {
             let compressed = CompressedInvertedIndex::compress(&idx);
             let m = compressed.meta[0];
             let len = m.len as usize;
-            let col = &compressed.arena.as_slice()[..2 * len];
+            let col = &compressed.arena[..2 * len];
             let c = m.quant[0].scale() * frac;
             let reference = (0..len)
                 .take_while(|&j| m.quant[0].dequantize(column_u16(col, j)) >= c)

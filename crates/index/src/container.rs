@@ -285,6 +285,209 @@ impl From<std::io::Error> for ContainerError {
     }
 }
 
+// ---------------------------------------------------------------- reader
+
+/// Why a [`Reader`] refused. The engine sections report it as
+/// [`ContainerError::Section`]; the index codec as
+/// [`IndexCodecError::Truncated`], or as [`IndexCodecError::Corrupt`]
+/// when bytes were left over.
+#[derive(Debug)]
+pub struct ReadError {
+    /// The part being read.
+    pub section: &'static str,
+    /// Byte offset within it.
+    pub offset: usize,
+    /// Needed-vs-remaining or left-over detail.
+    pub detail: String,
+    /// Bytes were left over ([`Reader::done`]) rather than missing.
+    pub trailing: bool,
+}
+
+impl From<ReadError> for ContainerError {
+    fn from(e: ReadError) -> Self {
+        ContainerError::Section {
+            section: e.section,
+            offset: e.offset,
+            detail: e.detail,
+        }
+    }
+}
+
+/// The one bounds-checked little-endian reader over persisted bytes:
+/// the container's own framing, every engine section and the index
+/// codec read through it.
+///
+/// Every read states what it needs before touching the buffer, so a
+/// shortfall is a typed [`ReadError`] naming the part and the byte
+/// offset — no slicing panics, no `count * size` overflow, no
+/// allocation sized from an unvalidated count ([`count`](Self::count)),
+/// and no trailing bytes ([`done`](Self::done)).
+#[derive(Debug)]
+pub struct Reader<'a> {
+    buf: &'a [u8],
+    pos: usize,
+    /// Where the current part starts; error offsets count from here.
+    base: usize,
+    section: &'static str,
+}
+
+impl<'a> Reader<'a> {
+    /// A reader at the start of `buf`, whose errors name `section`.
+    pub fn new(buf: &'a [u8], section: &'static str) -> Self {
+        Reader {
+            buf,
+            pos: 0,
+            base: 0,
+            section,
+        }
+    }
+
+    /// Starts the next part of the payload: later errors name
+    /// `section` and count their offset from the current position.
+    pub fn enter(&mut self, section: &'static str) {
+        self.section = section;
+        self.base = self.pos;
+    }
+
+    /// A [`ContainerError::Section`] at the current position — for
+    /// the decoder's own semantic checks.
+    pub fn err(&self, detail: impl Into<String>) -> ContainerError {
+        self.fail(detail.into(), false).into()
+    }
+
+    fn fail(&self, detail: String, trailing: bool) -> ReadError {
+        ReadError {
+            section: self.section,
+            offset: self.pos - self.base,
+            detail,
+            trailing,
+        }
+    }
+
+    fn remaining(&self) -> usize {
+        self.buf.len() - self.pos
+    }
+
+    fn shortfall(&self, n: usize) -> ReadError {
+        self.fail(
+            format!("need {n} bytes, {} remain", self.remaining()),
+            false,
+        )
+    }
+
+    /// The next `n` bytes.
+    pub fn take(&mut self, n: usize) -> Result<&'a [u8], ReadError> {
+        let Some(s) = self.buf[self.pos..].get(..n) else {
+            return Err(self.shortfall(n));
+        };
+        self.pos += n;
+        Ok(s)
+    }
+
+    fn array<const W: usize>(&mut self) -> Result<[u8; W], ReadError> {
+        let Some(&a) = self.buf[self.pos..].first_chunk::<W>() else {
+            return Err(self.shortfall(W));
+        };
+        self.pos += W;
+        Ok(a)
+    }
+
+    /// One byte.
+    pub fn u8(&mut self) -> Result<u8, ReadError> {
+        Ok(self.take(1)?[0])
+    }
+
+    /// A little-endian `u16`.
+    pub fn u16(&mut self) -> Result<u16, ReadError> {
+        Ok(u16::from_le_bytes(self.array()?))
+    }
+
+    /// A little-endian `u32`.
+    pub fn u32(&mut self) -> Result<u32, ReadError> {
+        Ok(u32::from_le_bytes(self.array()?))
+    }
+
+    /// A little-endian `u64`.
+    pub fn u64(&mut self) -> Result<u64, ReadError> {
+        Ok(u64::from_le_bytes(self.array()?))
+    }
+
+    /// A little-endian `u128`.
+    pub fn u128(&mut self) -> Result<u128, ReadError> {
+        Ok(u128::from_le_bytes(self.array()?))
+    }
+
+    /// A little-endian IEEE `f64`.
+    pub fn f64(&mut self) -> Result<f64, ReadError> {
+        Ok(f64::from_le_bytes(self.array()?))
+    }
+
+    /// Validates a declared element count against the bytes remaining
+    /// (`min_elem_bytes` per element) **before** the caller allocates
+    /// anything sized from it.
+    pub fn count(&self, declared: u64, min_elem_bytes: usize) -> Result<usize, ReadError> {
+        let Ok(n) = usize::try_from(declared) else {
+            return Err(self.fail("declared count exceeds the address space".into(), false));
+        };
+        match n.checked_mul(min_elem_bytes) {
+            Some(total) if total <= self.remaining() => Ok(n),
+            _ => Err(self.fail(
+                format!(
+                    "declared count {n} needs at least {min_elem_bytes}×{n} bytes, {} remain",
+                    self.remaining()
+                ),
+                false,
+            )),
+        }
+    }
+
+    /// `n` fixed-width little-endian values, read as one `n · W`-byte
+    /// run and decoded word by word.
+    pub fn column<const W: usize, T>(
+        &mut self,
+        n: usize,
+        decode: impl Fn([u8; W]) -> T,
+    ) -> Result<Vec<T>, ReadError> {
+        let n = self.count(n as u64, W)?;
+        let (words, _) = self.take(n * W)?.as_chunks::<W>();
+        Ok(words.iter().map(|&w| decode(w)).collect())
+    }
+
+    /// Asserts the payload was consumed exactly — trailing bytes are
+    /// corruption, not padding.
+    pub fn done(self) -> Result<(), ReadError> {
+        match self.remaining() {
+            0 => Ok(()),
+            n => Err(self.fail(format!("{n} unconsumed trailing bytes"), true)),
+        }
+    }
+}
+
+/// Appends a little-endian `u16`.
+pub fn put_u16(buf: &mut Vec<u8>, v: u16) {
+    buf.extend_from_slice(&v.to_le_bytes());
+}
+
+/// Appends a little-endian `u32`.
+pub fn put_u32(buf: &mut Vec<u8>, v: u32) {
+    buf.extend_from_slice(&v.to_le_bytes());
+}
+
+/// Appends a little-endian `u64`.
+pub fn put_u64(buf: &mut Vec<u8>, v: u64) {
+    buf.extend_from_slice(&v.to_le_bytes());
+}
+
+/// Appends a little-endian `u128`.
+pub fn put_u128(buf: &mut Vec<u8>, v: u128) {
+    buf.extend_from_slice(&v.to_le_bytes());
+}
+
+/// Appends a little-endian IEEE `f64`.
+pub fn put_f64(buf: &mut Vec<u8>, v: f64) {
+    buf.extend_from_slice(&v.to_le_bytes());
+}
+
 /// Assembles a container from `(kind, payload)` sections and persists
 /// it atomically.
 #[derive(Default)]
@@ -429,25 +632,27 @@ impl<'a> Container<'a> {
                 have: bytes.len(),
             });
         }
-        let magic = u32::from_le_bytes([bytes[0], bytes[1], bytes[2], bytes[3]]);
+        let mut r = Reader::new(bytes, "container framing");
+        let magic = r.u32()?;
         if magic != CONTAINER_MAGIC {
             return Err(ContainerError::BadMagic { found: magic });
         }
-        if bytes[4] != CONTAINER_VERSION {
-            return Err(ContainerError::BadVersion { found: bytes[4] });
+        let version = r.u8()?;
+        if version != CONTAINER_VERSION {
+            return Err(ContainerError::BadVersion { found: version });
         }
-        // bytes[5] is the flags byte, reserved (ignored when zero or
-        // not; covered by the directory CRC like the rest).
-        // seal-lint: allow(persisted-narrowing-cast) — u32 → usize is lossless on 64-bit targets
-        let section_count = u32::from_le_bytes([bytes[6], bytes[7], bytes[8], bytes[9]]) as usize;
+        // The flags byte is reserved (ignored when zero or not;
+        // covered by the directory CRC like the rest).
+        r.u8()?;
+        let section_count = r.u32()?;
 
         // Footer first: it vouches for the header + directory, so a
         // flipped bit in the framing is caught before the framing is
         // trusted.
-        let foot = &bytes[bytes.len() - FOOTER_LEN..];
-        let declared = u64::from_le_bytes(foot[0..8].try_into().expect("8-byte slice"));
-        let dir_crc = u32::from_le_bytes(foot[8..12].try_into().expect("4-byte slice"));
-        let footer_magic = u32::from_le_bytes(foot[12..16].try_into().expect("4-byte slice"));
+        let mut foot = Reader::new(&bytes[bytes.len() - FOOTER_LEN..], "container footer");
+        let declared = foot.u64()?;
+        let dir_crc = foot.u32()?;
+        let footer_magic = foot.u32()?;
         if footer_magic != FOOTER_MAGIC {
             return Err(ContainerError::BadFooterMagic {
                 found: footer_magic,
@@ -463,13 +668,15 @@ impl<'a> Container<'a> {
         // The allocation cap: the directory must fit in the bytes
         // actually present before `section_count` sizes anything.
         let body = bytes.len() - HEADER_LEN - FOOTER_LEN;
-        let dir_bytes = section_count
-            .checked_mul(DIR_ENTRY_LEN)
+        let dir_bytes = usize::try_from(section_count)
+            .ok()
+            .and_then(|n| n.checked_mul(DIR_ENTRY_LEN))
             .filter(|&n| n <= body)
             .ok_or(ContainerError::OversizedDirectory {
-                sections: section_count as u64,
+                sections: u64::from(section_count),
                 available: body,
             })?;
+        let section_count = dir_bytes / DIR_ENTRY_LEN;
         let dir_end = HEADER_LEN + dir_bytes;
         let found_crc = crc32(&bytes[..dir_end]);
         if found_crc != dir_crc {
@@ -484,11 +691,10 @@ impl<'a> Container<'a> {
         let mut checked: Vec<(Section<'a>, u32)> = Vec::with_capacity(section_count);
         let mut cursor = dir_end;
         for index in 0..section_count {
-            let e = &bytes[HEADER_LEN + index * DIR_ENTRY_LEN..][..DIR_ENTRY_LEN];
-            let kind = u16::from_le_bytes([e[0], e[1]]);
-            let offset = u64::from_le_bytes(e[2..10].try_into().expect("8-byte slice"));
-            let len = u64::from_le_bytes(e[10..18].try_into().expect("8-byte slice"));
-            let crc = u32::from_le_bytes(e[18..22].try_into().expect("4-byte slice"));
+            let kind = r.u16()?;
+            let offset = r.u64()?;
+            let len = r.u64()?;
+            let crc = r.u32()?;
             let (Ok(offset), Ok(len)) = (usize::try_from(offset), usize::try_from(len)) else {
                 return Err(ContainerError::BadSectionTable {
                     index,

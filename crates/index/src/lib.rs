@@ -33,6 +33,11 @@
 //!   framing the engine persists its sections in; the index codec
 //!   itself writes and reads exactly four kinds (SoA arenas 5/6,
 //!   compressed arenas 7/8).
+//! * [`Reader`](container::Reader) — the one checked little-endian
+//!   cursor every persisted byte is read through: the container's own
+//!   framing, the engine's sections and the index codec. A shortfall,
+//!   an oversized declared count or a trailing byte is a typed error by
+//!   construction.
 //!
 //! Object identifiers are bare `u32`s here ([`ObjId`]); the `seal-core`
 //! crate wraps them in its typed `ObjectId`.
@@ -53,7 +58,7 @@ pub use compress::{CompressedHybridIndex, CompressedInvertedIndex};
 pub use container::{Container, ContainerError, ContainerWriter};
 pub use cut::bound_cut;
 pub use postings::{Postings, Storage};
-pub use serialize::{IndexCodecError, IndexKey};
+pub use serialize::{IndexBytes, IndexCodecError, IndexKey};
 
 /// A dense object identifier (row number in the object store).
 pub type ObjId = u32;

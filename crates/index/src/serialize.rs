@@ -40,8 +40,8 @@
 
 use crate::arena::Columns;
 use crate::compress::{validate_group, CompressedArena, GroupMeta, Quantizer};
+use crate::container::{put_f64, put_u128, put_u32, put_u64, ReadError, Reader};
 use crate::{Arena, ObjId, Postings};
-use bytes::{Buf, BufMut, Bytes, BytesMut};
 use std::fmt;
 use std::hash::Hash;
 
@@ -118,6 +118,44 @@ impl fmt::Display for IndexCodecError {
 
 impl std::error::Error for IndexCodecError {}
 
+/// A shortfall is [`IndexCodecError::Truncated`]; trailing bytes are
+/// corruption of the part they follow.
+impl From<ReadError> for IndexCodecError {
+    fn from(e: ReadError) -> Self {
+        if e.trailing {
+            corrupt(e.section, e.offset, e.detail)
+        } else {
+            IndexCodecError::Truncated
+        }
+    }
+}
+
+/// An index payload in the codec format, as [`Arena::to_bytes`],
+/// [`CompressedArena::to_bytes`] and [`Postings::to_bytes`] write it.
+/// Every `from_bytes` reads it through `AsRef<[u8]>`; the engine's
+/// primary index section takes it by value ([`into_vec`](Self::into_vec),
+/// no copy).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct IndexBytes(Vec<u8>);
+
+impl IndexBytes {
+    /// The payload.
+    pub fn as_slice(&self) -> &[u8] {
+        &self.0
+    }
+
+    /// The payload's buffer.
+    pub fn into_vec(self) -> Vec<u8> {
+        self.0
+    }
+}
+
+impl AsRef<[u8]> for IndexBytes {
+    fn as_ref(&self) -> &[u8] {
+        &self.0
+    }
+}
+
 /// Keys that can round-trip through the codec's `u128` slot.
 pub trait IndexKey: Eq + Hash + Ord + Copy + Sync {
     /// Widens the key to 128 bits.
@@ -155,59 +193,31 @@ impl IndexKey for u128 {
     }
 }
 
-fn check_remaining(buf: &impl Buf, need: usize) -> Result<(), IndexCodecError> {
-    if buf.remaining() < need {
-        Err(IndexCodecError::Truncated)
-    } else {
-        Ok(())
-    }
-}
-
-/// Rejects bytes after the last declared datum of `section` (which is
-/// `end` bytes long): the container's other sections refuse trailing
-/// bytes, and an index payload is no different.
-fn check_consumed(
-    buf: &impl Buf,
-    section: &'static str,
-    end: usize,
-) -> Result<(), IndexCodecError> {
-    match buf.remaining() {
-        0 => Ok(()),
-        n => Err(corrupt(
-            section,
-            end,
-            format!("{n} unconsumed trailing bytes"),
-        )),
-    }
-}
-
-fn put_header(buf: &mut BytesMut, kind: u8, key_count: usize) {
-    buf.put_u32_le(MAGIC);
-    buf.put_u8(VERSION);
-    buf.put_u8(kind);
-    buf.put_u64_le(key_count as u64);
+fn put_header(buf: &mut Vec<u8>, kind: u8, key_count: usize) {
+    put_u32(buf, MAGIC);
+    buf.push(VERSION);
+    buf.push(kind);
+    put_u64(buf, key_count as u64);
 }
 
 /// Reads and validates the shared header, returning the payload's kind
 /// byte — the caller's to check against the kinds it reads — and the
 /// key count.
-fn read_header(buf: &mut impl Buf) -> Result<(u8, usize), IndexCodecError> {
-    check_remaining(buf, 4 + 1 + 1 + 8)?;
-    if buf.get_u32_le() != MAGIC {
+fn read_header(r: &mut Reader<'_>) -> Result<(u8, usize), IndexCodecError> {
+    let (magic, version, kind, key_count) = (r.u32()?, r.u8()?, r.u8()?, r.u64()?);
+    if magic != MAGIC {
         return Err(IndexCodecError::BadMagic);
     }
-    let version = buf.get_u8();
     if version != VERSION {
         return Err(IndexCodecError::BadVersion(version));
     }
-    let kind = buf.get_u8();
-    let key_count = usize::try_from(buf.get_u64_le()).map_err(|_| IndexCodecError::Truncated)?;
+    let key_count = usize::try_from(key_count).map_err(|_| IndexCodecError::Truncated)?;
     Ok((kind, key_count))
 }
 
 /// [`read_header`] for a type that reads only `kind`.
-fn read_header_of(buf: &mut impl Buf, kind: u8) -> Result<usize, IndexCodecError> {
-    match read_header(buf)? {
+fn read_header_of(r: &mut Reader<'_>, kind: u8) -> Result<usize, IndexCodecError> {
+    match read_header(r)? {
         (found, key_count) if found == kind => Ok(key_count),
         (found, _) => Err(IndexCodecError::BadKind(found)),
     }
@@ -217,11 +227,11 @@ fn read_header_of(buf: &mut impl Buf, kind: u8) -> Result<usize, IndexCodecError
 /// rejecting a value wider than the index's key type: narrowing it
 /// would silently alias another key.
 fn read_key<K: IndexKey>(
-    buf: &mut impl Buf,
+    r: &mut Reader<'_>,
     section: &'static str,
     at: usize,
 ) -> Result<K, IndexCodecError> {
-    let raw = buf.get_u128_le();
+    let raw = r.u128()?;
     K::from_u128(raw).ok_or_else(|| {
         corrupt(
             section,
@@ -253,23 +263,20 @@ fn check_ascending<K: Ord>(
 /// error, not abort on a huge allocation) and the strictly-ascending
 /// key invariant verified.
 fn read_soa_directory<K: IndexKey>(
-    buf: &mut impl Buf,
+    r: &mut Reader<'_>,
     key_count: usize,
     posting_count: usize,
 ) -> Result<(Vec<K>, Vec<usize>), IndexCodecError> {
     const SECTION: &str = "soa directory";
     const ENTRY: usize = 16 + 8;
-    let directory = key_count
-        .checked_mul(ENTRY)
-        .ok_or(IndexCodecError::Truncated)?;
-    check_remaining(buf, directory)?;
+    let key_count = r.count(key_count as u64, ENTRY)?;
     let mut keys = Vec::with_capacity(key_count);
     let mut offsets = Vec::with_capacity(key_count + 1);
     offsets.push(0usize);
     let mut total = 0usize;
     for i in 0..key_count {
-        keys.push(read_key(buf, SECTION, i * ENTRY)?);
-        let raw_len = buf.get_u64_le();
+        keys.push(read_key(r, SECTION, i * ENTRY)?);
+        let raw_len = r.u64()?;
         let len = usize::try_from(raw_len).map_err(|_| {
             corrupt(
                 SECTION,
@@ -338,21 +345,20 @@ fn validate_soa_group<const N: usize>(
 /// header) straight into a frozen arena after validating every
 /// invariant the probe path relies on.
 fn decode_soa<K: IndexKey, const N: usize>(
-    mut buf: impl Buf,
+    mut r: Reader<'_>,
     key_count: usize,
 ) -> Result<Arena<K, N>, IndexCodecError> {
-    check_remaining(&buf, 8)?;
-    let posting_count = usize::try_from(buf.get_u64_le())
+    let posting_count = usize::try_from(r.u64()?)
         .map_err(|_| corrupt("header", 0, "posting count exceeds the address space"))?;
-    let (keys, offsets) = read_soa_directory::<K>(&mut buf, key_count, posting_count)?;
-    let column_bytes = posting_count
-        .checked_mul(4 + 8 * N)
-        .ok_or(IndexCodecError::Truncated)?;
-    check_remaining(&buf, column_bytes)?;
-    let ids: Vec<ObjId> = (0..posting_count).map(|_| buf.get_u32_le()).collect();
-    let bounds: [Vec<f64>; N] =
-        std::array::from_fn(|_| (0..posting_count).map(|_| buf.get_f64_le()).collect());
-    check_consumed(&buf, "posting columns", column_bytes)?;
+    let (keys, offsets) = read_soa_directory::<K>(&mut r, key_count, posting_count)?;
+    r.enter("posting columns");
+    let posting_count = r.count(posting_count as u64, 4 + 8 * N)?;
+    let ids = r.column(posting_count, u32::from_le_bytes)?;
+    let mut bounds: [Vec<f64>; N] = std::array::from_fn(|_| Vec::new());
+    for col in &mut bounds {
+        *col = r.column(posting_count, f64::from_le_bytes)?;
+    }
+    r.done()?;
     for w in offsets.windows(2) {
         validate_soa_group(&ids, &bounds, w[0]..w[1])?;
     }
@@ -370,38 +376,39 @@ impl<K: IndexKey, const N: usize> Arena<K, N> {
     /// [`finalize`](Arena::finalize): only the frozen columns are
     /// serialized, so encoding a half-staged index would silently drop
     /// data.
-    pub fn to_bytes(&self) -> Bytes {
+    pub fn to_bytes(&self) -> IndexBytes {
         assert!(
             self.is_finalized(),
             "to_bytes requires finalize() after the last push"
         );
         let columns = self.columns();
         let rows = columns.ids.len();
-        let mut buf = BytesMut::with_capacity(64 + self.key_count() * 24 + rows * (4 + 8 * N));
+        let mut buf = Vec::with_capacity(64 + self.key_count() * 24 + rows * (4 + 8 * N));
         put_header(&mut buf, soa_kind::<N>(), self.key_count());
-        buf.put_u64_le(rows as u64);
+        put_u64(&mut buf, rows as u64);
         for (key, group) in self.iter() {
-            buf.put_u128_le(key.to_u128());
-            buf.put_u64_le(group.len() as u64);
+            put_u128(&mut buf, key.to_u128());
+            put_u64(&mut buf, group.len() as u64);
         }
         // Groups are contiguous in key order, so each column is
         // emitted exactly as it sits in memory.
         for &id in &columns.ids {
-            buf.put_u32_le(id);
+            put_u32(&mut buf, id);
         }
         for col in &columns.bounds {
             for &b in col {
-                buf.put_f64_le(b);
+                put_f64(&mut buf, b);
             }
         }
-        buf.freeze()
+        IndexBytes(buf)
     }
 
     /// Decodes an SoA payload of this arena's kind; the result is
     /// finalized and ready to query.
-    pub fn from_bytes(mut buf: impl Buf) -> Result<Self, IndexCodecError> {
-        let key_count = read_header_of(&mut buf, soa_kind::<N>())?;
-        decode_soa(buf, key_count)
+    pub fn from_bytes(bytes: impl AsRef<[u8]>) -> Result<Self, IndexCodecError> {
+        let mut r = Reader::new(bytes.as_ref(), "header");
+        let key_count = read_header_of(&mut r, soa_kind::<N>())?;
+        decode_soa(r, key_count)
     }
 }
 
@@ -412,23 +419,22 @@ impl<K: IndexKey, const N: usize> Arena<K, N> {
 /// walk that rebuilds the byte offsets so the probe path stays
 /// infallible.
 fn decode_packed<K: IndexKey, const N: usize>(
-    mut buf: impl Buf,
+    mut r: Reader<'_>,
     key_count: usize,
 ) -> Result<CompressedArena<K, N>, IndexCodecError> {
     const SECTION: &str = "compressed directory";
     let entry = 16 + 4 + 8 * N;
-    check_remaining(&buf, 8)?;
-    let arena_len = usize::try_from(buf.get_u64_le()).map_err(|_| IndexCodecError::Truncated)?;
-    let directory = key_count
-        .checked_mul(entry)
-        .ok_or(IndexCodecError::Truncated)?;
-    check_remaining(&buf, directory)?;
+    let arena_len = usize::try_from(r.u64()?).map_err(|_| IndexCodecError::Truncated)?;
+    let key_count = r.count(key_count as u64, entry)?;
     let mut keys = Vec::with_capacity(key_count);
     let mut meta = Vec::with_capacity(key_count);
     for i in 0..key_count {
-        keys.push(read_key(&mut buf, SECTION, i * entry)?);
-        let len = buf.get_u32_le();
-        let scales: [f64; N] = std::array::from_fn(|_| buf.get_f64_le());
+        keys.push(read_key(&mut r, SECTION, i * entry)?);
+        let len = r.u32()?;
+        let mut scales = [0.0; N];
+        for scale in &mut scales {
+            *scale = r.f64()?;
+        }
         if let Some(scale) = scales.iter().find(|s| !s.is_finite() || **s <= 0.0) {
             return Err(corrupt(
                 "group meta",
@@ -442,18 +448,16 @@ fn decode_packed<K: IndexKey, const N: usize>(
         });
     }
     check_ascending(&keys, SECTION, entry)?;
-    check_remaining(&buf, arena_len)?;
-    let mut raw = vec![0u8; arena_len];
-    buf.copy_to_slice(&mut raw);
-    check_consumed(&buf, "compressed arena", arena_len)?;
-    let arena = Bytes::from(raw);
+    r.enter("compressed arena");
+    let arena = r.take(arena_len)?;
+    r.done()?;
     let mut offsets = Vec::with_capacity(key_count + 1);
     offsets.push(0usize);
     let mut pos = 0usize;
     let mut posting_count = 0usize;
     for m in &meta {
         let len = usize::try_from(m.len).map_err(|_| IndexCodecError::Truncated)?;
-        pos += validate_group(&arena.as_slice()[pos..], len, N).ok_or_else(|| {
+        pos += validate_group(&arena[pos..], len, N).ok_or_else(|| {
             corrupt(
                 "compressed arena",
                 pos,
@@ -477,7 +481,7 @@ fn decode_packed<K: IndexKey, const N: usize>(
         keys,
         offsets,
         meta,
-        arena,
+        arena: arena.into(),
         posting_count,
     })
 }
@@ -486,35 +490,35 @@ impl<K: IndexKey, const N: usize> CompressedArena<K, N> {
     /// Serializes the compressed index (kind 7 for one bound column, 8
     /// for two): the directory, then the arena verbatim. This *is* the
     /// at-rest form — nothing is re-encoded.
-    pub fn to_bytes(&self) -> Bytes {
-        let mut buf =
-            BytesMut::with_capacity(64 + self.keys.len() * (20 + 8 * N) + self.arena.len());
+    pub fn to_bytes(&self) -> IndexBytes {
+        let mut buf = Vec::with_capacity(64 + self.keys.len() * (20 + 8 * N) + self.arena.len());
         put_header(&mut buf, packed_kind::<N>(), self.keys.len());
-        buf.put_u64_le(self.arena.len() as u64);
+        put_u64(&mut buf, self.arena.len() as u64);
         for (key, m) in self.keys.iter().zip(&self.meta) {
-            buf.put_u128_le(key.to_u128());
-            buf.put_u32_le(m.len);
+            put_u128(&mut buf, key.to_u128());
+            put_u32(&mut buf, m.len);
             for q in m.quant {
-                buf.put_f64_le(q.scale());
+                put_f64(&mut buf, q.scale());
             }
         }
-        buf.put_slice(self.arena.as_slice());
-        buf.freeze()
+        buf.extend_from_slice(&self.arena);
+        IndexBytes(buf)
     }
 
     /// Decodes a payload of this arena's kind and validates the whole
     /// arena (keys sorted, bound columns non-increasing, id columns
     /// well-formed), so the returned index can serve probes infallibly.
-    pub fn from_bytes(mut buf: impl Buf) -> Result<Self, IndexCodecError> {
-        let key_count = read_header_of(&mut buf, packed_kind::<N>())?;
-        decode_packed(buf, key_count)
+    pub fn from_bytes(bytes: impl AsRef<[u8]>) -> Result<Self, IndexCodecError> {
+        let mut r = Reader::new(bytes.as_ref(), "header");
+        let key_count = read_header_of(&mut r, packed_kind::<N>())?;
+        decode_packed(r, key_count)
     }
 }
 
 impl<K: IndexKey, const N: usize> Postings<K, N> {
     /// Serializes the storage form in use (see [`Arena::to_bytes`] and
     /// [`CompressedArena::to_bytes`]).
-    pub fn to_bytes(&self) -> Bytes {
+    pub fn to_bytes(&self) -> IndexBytes {
         match self {
             Postings::Arena(a) => a.to_bytes(),
             Postings::Compressed(p) => p.to_bytes(),
@@ -526,12 +530,13 @@ impl<K: IndexKey, const N: usize> Postings<K, N> {
     /// other kind is [`IndexCodecError::BadKind`]. A caller that
     /// expects one particular form checks
     /// [`storage`](Postings::storage) on the result.
-    pub fn from_bytes(mut buf: impl Buf) -> Result<Self, IndexCodecError> {
-        let (kind, key_count) = read_header(&mut buf)?;
+    pub fn from_bytes(bytes: impl AsRef<[u8]>) -> Result<Self, IndexCodecError> {
+        let mut r = Reader::new(bytes.as_ref(), "header");
+        let (kind, key_count) = read_header(&mut r)?;
         if kind == soa_kind::<N>() {
-            decode_soa(buf, key_count).map(Postings::Arena)
+            decode_soa(r, key_count).map(Postings::Arena)
         } else if kind == packed_kind::<N>() {
-            decode_packed(buf, key_count).map(Postings::Compressed)
+            decode_packed(r, key_count).map(Postings::Compressed)
         } else {
             Err(IndexCodecError::BadKind(kind))
         }
@@ -599,7 +604,7 @@ mod tests {
 
     #[test]
     fn rejects_garbage() {
-        let garbage = Bytes::from_static(&[1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14]);
+        let garbage = [1u8, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14];
         assert_eq!(
             InvertedIndex::<u64>::from_bytes(garbage).unwrap_err(),
             IndexCodecError::BadMagic
@@ -625,7 +630,7 @@ mod tests {
         }
         idx.finalize();
         let bytes = idx.to_bytes();
-        let cut = bytes.slice(..bytes.len() - 5);
+        let cut = &bytes.as_slice()[..bytes.as_slice().len() - 5];
         assert_eq!(
             InvertedIndex::<u64>::from_bytes(cut).unwrap_err(),
             IndexCodecError::Truncated
@@ -692,28 +697,28 @@ mod tests {
         // A huge declared key/posting count must error out before any
         // allocation sized from it.
         let mut raw = Vec::new();
-        raw.put_u32_le(MAGIC);
-        raw.put_u8(VERSION);
-        raw.put_u8(soa_kind::<1>());
-        raw.put_u64_le(1u64 << 60); // key_count
-        raw.put_u64_le(0); // posting_count
+        put_u32(&mut raw, MAGIC);
+        raw.push(VERSION);
+        raw.push(soa_kind::<1>());
+        put_u64(&mut raw, 1u64 << 60); // key_count
+        put_u64(&mut raw, 0); // posting_count
         assert_eq!(
             InvertedIndex::<u64>::from_bytes(&raw[..]).unwrap_err(),
             IndexCodecError::Truncated
         );
         // Directory says 2 postings, header says 1.
         let mut raw = Vec::new();
-        raw.put_u32_le(MAGIC);
-        raw.put_u8(VERSION);
-        raw.put_u8(soa_kind::<1>());
-        raw.put_u64_le(1);
-        raw.put_u64_le(1);
-        raw.put_u128_le(9);
-        raw.put_u64_le(2);
-        raw.put_u32_le(0);
-        raw.put_u32_le(1);
-        raw.put_f64_le(1.0);
-        raw.put_f64_le(0.5);
+        put_u32(&mut raw, MAGIC);
+        raw.push(VERSION);
+        raw.push(soa_kind::<1>());
+        put_u64(&mut raw, 1);
+        put_u64(&mut raw, 1);
+        put_u128(&mut raw, 9);
+        put_u64(&mut raw, 2);
+        put_u32(&mut raw, 0);
+        put_u32(&mut raw, 1);
+        put_f64(&mut raw, 1.0);
+        put_f64(&mut raw, 0.5);
         assert!(matches!(
             InvertedIndex::<u64>::from_bytes(&raw[..]).unwrap_err(),
             IndexCodecError::Corrupt { .. }
@@ -817,7 +822,7 @@ mod tests {
             CompressedHybridIndex::<u64>::from_bytes(bytes.clone()).unwrap_err(),
             IndexCodecError::BadKind(packed_kind::<1>())
         );
-        let cut = bytes.slice(..bytes.len() - 3);
+        let cut = &bytes.as_slice()[..bytes.as_slice().len() - 3];
         assert_eq!(
             CompressedInvertedIndex::<u64>::from_bytes(cut).unwrap_err(),
             IndexCodecError::Truncated
@@ -902,11 +907,11 @@ mod tests {
         // A corrupt header declaring 2^60 keys must error out, not
         // abort on a multi-exabyte Vec reservation.
         let mut raw = Vec::new();
-        raw.put_u32_le(MAGIC);
-        raw.put_u8(VERSION);
-        raw.put_u8(packed_kind::<1>());
-        raw.put_u64_le(1u64 << 60);
-        raw.put_u64_le(0); // arena_len
+        put_u32(&mut raw, MAGIC);
+        raw.push(VERSION);
+        raw.push(packed_kind::<1>());
+        put_u64(&mut raw, 1u64 << 60);
+        put_u64(&mut raw, 0); // arena_len
         assert_eq!(
             CompressedInvertedIndex::<u64>::from_bytes(&raw[..]).unwrap_err(),
             IndexCodecError::Truncated
@@ -972,7 +977,7 @@ mod tests {
         let mut h: HybridIndex<u64> = HybridIndex::new();
         h.push(1, 0, 2.0, 0.5);
         h.finalize();
-        let padded = |bytes: Bytes| {
+        let padded = |bytes: IndexBytes| {
             let mut raw = bytes.as_slice().to_vec();
             raw.push(0);
             raw

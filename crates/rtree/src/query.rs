@@ -36,14 +36,6 @@ impl<T> RTree<T> {
         out
     }
 
-    /// All leaf entries with positive-area overlap with `probe`.
-    pub fn search_overlapping(&self, probe: &Rect) -> Vec<&LeafEntry<T>> {
-        self.search_intersecting(probe)
-            .into_iter()
-            .filter(|e| e.rect.overlaps_positively(probe))
-            .collect()
-    }
-
     /// Generic pruned traversal: `descend` is consulted at every
     /// internal node (given its id) and `on_leaf` receives every reached
     /// leaf node id. The IR-tree baseline uses this to apply its node
@@ -78,23 +70,6 @@ impl<T> RTree<T> {
             }
         }
         visited
-    }
-
-    /// Iterates every leaf node id with its entries (index construction
-    /// for the IR-tree's per-node inverted files).
-    pub fn for_each_leaf(&self, mut f: impl FnMut(NodeId, &[LeafEntry<T>])) {
-        self.traverse(|_| Descend::Yes, |id, entries| f(id, entries));
-    }
-
-    /// Iterates every node id top-down.
-    pub fn for_each_node(&self, mut f: impl FnMut(NodeId)) {
-        self.traverse(
-            |id| {
-                f(id);
-                Descend::Yes
-            },
-            |_, _| {},
-        );
     }
 }
 
@@ -138,25 +113,6 @@ mod tests {
     }
 
     #[test]
-    fn overlapping_excludes_boundary_touch() {
-        let t = build(10);
-        // Probe touching entry 0's right edge (x=8) exactly.
-        let probe = Rect::new(8.0, 0.0, 9.0, 8.0).unwrap();
-        let touch: Vec<usize> = t
-            .search_intersecting(&probe)
-            .iter()
-            .map(|e| e.value)
-            .collect();
-        assert!(touch.contains(&0));
-        let positive: Vec<usize> = t
-            .search_overlapping(&probe)
-            .iter()
-            .map(|e| e.value)
-            .collect();
-        assert!(!positive.contains(&0));
-    }
-
-    #[test]
     fn empty_tree_queries() {
         let t: RTree<usize> = RTree::new(RTreeConfig::default());
         let probe = Rect::new(0.0, 0.0, 1.0, 1.0).unwrap();
@@ -175,21 +131,5 @@ mod tests {
         let visited = t.traverse(|_| Descend::Yes, |_, _| leaves += 1);
         assert_eq!(visited, t.node_count());
         assert!(leaves > 0);
-    }
-
-    #[test]
-    fn for_each_leaf_covers_all_entries() {
-        let t = build(100);
-        let mut count = 0;
-        t.for_each_leaf(|_, entries| count += entries.len());
-        assert_eq!(count, 100);
-    }
-
-    #[test]
-    fn for_each_node_counts() {
-        let t = build(100);
-        let mut nodes = 0;
-        t.for_each_node(|_| nodes += 1);
-        assert_eq!(nodes, t.node_count());
     }
 }

@@ -35,14 +35,6 @@ impl GlobalTokenOrder {
         GlobalTokenOrder { rank }
     }
 
-    /// An identity order (by token id) — used by ablation benchmarks to
-    /// quantify how much the idf order matters.
-    pub fn identity(vocab_size: usize) -> Self {
-        GlobalTokenOrder {
-            rank: (0..vocab_size as u32).collect(),
-        }
-    }
-
     /// The rank of a token. Unknown tokens (beyond the vocabulary the
     /// order was built for) sort last, after all ranked tokens.
     #[inline]
@@ -122,17 +114,9 @@ mod tests {
 
     #[test]
     fn unknown_tokens_sort_last_deterministically() {
-        let order = GlobalTokenOrder::identity(3);
+        let w = IdfWeights::from_values(vec![0.3, 0.2, 0.1]);
+        let order = GlobalTokenOrder::by_descending_weight(3, &w);
         assert!(order.rank(TokenId(5)) > order.rank(TokenId(2)));
         assert!(order.rank(TokenId(6)) > order.rank(TokenId(5)));
-    }
-
-    #[test]
-    fn identity_order() {
-        let order = GlobalTokenOrder::identity(4);
-        let mut v = vec![TokenId(3), TokenId(0), TokenId(2)];
-        order.sort(&mut v);
-        assert_eq!(v, vec![TokenId(0), TokenId(2), TokenId(3)]);
-        assert_eq!(order.vocab_size(), 4);
     }
 }

@@ -37,18 +37,6 @@ impl Tokenizer {
         }
     }
 
-    /// Sets the minimum token length kept.
-    pub fn with_min_len(mut self, min_len: usize) -> Self {
-        self.min_len = min_len;
-        self
-    }
-
-    /// Replaces the stopword list.
-    pub fn with_stopwords<I: IntoIterator<Item = String>>(mut self, words: I) -> Self {
-        self.stopwords = words.into_iter().collect();
-        self
-    }
-
     /// Tokenizes text into lowercase alphanumeric terms.
     pub fn tokenize(&self, text: &str) -> Vec<String> {
         text.split(|c: char| !c.is_alphanumeric())
@@ -91,14 +79,6 @@ mod tests {
     fn unicode_boundaries() {
         let toks = tokenize("café-au-lait ☕ déjà");
         assert_eq!(toks, vec!["café", "au", "lait", "déjà"]);
-    }
-
-    #[test]
-    fn custom_configuration() {
-        let t = Tokenizer::raw()
-            .with_min_len(3)
-            .with_stopwords(vec!["foo".to_string()]);
-        assert_eq!(t.tokenize("foo bar ba zap"), vec!["bar", "zap"]);
     }
 
     #[test]

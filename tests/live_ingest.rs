@@ -18,14 +18,12 @@ use seal_core::{verify::naive_search, BuildOpts};
 use seal_core::{
     FilterKind, LiveEngine, ObjectId, ObjectStore, Query, RoiObject, SealEngine, SimilarityConfig,
 };
-use seal_geom::Rect;
-use seal_text::{TokenId, TokenSet};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 #[path = "util/mod.rs"]
 mod util;
-use util::twitter_fixture;
+use util::{materialize, obj_strategy, twitter_fixture, workload, VOCAB};
 
 /// Every filter kind that serves off a signature index (the baselines
 /// have no index path to go stale).
@@ -50,56 +48,6 @@ fn indexed_kinds() -> Vec<FilterKind> {
             max_level: 4,
             budget: 8,
         },
-    ]
-}
-
-const VOCAB: usize = 12;
-
-/// Proptest-generated object: position, extent, 1–3 token ids.
-type RawObj = (u32, u32, u32, u32, Vec<u32>);
-
-fn obj_strategy() -> impl Strategy<Value = RawObj> {
-    (
-        0u32..100,
-        0u32..100,
-        1u32..25,
-        1u32..25,
-        proptest::collection::vec(0u32..VOCAB as u32, 1..4),
-    )
-}
-
-fn materialize(raw: &RawObj) -> RoiObject {
-    let (x, y, w, h, ref tokens) = *raw;
-    RoiObject::new(
-        Rect::new(
-            f64::from(x),
-            f64::from(y),
-            f64::from(x + w),
-            f64::from(y + h),
-        )
-        .unwrap(),
-        TokenSet::from_ids(tokens.iter().map(|&t| TokenId(t))),
-    )
-}
-
-fn workload() -> Vec<Query> {
-    let region = |x0, y0, x1, y1| Rect::new(x0, y0, x1, y1).unwrap();
-    vec![
-        Query::with_token_ids(
-            region(0.0, 0.0, 60.0, 60.0),
-            [TokenId(0), TokenId(1)],
-            0.1,
-            0.1,
-        )
-        .unwrap(),
-        Query::with_token_ids(
-            region(20.0, 20.0, 90.0, 90.0),
-            [TokenId(2), TokenId(5), TokenId(7)],
-            0.3,
-            0.2,
-        )
-        .unwrap(),
-        Query::with_token_ids(region(50.0, 0.0, 125.0, 70.0), [TokenId(3)], 0.2, 0.5).unwrap(),
     ]
 }
 
