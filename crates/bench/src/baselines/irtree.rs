@@ -11,8 +11,9 @@
 //! prunes poorly — high internal nodes have huge MBRs and near-complete
 //! vocabularies — and costs `H×` token storage (Table 1's 2.37 GB).
 
-use crate::filters::{CandidateFilter, QueryContext};
-use crate::{ObjectId, ObjectStore, Query, SearchStats};
+use seal_core::signatures::relax;
+use seal_core::simfn::{c_r, c_t};
+use seal_core::{ObjectId, ObjectStore, Query, SearchStats};
 use seal_rtree::{Descend, NodeId, NodeKind, RTree, RTreeConfig};
 use seal_text::{TokenId, TokenSet, TokenWeights};
 use std::collections::HashMap;
@@ -37,12 +38,8 @@ pub struct IrTreeBaseline {
 }
 
 impl IrTreeBaseline {
-    /// Bulk-loads the R-tree and builds per-node token unions.
-    pub fn build(store: Arc<ObjectStore>) -> Self {
-        Self::build_with_fanout(store, RTreeConfig::default().max_entries)
-    }
-
-    /// Builds with an explicit fan-out (the paper's example uses 3).
+    /// Bulk-loads the R-tree at the given fan-out (the paper's example
+    /// uses 3, `repro` 64) and builds per-node token unions.
     pub fn build_with_fanout(store: Arc<ObjectStore>, fanout: usize) -> Self {
         let items: Vec<(seal_geom::Rect, u32)> =
             store.iter().map(|(id, o)| (o.region, id.0)).collect();
@@ -79,9 +76,60 @@ impl IrTreeBaseline {
         self.stored_tokens
     }
 
-    /// Total (token, child) postings across all per-node inverted files.
-    pub fn stored_postings(&self) -> usize {
-        self.stored_postings
+    /// The objects with `|q.R ∩ o.R| ≥ c_R` (relaxed by [`relax`])
+    /// under every node both bounds let the traversal into, in
+    /// traversal order; counts every leaf entry read and every node
+    /// visited into `stats`.
+    pub fn candidates(&self, q: &Query, stats: &mut SearchStats) -> Vec<ObjectId> {
+        let c_r = relax(c_r(q));
+        let c_t = relax(c_t(q, self.store.weights()));
+        let weights = self.store.weights();
+        let region = q.region;
+        let mut out = Vec::new();
+        let visited = self.tree.traverse(
+            |id| {
+                // Spatial bound: the node's MBR must be able to supply
+                // c_R of overlap.
+                if self.tree.mbr(id).intersection_area(&region) < c_r {
+                    return Descend::No;
+                }
+                // Textual bound: the subtree vocabulary must be able to
+                // supply c_T of intersection weight.
+                let node_set = &self.node_tokens[&id];
+                let overlap_weight: f64 = q
+                    .tokens
+                    .intersection(node_set)
+                    .map(|t| weights.weight(t))
+                    .sum();
+                if overlap_weight < c_t {
+                    return Descend::No;
+                }
+                Descend::Yes
+            },
+            |_, entries| {
+                for e in entries {
+                    stats.postings_scanned += 1;
+                    if e.rect.intersection_area(&region) >= c_r {
+                        out.push(ObjectId(e.value));
+                    }
+                }
+            },
+        );
+        stats.nodes_visited += visited;
+        out
+    }
+
+    /// Heap bytes of the tree and its per-node inverted files
+    /// (Table 1's IR-tree row).
+    pub fn index_bytes(&self) -> usize {
+        // Tree MBRs + the per-node inverted files. A file posting is a
+        // (token, child-pointer) pair; token-set membership bitmaps are
+        // the `stored_tokens` term.
+        self.tree.stats().size_bytes
+            + self.stored_postings
+                * (std::mem::size_of::<TokenId>() + std::mem::size_of::<NodeId>())
+            + self.stored_tokens * std::mem::size_of::<TokenId>()
+            + self.node_tokens.len() * std::mem::size_of::<TokenSet>()
     }
 }
 
@@ -122,68 +170,12 @@ fn build_token_unions(
     set
 }
 
-impl CandidateFilter for IrTreeBaseline {
-    fn name(&self) -> &'static str {
-        "IR-Tree"
-    }
-
-    fn candidates_into(&self, q: &Query, ctx: &mut QueryContext, stats: &mut SearchStats) {
-        let c_r = crate::signatures::relax(crate::simfn::c_r(q));
-        let c_t = crate::signatures::relax(crate::simfn::c_t(q, self.store.weights()));
-        let weights = self.store.weights();
-        let region = q.region;
-        ctx.candidates.clear();
-        let out = &mut ctx.candidates;
-        let visited = self.tree.traverse(
-            |id| {
-                // Spatial bound: the node's MBR must be able to supply
-                // c_R of overlap.
-                if self.tree.mbr(id).intersection_area(&region) < c_r {
-                    return Descend::No;
-                }
-                // Textual bound: the subtree vocabulary must be able to
-                // supply c_T of intersection weight.
-                let node_set = &self.node_tokens[&id];
-                let overlap_weight: f64 = q
-                    .tokens
-                    .intersection(node_set)
-                    .map(|t| weights.weight(t))
-                    .sum();
-                if overlap_weight < c_t {
-                    return Descend::No;
-                }
-                Descend::Yes
-            },
-            |_, entries| {
-                for e in entries {
-                    stats.postings_scanned += 1;
-                    if e.rect.intersection_area(&region) >= c_r {
-                        out.push(ObjectId(e.value));
-                    }
-                }
-            },
-        );
-        stats.nodes_visited += visited;
-    }
-
-    fn index_bytes(&self) -> usize {
-        // Tree MBRs + the per-node inverted files. A file posting is a
-        // (token, child-pointer) pair; token-set membership bitmaps are
-        // the `stored_tokens` term.
-        self.tree.stats().size_bytes
-            + self.stored_postings
-                * (std::mem::size_of::<TokenId>() + std::mem::size_of::<NodeId>())
-            + self.stored_tokens * std::mem::size_of::<TokenId>()
-            + self.node_tokens.len() * std::mem::size_of::<TokenSet>()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::store::figure1_store;
-    use crate::verify::{naive_search, verify};
-    use crate::SimilarityConfig;
+    use seal_core::store::figure1_store;
+    use seal_core::verify::{naive_search, verify};
+    use seal_core::SimilarityConfig;
 
     #[test]
     fn irtree_finds_all_answers() {
@@ -228,7 +220,7 @@ mod tests {
         let mut stats = SearchStats::new();
         let mut got = ir.candidates(&q, &mut stats);
         got.sort_unstable();
-        let c_r = crate::simfn::c_r(&q);
+        let c_r = c_r(&q);
         let mut expect: Vec<ObjectId> = store
             .iter()
             .filter(|(_, o)| q.region.intersection_area(&o.region) >= c_r)
@@ -241,8 +233,7 @@ mod tests {
     #[test]
     fn accessors() {
         let (store, _q) = figure1_store();
-        let f = IrTreeBaseline::build(Arc::new(store));
-        assert_eq!(f.name(), "IR-Tree");
+        let f = IrTreeBaseline::build_with_fanout(Arc::new(store), 64);
         assert!(f.index_bytes() > 0);
         assert!(f.tree().len() == 7);
     }

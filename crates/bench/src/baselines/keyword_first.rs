@@ -3,8 +3,8 @@
 //! sharing a token with the query, keep those with `simT ≥ τ_T`, verify
 //! the spatial predicate afterwards.
 
-use crate::filters::{CandidateFilter, QueryContext};
-use crate::{ObjectId, ObjectStore, Query, SearchStats};
+use seal_core::signatures::relax;
+use seal_core::{ObjectId, ObjectStore, Query, SearchStats};
 use seal_index::InvertedIndex;
 use seal_text::TokenWeights;
 use std::sync::Arc;
@@ -42,46 +42,53 @@ impl KeywordFirst {
             empty_token_objects: empty,
         }
     }
-}
 
-impl CandidateFilter for KeywordFirst {
-    fn name(&self) -> &'static str {
-        "Keyword"
-    }
-
-    fn candidates_into(&self, q: &Query, ctx: &mut QueryContext, stats: &mut SearchStats) {
-        ctx.candidates.clear();
+    /// The objects whose weighted Jaccard with the query reaches
+    /// `τ_T` (relaxed by [`relax`], as every filter's bound is), in
+    /// first-touch order; counts every list probed and every posting
+    /// read into `stats`.
+    pub fn candidates(&self, q: &Query, stats: &mut SearchStats) -> Vec<ObjectId> {
         if q.tokens.is_empty() {
-            ctx.candidates.extend_from_slice(&self.empty_token_objects);
-            return;
+            return self.empty_token_objects.clone();
         }
         let w_q = self.store.weights().set_weight(&q.tokens);
-        ctx.acc.begin(self.store.len());
-        ctx.touched.clear();
+        // Per-object intersection weight, summed in query-token order.
+        let mut inter = vec![0.0f64; self.store.len()];
+        let mut seen = vec![false; self.store.len()];
+        let mut touched = Vec::new();
         for t in q.tokens.iter() {
             stats.lists_probed += 1;
             if let Some(list) = self.index.list(&t.0) {
                 stats.postings_scanned += list.len();
                 for (&o, &w) in list.ids.iter().zip(list.bounds[0]) {
-                    ctx.acc.add(o, w, &mut ctx.touched); // = w(t)
+                    let i = o as usize;
+                    if !seen[i] {
+                        seen[i] = true;
+                        touched.push(o);
+                    }
+                    inter[i] += w; // = w(t)
                 }
             }
         }
-        for &o in &ctx.touched {
-            let inter = ctx.acc.sum(o);
-            let w_o = self.object_weights[o as usize];
-            // Weighted Jaccard from the accumulated intersection weight
-            // and the two set weights: the intersection set is never
-            // materialized.
-            let union = w_q + w_o - inter;
-            let sim = if union <= 0.0 { 1.0 } else { inter / union };
-            if sim >= crate::signatures::relax(q.tau_textual) {
-                ctx.candidates.push(ObjectId(o));
-            }
-        }
+        let tau = relax(q.tau_textual);
+        touched
+            .into_iter()
+            .filter(|&o| {
+                let (inter, w_o) = (inter[o as usize], self.object_weights[o as usize]);
+                // Weighted Jaccard from the accumulated intersection
+                // weight and the two set weights: the intersection set
+                // is never materialized.
+                let union = w_q + w_o - inter;
+                let sim = if union <= 0.0 { 1.0 } else { inter / union };
+                sim >= tau
+            })
+            .map(ObjectId)
+            .collect()
     }
 
-    fn index_bytes(&self) -> usize {
+    /// Heap bytes of the token index and the per-object set weights
+    /// (Table 1).
+    pub fn index_bytes(&self) -> usize {
         self.index.size_bytes() + self.object_weights.len() * std::mem::size_of::<f64>()
     }
 }
@@ -89,9 +96,10 @@ impl CandidateFilter for KeywordFirst {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::store::figure1_store;
-    use crate::verify::{naive_search, verify};
-    use crate::SimilarityConfig;
+    use seal_core::store::figure1_store;
+    use seal_core::verify::{naive_search, verify};
+    use seal_core::SimilarityConfig;
+    use seal_text::similarity::weighted_jaccard;
 
     #[test]
     fn keyword_first_finds_all_answers() {
@@ -121,7 +129,9 @@ mod tests {
         got.sort_unstable();
         let mut expect: Vec<ObjectId> = store
             .iter()
-            .filter(|(_, o)| crate::simfn::textual_sim(&q, o, store.weights()) >= q.tau_textual)
+            .filter(|(_, o)| {
+                weighted_jaccard(&q.tokens, &o.tokens, store.weights()) >= q.tau_textual
+            })
             .map(|(id, _)| id)
             .collect();
         expect.sort_unstable();
@@ -139,6 +149,5 @@ mod tests {
         let _ = f.candidates(&q, &mut stats);
         let full: usize = q.tokens.iter().map(|t| f.index.list_len(&t.0)).sum();
         assert_eq!(stats.postings_scanned, full);
-        assert_eq!(f.name(), "Keyword");
     }
 }

@@ -3,9 +3,8 @@
 //! the query region, keeps those with `simR ≥ τ_R`, and verifies the
 //! textual predicate afterwards.
 
-use crate::filters::{CandidateFilter, QueryContext};
-use crate::{ObjectId, ObjectStore, Query, SearchStats};
-
+use seal_core::signatures::relax;
+use seal_core::{ObjectId, ObjectStore, Query, SearchStats};
 use seal_rtree::{Descend, RTree, RTreeConfig};
 use std::sync::Arc;
 
@@ -24,22 +23,13 @@ impl SpatialFirst {
         SpatialFirst { tree }
     }
 
-    /// The underlying R-tree (diagnostics).
-    pub fn tree(&self) -> &RTree<u32> {
-        &self.tree
-    }
-}
-
-impl CandidateFilter for SpatialFirst {
-    fn name(&self) -> &'static str {
-        "Spatial"
-    }
-
-    fn candidates_into(&self, q: &Query, ctx: &mut QueryContext, stats: &mut SearchStats) {
-        ctx.candidates.clear();
-        let out = &mut ctx.candidates;
+    /// The objects whose spatial Jaccard with the query reaches `τ_R`
+    /// (relaxed by [`relax`]), in traversal order; counts every leaf
+    /// entry read and every node visited into `stats`.
+    pub fn candidates(&self, q: &Query, stats: &mut SearchStats) -> Vec<ObjectId> {
+        let mut out = Vec::new();
         let region = q.region;
-        let tau = crate::signatures::relax(q.tau_spatial);
+        let tau = relax(q.tau_spatial);
         let visited = self.tree.traverse(
             |id| {
                 if self.tree.mbr(id).intersects(&region) {
@@ -58,9 +48,11 @@ impl CandidateFilter for SpatialFirst {
             },
         );
         stats.nodes_visited += visited;
+        out
     }
 
-    fn index_bytes(&self) -> usize {
+    /// Heap bytes of the R-tree (Table 1).
+    pub fn index_bytes(&self) -> usize {
         self.tree.stats().size_bytes
     }
 }
@@ -68,9 +60,9 @@ impl CandidateFilter for SpatialFirst {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::store::figure1_store;
-    use crate::verify::{naive_search, verify};
-    use crate::SimilarityConfig;
+    use seal_core::store::figure1_store;
+    use seal_core::verify::{naive_search, verify};
+    use seal_core::SimilarityConfig;
 
     #[test]
     fn spatial_first_finds_all_answers() {
@@ -98,13 +90,12 @@ mod tests {
         got.sort_unstable();
         let mut expect: Vec<ObjectId> = store
             .iter()
-            .filter(|(_, o)| crate::simfn::spatial_sim(&q, o) >= q.tau_spatial)
+            .filter(|(_, o)| q.region.jaccard(&o.region) >= q.tau_spatial)
             .map(|(id, _)| id)
             .collect();
         expect.sort_unstable();
         assert_eq!(got, expect);
         assert!(stats.nodes_visited >= 1);
-        assert_eq!(f.name(), "Spatial");
         assert!(f.index_bytes() > 0);
     }
 }

@@ -7,9 +7,14 @@
 //! `tests/reproduction.rs` asserts each figure's qualitative claim on
 //! them and pins them against the recorded `REPRODUCTION.json`.
 //! Serving-side timing belongs to the `benchmark/` package.
+//!
+//! [`baselines`] holds the paper's §2.3 comparison points —
+//! Keyword-first, Spatial-first and the IR-tree — which the sweep runs
+//! beside the engine's filters.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod baselines;
 pub mod data;
 pub mod sweep;

@@ -7,9 +7,12 @@
 //! `REPRODUCTION.json` records. `ms` is the mean per-query time, taken
 //! here around the engine calls; nothing asserts it.
 
+use crate::baselines::{IrTreeBaseline, KeywordFirst, SpatialFirst};
 use crate::data::{build_store, queries, twitter, usa, BenchConfig};
 use seal_core::granularity::{level_costs, CostModel};
-use seal_core::{verify, FilterKind, Query, QueryContext, SealEngine, SearchStats};
+use seal_core::{
+    verify, FilterKind, ObjectStore, Query, QueryContext, SealEngine, SearchStats, SimilarityConfig,
+};
 use seal_datagen::{Dataset, QuerySpec};
 use std::hint::black_box;
 use std::time::{Duration, Instant};
@@ -103,19 +106,54 @@ fn row(
     }
 }
 
+/// What a row measures: an engine, or one of the §2.3 baselines.
+enum Method {
+    Engine(SealEngine),
+    IrTree(IrTreeBaseline),
+    Keyword(KeywordFirst),
+    Spatial(SpatialFirst),
+}
+
+impl Method {
+    /// One query's counters. A baseline makes the two calls
+    /// `SealEngine::search_with_ctx` makes — its `candidates`, then
+    /// `verify` over `store` — so every counter means the same in its
+    /// rows as in an engine's.
+    fn search(&self, store: &ObjectStore, q: &Query) -> SearchStats {
+        let mut stats = SearchStats::new();
+        let candidates = match self {
+            Method::Engine(e) => return e.search(q).stats,
+            Method::IrTree(b) => b.candidates(q, &mut stats),
+            Method::Keyword(b) => b.candidates(q, &mut stats),
+            Method::Spatial(b) => b.candidates(q, &mut stats),
+        };
+        verify::verify(store, &SimilarityConfig, q, &candidates, &mut stats);
+        stats
+    }
+
+    fn index_bytes(&self) -> usize {
+        match self {
+            Method::Engine(e) => e.index_bytes(),
+            Method::IrTree(b) => b.index_bytes(),
+            Method::Keyword(b) => b.index_bytes(),
+            Method::Spatial(b) => b.index_bytes(),
+        }
+    }
+}
+
 /// Runs the query set once to warm up, then once timed around the
 /// `search` calls: the summed counters and the mean ms per query.
-fn measure(at: (&'static str, &str, f64), e: &SealEngine, qs: &[Query]) -> Row {
+fn measure(at: (&'static str, &str, f64), m: &Method, store: &ObjectStore, qs: &[Query]) -> Row {
     for q in qs {
-        black_box(e.search(q));
+        black_box(m.search(store, q));
     }
     let mut stats = SearchStats::new();
     let start = Instant::now();
     for q in qs {
-        stats.accumulate(&e.search(q).stats);
+        stats.accumulate(&m.search(store, q));
     }
     let ms = ms_per(start.elapsed(), qs.len());
-    row(at, qs, stats, e.index_bytes(), ms)
+    row(at, qs, stats, m.index_bytes(), ms)
 }
 
 fn ms_per(elapsed: Duration, n: usize) -> f64 {
@@ -181,8 +219,12 @@ fn table1(d: &Dataset) -> Vec<Row> {
         side: 1024,
         buckets: Some(1 << 20),
     };
+    let x = store.len() as f64;
+    let start = Instant::now();
+    let bytes = IrTreeBaseline::build_with_fanout(store.clone(), 64).index_bytes();
+    let ms = ms_per(start.elapsed(), 1);
+    let irtree = row(("", "IR-tree", x), &[], SearchStats::new(), bytes, ms);
     let kinds = [
-        ("IR-tree", FilterKind::IrTree { fanout: 64 }),
         ("TokenInv", FilterKind::Token),
         ("TokenInv compressed", FilterKind::TokenCompressed),
         ("GridInv(1024)", FilterKind::Grid { side: 1024 }),
@@ -190,27 +232,26 @@ fn table1(d: &Dataset) -> Vec<Row> {
         ("HashInv compressed", compressed),
         ("HierarchicalInv", FilterKind::seal_default()),
     ];
-    let x = store.len() as f64;
-    kinds
-        .into_iter()
-        .map(|(name, kind)| {
-            let start = Instant::now();
-            let bytes = SealEngine::build(store.clone(), kind).index_bytes();
-            let ms = ms_per(start.elapsed(), 1);
-            row(("", name, x), &[], SearchStats::new(), bytes, ms)
-        })
-        .collect()
+    let engines = kinds.into_iter().map(|(name, kind)| {
+        let start = Instant::now();
+        let bytes = SealEngine::build(store.clone(), kind).index_bytes();
+        let ms = ms_per(start.elapsed(), 1);
+        row(("", name, x), &[], SearchStats::new(), bytes, ms)
+    });
+    std::iter::once(irtree).chain(engines).collect()
 }
 
 /// Figures 12, 14, 16 and 17: every method at every τ of four panels —
 /// (a) large regions over τ_R, (b) large over τ_T, (c) small over τ_R,
 /// (d) small over τ_T — the other threshold at 0.4.
 fn tau_panels(d: &Dataset, cfg: &BenchConfig, figure: &str) -> Vec<Row> {
+    let store = build_store(d);
+    let engine = |kind| Method::Engine(SealEngine::build(store.clone(), kind));
     let sides = [256, 512, 1024];
-    let grid = |side| (format!("Grid({side})"), FilterKind::Grid { side });
-    let hybrid = |side| (format!("HashHybrid({side})"), hash(side, 1 << 20));
-    let kinds: Vec<(String, FilterKind)> = match figure {
-        "fig12" => [("Token".into(), FilterKind::Token)]
+    let grid = |side| (format!("Grid({side})"), engine(FilterKind::Grid { side }));
+    let hybrid = |side| (format!("HashHybrid({side})"), engine(hash(side, 1 << 20)));
+    let methods: Vec<(String, Method)> = match figure {
+        "fig12" => [("Token".into(), engine(FilterKind::Token))]
             .into_iter()
             .chain(sides.map(grid))
             .collect(),
@@ -218,24 +259,24 @@ fn tau_panels(d: &Dataset, cfg: &BenchConfig, figure: &str) -> Vec<Row> {
             .into_iter()
             .flat_map(|s| [grid(s), hybrid(s)])
             .collect(),
-        _ => vec![
-            ("IR-tree".into(), FilterKind::IrTree { fanout: 64 }),
-            ("Keyword-first".into(), FilterKind::KeywordFirst),
-            ("Spatial-first".into(), FilterKind::SpatialFirst),
-            ("Seal".into(), FilterKind::seal_default()),
-        ],
+        _ => {
+            let irtree = IrTreeBaseline::build_with_fanout(store.clone(), 64);
+            let keyword = KeywordFirst::build(store.clone());
+            let spatial = SpatialFirst::build(store.clone());
+            vec![
+                ("IR-tree".into(), Method::IrTree(irtree)),
+                ("Keyword-first".into(), Method::Keyword(keyword)),
+                ("Spatial-first".into(), Method::Spatial(spatial)),
+                ("Seal".into(), engine(FilterKind::seal_default())),
+            ]
+        }
     };
-    let store = build_store(d);
-    let engines: Vec<(String, SealEngine)> = kinds
-        .into_iter()
-        .map(|(name, kind)| (name, SealEngine::build(store.clone(), kind)))
-        .collect();
     let mut rows = Vec::new();
     for (panel, spec) in [("a", LARGE), ("b", LARGE), ("c", SMALL), ("d", SMALL)] {
         for tau in TAUS {
             let qs = queries(d, spec, cfg, thresholds(matches!(panel, "a" | "c"), tau));
-            for (name, e) in &engines {
-                rows.push(measure((panel, name, tau), e, &qs));
+            for (name, m) in &methods {
+                rows.push(measure((panel, name, tau), m, &store, &qs));
             }
         }
     }
@@ -293,7 +334,7 @@ fn fig13(d: &Dataset, cfg: &BenchConfig) -> Vec<Row> {
 /// budget steps (bucket count; `m_t`), τ_R = 0.4, τ_T = 0.1.
 fn fig15(d: &Dataset, cfg: &BenchConfig) -> Vec<Row> {
     let store = build_store(d);
-    let build = |kind| SealEngine::build(store.clone(), kind);
+    let build = |kind| Method::Engine(SealEngine::build(store.clone(), kind));
     let steps: Vec<_> = [(1 << 14, 8), (1 << 16, 32), (1 << 18, 128), (1 << 20, 512)]
         .into_iter()
         .map(|(buckets, budget)| {
@@ -308,8 +349,10 @@ fn fig15(d: &Dataset, cfg: &BenchConfig) -> Vec<Row> {
     for (panel, spec) in [("a", LARGE), ("b", SMALL)] {
         let qs = queries(d, spec, cfg, (0.4, 0.1));
         for (buckets, budget, hash, hier) in &steps {
-            rows.push(measure((panel, "HashHybrid", *buckets as f64), hash, &qs));
-            rows.push(measure((panel, "Hierarchical", *budget as f64), hier, &qs));
+            let at = (panel, "HashHybrid", *buckets as f64);
+            rows.push(measure(at, hash, &store, &qs));
+            let at = (panel, "Hierarchical", *budget as f64);
+            rows.push(measure(at, hier, &store, &qs));
         }
     }
     rows
@@ -327,13 +370,14 @@ fn fig18(d: &Dataset, cfg: &BenchConfig) -> Vec<Row> {
         };
         let smaller = (step < 5).then(|| twitter(&cfg));
         let d = smaller.as_ref().unwrap_or(d);
-        let engine = SealEngine::build(build_store(d), FilterKind::seal_default());
+        let store = build_store(d);
+        let seal = Method::Engine(SealEngine::build(store.clone(), FilterKind::seal_default()));
         for (panel, tau) in ["a", "b"]
             .into_iter()
             .flat_map(|p| [0.1, 0.3, 0.5].map(|t| (p, t)))
         {
             let qs = queries(d, LARGE, &cfg, thresholds(panel == "a", tau));
-            rows.push(measure((panel, "Seal", objects as f64), &engine, &qs));
+            rows.push(measure((panel, "Seal", objects as f64), &seal, &store, &qs));
         }
     }
     rows

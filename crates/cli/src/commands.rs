@@ -22,7 +22,7 @@ commands:
   stats     --data FILE
             print dataset statistics (Table 1's data rows)
   index     --data FILE [--filter seal|token|token-compressed|grid|hash|
-            hash-compressed|irtree|keyword|spatial] [--threads N]
+            hash-compressed] [--threads N]
             [--shards N]
             build an index and report build time + size (alias: build;
             --threads 0 = one worker per core, default 1; --shards N>1
@@ -196,9 +196,6 @@ fn filter_kind(name: &str) -> Result<FilterKind, Box<dyn Error>> {
             side: 1024,
             buckets: Some(1 << 20),
         },
-        "irtree" => FilterKind::IrTree { fanout: 64 },
-        "keyword" => FilterKind::KeywordFirst,
-        "spatial" => FilterKind::SpatialFirst,
         other => return Err(format!("unknown filter {other:?}").into()),
     })
 }
@@ -670,13 +667,12 @@ mod tests {
             "hash",
             "hash-compressed",
             "hashc",
-            "irtree",
-            "keyword",
-            "spatial",
         ] {
             assert!(filter_kind(f).is_ok(), "{f}");
         }
-        for gone in ["nope", "adaptive"] {
+        // The §2.3 baselines are not engine filters (they live in
+        // seal-bench), so their old names are unknown too.
+        for gone in ["nope", "adaptive", "irtree", "keyword", "spatial"] {
             let e = filter_kind(gone).unwrap_err();
             assert!(e.to_string().starts_with("unknown filter"), "{e}");
         }

@@ -8,7 +8,7 @@
 //! ```
 //!
 //! `KIND` is one of `seal`, `token`, `token-compressed`, `grid`,
-//! `hash`, `hash-compressed`, `irtree`, `keyword` or `spatial`.
+//! `hash` or `hash-compressed`.
 //!
 //! The data format is the TSV of `seal_datagen::io` (one object per
 //! line: `min_x min_y max_x max_y tokens,comma,separated`).

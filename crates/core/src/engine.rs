@@ -2,7 +2,6 @@
 //! construction at build time, `Sig-Filter` → `Sig-Verify` at query
 //! time, behind one facade.
 
-use crate::baselines::{IrTreeBaseline, KeywordFirst, SpatialFirst};
 use crate::filters::{
     CandidateFilter, GridFilter, HierarchicalFilter, HybridFilter, QueryContext, Storage,
     TokenFilter,
@@ -12,8 +11,8 @@ use crate::{ObjectId, ObjectStore, Query, SearchStats, SimilarityConfig};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 
-/// Which filtering method the engine builds (Table 1's index rows plus
-/// the baselines of Section 2.3).
+/// Which filtering method the engine builds (Table 1's signature-index
+/// rows; the §2.3 baselines live with the reproduction in `seal-bench`).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum FilterKind {
     /// `Sig-Filter+` on textual signatures (`TokenInv`).
@@ -51,15 +50,6 @@ pub enum FilterKind {
         max_level: u8,
         /// `m_t`: selected grids per token.
         budget: usize,
-    },
-    /// Keyword-first baseline.
-    KeywordFirst,
-    /// Spatial-first baseline.
-    SpatialFirst,
-    /// IR-tree baseline.
-    IrTree {
-        /// R-tree fan-out.
-        fanout: usize,
     },
 }
 
@@ -133,10 +123,9 @@ impl SealEngine {
     /// the build-side work (per-token `HSS-Greedy` selections, the
     /// staged group sorts inside `finalize`) out over a work-stealing
     /// pool; the resulting index is **identical for every thread
-    /// count** — parallelism buys wall-clock time only. Filters
-    /// without a parallel build path (the baselines) ignore the
-    /// options. `SimilarityConfig` has one value; the parameter stays
-    /// for linked callers.
+    /// count** — parallelism buys wall-clock time only.
+    /// `SimilarityConfig` has one value; the parameter stays for
+    /// linked callers.
     pub fn build_with_opts(
         store: Arc<ObjectStore>,
         kind: FilterKind,
@@ -164,11 +153,6 @@ impl SealEngine {
             FilterKind::Hierarchical { max_level, budget } => Box::new(
                 HierarchicalFilter::build_with_opts(store.clone(), max_level, budget, opts),
             ),
-            FilterKind::KeywordFirst => Box::new(KeywordFirst::build(store.clone())),
-            FilterKind::SpatialFirst => Box::new(SpatialFirst::build(store.clone())),
-            FilterKind::IrTree { fanout } => {
-                Box::new(IrTreeBaseline::build_with_fanout(store.clone(), fanout))
-            }
         };
         SealEngine {
             store,
@@ -458,9 +442,6 @@ impl FilterKind {
                 buckets: None,
             },
             Hierarchical { max_level, budget },
-            KeywordFirst,
-            SpatialFirst,
-            IrTree { fanout: 3 },
         ];
         let mut kinds = Vec::new();
         for scheme in schemes {

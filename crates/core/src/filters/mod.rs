@@ -21,27 +21,25 @@
 //! # Concurrency model
 //!
 //! Filters are **stateless at query time**: every byte of per-query
-//! scratch (the query's signatures, dedup stamps, accumulator arrays,
-//! candidate buffers, the posting-probe id scratch) lives in a
-//! caller-owned [`QueryContext`], so `&self` probes never contend on a
-//! lock. A serving loop keeps one context per worker thread and calls
+//! scratch (the query's signatures, dedup stamps, candidate buffers,
+//! the posting-probe id scratch) lives in a caller-owned
+//! [`QueryContext`], so `&self` probes never contend on a lock. A
+//! serving loop keeps one context per worker thread and calls
 //! [`CandidateFilter::candidates_into`]; once the buffers have grown
 //! to the workload's largest query, a probe of any filter in the table
 //! above performs **zero heap allocations**
-//! (`tests/probe_allocations.rs` counts them). The R-tree baselines in
-//! [`crate::baselines`] are outside that contract: they collect each
-//! traversal's hits in a fresh vector. The plain
+//! (`tests/probe_allocations.rs` counts them for every
+//! [`FilterKind`](crate::FilterKind)). The plain
 //! [`CandidateFilter::candidates`] convenience method allocates a
 //! fresh context per call — fine for tests and examples, wasteful in a
 //! hot loop.
 //!
 //! # Scratch invariants
 //!
-//! * **Epoch-stamped dedup.** Candidate-set membership and the
-//!   accumulator arrays are reset by bumping a `u32` epoch, not by
-//!   clearing memory, so starting a query costs O(1) regardless of
-//!   store size; a slot is "seen" only if its stamp equals the current
-//!   epoch. On epoch wrap (every 2³²−1 queries per context) the stamp
+//! * **Epoch-stamped dedup.** Candidate-set membership is reset by
+//!   bumping a `u32` epoch, not by clearing memory, so starting a
+//!   query costs O(1) regardless of store size; a slot is "seen" only
+//!   if its stamp equals the current epoch. On epoch wrap (every 2³²−1 queries per context) the stamp
 //!   array is zeroed once to keep stale stamps from aliasing.
 //! * **Filters clear their outputs at entry.** `candidates_into`
 //!   clears `ctx.candidates` (and whatever scratch it uses) before
@@ -171,12 +169,8 @@ pub trait CandidateFilter: Send + Sync {
 
     /// The index sections this filter persists in a `.seal` container,
     /// as `(section kind, codec bytes)` in file order (kinds from
-    /// [`crate::persist`]). Defaults to none: a filter whose build is
-    /// a cheap deterministic function of the store is rebuilt on load
-    /// instead.
-    fn persisted_sections(&self) -> Vec<(u16, Vec<u8>)> {
-        Vec::new()
-    }
+    /// [`crate::persist`]).
+    fn persisted_sections(&self) -> Vec<(u16, Vec<u8>)>;
 
     /// The concrete filter as [`Any`](std::any::Any), for
     /// generation-reusing rebuild paths
@@ -206,13 +200,9 @@ pub trait CandidateFilter: Send + Sync {
 pub struct QueryContext {
     /// Epoch-stamped dedup scratch (candidate set membership).
     pub(crate) dedup: DedupScratch,
-    /// Epoch-stamped weighted accumulator (Keyword-first).
-    pub(crate) acc: AccScratch,
     /// The candidate output buffer of the last
     /// [`CandidateFilter::candidates_into`] call.
     pub(crate) candidates: Vec<ObjectId>,
-    /// Object ids touched by the accumulator this query.
-    pub(crate) touched: Vec<u32>,
     /// Id scratch for `Postings` probes: compressed arenas
     /// block-unpack a qualifying prefix's object ids here (bounds are
     /// cut in the quantized domain and never materialized), dual-bound
@@ -234,12 +224,12 @@ impl QueryContext {
         Self::default()
     }
 
-    /// A context with scratch pre-sized for a store of `n_objects`
-    /// (avoids the one-time growth on the first query).
+    /// A context with scratch pre-sized for a store of `n_objects` —
+    /// the dedup stamps, 4 B per object (avoids the one-time growth on
+    /// the first query).
     pub fn with_capacity(n_objects: usize) -> Self {
         let mut ctx = Self::new();
         ctx.dedup.ensure(n_objects);
-        ctx.acc.ensure(n_objects);
         ctx
     }
 
@@ -297,58 +287,6 @@ impl DedupScratch {
     }
 }
 
-/// Epoch-stamped weighted accumulator: per-object running sums for
-/// Keyword-first, which computes exact signature similarities.
-#[derive(Debug, Default)]
-pub(crate) struct AccScratch {
-    sums: Vec<f64>,
-    stamps: Vec<u32>,
-    epoch: u32,
-}
-
-impl AccScratch {
-    /// Grows the arrays to cover object ids `< n` (keeps epochs).
-    pub(crate) fn ensure(&mut self, n: usize) {
-        if self.stamps.len() < n {
-            self.stamps.resize(n, 0);
-            self.sums.resize(n, 0.0);
-        }
-    }
-
-    /// Starts a new accumulation round for a store of `n` objects.
-    pub(crate) fn begin(&mut self, n: usize) {
-        self.ensure(n);
-        if self.epoch == u32::MAX {
-            self.stamps.fill(0);
-            self.epoch = 0;
-        }
-        self.epoch += 1;
-    }
-
-    /// Adds `w` to the object's sum, recording first touches in
-    /// `touched`. Returns nothing; read back via [`sum`](Self::sum).
-    #[inline]
-    pub(crate) fn add(&mut self, object: u32, w: f64, touched: &mut Vec<u32>) {
-        let i = object as usize;
-        if self.stamps[i] != self.epoch {
-            self.stamps[i] = self.epoch;
-            self.sums[i] = 0.0;
-            touched.push(object);
-        }
-        self.sums[i] += w;
-    }
-
-    /// The accumulated sum for an object this round (0 if untouched).
-    #[inline]
-    pub(crate) fn sum(&self, object: u32) -> f64 {
-        if self.stamps[object as usize] == self.epoch {
-            self.sums[object as usize]
-        } else {
-            0.0
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -389,29 +327,11 @@ mod tests {
     }
 
     #[test]
-    fn acc_scratch_sums_and_touches() {
-        let mut acc = AccScratch::default();
-        let mut touched = Vec::new();
-        acc.begin(4);
-        acc.add(2, 1.5, &mut touched);
-        acc.add(2, 0.5, &mut touched);
-        acc.add(0, 1.0, &mut touched);
-        assert_eq!(touched, vec![2, 0], "first touches only");
-        assert_eq!(acc.sum(2), 2.0);
-        assert_eq!(acc.sum(0), 1.0);
-        assert_eq!(acc.sum(3), 0.0, "untouched reads as zero");
-        acc.begin(4);
-        assert_eq!(acc.sum(2), 0.0, "new round resets");
-    }
-
-    #[test]
     fn context_reuse_is_clean() {
         let mut ctx = QueryContext::with_capacity(8);
         ctx.candidates.push(crate::ObjectId(5));
-        ctx.touched.push(3);
-        // Filters clear these at entry; simulate that contract.
+        // Filters clear this at entry; simulate that contract.
         ctx.candidates.clear();
-        ctx.touched.clear();
         assert!(ctx.candidates().is_empty());
     }
 }

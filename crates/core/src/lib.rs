@@ -50,21 +50,23 @@
 //! | module | paper section | contents |
 //! |--------|---------------|----------|
 //! | [`store`] / [`Query`] | §2.1 | data & query model, corpus weights |
-//! | `simfn` / [`verify`] | §2.1, §3.1 | Definition 3's predicate, `c_R` / `c_T`, `Sig-Verify`, oracle |
+//! | [`simfn`] / [`verify`] | §2.1, §3.1 | Definition 3's predicate, `c_R` / `c_T`, `Sig-Verify`, oracle |
 //! | [`signatures`] | §3.2, §4.1, §5.1, §5.2 | the four signature schemes |
 //! | [`filters`] | §3–§5 | `Sig-Filter+`, `Hybrid-Sig-Filter+` |
-//! | [`baselines`] | §2.3 | Keyword-first, Spatial-first, IR-tree |
 //! | [`hss`] | §5.2 | `HSS-Greedy` (Figure 11) |
 //! | [`granularity`] | §4.3 | cost model & level selection |
 //! | [`engine`] | §3.1 | the `SealSig` facade |
 //! | [`live`] | — | generation-swapping online ingest (`LiveEngine`) |
 //! | [`query_engine`] | — | the serving-tier engine abstraction |
 //! | [`sharded`] | — | partitioned serving (`ShardedEngine`) |
+//!
+//! The paper's §2.3 baselines (Keyword-first, Spatial-first, IR-tree)
+//! are comparison points, not engine filters: they live with the
+//! reproduction in `seal-bench`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod baselines;
 pub mod engine;
 pub mod filters;
 pub mod granularity;
@@ -76,7 +78,7 @@ mod query;
 pub mod query_engine;
 pub mod sharded;
 pub mod signatures;
-mod simfn;
+pub mod simfn;
 mod stats;
 pub mod store;
 pub mod verify;

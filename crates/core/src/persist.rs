@@ -26,8 +26,6 @@
 //! Kind 7 is retired (it held a secondary grid index for a filter that
 //! no longer exists); a container carrying it is refused.
 //!
-//! Filters whose build is a cheap deterministic function of the store
-//! (the baselines) persist no index sections and are rebuilt on load.
 //! Which index sections an engine writes is the filter's own answer
 //! ([`CandidateFilter::persisted_sections`]); [`FilterKind`] is matched
 //! once, on load.
@@ -41,11 +39,11 @@
 use crate::filters::{CandidateFilter, GridFilter, HierarchicalFilter, HybridFilter, TokenFilter};
 use crate::signatures::hash_hybrid::BucketScheme;
 use crate::signatures::hierarchical::HierarchicalScheme;
-use crate::{FilterKind, ObjectStore, SealEngine, SimilarityConfig};
+use crate::{FilterKind, ObjectStore, SealEngine};
 use seal_geom::{GridCellId, GridTree, Rect};
 use seal_index::container::{put_f64, put_u32, put_u64, Reader};
 use seal_index::{
-    Container, ContainerError, ContainerWriter, HybridIndex, IndexBytes, IndexCodecError, IndexKey,
+    Container, ContainerError, ContainerWriter, HybridIndex, IndexCodecError, IndexKey,
     InvertedIndex, ObjId, Postings,
 };
 use seal_text::{Dictionary, TokenId, TokenSet};
@@ -67,8 +65,8 @@ pub const SECTION_PRIMARY_INDEX: u16 = 6;
 
 /// What a filter with one index persists: its codec bytes as the
 /// primary index section.
-pub(crate) fn primary_section(codec_bytes: IndexBytes) -> Vec<(u16, Vec<u8>)> {
-    vec![(SECTION_PRIMARY_INDEX, codec_bytes.into_vec())]
+pub(crate) fn primary_section(codec_bytes: Vec<u8>) -> Vec<(u16, Vec<u8>)> {
+    vec![(SECTION_PRIMARY_INDEX, codec_bytes)]
 }
 
 // ----------------------------------------------------------- store stats
@@ -252,20 +250,15 @@ fn encode_meta(kind: FilterKind) -> Vec<u8> {
             buf.push(max_level);
             put_u64(&mut buf, budget as u64);
         }
-        FilterKind::KeywordFirst => buf.push(7),
-        FilterKind::SpatialFirst => buf.push(8),
-        FilterKind::IrTree { fanout } => {
-            buf.push(9);
-            put_u64(&mut buf, fanout as u64);
-        }
     }
     buf.push(0);
     buf.push(0);
     buf
 }
 
-/// Filter tags 2, 10 and 11 are retired: they named filters that no
-/// longer exist, and decode as unknown. So do the non-zero similarity
+/// Filter tags 2 and 7–11 are retired: they named filters that no
+/// longer exist in the engine (7–9 the §2.3 baselines, which moved to
+/// `seal-bench`), and decode as unknown. So do the non-zero similarity
 /// tags, which named the Dice / Cosine / Overlap functions.
 fn decode_meta(payload: &[u8]) -> Result<FilterKind, ContainerError> {
     let mut r = Reader::new(payload, "engine meta");
@@ -294,13 +287,6 @@ fn decode_meta(payload: &[u8]) -> Result<FilterKind, ContainerError> {
             let budget =
                 usize::try_from(r.u64()?).map_err(|_| r.err("budget exceeds the address space"))?;
             FilterKind::Hierarchical { max_level, budget }
-        }
-        7 => FilterKind::KeywordFirst,
-        8 => FilterKind::SpatialFirst,
-        9 => {
-            let fanout =
-                usize::try_from(r.u64()?).map_err(|_| r.err("fanout exceeds the address space"))?;
-            FilterKind::IrTree { fanout }
         }
         other => return Err(r.err(format!("unknown filter kind tag {other}"))),
     };
@@ -454,13 +440,12 @@ fn check_ids(
 /// Refuses a section the engine meta's kind does not read: the store
 /// sections (1, 2, and 3 when present) and the meta (4) belong to
 /// every container, the HSS scheme (5) only to `Hierarchical`, and the
-/// primary index (6) only to the kinds that persist one. Anything else
+/// primary index (6) to every kind. Anything else
 /// — a retired kind, another kind's section — would load silently and
 /// vanish on the next save.
 fn check_sections(container: &Container<'_>, kind: FilterKind) -> Result<(), ContainerError> {
     let index_sections: &[u16] = match kind {
         FilterKind::Hierarchical { .. } => &[SECTION_HIER_SCHEME, SECTION_PRIMARY_INDEX],
-        FilterKind::KeywordFirst | FilterKind::SpatialFirst | FilterKind::IrTree { .. } => &[],
         _ => &[SECTION_PRIMARY_INDEX],
     };
     let read = |s: u16| {
@@ -569,10 +554,10 @@ impl SealEngine {
     }
 
     /// Reconstructs an engine from `.seal` container bytes. `threads`
-    /// (`0` = one per core) fans out the per-section CRC checks and
-    /// the rebuild of derivable filters. Bad magic, truncation, bit
-    /// flips, oversized counts and cross-section disagreements all
-    /// surface as typed [`ContainerError`]s, never as panics.
+    /// (`0` = one per core) fans out the per-section CRC checks. Bad
+    /// magic, truncation, bit flips, oversized counts and
+    /// cross-section disagreements all surface as typed
+    /// [`ContainerError`]s, never as panics.
     pub fn load_from_bytes(bytes: &[u8], threads: usize) -> Result<SealEngine, ContainerError> {
         let container = Container::parse_with_threads(bytes, threads)?;
         let mut store = decode_store(container.require(SECTION_STORE_OBJECTS)?)?;
@@ -624,16 +609,6 @@ impl SealEngine {
                         HybridIndex::max_object_id,
                     )?,
                 ))
-            }
-            // Derivable filters rebuild from the (validated) store.
-            FilterKind::KeywordFirst | FilterKind::SpatialFirst | FilterKind::IrTree { .. } => {
-                let opts = crate::BuildOpts::with_threads(threads);
-                return Ok(SealEngine::build_with_opts(
-                    store,
-                    kind,
-                    SimilarityConfig,
-                    opts,
-                ));
             }
         };
         Ok(SealEngine::from_loaded_parts(store, filter, kind))
@@ -706,7 +681,7 @@ mod tests {
         w.push_section(SECTION_STORE_STATS, encode_stats(e.store()));
         w.push_section(SECTION_STORE_OBJECTS, encode_store(e.store()));
         w.push_section(SECTION_ENGINE_META, encode_meta(e.kind()));
-        w.push_section(SECTION_PRIMARY_INDEX, rogue.to_bytes().into_vec());
+        w.push_section(SECTION_PRIMARY_INDEX, rogue.to_bytes());
         let err = SealEngine::load_from_bytes(&w.finish(), 1)
             .err()
             .expect("load must fail");

@@ -54,13 +54,13 @@ pub(crate) fn is_answer<W: TokenWeights>(q: &Query, o: &RoiObject, w: &W) -> boo
 /// `c_R = τ_R · |q.R|` (Section 4.1): `simR(q,o) ≥ τ_R` implies
 /// `|q∩o| ≥ τ_R·|q∪o| ≥ c_R`.
 #[inline]
-pub(crate) fn c_r(q: &Query) -> f64 {
+pub fn c_r(q: &Query) -> f64 {
     q.tau_spatial * q.region.area()
 }
 
 /// `c_T = τ_T · Σ_{t∈q} w(t)` (Section 3.2).
 #[inline]
-pub(crate) fn c_t<W: TokenWeights>(q: &Query, w: &W) -> f64 {
+pub fn c_t<W: TokenWeights>(q: &Query, w: &W) -> f64 {
     similarity::signature_threshold(&q.tokens, w, q.tau_textual)
 }
 

@@ -20,7 +20,8 @@ pub struct SearchStats {
     pub candidates: usize,
     /// Final answers after verification (`|A|`).
     pub results: usize,
-    /// Tree nodes visited (IR-tree baseline only).
+    /// Tree nodes visited (the R-tree baselines of `seal-bench` fill
+    /// it; the engine's filters leave it 0).
     pub nodes_visited: usize,
     /// Shards probed by a sharded engine (0 for single-engine
     /// searches; the numerator of the shards-touched / N fan-out

@@ -88,13 +88,16 @@ use crate::container::put_u16;
 use crate::cut::{bound_cut_u16, column_u16};
 use crate::{Arena, ObjId};
 
-/// Number of quantization steps for bounds (u16 range).
-const QUANT_STEPS: f64 = 65535.0;
+/// The top quantization step: bounds quantize into the whole `u16`
+/// range.
+const QUANT_TOP: u16 = u16::MAX;
+/// [`QUANT_TOP`] in the bound domain.
+const QUANT_STEPS: f64 = QUANT_TOP as f64;
 
 /// LEB128 unsigned varint encoding.
 fn put_varint(buf: &mut Vec<u8>, mut v: u64) {
     loop {
-        let byte = (v & 0x7F) as u8;
+        let byte = u8::try_from(v & 0x7F).expect("masked to 7 bits");
         v >>= 7;
         if v == 0 {
             buf.push(byte);
@@ -157,7 +160,7 @@ fn put_ids_blockpacked(buf: &mut Vec<u8>, ids: &[ObjId]) {
             *d = z;
             width = width.max(64 - z.leading_zeros());
         }
-        buf.push(width as u8);
+        buf.push(u8::try_from(width).expect("a delta width is at most 64 bits"));
         put_varint(buf, u64::from(first));
         // LSB-first accumulator; at most 7 leftover bits + 64 new ones
         // are ever in flight, so a u128 never overflows.
@@ -167,13 +170,13 @@ fn put_ids_blockpacked(buf: &mut Vec<u8>, ids: &[ObjId]) {
             acc |= u128::from(z) << nbits;
             nbits += width;
             while nbits >= 8 {
-                buf.push((acc & 0xFF) as u8);
+                buf.push(u8::try_from(acc & 0xFF).expect("masked to 8 bits"));
                 acc >>= 8;
                 nbits -= 8;
             }
         }
         if nbits > 0 {
-            buf.push((acc & 0xFF) as u8);
+            buf.push(u8::try_from(acc & 0xFF).expect("masked to 8 bits"));
         }
     }
     let tail = chunks.remainder();
@@ -360,10 +363,11 @@ impl Quantizer {
             "non-finite bound cannot be quantized for compression"
         );
         if bound >= self.scale {
-            return QUANT_STEPS as u16;
+            return QUANT_TOP;
         }
         let mut q = ((bound / self.scale) * QUANT_STEPS)
             .ceil()
+            // seal-lint: allow(persisted-narrowing-cast) — a ceil clamped to 0..=65535 is an integer in u16 range, so the float cast is exact
             .clamp(0.0, QUANT_STEPS) as u16;
         // Terminates: dequantize(65535) == scale > bound on this branch.
         while self.dequantize(q) < bound {
@@ -402,12 +406,13 @@ impl Quantizer {
         }
         let mut q = ((c / self.scale) * QUANT_STEPS)
             .ceil()
+            // seal-lint: allow(persisted-narrowing-cast) — a ceil clamped to 0..=65535 is an integer in u16 range, so the float cast is exact
             .clamp(0.0, QUANT_STEPS) as u16;
         while q > 0 && self.dequantize(q - 1) >= c {
             q -= 1;
         }
         while self.dequantize(q) < c {
-            if q == QUANT_STEPS as u16 {
+            if q == QUANT_TOP {
                 return None;
             }
             q += 1;
@@ -504,6 +509,7 @@ impl<K: Ord + Copy, const N: usize> CompressedArena<K, N> {
     fn group_at(&self, i: usize) -> (GroupMeta<N>, &[u8], &[u8]) {
         let m = self.meta[i];
         let group = &self.arena[self.offsets[i]..self.offsets[i + 1]];
+        // seal-lint: allow(persisted-narrowing-cast) — u32 → usize is lossless on the 32- and 64-bit targets the arena's usize offsets already assume
         let (bounds, ids) = group.split_at(2 * N * m.len as usize);
         (m, bounds, ids)
     }
@@ -527,6 +533,7 @@ impl<K: Ord + Copy, const N: usize> CompressedArena<K, N> {
             return &[];
         };
         let (m, bounds, ids) = self.group_at(i);
+        // seal-lint: allow(persisted-narrowing-cast) — u32 → usize is lossless on the 32- and 64-bit targets the arena's usize offsets already assume
         let len = m.len as usize;
         let mut qc = [0u16; N];
         for col in 0..N {
@@ -555,8 +562,8 @@ impl<K: Ord + Copy, const N: usize> CompressedArena<K, N> {
     fn decode_group(&self, i: usize, out: &mut Vec<ObjId>) -> (GroupMeta<N>, &[u8]) {
         let (m, bounds, ids) = self.group_at(i);
         out.clear();
-        walk_blockpacked(ids, 0, m.len as usize, Some(out))
-            .expect("arena validated at construction");
+        let len = usize::try_from(m.len).expect("group length validated at load");
+        walk_blockpacked(ids, 0, len, Some(out)).expect("arena validated at construction");
         (m, bounds)
     }
 
@@ -580,7 +587,7 @@ impl<K: Ord + Copy, const N: usize> CompressedArena<K, N> {
         let mut decoded = Vec::new();
         for (i, &key) in self.keys.iter().enumerate() {
             let (m, bounds) = self.decode_group(i, &mut decoded);
-            let len = m.len as usize;
+            let len = usize::try_from(m.len).expect("group length validated at load");
             for (j, &id) in decoded.iter().enumerate() {
                 let bound =
                     |col: usize| m.quant[col].dequantize(column_u16(&bounds[2 * col * len..], j));

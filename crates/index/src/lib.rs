@@ -58,7 +58,7 @@ pub use compress::{CompressedHybridIndex, CompressedInvertedIndex};
 pub use container::{Container, ContainerError, ContainerWriter};
 pub use cut::bound_cut;
 pub use postings::{Postings, Storage};
-pub use serialize::{IndexBytes, IndexCodecError, IndexKey};
+pub use serialize::{IndexCodecError, IndexKey};
 
 /// A dense object identifier (row number in the object store).
 pub type ObjId = u32;

@@ -130,32 +130,6 @@ impl From<ReadError> for IndexCodecError {
     }
 }
 
-/// An index payload in the codec format, as [`Arena::to_bytes`],
-/// [`CompressedArena::to_bytes`] and [`Postings::to_bytes`] write it.
-/// Every `from_bytes` reads it through `AsRef<[u8]>`; the engine's
-/// primary index section takes it by value ([`into_vec`](Self::into_vec),
-/// no copy).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct IndexBytes(Vec<u8>);
-
-impl IndexBytes {
-    /// The payload.
-    pub fn as_slice(&self) -> &[u8] {
-        &self.0
-    }
-
-    /// The payload's buffer.
-    pub fn into_vec(self) -> Vec<u8> {
-        self.0
-    }
-}
-
-impl AsRef<[u8]> for IndexBytes {
-    fn as_ref(&self) -> &[u8] {
-        &self.0
-    }
-}
-
 /// Keys that can round-trip through the codec's `u128` slot.
 pub trait IndexKey: Eq + Hash + Ord + Copy + Sync {
     /// Widens the key to 128 bits.
@@ -376,7 +350,7 @@ impl<K: IndexKey, const N: usize> Arena<K, N> {
     /// [`finalize`](Arena::finalize): only the frozen columns are
     /// serialized, so encoding a half-staged index would silently drop
     /// data.
-    pub fn to_bytes(&self) -> IndexBytes {
+    pub fn to_bytes(&self) -> Vec<u8> {
         assert!(
             self.is_finalized(),
             "to_bytes requires finalize() after the last push"
@@ -400,7 +374,7 @@ impl<K: IndexKey, const N: usize> Arena<K, N> {
                 put_f64(&mut buf, b);
             }
         }
-        IndexBytes(buf)
+        buf
     }
 
     /// Decodes an SoA payload of this arena's kind; the result is
@@ -490,7 +464,7 @@ impl<K: IndexKey, const N: usize> CompressedArena<K, N> {
     /// Serializes the compressed index (kind 7 for one bound column, 8
     /// for two): the directory, then the arena verbatim. This *is* the
     /// at-rest form — nothing is re-encoded.
-    pub fn to_bytes(&self) -> IndexBytes {
+    pub fn to_bytes(&self) -> Vec<u8> {
         let mut buf = Vec::with_capacity(64 + self.keys.len() * (20 + 8 * N) + self.arena.len());
         put_header(&mut buf, packed_kind::<N>(), self.keys.len());
         put_u64(&mut buf, self.arena.len() as u64);
@@ -502,7 +476,7 @@ impl<K: IndexKey, const N: usize> CompressedArena<K, N> {
             }
         }
         buf.extend_from_slice(&self.arena);
-        IndexBytes(buf)
+        buf
     }
 
     /// Decodes a payload of this arena's kind and validates the whole
@@ -518,7 +492,7 @@ impl<K: IndexKey, const N: usize> CompressedArena<K, N> {
 impl<K: IndexKey, const N: usize> Postings<K, N> {
     /// Serializes the storage form in use (see [`Arena::to_bytes`] and
     /// [`CompressedArena::to_bytes`]).
-    pub fn to_bytes(&self) -> IndexBytes {
+    pub fn to_bytes(&self) -> Vec<u8> {
         match self {
             Postings::Arena(a) => a.to_bytes(),
             Postings::Compressed(p) => p.to_bytes(),
@@ -887,7 +861,7 @@ mod tests {
     #[test]
     fn compressed_rejects_corrupt_bound_column() {
         let c = sample_compressed();
-        let mut raw = c.to_bytes().as_slice().to_vec();
+        let mut raw = c.to_bytes();
         // Arena begins after header (14) + arena_len (8) + directory
         // (key_count × 28). Break the first group's non-increasing
         // bound column: zero the first u16, max the second.
@@ -942,7 +916,7 @@ mod tests {
         idx.push(5, 0, 1.0);
         idx.finalize();
         let wide = ((1u128 << 64) + 5).to_le_bytes();
-        let mut raw = idx.to_bytes().as_slice().to_vec();
+        let mut raw = idx.to_bytes();
         let key_at = 14 + 8; // header + posting_count
         raw[key_at..key_at + 16].copy_from_slice(&wide);
         assert!(matches!(
@@ -977,8 +951,7 @@ mod tests {
         let mut h: HybridIndex<u64> = HybridIndex::new();
         h.push(1, 0, 2.0, 0.5);
         h.finalize();
-        let padded = |bytes: IndexBytes| {
-            let mut raw = bytes.as_slice().to_vec();
+        let padded = |mut raw: Vec<u8>| {
             raw.push(0);
             raw
         };

@@ -16,8 +16,8 @@
 //! | `unsafe-forbid` | every crate root carries `#![forbid(unsafe_code)]`; no `unsafe` tokens anywhere | the arena safety story (PRs 1–5) |
 //! | `lock-discipline` | refresh-gate → route → shard-state lock order; route/state guards never live across a probe | the PR 4/PR 8 swap protocols |
 //! | `crate-docs` | crate roots open with `//!` docs; libraries warn on missing docs | the PR 2 `cargo doc -D warnings` gate |
-//! | `persisted-narrowing-cast` | no `as` narrowing on the persisted-format paths (`serialize.rs`, `container.rs`, `persist.rs`) | the PR 10 codec widening |
-//! | `probe-path-clock` | no `Instant::now` in `seal-core`'s filters, baselines, signatures or verifier: callers time around the call | the PR 26 clock removal |
+//! | `persisted-narrowing-cast` | no `as` narrowing on the persisted-format paths (`serialize.rs`, `compress.rs`, `container.rs`, `persist.rs`) | the codec-widening audit |
+//! | `probe-path-clock` | no `Instant::now` in `seal-core`'s filters, signatures or verifier, or in `seal-bench`'s baselines: callers time around the call | the removal of the per-filter clocks |
 //! | `waiver-discipline` | waivers name real rules, justify themselves, and suppress something | the PR 9 lint gate |
 //!
 //! See `docs/ARCHITECTURE.md#enforced-invariants-seal-lint` for the
@@ -101,7 +101,7 @@ pub fn rationale(rule: &str) -> &'static str {
             "no `as` narrowing to u8/u16/u32/usize on the persisted-format paths — counts and offsets cross the disk boundary via try_from or a waived losslessness argument (PR 10)"
         }
         "probe-path-clock" => {
-            "no Instant::now in seal-core's filters/, baselines/, signatures/ or verify.rs — the probe path counts work, callers time around the call (PR 26)"
+            "no Instant::now in seal-core's filters/, signatures/ or verify.rs, or seal-bench's baselines/ — the probe path counts work, callers time around the call"
         }
         _ => "waivers must name real rules, carry a justification, and actually suppress a diagnostic",
     }
@@ -123,7 +123,10 @@ pub fn check_file(path: &str, lexed: &Lexed) -> Vec<Diag> {
         lock_discipline(&norm, lexed, &mask, &mut out);
     }
     crate_docs(&norm, lexed, &mut out);
-    if matches!(name, "serialize.rs" | "container.rs" | "persist.rs") {
+    if matches!(
+        name,
+        "serialize.rs" | "compress.rs" | "container.rs" | "persist.rs"
+    ) {
         persisted_narrowing_cast(&norm, lexed, &mask, &mut out);
     }
     if is_probe_path(&norm) {
@@ -136,8 +139,8 @@ pub fn check_file(path: &str, lexed: &Lexed) -> Vec<Diag> {
 fn is_probe_path(path: &str) -> bool {
     [
         "core/src/filters/",
-        "core/src/baselines/",
         "core/src/signatures/",
+        "bench/src/baselines/",
     ]
     .iter()
     .any(|dir| path.contains(dir))
@@ -534,7 +537,8 @@ fn acquired_lock_name(toks: &[Tok], i: usize) -> String {
 const NARROWING_TARGETS: &[&str] = &["u8", "u16", "u32", "usize"];
 
 /// `persisted-narrowing-cast`: on the files that define the on-disk
-/// formats (`serialize.rs`, `container.rs`, `persist.rs`), a bare
+/// formats (`serialize.rs`, `compress.rs` — whose arena `to_bytes`
+/// persists verbatim — `container.rs`, `persist.rs`), a bare
 /// `as u8/u16/u32/usize` is flagged. A count or offset that crosses
 /// the disk boundary through a silent truncation writes a *valid-CRC
 /// container that lies about its own contents* — the one corruption
@@ -697,9 +701,14 @@ mod tests {
     fn narrowing_casts_flagged_only_on_persisted_paths() {
         let src = "fn f(n: usize, out: &mut Vec<u8>) { \
                    out.extend_from_slice(&(n as u32).to_le_bytes()); let w = n as u64; }";
-        let d = diags("crates/index/src/serialize.rs", src);
-        assert_eq!(d.len(), 1, "{d:?}");
-        assert_eq!(d[0].rule, "persisted-narrowing-cast");
+        for path in [
+            "crates/index/src/serialize.rs",
+            "crates/index/src/compress.rs",
+        ] {
+            let d = diags(path, src);
+            assert_eq!(d.len(), 1, "{path}: {d:?}");
+            assert_eq!(d[0].rule, "persisted-narrowing-cast");
+        }
         // The same cast outside the persisted-format files is exempt,
         // and `as u64` widenings never flag.
         assert!(diags("crates/index/src/arena.rs", src).is_empty());
@@ -713,7 +722,7 @@ mod tests {
         let src = "fn f() { let t = std::time::Instant::now(); g(); t.elapsed(); }";
         for path in [
             "crates/core/src/filters/grid.rs",
-            "crates/core/src/baselines/irtree.rs",
+            "crates/bench/src/baselines/irtree.rs",
             "crates/core/src/signatures/grid.rs",
             "crates/core/src/verify.rs",
         ] {

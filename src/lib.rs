@@ -8,10 +8,9 @@
 //!
 //! | crate | contents |
 //! |-------|----------|
-//! | [`core`](seal_core) | engine, filters, signatures, baselines |
+//! | [`core`](seal_core) | engine, filters, signatures |
 //! | [`index`](seal_index) | arena-backed threshold-bounded inverted indexes |
 //! | [`geom`](seal_geom) / [`text`](seal_text) | geometry and token primitives |
-//! | [`rtree`](seal_rtree) | R-tree for the spatial baselines |
 //! | [`datagen`](seal_datagen) | synthetic datasets + query workloads |
 //!
 //! ## The batch-serving pattern
@@ -58,5 +57,4 @@ pub use seal_core;
 pub use seal_datagen;
 pub use seal_geom;
 pub use seal_index;
-pub use seal_rtree;
 pub use seal_text;

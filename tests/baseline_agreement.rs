@@ -1,41 +1,56 @@
-//! Baseline integration: Keyword-first, Spatial-first and IR-tree must
-//! return exactly the oracle answers after verification, and their
-//! documented inefficiencies must actually show up in the counters
-//! (that is what the paper measures).
+//! Baseline integration: Keyword-first, Spatial-first and IR-tree
+//! (`seal_bench::baselines`) must return exactly the oracle answers
+//! after verification, and their documented inefficiencies must
+//! actually show up in the counters (that is what the paper measures).
 
-use seal_core::baselines::{IrTreeBaseline, KeywordFirst, SpatialFirst};
+use seal_bench::baselines::{IrTreeBaseline, KeywordFirst, SpatialFirst};
 use seal_core::filters::{CandidateFilter, HierarchicalFilter};
 use seal_core::verify::{naive_search, verify};
-use seal_core::{SearchStats, SimilarityConfig};
+use seal_core::{ObjectStore, Query, SearchStats, SimilarityConfig};
 use std::sync::Arc;
 
 #[path = "util/mod.rs"]
 mod util;
 use util::{twitter_fixture, usa_fixture};
 
+/// Every baseline's `candidates` → `verify` equals the oracle on every
+/// query.
+fn assert_baselines_match_oracle(store: ObjectStore, queries: &[Query]) {
+    let store = Arc::new(store);
+    let cfg = SimilarityConfig;
+    let keyword = KeywordFirst::build(store.clone());
+    let spatial = SpatialFirst::build(store.clone());
+    let irtree = IrTreeBaseline::build_with_fanout(store.clone(), 16);
+    for q in queries {
+        let mut expect = naive_search(&store, &cfg, q);
+        expect.sort_unstable();
+        let mut stats = SearchStats::new();
+        for (name, cands) in [
+            ("Keyword-first", keyword.candidates(q, &mut stats)),
+            ("Spatial-first", spatial.candidates(q, &mut stats)),
+            ("IR-tree", irtree.candidates(q, &mut stats)),
+        ] {
+            let mut vstats = SearchStats::new();
+            let mut got = verify(&store, &cfg, q, &cands, &mut vstats);
+            got.sort_unstable();
+            assert_eq!(got, expect, "{name} wrong");
+        }
+    }
+}
+
 #[test]
 fn baselines_return_oracle_answers() {
     for (store, queries) in [twitter_fixture(1_500, 6), usa_fixture(1_500, 6)] {
-        let store = Arc::new(store);
-        let cfg = SimilarityConfig;
-        let baselines: Vec<Box<dyn CandidateFilter>> = vec![
-            Box::new(KeywordFirst::build(store.clone())),
-            Box::new(SpatialFirst::build(store.clone())),
-            Box::new(IrTreeBaseline::build_with_fanout(store.clone(), 16)),
-        ];
-        for q in &queries {
-            let mut expect = naive_search(&store, &cfg, q);
-            expect.sort_unstable();
-            for b in &baselines {
-                let mut stats = SearchStats::new();
-                let cands = b.candidates(q, &mut stats);
-                let mut vstats = SearchStats::new();
-                let mut got = verify(&store, &cfg, q, &cands, &mut vstats);
-                got.sort_unstable();
-                assert_eq!(got, expect, "{} wrong", b.name());
-            }
-        }
+        assert_baselines_match_oracle(store, &queries);
     }
+}
+
+/// The end-to-end twitter-like workload (`tests/end_to_end.rs`'s
+/// fixture) against every baseline.
+#[test]
+fn baselines_agree_with_oracle_on_twitter_like_data() {
+    let (store, queries) = twitter_fixture(2_000, 12);
+    assert_baselines_match_oracle(store, &queries);
 }
 
 #[test]

@@ -186,8 +186,7 @@ fn block_packed_truncations_and_bad_widths_error() {
     }
     idx.finalize();
     let packed = CompressedInvertedIndex::compress(&idx);
-    let encoded = packed.to_bytes();
-    let bytes = encoded.as_slice();
+    let bytes = packed.to_bytes();
     assert_eq!(bytes[5], 7, "compressed single-bound arenas are kind 7");
 
     // The varint-id kinds 3/4 of earlier revisions (and every other
@@ -209,7 +208,7 @@ fn block_packed_truncations_and_bad_widths_error() {
             "truncation to {cut} bytes was accepted"
         );
     }
-    assert!(CompressedInvertedIndex::<u32>::from_bytes(bytes).is_ok());
+    assert!(CompressedInvertedIndex::<u32>::from_bytes(&bytes).is_ok());
 
     // The arena is serialized last, so the id column starts at
     // `len - id_column_bytes()`: the first block's width byte.

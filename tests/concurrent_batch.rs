@@ -102,13 +102,19 @@ fn one_context_serves_engines_of_different_sizes() {
 #[test]
 fn context_query_interleaving_across_filters() {
     // One context alternating between filters with different scratch
-    // needs (dedup, id decode, accumulator) must never leak state
-    // between them.
+    // needs (dedup, id decode, hierarchical signature) must never leak
+    // state between them.
     let (store, queries) = twitter_fixture(1_500, 6);
     let store = Arc::new(store);
     let token = SealEngine::build(store.clone(), FilterKind::Token);
     let compressed = SealEngine::build(store.clone(), FilterKind::TokenCompressed);
-    let keyword = SealEngine::build(store.clone(), FilterKind::KeywordFirst);
+    let hierarchical = SealEngine::build(
+        store.clone(),
+        FilterKind::Hierarchical {
+            max_level: 8,
+            budget: 8,
+        },
+    );
     let mut ctx = QueryContext::with_capacity(store.len());
     let check = |engine: &SealEngine, q: &Query, ctx: &mut QueryContext| {
         let a = engine.search_with_ctx(q, ctx).sorted().answers;
@@ -123,6 +129,6 @@ fn context_query_interleaving_across_filters() {
     for q in &queries {
         check(&token, q, &mut ctx);
         check(&compressed, q, &mut ctx);
-        check(&keyword, q, &mut ctx);
+        check(&hierarchical, q, &mut ctx);
     }
 }

@@ -386,7 +386,6 @@ fn sections_the_kind_does_not_read_behind_valid_crcs_error() {
     // A container holds only the sections its kind reads: anything
     // else would load silently and vanish on the next save.
     let token = container_of(FilterKind::Token);
-    let keyword = container_of(FilterKind::KeywordFirst);
     let seal = Container::parse(seal_bytes()).expect("pristine container must parse");
     let scheme = seal
         .require(SECTION_HIER_SCHEME)
@@ -396,7 +395,7 @@ fn sections_the_kind_does_not_read_behind_valid_crcs_error() {
         .require(SECTION_PRIMARY_INDEX)
         .expect("indexed kind")
         .to_vec();
-    let cases: [(&str, &[u8], u16, &[u8]); 4] = [
+    let cases: [(&str, &[u8], u16, &[u8]); 3] = [
         (
             "a hierarchical scheme under Token",
             &token,
@@ -405,12 +404,6 @@ fn sections_the_kind_does_not_read_behind_valid_crcs_error() {
         ),
         ("retired section 7 under Token", &token, 7, &primary),
         ("unknown section 99 under Token", &token, 99, b"junk"),
-        (
-            "a primary index under KeywordFirst",
-            &keyword,
-            SECTION_PRIMARY_INDEX,
-            &primary,
-        ),
     ];
     for (what, bytes, extra, payload) in cases {
         let mut w = reframed(bytes, |_, p| p.to_vec());
@@ -429,12 +422,16 @@ fn sections_the_kind_does_not_read_behind_valid_crcs_error() {
 
 #[test]
 fn retired_filter_kind_tags_behind_valid_crcs_error() {
-    // Tags 2, 10 and 11 named filters that no longer exist. The meta
-    // payload is [tag u8 | parameters | spatial u8 | textual u8]; tag 10
-    // carried a u32 grid side.
+    // Tags 2 and 7–11 named filters the engine no longer has (7, 8
+    // and 9 the §2.3 baselines, now in seal-bench). The meta payload is
+    // [tag u8 | parameters | spatial u8 | textual u8]; tag 9 carried a
+    // u64 R-tree fan-out, tag 10 a u32 grid side.
     let token = container_of(FilterKind::Token);
     for (tag, params) in [
         (2u8, &[][..]),
+        (7, &[][..]),
+        (8, &[][..]),
+        (9, &64u64.to_le_bytes()[..]),
         (10, &1024u32.to_le_bytes()[..]),
         (11, &[][..]),
     ] {

@@ -27,9 +27,6 @@ fn all_engines_agree_with_oracle_on_twitter_like_data() {
             max_level: 8,
             budget: 8,
         },
-        FilterKind::KeywordFirst,
-        FilterKind::SpatialFirst,
-        FilterKind::IrTree { fanout: 16 },
     ];
     for kind in kinds {
         let engine = SealEngine::build(store.clone(), kind);

@@ -25,8 +25,8 @@ use std::sync::Arc;
 mod util;
 use util::{materialize, obj_strategy, twitter_fixture, workload, VOCAB};
 
-/// Every filter kind that serves off a signature index (the baselines
-/// have no index path to go stale).
+/// Every filter kind (each serves off a signature index that a
+/// generation swap must keep fresh).
 fn indexed_kinds() -> Vec<FilterKind> {
     vec![
         FilterKind::Token,

@@ -4,12 +4,9 @@
 //! A counting global allocator (this binary only) counts allocations
 //! made by the test's own thread while armed; after one warm-up pass
 //! over the query set has grown the `QueryContext` scratch, a thousand
-//! further probes must not allocate at all — for every filter that
-//! probes inverted lists. (The R-tree baselines, `SpatialFirst` and
-//! `IrTree`, collect their traversal results in fresh vectors and are
-//! documented as outside the contract.)
+//! further probes must not allocate at all — for every filter kind.
 
-use seal_core::{FilterKind, Query, QueryContext, SealEngine, SearchStats};
+use seal_core::{Query, QueryContext, SealEngine, SearchStats};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::Arc;
@@ -82,10 +79,7 @@ fn warm_probes_do_not_allocate() {
     let store = Arc::new(store);
     // The counter itself must see an allocation when there is one.
     assert!(allocations_during(|| drop(std::hint::black_box(vec![0u8; 64]))) > 0);
-    let list_probing = util::kinds(64, &[None, Some(1 << 12)], 8, 16)
-        .into_iter()
-        .filter(|k| !matches!(k, FilterKind::SpatialFirst | FilterKind::IrTree { .. }));
-    for kind in list_probing {
+    for kind in util::kinds(64, &[None, Some(1 << 12)], 8, 16) {
         let engine = SealEngine::build(store.clone(), kind);
         let mut ctx = QueryContext::with_capacity(store.len());
         // Warm-up: one pass grows every scratch buffer to the largest

@@ -53,9 +53,6 @@ proptest! {
             FilterKind::Grid { side: 16 },
             FilterKind::HashHybrid { side: 16, buckets: Some(256) },
             FilterKind::Hierarchical { max_level: 5, budget: 6 },
-            FilterKind::KeywordFirst,
-            FilterKind::SpatialFirst,
-            FilterKind::IrTree { fanout: 4 },
         ] {
             let engine = SealEngine::build(store.clone(), kind);
             let got = engine.search(&query).sorted();

@@ -115,7 +115,7 @@ fn arena_indexes_read_only_their_own_kind() {
     // Byte 5 of the shared header is the kind: 5 = SoA single,
     // 6 = SoA dual. 1/2 were the AoS kinds of earlier revisions.
     for kind in 0u8..=9 {
-        let mut raw = single.to_bytes().as_ref().to_vec();
+        let mut raw = single.to_bytes();
         raw[5] = kind;
         if kind != 5 {
             assert_eq!(
@@ -123,7 +123,7 @@ fn arena_indexes_read_only_their_own_kind() {
                 IndexCodecError::BadKind(kind)
             );
         }
-        let mut raw = dual.to_bytes().as_ref().to_vec();
+        let mut raw = dual.to_bytes();
         raw[5] = kind;
         if kind != 6 {
             assert_eq!(

@@ -29,9 +29,6 @@ pub fn kinds(side: u32, buckets: &[Option<u64>], max_level: u8, budget: usize) -
             buckets: None,
         },
         Hierarchical { max_level, budget },
-        KeywordFirst,
-        SpatialFirst,
-        IrTree { fanout: 16 },
     ];
     let mut kinds = Vec::new();
     for scheme in schemes {
