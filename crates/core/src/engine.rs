@@ -8,8 +8,7 @@ use crate::filters::{
 };
 use crate::verify::verify;
 use crate::{ObjectId, ObjectStore, Query, SearchStats, SimilarityConfig};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 /// Which filtering method the engine builds (Table 1's signature-index
 /// rows; the §2.3 baselines live with the reproduction in `seal-bench`).
@@ -20,7 +19,7 @@ pub enum FilterKind {
     /// `Sig-Filter+` on textual signatures served **in place** off the
     /// compressed arena (`TokenInv` in its at-rest form): ~4× smaller
     /// lists, probes decode only the qualifying prefix into the
-    /// per-worker [`QueryContext`] scratch.
+    /// [`QueryContext`] scratch.
     TokenCompressed,
     /// `Sig-Filter+` on grid signatures (`GridInv`) at the given
     /// granularity (cells per side).
@@ -211,13 +210,13 @@ impl SealEngine {
 
     /// Answers a query: filter, then verify (Algorithm 1).
     ///
-    /// Convenience path over a **thread-local** [`QueryContext`]:
-    /// repeated calls on one thread reuse the same scratch (shared
-    /// across engines on that thread; buffers size to the largest
-    /// store), so single-query callers get the warm, allocation-free
-    /// filter step without managing a context. Explicit serving loops
-    /// should still prefer [`search_with_ctx`](Self::search_with_ctx)
-    /// with one context per worker.
+    /// Runs over a **thread-local** [`QueryContext`]: repeated calls on
+    /// one thread reuse the same scratch (shared across engines on that
+    /// thread; buffers size to the largest store), so once warm the
+    /// filter step allocates nothing and only the answer vector is
+    /// allocated. [`search_batch`](Self::search_batch) runs this on its
+    /// workers; [`search_with_ctx`](Self::search_with_ctx) takes
+    /// caller-owned scratch instead.
     pub fn search(&self, q: &Query) -> SearchResult {
         thread_local! {
             static CTX: std::cell::RefCell<QueryContext> =
@@ -242,66 +241,13 @@ impl SealEngine {
         SearchResult { answers, stats }
     }
 
-    /// Answers a batch of queries in parallel across `threads` OS
-    /// threads (the LBS serving pattern: one engine, many concurrent
-    /// queries). Results come back in input order.
-    ///
-    /// `threads` follows the codebase-wide convention (`BuildOpts`,
-    /// `seal_index::parallel`, the CLI): `0` = one worker per core
-    /// (`available_parallelism`), anything else is literal, clamped to
-    /// the number of queries.
-    ///
-    /// Workers pull query indexes from a shared atomic counter (work
-    /// stealing), so skewed per-query costs cannot idle a thread the
-    /// way static chunking can. Each worker owns one [`QueryContext`];
-    /// the filters themselves hold no locks, so the whole read path is
-    /// contention-free. With one worker this degenerates to a
-    /// sequential loop over a single reused context.
+    /// Answers a batch: [`search`](Self::search) per query on
+    /// [`seal_index::parallel::map_indexed`] workers (`threads`: `0` =
+    /// one per core, clamped to the batch size). Results come back in
+    /// input order; a batch of one runs inline on the caller's warm
+    /// context.
     pub fn search_batch(&self, queries: &[Query], threads: usize) -> Vec<SearchResult> {
-        let threads = Self::batch_workers(threads, queries.len());
-        if threads == 1 || queries.len() < 2 {
-            let mut ctx = QueryContext::with_capacity(self.store.len());
-            return queries
-                .iter()
-                .map(|q| self.search_with_ctx(q, &mut ctx))
-                .collect();
-        }
-        let slots: Vec<OnceLock<SearchResult>> =
-            (0..queries.len()).map(|_| OnceLock::new()).collect();
-        let next = AtomicUsize::new(0);
-        std::thread::scope(|scope| {
-            for _ in 0..threads {
-                scope.spawn(|| {
-                    let mut ctx = QueryContext::with_capacity(self.store.len());
-                    loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        let Some(q) = queries.get(i) else { break };
-                        // Each index is claimed by exactly one worker,
-                        // so the set cannot fail.
-                        let _ = slots[i].set(self.search_with_ctx(q, &mut ctx));
-                    }
-                });
-            }
-        });
-        slots
-            .into_iter()
-            .map(|s| {
-                s.into_inner()
-                    .expect("every query slot filled by the work loop")
-            })
-            .collect()
-    }
-
-    /// The effective worker count for a batch of `queries`: `0`
-    /// resolves to one worker per core, then clamps to the batch size
-    /// (and to at least one). This used to clamp `0` to a single
-    /// worker, silently sequentializing `search_batch(qs, 0)` while
-    /// every other thread knob in the codebase treated `0` as "all
-    /// cores" — now it delegates to the one workspace-wide rule in
-    /// [`seal_index::parallel::worker_count`], same as the build-side
-    /// fan-out loops, so the two sides cannot drift again.
-    fn batch_workers(threads: usize, queries: usize) -> usize {
-        seal_index::parallel::worker_count(threads, queries)
+        seal_index::parallel::map_indexed(queries.len(), threads, |i| self.search(&queries[i]))
     }
 
     /// Reassembles an engine from persisted parts (the container
@@ -569,36 +515,6 @@ mod tests {
         // Empty batch.
         assert!(engine.search_batch(&[], 4).is_empty());
         assert!(engine.search_batch(&[], 0).is_empty());
-    }
-
-    #[test]
-    fn batch_workers_follow_the_zero_means_all_cores_convention() {
-        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-        // The regression: 0 used to clamp to a single worker instead
-        // of resolving to one worker per core like `BuildOpts` and the
-        // CLI default do.
-        assert_eq!(
-            SealEngine::batch_workers(0, 1000),
-            cores.min(1000),
-            "threads=0 must mean one worker per core"
-        );
-        assert_eq!(
-            SealEngine::batch_workers(0, 1000),
-            seal_index::parallel::resolve_threads(0).min(1000),
-        );
-        // One rule, one helper: the engine's batch workers are exactly
-        // the workspace-wide worker_count.
-        for (threads, tasks) in [(0, 7), (3, 9), (9, 3), (0, 0)] {
-            assert_eq!(
-                SealEngine::batch_workers(threads, tasks),
-                seal_index::parallel::worker_count(threads, tasks),
-            );
-        }
-        // Literal counts clamp to the batch size, never below 1.
-        assert_eq!(SealEngine::batch_workers(8, 3), 3);
-        assert_eq!(SealEngine::batch_workers(1, 100), 1);
-        assert_eq!(SealEngine::batch_workers(4, 0), 1);
-        assert_eq!(SealEngine::batch_workers(0, 0), 1);
     }
 
     /// A deterministic mid-sized store (no RNG dependency): varied

@@ -64,7 +64,7 @@
 //!     (Rect::new(0.0, 0.0, 10.0, 10.0).unwrap(), vec!["coffee", "mocha"]),
 //!     (Rect::new(5.0, 5.0, 15.0, 15.0).unwrap(), vec!["tea"]),
 //! ]));
-//! // One filter, one long-lived context per worker thread.
+//! // One filter, one long-lived context per thread.
 //! let filter = TokenFilter::build(store.clone());
 //! let mut ctx = QueryContext::with_capacity(store.len());
 //! let mut stats = SearchStats::new();
@@ -192,10 +192,10 @@ pub trait CandidateFilter: Send + Sync {
 /// particular filter or store — one context can serve queries against
 /// several engines (buffers size to the largest).
 ///
-/// The intended pattern is **one context per worker thread**:
-/// `SealEngine::search_batch` does this internally, and
-/// `SealEngine::search_with_ctx` exposes it to callers running their
-/// own serving loops.
+/// The intended pattern is **one context per thread**:
+/// `SealEngine::search` (and so `search_batch`, whose workers call it)
+/// keeps one thread-local context, and `SealEngine::search_with_ctx`
+/// takes a caller-owned one.
 #[derive(Debug, Default)]
 pub struct QueryContext {
     /// Epoch-stamped dedup scratch (candidate set membership).

@@ -321,32 +321,17 @@ impl LiveEngine {
 
     /// Answers a batch in parallel over one snapshot: every query in
     /// the batch sees the same generation and the same staged delta,
-    /// even if a refresh swaps mid-batch. `threads` follows the usual
-    /// convention (0 = one worker per core).
+    /// even if a refresh swaps mid-batch. Each worker probes with
+    /// [`SealEngine::search`] and overlays the delta on that result;
+    /// `threads` follows the usual convention (0 = one worker per
+    /// core).
     pub fn search_batch(&self, queries: &[Query], threads: usize) -> Vec<SearchResult> {
         let (engine, delta) = self.snapshot();
-        let mut results = engine.search_batch(queries, threads);
-        if !delta.is_empty() {
-            // The overlay fans out over the same worker budget as the
-            // generation probe — a sequential O(queries × delta) scan
-            // here would cap batch throughput whenever the staged
-            // delta grows between refreshes.
-            let overlays: Vec<SearchResult> =
-                seal_index::parallel::map_indexed(queries.len(), threads, |i| {
-                    let mut r = SearchResult {
-                        answers: Vec::new(),
-                        stats: crate::SearchStats::new(),
-                    };
-                    overlay_delta(&engine, &delta, &queries[i], &mut r);
-                    r
-                });
-            for (result, overlay) in results.iter_mut().zip(overlays) {
-                result.answers.extend_from_slice(&overlay.answers);
-                result.stats.results += overlay.stats.results;
-                result.stats.candidates += overlay.stats.candidates;
-            }
-        }
-        results
+        seal_index::parallel::map_indexed(queries.len(), threads, |i| {
+            let mut result = engine.search(&queries[i]);
+            overlay_delta(&engine, &delta, &queries[i], &mut result);
+            result
+        })
     }
 
     /// Folds the staged delta into the **next generation**: extends

@@ -1,7 +1,7 @@
-//! Build-side thread pool: the atomic-counter work-stealing loop the
-//! query path uses (`SealEngine::search_batch`), packaged for *build*
-//! work — per-token `HSS-Greedy` selections, per-group staged sorts
-//! inside `finalize`, and any other embarrassingly parallel fan-out.
+//! The workspace's one fan-out primitive: work-stealing loops for
+//! *build* work — per-token `HSS-Greedy` selections, per-group staged
+//! sorts inside `finalize` — and for query batches (every engine's
+//! `search_batch` is [`map_indexed`] over its single-query `search`).
 //!
 //! No external dependencies: plain `std::thread::scope` workers pulling
 //! task indexes from a shared [`AtomicUsize`]. Skewed per-task costs
@@ -37,10 +37,8 @@ pub fn resolve_threads(requested: usize) -> usize {
 /// then clamps to the task count and to at least one.
 ///
 /// This is the **single** thread-count rule for every fan-out in the
-/// workspace — the work-stealing loops below and `seal-core`'s
-/// `search_batch` all route through it, so the "0 means all cores"
-/// convention cannot drift between the build side and the query side
-/// again.
+/// workspace: the loops below apply it, and build fan-outs and
+/// `search_batch` alike go through those loops.
 pub fn worker_count(requested: usize, tasks: usize) -> usize {
     resolve_threads(requested).clamp(1, tasks.max(1))
 }

@@ -4,9 +4,8 @@
 //! Concurrent `/query` requests land in one shared queue. The first
 //! arrival becomes the **leader**: it drains the queue (up to
 //! the configured `max_batch`) and dispatches the whole batch through the
-//! engine's work-stealing `search_batch`, which amortizes the
-//! snapshot clone, per-worker `QueryContext` reuse and delta-overlay
-//! fan-out across every query in the batch. Requests that arrive
+//! engine's `search_batch`, which takes one snapshot for the batch
+//! and runs the queries on work-stealing workers. Requests that arrive
 //! *while* a batch executes queue up as the next batch — so the batch
 //! size adapts to the offered load with no tuned time window: at idle
 //! a query dispatches immediately (batch of one, zero added latency);

@@ -18,12 +18,10 @@
 //! One acceptor thread; one thread per live connection, bounded by
 //! [`ServerConfig::max_connections`] (beyond it, connections are
 //! answered `503` and closed — admission control at the accept gate).
-//! Connection threads own no query scratch: every `/query` flows
-//! through the shared [`Batcher`] into
-//! [`QueryEngine::search_batch`], which on a single-arena backend
-//! allocates a store-sized `QueryContext` per batch (per worker when
-//! a batch fans out) and drops it with the batch; a sharded backend
-//! probes each shard through its thread-local context. Requests never
+//! Every `/query` flows through the shared [`Batcher`] into
+//! [`QueryEngine::search_batch`], whose workers (the dispatching
+//! connection thread itself for a batch of one) probe through their
+//! warm thread-local query scratch. Requests never
 //! hold the engine's swap lock; `/push` and `/refresh` ride the
 //! engine's generation protocol unchanged, so everything the
 //! `live_ingest.rs` oracle proves about swap atomicity holds verbatim

@@ -16,13 +16,14 @@
 //! ## The batch-serving pattern
 //!
 //! The query path is **zero-contention**: filters keep no internal
-//! locks, and all per-query scratch lives in a caller-owned
-//! [`QueryContext`](seal_core::QueryContext). For throughput-oriented
-//! serving, reuse one context per worker thread so that a warm query
-//! allocates nothing:
+//! locks, and all per-query scratch lives in a
+//! [`QueryContext`](seal_core::QueryContext). `SealEngine::search`
+//! keeps one per thread, so a warm query allocates nothing but its
+//! answers; `search_batch(&queries, threads)` runs `search` on
+//! work-stealing workers and returns the results in input order:
 //!
 //! ```
-//! use seal_core::{FilterKind, ObjectStore, Query, QueryContext, SealEngine};
+//! use seal_core::{FilterKind, ObjectStore, Query, SealEngine};
 //! use seal_geom::Rect;
 //! use std::sync::Arc;
 //!
@@ -33,9 +34,6 @@
 //! ]);
 //! let engine = SealEngine::build(Arc::new(store), FilterKind::seal_default());
 //!
-//! // One long-lived context per worker thread (search_batch does this
-//! // internally; do the same when driving the engine yourself).
-//! let mut ctx = QueryContext::new();
 //! let dict = engine.store().dictionary().unwrap();
 //! let q = Query::with_token_ids(
 //!     Rect::new(5.0, 5.0, 45.0, 45.0).unwrap(),
@@ -43,12 +41,12 @@
 //!     0.3,
 //!     0.3,
 //! ).unwrap();
-//! assert_eq!(engine.search_with_ctx(&q, &mut ctx).answers.len(), 2);
+//! assert_eq!(engine.search(&q).answers.len(), 2);
+//! let batch = engine.search_batch(&[q.clone(), q], 2);
+//! assert!(batch.iter().all(|r| r.answers.len() == 2));
 //! ```
 //!
-//! `SealEngine::search_batch(&queries, threads)` runs the same path
-//! over an atomic-counter work-stealing loop — one context per worker,
-//! no locks anywhere on the read path.
+//! `SealEngine::search_with_ctx` takes a caller-owned context instead.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

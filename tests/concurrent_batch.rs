@@ -3,11 +3,11 @@
 //! results for every filter kind.
 //!
 //! This is the regression net for the zero-contention query path: the
-//! per-worker `QueryContext` holds epoch-stamped dedup/accumulator
-//! scratch, and a reuse bug (stale stamps, shared buffers, missed
-//! epoch bump) produces duplicated or dropped candidates only under
-//! interleaved reuse — which a 7-object fixture can't surface. A ~5k
-//! object store with mixed workloads can.
+//! thread-local `QueryContext` each worker's `search` reuses holds
+//! epoch-stamped dedup scratch, and a reuse bug (stale stamps, shared
+//! buffers, missed epoch bump) produces duplicated or dropped
+//! candidates only under interleaved reuse — which a 7-object fixture
+//! can't surface. A ~5k object store with mixed workloads can.
 
 use seal_core::{FilterKind, Query, QueryContext, SealEngine};
 use std::sync::Arc;

@@ -4,7 +4,9 @@
 
 use proptest::prelude::*;
 use seal_core::verify::naive_search;
-use seal_core::{FilterKind, ObjectStore, Query, RoiObject, SealEngine, SimilarityConfig};
+use seal_core::{
+    FilterKind, ObjectId, ObjectStore, Query, RoiObject, SealEngine, SimilarityConfig,
+};
 use seal_geom::Rect;
 use seal_text::{TokenId, TokenSet};
 use std::sync::Arc;
@@ -42,21 +44,37 @@ proptest! {
     fn engines_match_oracle_on_random_worlds(
         objects in arb_objects(30),
         query in arb_query(30),
+        anchor in 0usize..60,
     ) {
         let vocab = 30;
         let store = Arc::new(ObjectStore::from_objects(objects, vocab));
         let cfg = SimilarityConfig;
-        let mut expect = naive_search(&store, &cfg, &query);
-        expect.sort_unstable();
-        for kind in [
+        // A random query over these worlds almost never has an answer,
+        // so each case also asks for one object's own region and tokens
+        // at the drawn thresholds: that object answers.
+        let anchor = ObjectId((anchor % store.len()) as u32);
+        let o = store.get(anchor);
+        let anchored =
+            Query::new(o.region, o.tokens.clone(), query.tau_spatial, query.tau_textual).unwrap();
+        prop_assert!(naive_search(&store, &cfg, &anchored).contains(&anchor));
+        let engines: Vec<(FilterKind, SealEngine)> = [
             FilterKind::Token,
+            FilterKind::TokenCompressed,
             FilterKind::Grid { side: 16 },
             FilterKind::HashHybrid { side: 16, buckets: Some(256) },
+            FilterKind::HashHybridCompressed { side: 16, buckets: Some(256) },
             FilterKind::Hierarchical { max_level: 5, budget: 6 },
-        ] {
-            let engine = SealEngine::build(store.clone(), kind);
-            let got = engine.search(&query).sorted();
-            prop_assert_eq!(&got.answers, &expect, "{:?} diverged", kind);
+        ]
+        .into_iter()
+        .map(|kind| (kind, SealEngine::build(store.clone(), kind)))
+        .collect();
+        for q in [&query, &anchored] {
+            let mut expect = naive_search(&store, &cfg, q);
+            expect.sort_unstable();
+            for (kind, engine) in &engines {
+                let got = engine.search(q).sorted();
+                prop_assert_eq!(&got.answers, &expect, "{:?} diverged", kind);
+            }
         }
     }
 
