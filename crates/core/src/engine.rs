@@ -120,7 +120,7 @@ impl SealEngine {
 
     /// Builds with explicit build options. `BuildOpts::threads` fans
     /// the build-side work (per-token `HSS-Greedy` selections, the
-    /// staged group sorts inside `finalize`) out over a work-stealing
+    /// per-group sorts of the arena freeze) out over a work-stealing
     /// pool; the resulting index is **identical for every thread
     /// count** — parallelism buys wall-clock time only.
     /// `SimilarityConfig` has one value; the parameter stays for

@@ -6,7 +6,7 @@ use crate::filters::{CandidateFilter, QueryContext};
 use crate::signatures::hierarchical::{HierSignature, HierarchicalScheme};
 use crate::signatures::textual::TextualSignature;
 use crate::{ObjectId, ObjectStore, Query, SearchStats};
-use seal_index::HybridIndex;
+use seal_index::{HybridIndex, RowBuffer};
 use std::sync::Arc;
 
 /// The hierarchical hybrid filter: per-token HSS-selected grids, keys
@@ -31,7 +31,7 @@ impl HierarchicalFilter {
 
     /// Builds with explicit build options. `BuildOpts::threads` fans
     /// the per-token `HSS-Greedy` selections (the dominant build cost)
-    /// and the finalize-time group sorts out over a work-stealing
+    /// and the freeze-time group sorts out over a work-stealing
     /// pool; the selected cells and the resulting index are identical
     /// for every thread count.
     pub fn build_with_opts(
@@ -67,28 +67,26 @@ impl HierarchicalFilter {
         Some(Self::assemble(store, scheme, index))
     }
 
-    /// Pushes every object's hybrid signature postings over `scheme`
-    /// and freezes the index — shared by the fresh and
-    /// generation-extending builds.
+    /// Freezes every object's hybrid signature postings over the
+    /// unbound `scheme`, each tagged with its `(token, cell)` entry as
+    /// its group — shared by the fresh and generation-extending builds.
     fn index_over(
         store: &ObjectStore,
         scheme: &HierarchicalScheme,
         threads: usize,
     ) -> HybridIndex<u128> {
-        let mut index: HybridIndex<u128> = HybridIndex::new();
+        let mut rows = RowBuffer::new();
         let (mut tsig, mut hsig) = (TextualSignature::default(), HierSignature::default());
         for (id, o) in store.iter() {
             tsig.rebuild(&o.tokens, store.weights(), store.token_order());
             for (telem, tbound) in tsig.elements_with_bounds() {
                 scheme.signature_into(telem.token, &o.region, &mut hsig);
                 for (gelem, gbound) in hsig.elements_with_bounds() {
-                    let key = HierarchicalScheme::key(telem.token, gelem.cell);
-                    index.push(key, id.0, gbound, tbound);
+                    rows.push((gelem.group(), id.0, [gbound, tbound]));
                 }
             }
         }
-        index.finalize_with_threads(threads);
-        index
+        HybridIndex::from_groups(&scheme.group_keys(), rows, threads)
     }
 
     /// Assembles the filter around a scheme and the finalized index

@@ -27,13 +27,12 @@
 //!
 //! Every entry also carries the *slot* of its `(token, cell)` list in
 //! the filter's [`HybridIndex`], so a probe reads the list by position
-//! instead of searching the key table. Slots name one frozen arena and
-//! are resolved by [`HierarchicalScheme::bind`], which
-//! `HierarchicalFilter` calls last on every construction path:
-//! build → finalize → bind; load → bind; refresh
-//! ([`extend_from`](HierarchicalScheme::extend_from)) → copy the
-//! untouched tokens' runs → build the new arena → bind. An unbound
-//! scheme generates signatures whose elements report no list.
+//! instead of searching the key table. Before
+//! [`HierarchicalScheme::bind`] an entry's slot is its build-time
+//! group number — its own index in `entries` — which is how the build
+//! tags each posting with its list without hashing a key. `bind`, which
+//! `HierarchicalFilter` calls last on every construction path (build,
+//! load, refresh), resolves the slots against the frozen arena.
 
 use crate::hss::select_ordered;
 use crate::signatures::{Signature, SignatureElement};
@@ -43,7 +42,7 @@ use seal_index::HybridIndex;
 use seal_text::TokenId;
 use std::ops::Range;
 
-/// Slot value of an entry whose `(token, cell)` key has no list.
+/// Slot value of a bound entry whose `(token, cell)` key has no list.
 const NO_SLOT: u32 = u32::MAX;
 
 fn slot_of(raw: u32) -> Option<usize> {
@@ -58,7 +57,8 @@ struct SharedCell {
 }
 
 /// One `(token, cell)` pair: an index into the shared cell table and
-/// the slot of the pair's list in the bound index.
+/// the slot of the pair's list in the bound index (before binding, the
+/// entry's own index).
 #[derive(Debug, Clone, Copy)]
 struct CellEntry {
     cell: u32,
@@ -76,12 +76,20 @@ pub struct HierElement {
 }
 
 impl HierElement {
-    /// The slot of this element's list in the bound index: `None`
-    /// before [`HierarchicalScheme::bind`], and for a `(token, cell)`
-    /// pair no object has a posting for.
+    /// The slot of this element's list in the bound index (`None` for
+    /// a `(token, cell)` pair no object has a posting for); before
+    /// [`HierarchicalScheme::bind`], the entry's build-time group
+    /// number.
     #[inline]
     pub fn slot(&self) -> Option<usize> {
         slot_of(self.slot)
+    }
+
+    /// The element's build-time group number (see
+    /// [`HierarchicalScheme::group_keys`]); meaningful before `bind`.
+    #[inline]
+    pub(crate) fn group(&self) -> u32 {
+        self.slot
     }
 }
 
@@ -240,7 +248,8 @@ impl HierarchicalScheme {
     /// tokens strictly ascending and below `vocab`) out flat — the one
     /// constructor behind the fresh build, the generation-extending
     /// build and the container load. The cells of one token must not
-    /// repeat or contain one another; the result is unbound.
+    /// repeat or contain one another; the result is unbound: each
+    /// entry's slot is its own index, its group number.
     pub(crate) fn from_runs(
         tree: GridTree,
         budget: usize,
@@ -263,9 +272,9 @@ impl HierarchicalScheme {
         let mut distinct = ids.clone();
         distinct.sort_unstable();
         distinct.dedup();
-        let entries = ids.iter().map(|id| CellEntry {
+        let entries = ids.iter().zip(0..).map(|(id, group)| CellEntry {
             cell: distinct.binary_search(id).expect("id is in its own set") as u32,
-            slot: NO_SLOT,
+            slot: group,
         });
         let space = tree.space();
         let cells = distinct.iter().map(|&id| SharedCell {
@@ -279,6 +288,22 @@ impl HierarchicalScheme {
             budget,
             offsets,
         }
+    }
+
+    /// The key of every group — entry — in group-number order: the key
+    /// table an unbound scheme's postings are frozen against
+    /// ([`HybridIndex::from_groups`]).
+    pub(crate) fn group_keys(&self) -> Vec<u128> {
+        let mut keys = Vec::with_capacity(self.entries.len());
+        for t in 0..self.offsets.len() - 1 {
+            let run = &self.entries[self.run(t)];
+            let token = TokenId(t as u32);
+            keys.extend(
+                run.iter()
+                    .map(|e| Self::key(token, self.cells[e.cell as usize].id)),
+            );
+        }
+        keys
     }
 
     /// Resolves every entry's list slot against `index` — the frozen
@@ -567,8 +592,18 @@ mod tests {
                 "token {t} does not tile the space"
             );
             assert!(!cells.is_empty() && cells.len() <= 8);
-            assert!(cells.iter().all(|(_, slot)| slot.is_none()), "unbound");
         }
+        // Unbound: every entry's slot is its own index, its group.
+        let slots: Vec<Option<usize>> = scheme
+            .tokens()
+            .flat_map(|t| scheme.token_cells(t))
+            .map(|c| c.1)
+            .collect();
+        assert!(slots
+            .iter()
+            .copied()
+            .eq((0..scheme.total_cells()).map(Some)));
+        assert_eq!(scheme.group_keys().len(), scheme.total_cells());
         assert_eq!(scheme.token_cells(TokenId(99)).count(), 0);
         assert_eq!(scheme.tokens().count(), 5);
         assert!(flat_signature(&scheme, TokenId(99), &store.space()).is_empty());

@@ -8,14 +8,78 @@ use std::hash::Hash;
 use std::ops::Range;
 use std::sync::Mutex;
 
-/// A staged posting: the object and its `N` bounds.
+/// A posting being sorted: the object and its `N` bounds.
 type Row<const N: usize> = (ObjId, [f64; N]);
+
+/// A staged posting tagged with its group: `(group, object, bounds)`,
+/// where `group` indexes a key table (24 bytes for the hybrid lists).
+pub type GroupedRow<const N: usize> = (u32, ObjId, [f64; N]);
 
 /// The finalize order within a group: descending cut-axis bound, ties
 /// by ascending object id. A total order, because no bound is NaN
 /// (invariant 3).
 fn cmp_rows<const N: usize>(a: &Row<N>, b: &Row<N>) -> std::cmp::Ordering {
     b.1[0].total_cmp(&a.1[0]).then(a.0.cmp(&b.0))
+}
+
+/// Invariant 3: rejects a NaN bound.
+fn check_bounds<const N: usize>(bounds: &[f64; N]) {
+    for (col, b) in bounds.iter().enumerate() {
+        assert!(!b.is_nan(), "NaN bound {col} rejected at insert time");
+    }
+}
+
+/// Rows per chunk of a [`RowBuffer`] once it has grown (3 MiB of
+/// hybrid rows).
+const CHUNK_ROWS: usize = 1 << 17;
+
+/// Staged rows in chunks: appending never moves a row, so the buffer
+/// never holds a row twice (a doubling `Vec` does, mid-reallocation).
+/// Chunk capacities double from 64 rows up to 2¹⁷, so a small arena
+/// stages small; the freeze frees the chunks one by one as it scatters
+/// them. The cap was chosen on `peak_rss_mb` over the six benchmark
+/// workloads: one doubling `Vec` raised it up to 16 %, caps of 2¹⁶ or
+/// 2²⁰ rows up to 5–7 % on one workload each.
+#[derive(Debug, Clone, Default)]
+pub struct RowBuffer<const N: usize> {
+    chunks: Vec<Vec<GroupedRow<N>>>,
+    len: usize,
+}
+
+impl<const N: usize> RowBuffer<N> {
+    /// An empty buffer.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Appends a row.
+    #[inline]
+    pub fn push(&mut self, row: GroupedRow<N>) {
+        match self.chunks.last_mut() {
+            Some(chunk) if chunk.len() < chunk.capacity() => chunk.push(row),
+            _ => {
+                let mut chunk = Vec::with_capacity(self.len.clamp(64, CHUNK_ROWS));
+                chunk.push(row);
+                self.chunks.push(chunk);
+            }
+        }
+        self.len += 1;
+    }
+
+    fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// Capacity-based heap bytes.
+    fn heap_bytes(&self) -> usize {
+        let rows: usize = self.chunks.iter().map(Vec::capacity).sum();
+        rows * std::mem::size_of::<GroupedRow<N>>()
+            + self.chunks.capacity() * std::mem::size_of::<Vec<GroupedRow<N>>>()
+    }
+
+    fn iter(&self) -> impl Iterator<Item = &GroupedRow<N>> {
+        self.chunks.iter().flatten()
+    }
 }
 
 /// The frozen columns: one id column, `N` bound columns.
@@ -103,12 +167,15 @@ impl<'a, const N: usize> PostingsView<'a, N> {
 ///
 /// # Lifecycle
 ///
-/// `push*` stages rows in a per-key map; [`Arena::finalize`] sorts each
-/// staged group (descending bound 0, ties by ascending object id) and
-/// splices them, in key order, into the columns. That is the only
-/// freeze there is: pushing again and re-finalizing folds the frozen
-/// rows back into staging and freezes everything anew, so a re-freeze
-/// is by construction the fresh build over the same pushes.
+/// `push*` tags each row with its key's group number (a `HashMap`
+/// from key to group) and appends it to a [`RowBuffer`];
+/// [`Arena::finalize`] freezes the rows, and [`Arena::from_groups`]
+/// freezes rows a caller has already grouped. The freeze is one
+/// routine: count the rows per group, order the groups by key, scatter
+/// the rows straight into the columns (push order kept), then sort each
+/// group's span (descending bound 0, ties by ascending object id). A
+/// re-finalize returns the frozen rows to the buffer first, so it is by
+/// construction the fresh build over the same pushes.
 ///
 /// # Invariants
 ///
@@ -128,8 +195,11 @@ impl<'a, const N: usize> PostingsView<'a, N> {
 /// index sizes can be reproduced.
 #[derive(Debug, Clone)]
 pub struct Arena<K, const N: usize> {
-    /// Rows pushed since the last finalize, keyed for grouping.
-    staging: HashMap<K, Vec<Row<N>>>,
+    /// Group number of every staged key; `group_keys` maps it back.
+    groups: HashMap<K, u32>,
+    group_keys: Vec<K>,
+    /// Rows pushed since the last finalize, tagged with their group.
+    rows: RowBuffer<N>,
     keys: Vec<K>,
     offsets: Vec<usize>,
     columns: Columns<N>,
@@ -147,7 +217,9 @@ pub type HybridIndex<K> = Arena<K, 2>;
 impl<K, const N: usize> Default for Arena<K, N> {
     fn default() -> Self {
         Arena {
-            staging: HashMap::new(),
+            groups: HashMap::new(),
+            group_keys: Vec::new(),
+            rows: RowBuffer::new(),
             keys: Vec::new(),
             offsets: vec![0],
             columns: Columns::with_capacity(0),
@@ -168,11 +240,34 @@ impl<K: Eq + Hash + Ord + Copy + Sync, const N: usize> Arena<K, N> {
     /// # Panics
     /// If any bound is NaN (invariant 3).
     pub fn push_row(&mut self, key: K, object: ObjId, bounds: [f64; N]) {
-        for (col, b) in bounds.iter().enumerate() {
-            assert!(!b.is_nan(), "NaN bound {col} rejected at insert time");
-        }
-        self.staging.entry(key).or_default().push((object, bounds));
+        check_bounds(&bounds);
+        let group = self.group_of(key);
+        self.rows.push((group, object, bounds));
         self.posting_count += 1;
+    }
+
+    /// `key`'s group number, assigned on first sight.
+    fn group_of(&mut self, key: K) -> u32 {
+        let next = u32::try_from(self.group_keys.len()).expect("group count fits u32");
+        let group_keys = &mut self.group_keys;
+        *self.groups.entry(key).or_insert_with(|| {
+            group_keys.push(key);
+            next
+        })
+    }
+
+    /// A frozen arena over `rows`, each tagged with a group number
+    /// whose key is `keys[group]` — the same arena as pushing every row
+    /// under its group's key and finalizing with `threads`, for callers
+    /// that already know their groups and so need hash no key. A group
+    /// with no rows leaves no list.
+    ///
+    /// # Panics
+    /// If a key repeats in `keys` (invariant 1), a bound is NaN
+    /// (invariant 3) or a group number is not below `keys.len()`.
+    pub fn from_groups(keys: &[K], rows: RowBuffer<N>, threads: usize) -> Self {
+        let (keys, offsets, columns) = freeze(keys, rows, threads);
+        Self::from_frozen(keys, offsets, columns)
     }
 
     /// Rebuilds a frozen arena from already-validated parts (the
@@ -182,11 +277,11 @@ impl<K: Eq + Hash + Ord + Copy + Sync, const N: usize> Arena<K, N> {
         debug_assert_eq!(offsets.len(), keys.len() + 1);
         debug_assert_eq!(offsets.last(), Some(&columns.ids.len()));
         Arena {
-            staging: HashMap::new(),
             posting_count: columns.ids.len(),
             keys,
             offsets,
             columns,
+            ..Self::default()
         }
     }
 
@@ -199,69 +294,36 @@ impl<K: Eq + Hash + Ord + Copy + Sync, const N: usize> Arena<K, N> {
     }
 
     /// [`finalize`](Self::finalize) with the per-group sorts fanned out
-    /// over `threads` workers (work stealing over group indexes —
-    /// group sizes are Zipf-skewed, so static chunking would idle
+    /// over `threads` workers (work stealing over runs of whole groups
+    /// — group sizes are Zipf-skewed, so one run per worker would idle
     /// threads). `threads` follows the
     /// [`resolve_threads`](crate::parallel::resolve_threads)
-    /// convention: 0 = all cores, 1 = inline. The splice is sequential
-    /// (a memcpy-bound walk of the columns); results are bit-identical
+    /// convention: 0 = all cores, 1 = inline. Results are bit-identical
     /// for every thread count.
     pub fn finalize_with_threads(&mut self, threads: usize) {
-        if self.staging.is_empty() {
+        if self.rows.is_empty() {
             return;
         }
-        // A re-freeze is a fresh build: rows already frozen go back to
-        // staging and are sorted again with the new ones.
+        // A re-freeze is a fresh build: rows already frozen rejoin the
+        // staged ones, after them, under their keys' groups.
+        let mut rows = std::mem::take(&mut self.rows);
         let frozen = std::mem::replace(&mut self.columns, Columns::with_capacity(0));
         for (slot, key) in std::mem::take(&mut self.keys).into_iter().enumerate() {
-            let span = self.offsets[slot]..self.offsets[slot + 1];
-            let rows = span.map(|j| {
-                (
-                    frozen.ids[j],
-                    std::array::from_fn(|col| frozen.bounds[col][j]),
-                )
-            });
-            self.staging.entry(key).or_default().extend(rows);
+            let group = self.group_of(key);
+            for j in self.offsets[slot]..self.offsets[slot + 1] {
+                let bounds = std::array::from_fn(|col| frozen.bounds[col][j]);
+                rows.push((group, frozen.ids[j], bounds));
+            }
         }
         drop(frozen);
-        // A mutex per group gives the work-stealing workers mutable
-        // access to disjoint entries without unsafe; each lock is
-        // taken exactly once, uncontended.
-        let mut groups: Vec<(K, Mutex<Vec<Row<N>>>)> = self
-            .staging
-            .drain()
-            .map(|(k, rows)| (k, Mutex::new(rows)))
-            .collect();
-        groups.sort_unstable_by_key(|g| g.0);
-        crate::parallel::for_each_index(groups.len(), threads, |i| {
-            groups[i]
-                .1
-                .lock()
-                .expect("group sort cannot poison")
-                .sort_unstable_by(cmp_rows);
-        });
-        // Exact capacities: size accounting is capacity-based.
-        let mut keys = Vec::with_capacity(groups.len());
-        let mut offsets = Vec::with_capacity(groups.len() + 1);
-        let mut columns = Columns::with_capacity(self.posting_count);
-        offsets.push(0);
-        for (key, rows) in groups {
-            let rows = rows.into_inner().expect("group sort cannot poison");
-            columns.ids.extend(rows.iter().map(|r| r.0));
-            for (col, bounds) in columns.bounds.iter_mut().enumerate() {
-                bounds.extend(rows.iter().map(|r| r.1[col]));
-            }
-            keys.push(key);
-            offsets.push(columns.ids.len());
-        }
-        self.keys = keys;
-        self.offsets = offsets;
-        self.columns = columns;
+        self.groups = HashMap::new();
+        let group_keys = std::mem::take(&mut self.group_keys);
+        (self.keys, self.offsets, self.columns) = freeze(&group_keys, rows, threads);
     }
 
     /// True when every pushed posting is in the frozen columns.
     pub fn is_finalized(&self) -> bool {
-        self.staging.is_empty()
+        self.rows.is_empty()
     }
 
     /// The slot of `key`'s list: its position among the frozen keys in
@@ -341,7 +403,7 @@ impl<K: Eq + Hash + Ord + Copy + Sync, const N: usize> Arena<K, N> {
     /// Number of distinct keys (frozen plus staged).
     pub fn key_count(&self) -> usize {
         let staged_only = |k: &&K| self.keys.binary_search(k).is_err();
-        self.keys.len() + self.staging.keys().filter(staged_only).count()
+        self.keys.len() + self.group_keys.iter().filter(staged_only).count()
     }
 
     /// Total number of postings ever pushed.
@@ -350,22 +412,16 @@ impl<K: Eq + Hash + Ord + Copy + Sync, const N: usize> Arena<K, N> {
     }
 
     /// Exact heap size in bytes: the columns, the key table and the
-    /// offsets, plus any staged postings. All terms are
-    /// **capacity**-based (a staging `Vec` owns its whole
-    /// growth-doubled allocation); `finalize` sizes the frozen parts
-    /// exactly, so for a finalized index capacity and length agree.
+    /// offsets, plus the staged rows and group table. All terms are
+    /// **capacity**-based (a row chunk owns its whole allocation); a
+    /// freeze sizes the frozen parts exactly and frees the staging, so
+    /// for a finalized index capacity and length agree.
     pub fn size_bytes(&self) -> usize {
         let table = self.keys.capacity() * std::mem::size_of::<K>()
             + self.offsets.capacity() * std::mem::size_of::<usize>();
-        let staged: usize = self
-            .staging
-            .values()
-            .map(|v| {
-                std::mem::size_of::<K>()
-                    + std::mem::size_of::<Vec<Row<N>>>()
-                    + v.capacity() * std::mem::size_of::<Row<N>>()
-            })
-            .sum();
+        let staged = self.rows.heap_bytes()
+            + self.group_keys.capacity() * std::mem::size_of::<K>()
+            + self.groups.capacity() * std::mem::size_of::<(K, u32)>();
         self.columns.heap_bytes() + table + staged
     }
 
@@ -469,12 +525,138 @@ impl<K: Eq + Hash + Ord + Copy + Sync> Arena<K, 2> {
     }
 }
 
+/// The one freeze: `rows`, tagged with groups numbered into
+/// `group_keys`, into the key table, the CSR offsets and the columns.
+/// Counts the rows per group, orders the groups by key (skipping empty
+/// ones), scatters the rows straight into the columns in push order and
+/// sorts each group's span by [`cmp_rows`]. Each chunk of rows is
+/// freed once scattered, before the sort, so no row sits in two
+/// row-sized buffers.
+fn freeze<K: Ord + Copy, const N: usize>(
+    group_keys: &[K],
+    rows: RowBuffer<N>,
+    threads: usize,
+) -> (Vec<K>, Vec<usize>, Columns<N>) {
+    let mut counts = vec![0usize; group_keys.len()];
+    for (group, _, bounds) in rows.iter() {
+        check_bounds(bounds);
+        counts[*group as usize] += 1;
+    }
+    let mut order: Vec<u32> = (0..group_keys.len() as u32).collect();
+    order.sort_unstable_by_key(|&g| group_keys[g as usize]);
+    assert!(
+        order
+            .windows(2)
+            .all(|w| group_keys[w[0] as usize] < group_keys[w[1] as usize]),
+        "repeated key in the group table"
+    );
+    // Exact capacities: size accounting is capacity-based.
+    let listed = counts.iter().filter(|&&c| c > 0).count();
+    let mut keys = Vec::with_capacity(listed);
+    let mut offsets = Vec::with_capacity(listed + 1);
+    offsets.push(0);
+    // `counts[g]` becomes the next free row of group `g`.
+    let mut at = 0;
+    for g in order {
+        let count = std::mem::replace(&mut counts[g as usize], at);
+        if count > 0 {
+            at += count;
+            keys.push(group_keys[g as usize]);
+            offsets.push(at);
+        }
+    }
+    let mut columns = Columns {
+        ids: vec![0; at],
+        bounds: std::array::from_fn(|_| vec![0.0; at]),
+    };
+    for (group, id, bounds) in rows.chunks.into_iter().flatten() {
+        let j = &mut counts[group as usize];
+        columns.ids[*j] = id;
+        for (col, b) in bounds.into_iter().enumerate() {
+            columns.bounds[col][*j] = b;
+        }
+        *j += 1;
+    }
+    sort_groups(&offsets, &mut columns, threads);
+    (keys, offsets, columns)
+}
+
+/// Sorts every group's span of the columns by [`cmp_rows`], over
+/// `threads` workers stealing runs of whole groups.
+fn sort_groups<const N: usize>(offsets: &[usize], columns: &mut Columns<N>, threads: usize) {
+    let groups = offsets.len() - 1;
+    let workers = crate::parallel::worker_count(threads, groups);
+    let bounds = columns.bounds.each_mut().map(|col| col.as_mut_slice());
+    if workers <= 1 {
+        sort_run(offsets, &mut columns.ids, bounds);
+        return;
+    }
+    // Runs of about a quarter of a worker's share of the rows; a lock
+    // per run hands each worker its disjoint slices, taken once.
+    let target = columns.ids.len().div_ceil(4 * workers).max(1);
+    let mut runs = Vec::new();
+    let (mut ids, mut bounds) = (columns.ids.as_mut_slice(), bounds);
+    let mut first = 0;
+    while first < groups {
+        let mut last = first + 1;
+        while last < groups && offsets[last] - offsets[first] < target {
+            last += 1;
+        }
+        let len = offsets[last] - offsets[first];
+        let (run_ids, rest) = std::mem::take(&mut ids).split_at_mut(len);
+        ids = rest;
+        let run_bounds: [&mut [f64]; N] = std::array::from_fn(|col| {
+            let (run, rest) = std::mem::take(&mut bounds[col]).split_at_mut(len);
+            bounds[col] = rest;
+            run
+        });
+        runs.push(Mutex::new((&offsets[first..=last], run_ids, run_bounds)));
+        first = last;
+    }
+    crate::parallel::for_each_index(runs.len(), workers, |i| {
+        let mut run = runs[i].lock().expect("run sort cannot poison");
+        let (offsets, ids, bounds) = &mut *run;
+        let bounds = bounds.each_mut().map(|col| &mut **col);
+        sort_run(offsets, ids, bounds);
+    });
+}
+
+/// Sorts the consecutive groups `offsets` delimits (absolute rows;
+/// the slices start at `offsets[0]`), each gathered into a scratch of
+/// rows, sorted and written back.
+fn sort_run<const N: usize>(offsets: &[usize], ids: &mut [ObjId], mut bounds: [&mut [f64]; N]) {
+    let mut scratch: Vec<Row<N>> = Vec::new();
+    let base = offsets[0];
+    for span in offsets.windows(2) {
+        let (lo, hi) = (span[0] - base, span[1] - base);
+        if hi - lo < 2 {
+            continue;
+        }
+        scratch.clear();
+        scratch.extend((lo..hi).map(|j| (ids[j], std::array::from_fn(|col| bounds[col][j]))));
+        scratch.sort_unstable_by(cmp_rows);
+        for (j, &(id, row)) in (lo..hi).zip(scratch.iter()) {
+            ids[j] = id;
+            for (col, column) in bounds.iter_mut().enumerate() {
+                column[j] = row[col];
+            }
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn key(token: u64, cell: u64) -> u128 {
         (u128::from(token) << 64) | u128::from(cell)
+    }
+
+    fn buffer<const N: usize>(rows: impl IntoIterator<Item = GroupedRow<N>>) -> RowBuffer<N> {
+        let mut buffer = RowBuffer::new();
+        rows.into_iter().for_each(|row| buffer.push(row));
+        buffer
     }
 
     /// `(key, ids)` per frozen group.
@@ -560,16 +742,37 @@ mod tests {
         let mut a: InvertedIndex<u64> = InvertedIndex::new();
         a.push(1, 1, 1.0);
         let one = a.size_bytes();
-        // The staging Vec's capacity (≥ its len) is what the heap
-        // actually holds; pushing within capacity must not shrink the
-        // report, and the report must cover at least the capacity.
-        let cap = 1 + a.staging[&1].capacity() - a.staging[&1].len();
-        for v in 0..cap as u32 {
+        // A row chunk's capacity (≥ its len) is what the heap actually
+        // holds; pushing within it must not change the report, and the
+        // report must cover at least the chunks' capacity.
+        let staged = |a: &InvertedIndex<u64>| {
+            let rows: usize = a.rows.chunks.iter().map(Vec::capacity).sum();
+            rows * std::mem::size_of::<GroupedRow<1>>()
+        };
+        let spare = a.rows.chunks[0].capacity() - a.rows.len;
+        for v in 0..spare as u32 {
             a.push(1, v, 1.0);
         }
-        assert!(a.size_bytes() >= one);
-        let staged_bytes = a.staging[&1].capacity() * std::mem::size_of::<Row<1>>();
-        assert!(a.size_bytes() >= staged_bytes);
+        assert_eq!(a.size_bytes(), one, "pushes within capacity");
+        assert!(a.size_bytes() >= staged(&a));
+        a.push(1, 0, 1.0); // opens a second chunk
+        assert_eq!(a.rows.chunks.len(), 2);
+        assert!(a.size_bytes() > one);
+        assert!(a.size_bytes() >= staged(&a));
+    }
+
+    #[test]
+    fn row_chunks_double_and_keep_push_order() {
+        let rows = buffer((0..300_000u32).map(|i| (0, i, [0.0])));
+        let caps: Vec<usize> = rows.chunks.iter().map(Vec::capacity).collect();
+        // Each chunk holds as many rows as all before it (64 at first).
+        let mut before = 0;
+        for &cap in &caps {
+            assert_eq!(cap, before.clamp(64, CHUNK_ROWS));
+            before += cap;
+        }
+        assert_eq!(rows.len, 300_000);
+        assert!(rows.iter().map(|r| r.1).eq(0..300_000));
     }
 
     #[test]
@@ -783,5 +986,78 @@ mod tests {
         idx.push(key(0, 1), 9, 1.0, 1.0);
         idx.finalize();
         assert_eq!(idx.slot(&key(1, 9)), Some(1));
+    }
+
+    /// The group table: keys in scrambled order, so a group's number
+    /// says nothing about its key's rank.
+    fn group_keys(groups: usize) -> Vec<u64> {
+        (0..groups as u64).map(|g| (g * 7 + 3) % 11 * 100).collect()
+    }
+
+    /// `raw` rows `(group, id, bound level)` over `groups` keys — few
+    /// bound levels, so ties broken by id are common; rows naming a
+    /// group past the table are dropped, leaving some groups empty.
+    fn grouped_equals_pushed<const N: usize>(
+        groups: usize,
+        raw: &[(u32, u32, u8)],
+        threads: usize,
+    ) {
+        let keys = group_keys(groups);
+        let rows: RowBuffer<N> = buffer(raw.iter().filter(|r| (r.0 as usize) < groups).map(
+            |&(g, id, b)| {
+                (
+                    g,
+                    id,
+                    std::array::from_fn(|col| f64::from(b) * (col + 1) as f64),
+                )
+            },
+        ));
+        let mut pushed: Arena<u64, N> = Arena::new();
+        for &(g, id, bounds) in rows.iter() {
+            pushed.push_row(keys[g as usize], id, bounds);
+        }
+        pushed.finalize();
+        let grouped = Arena::from_groups(&keys, rows, threads);
+        assert_eq!(grouped.to_bytes(), pushed.to_bytes());
+        assert_eq!(grouped.size_bytes(), pushed.size_bytes());
+        assert_eq!(grouped.key_count(), pushed.key_count());
+        assert_eq!(grouped.posting_count(), pushed.posting_count());
+        // A group with no rows leaves no list.
+        assert!(grouped.iter().all(|(_, list)| !list.is_empty()));
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        #[test]
+        fn grouped_freeze_equals_push_and_finalize(
+            groups in 1usize..9,
+            raw in proptest::collection::vec((0u32..9, 0u32..40, 0u8..4), 0..120),
+            threads in 1usize..4,
+        ) {
+            grouped_equals_pushed::<1>(groups, &raw, threads);
+            grouped_equals_pushed::<2>(groups, &raw, threads);
+        }
+    }
+
+    #[test]
+    fn grouped_freeze_breaks_ties_by_id_and_drops_empty_groups() {
+        let rows = [(2, 9, [1.0, 0.0]), (2, 4, [1.0, 5.0]), (0, 1, [3.0, 1.0])];
+        let a = Arena::from_groups(&[30u64, 20, 10], buffer(rows), 1);
+        assert_eq!(groups(&a), vec![(10, vec![4, 9]), (30, vec![1])]);
+        assert_eq!(a.list(&10).unwrap().bounds[1], &[5.0, 0.0]);
+        assert!(a.list(&20).is_none());
+    }
+
+    #[test]
+    #[should_panic(expected = "repeated key in the group table")]
+    fn grouped_freeze_rejects_a_repeated_key() {
+        let _ = InvertedIndex::from_groups(&[5u64, 7, 5], buffer([(0, 1, [1.0])]), 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "NaN bound 1 rejected")]
+    fn grouped_freeze_rejects_a_nan_bound() {
+        let _ = HybridIndex::from_groups(&[5u64], buffer([(0, 1, [1.0, f64::NAN])]), 1);
     }
 }

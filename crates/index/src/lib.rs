@@ -53,7 +53,7 @@ pub mod parallel;
 mod postings;
 mod serialize;
 
-pub use arena::{Arena, HybridIndex, InvertedIndex, PostingsView};
+pub use arena::{Arena, GroupedRow, HybridIndex, InvertedIndex, PostingsView, RowBuffer};
 pub use compress::{CompressedHybridIndex, CompressedInvertedIndex};
 pub use container::{Container, ContainerError, ContainerWriter};
 pub use cut::bound_cut;
