@@ -242,22 +242,14 @@ fn cmd_query(args: &Args) -> Result<(), Box<dyn Error>> {
     let kind = filter_kind(args.optional("filter").unwrap_or("seal"))?;
 
     // Resolve query tokens against the dataset's vocabulary.
-    let mut ids: Vec<TokenId> = Vec::new();
-    let mut unknown: Vec<&str> = Vec::new();
-    for t in args.required("tokens")?.split(',').map(str::trim) {
-        if t.is_empty() {
-            continue;
-        }
-        match names.iter().position(|n| n == t) {
-            Some(i) => ids.push(TokenId(i as u32)),
-            None => unknown.push(t),
-        }
-    }
+    let (ids, unknown) = resolve_tokens(args.required("tokens")?, |t| {
+        names.iter().position(|n| n == t).map(|i| TokenId(i as u32))
+    });
     if !unknown.is_empty() {
         eprintln!("note: tokens not in the dataset vocabulary: {unknown:?}");
     }
 
-    let engine = SealEngine::build(store.clone(), kind);
+    let engine = SealEngine::build(store, kind);
     if args.optional("top-k").is_some() {
         let k: usize = args.parsed("top-k")?;
         let top = engine.search_top_k(region, TokenSet::from_ids(ids), k, 0.5);
@@ -270,23 +262,51 @@ fn cmd_query(args: &Args) -> Result<(), Box<dyn Error>> {
 
     let q = Query::with_token_ids(region, ids, tau_r, tau_t)
         .map_err(|e| format!("invalid thresholds: {e}"))?;
+    let engine_name = format!(", engine {}", engine.filter_name());
+    print_answers(&engine, &q, &engine_name, |t| {
+        names.get(t.0 as usize).map(String::as_str)
+    });
+    Ok(())
+}
+
+/// Splits a comma-separated token list and resolves each name through
+/// `lookup`: the ids found, and the names that were not.
+fn resolve_tokens(
+    list: &str,
+    lookup: impl Fn(&str) -> Option<TokenId>,
+) -> (Vec<TokenId>, Vec<&str>) {
+    let mut ids = Vec::new();
+    let mut unknown = Vec::new();
+    for t in list.split(',').map(str::trim).filter(|t| !t.is_empty()) {
+        match lookup(t) {
+            Some(id) => ids.push(id),
+            None => unknown.push(t),
+        }
+    }
+    (ids, unknown)
+}
+
+/// Answers `q` and prints the count line (`note` is appended inside
+/// its parentheses), then the first 20 answers by id with their area
+/// and token names.
+fn print_answers<'a>(
+    engine: &SealEngine,
+    q: &Query,
+    note: &str,
+    name: impl Fn(TokenId) -> Option<&'a str>,
+) {
     let t0 = std::time::Instant::now();
-    let result = engine.search(&q);
+    let result = engine.search(q);
     let elapsed = t0.elapsed();
     let result = result.sorted();
     println!(
-        "{} answers ({} candidates, {elapsed:?}, engine {})",
+        "{} answers ({} candidates, {elapsed:?}{note})",
         result.answers.len(),
         result.stats.candidates,
-        engine.filter_name(),
     );
     for id in result.answers.iter().take(20) {
-        let o = store.get(*id);
-        let toks: Vec<&str> = o
-            .tokens
-            .iter()
-            .filter_map(|t| names.get(t.0 as usize).map(String::as_str))
-            .collect();
+        let o = engine.store().get(*id);
+        let toks: Vec<&str> = o.tokens.iter().filter_map(&name).collect();
         println!(
             "  object {:>8}  area {:.3}  tokens {}",
             id.0,
@@ -297,7 +317,6 @@ fn cmd_query(args: &Args) -> Result<(), Box<dyn Error>> {
     if result.answers.len() > 20 {
         println!("  … and {} more", result.answers.len() - 20);
     }
-    Ok(())
 }
 
 /// Builds an index over the dataset and persists data + index as one
@@ -355,48 +374,13 @@ fn cmd_load(args: &Args) -> Result<(), Box<dyn Error>> {
     let tau_r: f64 = args.parsed_or("tau-r", 0.4)?;
     let tau_t: f64 = args.parsed_or("tau-t", 0.4)?;
     let dict = engine.store().dictionary();
-    let mut ids: Vec<TokenId> = Vec::new();
-    let mut unknown: Vec<&str> = Vec::new();
-    for t in tokens.split(',').map(str::trim) {
-        if t.is_empty() {
-            continue;
-        }
-        match dict.and_then(|d| d.get(t)) {
-            Some(id) => ids.push(id),
-            None => unknown.push(t),
-        }
-    }
+    let (ids, unknown) = resolve_tokens(tokens, |t| dict.and_then(|d| d.get(t)));
     if !unknown.is_empty() {
         eprintln!("note: tokens not in the saved dictionary: {unknown:?}");
     }
     let q = Query::with_token_ids(region, ids, tau_r, tau_t)
         .map_err(|e| format!("invalid thresholds: {e}"))?;
-    let t0 = std::time::Instant::now();
-    let result = engine.search(&q);
-    let elapsed = t0.elapsed();
-    let result = result.sorted();
-    println!(
-        "{} answers ({} candidates, {elapsed:?})",
-        result.answers.len(),
-        result.stats.candidates,
-    );
-    for id in result.answers.iter().take(20) {
-        let o = engine.store().get(*id);
-        let toks: Vec<&str> = o
-            .tokens
-            .iter()
-            .filter_map(|t| dict.and_then(|d| d.name(t)))
-            .collect();
-        println!(
-            "  object {:>8}  area {:.3}  tokens {}",
-            id.0,
-            o.region.area(),
-            toks.join(",")
-        );
-    }
-    if result.answers.len() > 20 {
-        println!("  … and {} more", result.answers.len() - 20);
-    }
+    print_answers(&engine, &q, "", |t| dict.and_then(|d| d.name(t)));
     Ok(())
 }
 

@@ -37,7 +37,7 @@
 //! until the swap. This window is the price of lock-free reads; it
 //! closes completely at `refresh()`, after which answers are
 //! **identical to a fresh [`SealEngine::build`] over the union**
-//! (pinned by the `tests/live_ingest.rs` proptests). Deployments that
+//! (replayed by the op-sequence model of `tests/exactness.rs`). Deployments that
 //! cannot tolerate it refresh more often — a refresh never stalls
 //! readers and costs less than a fresh build (per-token HSS
 //! selections are reused for tokens the delta did not touch; the
@@ -504,7 +504,6 @@ fn overlay_delta(engine: &SealEngine, delta: &DeltaSnapshot, q: &Query, result: 
 mod tests {
     use super::*;
     use crate::store::figure1_store;
-    use crate::verify::naive_search;
     use seal_geom::Rect;
     use seal_text::{TokenId, TokenSet};
 
@@ -520,107 +519,6 @@ mod tests {
                 TokenSet::from_ids([TokenId(4)]),
             ),
         ]
-    }
-
-    #[test]
-    fn pushed_objects_are_answerable_before_refresh() {
-        let (store, q) = figure1_store();
-        let live = LiveEngine::new(Arc::new(store), FilterKind::seal_default());
-        let before = live.search(&q).sorted().answers;
-        assert_eq!(before, vec![ObjectId(1)], "Example 1 baseline");
-        let id = live.push(delta_objects()[0].clone());
-        assert_eq!(id, ObjectId(7), "delta ids continue the store's");
-        let after = live.search(&q).sorted().answers;
-        assert_eq!(after, vec![ObjectId(1), ObjectId(7)], "visible immediately");
-        assert_eq!(live.len(), 8);
-        assert_eq!(live.staged_len(), 1);
-        assert_eq!(live.generation(), 0);
-    }
-
-    #[test]
-    fn refresh_matches_fresh_build_over_the_union() {
-        let (store, q0) = figure1_store();
-        let store = Arc::new(store);
-        for kind in [
-            FilterKind::Token,
-            FilterKind::TokenCompressed,
-            FilterKind::Grid { side: 8 },
-            FilterKind::Hierarchical {
-                max_level: 4,
-                budget: 8,
-            },
-        ] {
-            let live = LiveEngine::new(store.clone(), kind);
-            let delta = delta_objects();
-            live.push_all(delta.clone());
-            let stats = live.refresh();
-            assert_eq!(stats.generation, 1);
-            assert_eq!(stats.merged, 2);
-            assert_eq!(stats.total, 9);
-            assert_eq!(live.staged_len(), 0);
-            let union = Arc::new(store.extended(&delta));
-            let fresh = SealEngine::build(union, kind);
-            for (tr, tt) in [(0.1, 0.1), (0.25, 0.3), (0.6, 0.6)] {
-                let q = q0.with_thresholds(tr, tt).unwrap();
-                assert_eq!(
-                    live.search(&q).sorted().answers,
-                    fresh.search(&q).sorted().answers,
-                    "{kind:?} τ=({tr},{tt})"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn empty_refresh_is_a_no_op() {
-        let (store, _q) = figure1_store();
-        let live = LiveEngine::new(Arc::new(store), FilterKind::Token);
-        let stats = live.refresh();
-        assert_eq!(stats.generation, 0);
-        assert_eq!(stats.merged, 0);
-        assert_eq!(stats.total, 7);
-        assert!(!stats.scheme_reused);
-        assert_eq!(live.generation(), 0);
-    }
-
-    #[test]
-    fn hierarchical_refresh_reuses_the_scheme() {
-        let (store, _q) = figure1_store();
-        let live = LiveEngine::new(
-            Arc::new(store),
-            FilterKind::Hierarchical {
-                max_level: 4,
-                budget: 8,
-            },
-        );
-        live.push_all(delta_objects());
-        let stats = live.refresh();
-        assert!(
-            stats.scheme_reused,
-            "delta inside the space MBR reuses HSS selections"
-        );
-        assert!(stats.build_seconds >= 0.0);
-    }
-
-    #[test]
-    fn delta_overlay_uses_frozen_weights() {
-        // The staleness window, pinned: before the refresh the staged
-        // object is judged with the old corpus's idf weights; the
-        // oracle over "old corpus + object" must agree.
-        let (store, q0) = figure1_store();
-        let store = Arc::new(store);
-        let live = LiveEngine::new(store.clone(), FilterKind::Token);
-        let o = delta_objects()[0].clone();
-        live.push(o.clone());
-        let q = q0.with_thresholds(0.25, 0.3).unwrap();
-        let got = live.search(&q).sorted().answers;
-        let cfg = SimilarityConfig;
-        let mut expect = naive_search(&store, &cfg, &q);
-        if cfg.is_answer(&q, &o, store.weights()) {
-            expect.push(ObjectId(store.len() as u32));
-        }
-        expect.sort_unstable();
-        assert_eq!(got, expect);
     }
 
     #[test]
@@ -645,38 +543,6 @@ mod tests {
                 .collect();
             assert_eq!(batch, sequential, "threads={threads}");
         }
-    }
-
-    #[test]
-    fn pushes_during_a_refresh_stay_staged() {
-        // Simulated interleaving (the real concurrent test lives in
-        // tests/live_ingest.rs): push, refresh, push again — the
-        // second push must survive the swap with a stable id.
-        let (store, q0) = figure1_store();
-        let store = Arc::new(store);
-        let live = LiveEngine::new(store.clone(), FilterKind::Token);
-        let delta = delta_objects();
-        let id0 = live.push(delta[0].clone());
-        assert_eq!(id0, ObjectId(7));
-        live.refresh();
-        let id1 = live.push(delta[1].clone());
-        assert_eq!(id1, ObjectId(8), "ids stay dense across the swap");
-        assert_eq!(live.staged_len(), 1);
-        assert_eq!(live.len(), 9);
-        let q = q0.with_thresholds(0.1, 0.1).unwrap();
-        let live_answers = live.search(&q).sorted().answers;
-        // After the second refresh everything is frozen and must match
-        // a fresh union build exactly.
-        live.refresh();
-        assert_eq!(live.generation(), 2);
-        let union = Arc::new(store.extended(&delta));
-        let fresh = SealEngine::build(union, FilterKind::Token);
-        assert_eq!(
-            live.search(&q).sorted().answers,
-            fresh.search(&q).sorted().answers
-        );
-        // And the pre-refresh overlay had already surfaced both ids.
-        assert!(live_answers.contains(&ObjectId(7)) || !live_answers.is_empty());
     }
 
     #[test]
@@ -732,38 +598,6 @@ mod tests {
         d.drop_prefix(5); // over-drop is clamped
         assert_eq!(d.len(), 0);
         assert!(d.is_empty());
-    }
-
-    #[test]
-    fn live_top_k_matches_engine_top_k_without_delta() {
-        let (store, q) = figure1_store();
-        let store = Arc::new(store);
-        let engine = SealEngine::build(store.clone(), FilterKind::Token);
-        let live = LiveEngine::new(store, FilterKind::Token);
-        for alpha in [0.0, 0.5, 1.0] {
-            for k in [1usize, 3, 100] {
-                assert_eq!(
-                    live.search_top_k(q.region, q.tokens.clone(), k, alpha),
-                    engine.search_top_k(q.region, q.tokens.clone(), k, alpha),
-                    "k={k} alpha={alpha}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn live_top_k_sees_staged_objects() {
-        let (store, q) = figure1_store();
-        let live = LiveEngine::new(Arc::new(store), FilterKind::Token);
-        // A staged near-duplicate of the query region must rank near
-        // the top before any refresh.
-        live.push(delta_objects()[0].clone());
-        let top = live.search_top_k(q.region, q.tokens.clone(), 2, 0.5);
-        assert!(
-            top.iter().any(|(id, _)| *id == ObjectId(7)),
-            "staged object missing from top-k: {top:?}"
-        );
-        assert!(top.windows(2).all(|w| w[0].1 >= w[1].1));
     }
 
     #[test]

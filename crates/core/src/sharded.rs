@@ -525,106 +525,12 @@ mod tests {
     use super::*;
     use crate::store::figure1_store;
     use crate::verify::naive_search;
-    use crate::SealEngine;
     use seal_text::TokenSet;
 
     fn sharded(n: usize) -> (ShardedEngine, ObjectStore, Query) {
         let (store, q) = figure1_store();
         let engine = ShardedEngine::build(&store, FilterKind::Token, n);
         (engine, store, q)
-    }
-
-    #[test]
-    fn sharded_answers_match_the_single_engine() {
-        for n in [1usize, 2, 3, 4, 8] {
-            let (engine, store, q0) = sharded(n);
-            assert_eq!(engine.shard_count(), n);
-            assert_eq!(engine.len(), 7);
-            let store = Arc::new(store);
-            let single = SealEngine::build(store.clone(), FilterKind::Token);
-            for (tr, tt) in [(0.1, 0.1), (0.25, 0.3), (0.6, 0.6)] {
-                let q = q0.with_thresholds(tr, tt).unwrap();
-                assert_eq!(
-                    engine.search(&q).sorted().answers,
-                    single.search(&q).sorted().answers,
-                    "n={n} τ=({tr},{tt})"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn probe_set_skips_disjoint_shards_exactly() {
-        let (engine, store, q0) = sharded(4);
-        // A query region in one corner cannot require probing every
-        // shard of a spatial partition, and skipping must not change
-        // answers.
-        let q = Query::with_token_ids(
-            Rect::new(0.0, 0.0, 30.0, 30.0).unwrap(),
-            q0.tokens.iter(),
-            0.1,
-            0.1,
-        )
-        .unwrap();
-        let result = engine.search(&q);
-        assert!(result.stats.shards_probed <= 4);
-        let mut expect = naive_search(&Arc::new(store), &SimilarityConfig, &q);
-        expect.sort_unstable();
-        assert_eq!(result.sorted().answers, expect);
-    }
-
-    #[test]
-    fn push_refresh_matches_fresh_union_build() {
-        let (store, q0) = figure1_store();
-        let delta = vec![
-            RoiObject::new(
-                Rect::new(22.0, 12.0, 68.0, 43.0).unwrap(),
-                TokenSet::from_ids([TokenId(0), TokenId(1), TokenId(2)]),
-            ),
-            RoiObject::new(
-                Rect::new(100.0, 100.0, 118.0, 118.0).unwrap(),
-                TokenSet::from_ids([TokenId(4), TokenId(5)]), // grows the vocab
-            ),
-        ];
-        for n in [1usize, 2, 4] {
-            let engine = ShardedEngine::build(&store, FilterKind::Token, n);
-            let first = QueryEngine::push(&engine, delta[0].clone());
-            assert_eq!(first, ObjectId(7), "global ids continue in push order");
-            assert_eq!(engine.push_all(vec![delta[1].clone()]), Some(ObjectId(8)));
-            assert_eq!(engine.staged_len(), 2);
-            let stats = ShardedEngine::refresh(&engine);
-            assert_eq!(stats.generation, 1);
-            assert_eq!(stats.merged, 2);
-            assert_eq!(stats.total, 9);
-            assert_eq!(engine.staged_len(), 0);
-            let union = Arc::new(store.extended(&delta));
-            let fresh = SealEngine::build(union, FilterKind::Token);
-            for (tr, tt) in [(0.1, 0.1), (0.25, 0.3), (0.6, 0.6)] {
-                let q = q0.with_thresholds(tr, tt).unwrap();
-                assert_eq!(
-                    engine.search(&q).sorted().answers,
-                    fresh.search(&q).sorted().answers,
-                    "n={n} τ=({tr},{tt})"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn sharded_top_k_matches_single_engine_top_k() {
-        for n in [1usize, 2, 4] {
-            let (engine, store, q) = sharded(n);
-            let single = SealEngine::build(Arc::new(store), FilterKind::Token);
-            for alpha in [0.0, 0.5, 1.0] {
-                for k in [1usize, 3, 100] {
-                    assert_eq!(
-                        engine.search_top_k(q.region, q.tokens.clone(), k, alpha),
-                        single.search_top_k(q.region, q.tokens.clone(), k, alpha),
-                        "n={n} k={k} alpha={alpha}"
-                    );
-                }
-            }
-        }
     }
 
     #[test]

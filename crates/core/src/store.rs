@@ -43,7 +43,7 @@ pub struct StoreStats {
 #[derive(Debug, Clone)]
 pub struct CorpusArtifacts {
     /// The entire space `R` (MBR of all regions, padded to positive
-    /// extent exactly like [`ObjectStore::from_objects`] pads it).
+    /// extent so grids are well-defined).
     pub space: Rect,
     /// Corpus idf weights `w(t) = ln(|O| / count(t,O))`.
     pub weights: IdfWeights,
@@ -54,12 +54,13 @@ pub struct CorpusArtifacts {
 }
 
 impl CorpusArtifacts {
-    /// Computes the artifacts over an object iterator — bit-identical
-    /// to what [`ObjectStore::from_objects`] would compute over the
-    /// same objects collected into a `Vec` (same space padding, same
-    /// document-frequency weights, same order). The iterator is cloned
-    /// for the two passes (space, then weights), so pass something
-    /// cheap to clone — slices and chained slice iterators are.
+    /// Computes the artifacts over an object iterator — the one
+    /// computation behind [`ObjectStore::from_objects`], so a sharded
+    /// refresh that walks objects scattered across shard snapshots gets
+    /// the same artifacts as a store over the same objects collected
+    /// into a `Vec`. The iterator is cloned for the two passes (space,
+    /// then weights), so pass something cheap to clone — slices and
+    /// chained slice iterators are.
     pub fn compute<'a, I>(objects: I, vocab_size: usize) -> Self
     where
         I: Iterator<Item = &'a RoiObject> + Clone,
@@ -79,19 +80,14 @@ impl CorpusArtifacts {
     /// construction path: partition one built store, hand each shard
     /// the whole corpus's artifacts).
     pub fn of(store: &ObjectStore) -> Self {
-        CorpusArtifacts {
-            space: store.space,
-            weights: store.weights.clone(),
-            token_order: store.token_order.clone(),
-            vocab_size: store.vocab_size,
-        }
+        store.artifacts.clone()
     }
 }
 
 /// The immutable object collection every index is built over.
 ///
-/// Owns the objects plus the two corpus-level artifacts the paper's
-/// filters need:
+/// Owns the objects plus their [`CorpusArtifacts`], among them the two
+/// corpus-level artifacts the paper's filters need:
 ///
 /// * [`IdfWeights`] — `w(t) = ln(|O| / count(t,O))` (Section 2.1);
 /// * [`GlobalTokenOrder`] — tokens by descending idf, the global
@@ -99,10 +95,7 @@ impl CorpusArtifacts {
 #[derive(Debug, Clone)]
 pub struct ObjectStore {
     objects: Vec<RoiObject>,
-    space: Rect,
-    weights: IdfWeights,
-    token_order: GlobalTokenOrder,
-    vocab_size: usize,
+    artifacts: CorpusArtifacts,
     dictionary: Option<Dictionary>,
 }
 
@@ -110,17 +103,8 @@ impl ObjectStore {
     /// Builds a store from objects whose token ids come from a space of
     /// `vocab_size` distinct tokens.
     pub fn from_objects(objects: Vec<RoiObject>, vocab_size: usize) -> Self {
-        let space = compute_space(&objects);
-        let weights = IdfWeights::from_corpus(vocab_size, objects.iter().map(|o| o.tokens.ids()));
-        let token_order = GlobalTokenOrder::by_descending_weight(vocab_size, &weights);
-        ObjectStore {
-            objects,
-            space,
-            weights,
-            token_order,
-            vocab_size,
-            dictionary: None,
-        }
+        let artifacts = CorpusArtifacts::compute(objects.iter(), vocab_size);
+        ObjectStore::with_artifacts(objects, artifacts)
     }
 
     /// Builds a store over `objects` that carries **injected** corpus
@@ -134,10 +118,7 @@ impl ObjectStore {
     pub fn with_artifacts(objects: Vec<RoiObject>, artifacts: CorpusArtifacts) -> Self {
         ObjectStore {
             objects,
-            space: artifacts.space,
-            weights: artifacts.weights,
-            token_order: artifacts.token_order,
-            vocab_size: artifacts.vocab_size,
+            artifacts,
             dictionary: None,
         }
     }
@@ -178,7 +159,7 @@ impl ObjectStore {
             .map(|t| t.index() + 1)
             .max()
             .unwrap_or(0)
-            .max(self.vocab_size);
+            .max(self.vocab_size());
         let mut next = ObjectStore::from_objects(objects, vocab);
         next.dictionary = self.dictionary.clone();
         next
@@ -245,25 +226,25 @@ impl ObjectStore {
     /// extent so grids are well-defined).
     #[inline]
     pub fn space(&self) -> Rect {
-        self.space
+        self.artifacts.space
     }
 
     /// The corpus idf weights.
     #[inline]
     pub fn weights(&self) -> &IdfWeights {
-        &self.weights
+        &self.artifacts.weights
     }
 
     /// The global token order (descending idf).
     #[inline]
     pub fn token_order(&self) -> &GlobalTokenOrder {
-        &self.token_order
+        &self.artifacts.token_order
     }
 
     /// Number of distinct tokens the store was built with.
     #[inline]
     pub fn vocab_size(&self) -> usize {
-        self.vocab_size
+        self.artifacts.vocab_size
     }
 
     /// The dictionary, when the store was built from strings.
@@ -293,13 +274,13 @@ impl ObjectStore {
         StoreStats {
             objects: n,
             avg_region_area: if n == 0 { 0.0 } else { area_sum / n as f64 },
-            space_area: self.space.area(),
+            space_area: self.space().area(),
             avg_token_count: if n == 0 {
                 0.0
             } else {
                 token_sum as f64 / n as f64
             },
-            vocab_size: self.vocab_size,
+            vocab_size: self.vocab_size(),
             data_bytes,
         }
     }
@@ -307,13 +288,6 @@ impl ObjectStore {
 
 /// MBR of all regions, padded to a non-degenerate rectangle so grid
 /// partitions are always well-defined.
-fn compute_space(objects: &[RoiObject]) -> Rect {
-    space_over(objects.iter().map(|o| &o.region))
-}
-
-/// The iterator form of [`compute_space`] (shared with
-/// [`CorpusArtifacts::compute`], which walks regions scattered across
-/// shard snapshots without collecting them).
 fn space_over<'a>(regions: impl Iterator<Item = &'a Rect>) -> Rect {
     let mbr = Rect::mbr_of(regions)
         .unwrap_or_else(|| Rect::new(0.0, 0.0, 1.0, 1.0).expect("static rect"));

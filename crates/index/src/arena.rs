@@ -152,7 +152,7 @@ impl<'a, const N: usize> PostingsView<'a, N> {
 ///
 /// The paper's pruning rule is a threshold cut over a *bound* column
 /// (`bound ≥ c`); everything else a probe touches is the *id* column.
-/// Keeping the two apart lets [`bound_cut`] scan a dense `f64` run and
+/// Keeping the two apart lets [`bound_cut`] search a dense `f64` run and
 /// the qualifying prefix come back as a slice of a dense `u32` run. A
 /// probe is one binary search over `keys` (or none, by [`Arena::slot`])
 /// plus one cut over the group's span of bound column 0 — no pointer

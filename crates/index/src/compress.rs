@@ -46,7 +46,7 @@
 //! itself non-increasing — so the Lemma 3 qualifying cut runs entirely
 //! in the **quantized domain**: the `f64` threshold is lifted once per
 //! group to the smallest qualifying `u16` step (`Quantizer::
-//! quantize_threshold`) and the cut is the same chunked scan the
+//! quantize_threshold`) and the cut is the same binary search the
 //! uncompressed arenas use ([`bound_cut`](crate::bound_cut)'s `u16`
 //! twin), with zero dequantization per comparison and zero decoding of
 //! postings that fail the threshold. Only the qualifying prefix's

@@ -1,6 +1,8 @@
 //! Offline shim for `proptest`: the strategy/`proptest!` subset this
 //! workspace uses. Cases are sampled from a deterministic per-test
-//! seed; failures report the failing inputs but are **not shrunk**.
+//! seed. A failing case is shrunk: its inputs are replaced by smaller
+//! candidates ([`Strategy::shrink`]) while the test still fails, and
+//! the case's seed and the smallest failing inputs are printed.
 
 #![forbid(unsafe_code)]
 
@@ -31,13 +33,19 @@ impl ProptestConfig {
 /// A generator of random values of one type.
 pub trait Strategy {
     /// The generated type.
-    type Value: Debug;
+    type Value: Debug + Clone;
 
     /// Draws one value.
     fn sample(&self, rng: &mut StdRng) -> Self::Value;
 
+    /// Smaller values to try in place of a failing `value`, most
+    /// aggressive first. Empty by default: the value does not shrink.
+    fn shrink(&self, _value: &Self::Value) -> Vec<Self::Value> {
+        Vec::new()
+    }
+
     /// Maps generated values through `f`.
-    fn prop_map<O: Debug, F: Fn(Self::Value) -> O>(self, f: F) -> Map<Self, F>
+    fn prop_map<O: Debug + Clone, F: Fn(Self::Value) -> O>(self, f: F) -> Map<Self, F>
     where
         Self: Sized,
     {
@@ -51,7 +59,7 @@ pub struct Map<S, F> {
     f: F,
 }
 
-impl<S: Strategy, O: Debug, F: Fn(S::Value) -> O> Strategy for Map<S, F> {
+impl<S: Strategy, O: Debug + Clone, F: Fn(S::Value) -> O> Strategy for Map<S, F> {
     type Value = O;
 
     fn sample(&self, rng: &mut StdRng) -> O {
@@ -77,8 +85,9 @@ macro_rules! impl_range_strategy {
 }
 impl_range_strategy!(u8, u16, u32, u64, usize, i8, i16, i32, i64, isize, f64);
 
+/// A tuple shrinks one element at a time, the others held fixed.
 macro_rules! impl_tuple_strategy {
-    ($($name:ident),*) => {
+    ($($name:ident $i:tt),*) => {
         impl<$($name: Strategy),*> Strategy for ($($name,)*) {
             type Value = ($($name::Value,)*);
             #[allow(non_snake_case)]
@@ -86,13 +95,29 @@ macro_rules! impl_tuple_strategy {
                 let ($($name,)*) = self;
                 ($($name.sample(rng),)*)
             }
+
+            fn shrink(&self, value: &Self::Value) -> Vec<Self::Value> {
+                let mut out = Vec::new();
+                $(
+                    for smaller in self.$i.shrink(&value.$i) {
+                        let mut v = value.clone();
+                        v.$i = smaller;
+                        out.push(v);
+                    }
+                )*
+                out
+            }
         }
     };
 }
-impl_tuple_strategy!(A, B);
-impl_tuple_strategy!(A, B, C);
-impl_tuple_strategy!(A, B, C, D);
-impl_tuple_strategy!(A, B, C, D, E);
+impl_tuple_strategy!(A 0);
+impl_tuple_strategy!(A 0, B 1);
+impl_tuple_strategy!(A 0, B 1, C 2);
+impl_tuple_strategy!(A 0, B 1, C 2, D 3);
+impl_tuple_strategy!(A 0, B 1, C 2, D 3, E 4);
+impl_tuple_strategy!(A 0, B 1, C 2, D 3, E 4, F 5);
+impl_tuple_strategy!(A 0, B 1, C 2, D 3, E 4, F 5, G 6);
+impl_tuple_strategy!(A 0, B 1, C 2, D 3, E 4, F 5, G 6, H 7);
 
 /// Collection strategies (`proptest::collection::vec`).
 pub mod collection {
@@ -118,32 +143,88 @@ pub mod collection {
             let n = rand::Rng::gen_range(rng, self.len.clone());
             (0..n).map(|_| self.element.sample(rng)).collect()
         }
+
+        /// Each half of the vector, then the vector without one
+        /// element; never shorter than the length range allows.
+        /// Elements themselves are not shrunk.
+        fn shrink(&self, value: &Self::Value) -> Vec<Self::Value> {
+            let n = value.len();
+            let mut out = Vec::new();
+            if n / 2 >= self.len.start && n >= 2 {
+                out.push(value[..n / 2].to_vec());
+                out.push(value[n / 2..].to_vec());
+            }
+            if n > self.len.start {
+                for i in 0..n {
+                    let mut v = value.clone();
+                    v.remove(i);
+                    out.push(v);
+                }
+            }
+            out
+        }
     }
 }
 
-/// Drives one property: samples `config.cases` cases from a seed
-/// derived from the test name, reporting the case index on failure.
-/// Called by the [`proptest!`] macro expansion; not public API.
-pub fn run_cases(config: ProptestConfig, name: &str, case: impl Fn(u32, &mut StdRng)) {
+/// Drives one property: runs `test` on `config.cases` values drawn
+/// from `strategy`, case `i` seeded from the test name and `i`, and
+/// passes `test` the case index with the value. A failing value is
+/// shrunk — replaced by the first [`Strategy::shrink`] candidate that
+/// still fails, until none does — then the case's seed and the
+/// smallest failing value are printed and the test is run on it one
+/// last time, so its own failure is the one reported. The
+/// [`proptest!`] macro expands to this call.
+pub fn run_cases<S: Strategy>(
+    config: ProptestConfig,
+    name: &str,
+    strategy: &S,
+    test: impl Fn(u32, S::Value),
+) {
     // FNV-1a over the test name keeps seeds stable across runs and
     // distinct across properties.
     let mut seed = 0xcbf2_9ce4_8422_2325u64;
     for b in name.bytes() {
         seed = (seed ^ u64::from(b)).wrapping_mul(0x100_0000_01b3);
     }
-    for i in 0..config.cases {
-        let mut rng = StdRng::seed_from_u64(seed.wrapping_add(u64::from(i)));
-        case(i, &mut rng);
+    let fails = |case: u32, value: &S::Value| {
+        let value = value.clone();
+        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| test(case, value))).is_err()
+    };
+    for case in 0..config.cases {
+        let case_seed = seed.wrapping_add(u64::from(case));
+        let mut value = strategy.sample(&mut StdRng::seed_from_u64(case_seed));
+        if !fails(case, &value) {
+            continue;
+        }
+        // Every accepted candidate is strictly smaller, so the walk
+        // ends; the cap bounds the re-runs of a slow property.
+        let mut runs = 0;
+        'shrink: while runs < 1024 {
+            for smaller in strategy.shrink(&value) {
+                runs += 1;
+                if fails(case, &smaller) {
+                    value = smaller;
+                    continue 'shrink;
+                }
+            }
+            break;
+        }
+        eprintln!(
+            "proptest {name} failed at case {case} (seed {case_seed:#x}); \
+             shrunk inputs after {runs} re-runs:\n  {value:?}"
+        );
+        test(case, value);
+        panic!("proptest {name}: case {case} failed once but passes on re-run");
     }
 }
 
-/// Asserts a condition inside a property (no shrinking; panics).
+/// Asserts a condition inside a property (panics).
 #[macro_export]
 macro_rules! prop_assert {
     ($($t:tt)*) => { assert!($($t)*) };
 }
 
-/// Asserts equality inside a property (no shrinking; panics).
+/// Asserts equality inside a property (panics).
 #[macro_export]
 macro_rules! prop_assert_eq {
     ($($t:tt)*) => { assert_eq!($($t)*) };
@@ -174,24 +255,12 @@ macro_rules! __proptest_impl {
         $(
             $(#[$meta])*
             fn $name() {
-                let config: $crate::ProptestConfig = $cfg;
-                $crate::run_cases(config, stringify!($name), |__case, __rng| {
-                    $(let $arg = $crate::Strategy::sample(&($strat), __rng);)*
-                    let __inputs = format!(
-                        concat!($(stringify!($arg), " = {:?}; "),*),
-                        $(&$arg),*
-                    );
-                    let __result = ::std::panic::catch_unwind(
-                        ::std::panic::AssertUnwindSafe(move || $body),
-                    );
-                    if let Err(panic) = __result {
-                        eprintln!(
-                            "proptest {} failed at case {}:\n  {}",
-                            stringify!($name), __case, __inputs,
-                        );
-                        ::std::panic::resume_unwind(panic);
-                    }
-                });
+                $crate::run_cases(
+                    $cfg,
+                    stringify!($name),
+                    &($($strat,)*),
+                    |_, ($($arg,)*)| $body,
+                );
             }
         )*
     };
@@ -230,6 +299,43 @@ mod tests {
         fn config_header_accepted(t in (0u8..4, 0u8..=3, 1i64..9, 0.0f64..2.0)) {
             prop_assert!(t.0 < 4 && t.1 <= 3 && t.2 >= 1 && t.3 < 2.0);
         }
+    }
+
+    #[test]
+    fn vec_shrinks_halves_then_single_drops_within_the_length_range() {
+        let s = collection::vec(0u32..10, 2..8);
+        let candidates = s.shrink(&vec![1, 2, 3, 4]);
+        assert_eq!(candidates[..2], [vec![1, 2], vec![3, 4]]);
+        assert_eq!(
+            candidates[2..],
+            [vec![2, 3, 4], vec![1, 3, 4], vec![1, 2, 4], vec![1, 2, 3]]
+        );
+        assert!(
+            s.shrink(&vec![1, 2]).is_empty(),
+            "never below the minimum length"
+        );
+    }
+
+    #[test]
+    fn a_failing_case_shrinks_to_its_culprit() {
+        let last = std::sync::Mutex::new(Vec::new());
+        let strategy = (collection::vec(0u32..100, 0..40), 0u32..5);
+        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            crate::run_cases(
+                ProptestConfig::with_cases(16),
+                "a_failing_case_shrinks_to_its_culprit",
+                &strategy,
+                |_, (v, _)| {
+                    *last.lock().unwrap() = v.clone();
+                    assert!(v.iter().all(|&x| x < 90), "an element is at least 90");
+                },
+            )
+        }));
+        assert!(result.is_err(), "some case draws an element of at least 90");
+        // The last run is the re-run on the shrunk value.
+        let v = last.lock().unwrap().clone();
+        assert_eq!(v.len(), 1, "shrunk to one element: {v:?}");
+        assert!(v[0] >= 90);
     }
 
     #[test]

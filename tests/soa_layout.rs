@@ -135,17 +135,15 @@ fn arena_indexes_read_only_their_own_kind() {
 }
 
 // ---------------------------------------------------------------------
-// 3. Chunked bound_cut ≡ partition_point
+// 3. bound_cut ≡ partition_point ≡ the count of qualifying rows
 // ---------------------------------------------------------------------
 
 #[test]
-fn chunked_cut_matches_partition_point_on_adversarial_columns() {
-    // Deterministic adversarial shapes around every boundary the
-    // chunked scan has: lane width 16, the scan/binary cutover, tie
-    // plateaus straddling chunk edges.
+fn bound_cut_matches_partition_point_on_adversarial_columns() {
+    // Deterministic adversarial shapes: empty, odd and power-of-two
+    // lengths, tie plateaus everywhere, all-pass and all-fail.
     for len in [0usize, 1, 15, 16, 17, 47, 48, 49, 255, 256, 257, 511, 2048] {
-        // Plateaus of width 5 (ties everywhere, including across chunk
-        // boundaries since 5 ∤ 16).
+        // Plateaus of width 5: ties everywhere.
         let col: Vec<f64> = (0..len).map(|i| ((len - i) / 5) as f64).collect();
         let thresholds: Vec<f64> = [
             -1.0,
@@ -177,7 +175,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
     #[test]
-    fn chunked_cut_matches_partition_point_on_random_columns(
+    fn bound_cut_matches_partition_point_on_random_columns(
         bounds in proptest::collection::vec(0.0f64..1000.0, 0..600),
         c in -10.0f64..1010.0,
     ) {
