@@ -2,7 +2,7 @@
 //! Figure 8 — the paper's **HybridFilter**).
 
 use crate::filters::{CandidateFilter, QueryContext};
-use crate::signatures::grid::GridScheme;
+use crate::signatures::grid::{GridScheme, GridSignature};
 use crate::signatures::hash_hybrid::BucketScheme;
 use crate::signatures::textual::TextualSignature;
 use crate::{ObjectId, ObjectStore, Query, SearchStats};
@@ -44,13 +44,16 @@ impl HybridFilter {
         storage: Storage,
     ) -> Self {
         let grid = GridScheme::build(&store, side);
+        // Bucket keys are hashes of `(token, cell)`, not dense ids, so
+        // this build still groups its rows through the arena's key map.
         let mut index: HybridIndex<u64> = HybridIndex::new();
+        let (mut tsig, mut gsig) = (TextualSignature::default(), GridSignature::default());
         for (id, o) in store.iter() {
             if o.tokens.is_empty() {
                 continue;
             }
-            let tsig = TextualSignature::build(&o.tokens, store.weights(), store.token_order());
-            let gsig = grid.signature(&o.region);
+            tsig.rebuild(&o.tokens, store.weights(), store.token_order());
+            grid.signature_into(&o.region, &mut gsig);
             // Definition 5: SH(o) = ST(o) × SR(o) hashed into buckets.
             for (telem, tbound) in tsig.elements_with_bounds() {
                 for (gelem, gbound) in gsig.elements_with_bounds() {

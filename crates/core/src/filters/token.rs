@@ -5,7 +5,7 @@ use crate::filters::{CandidateFilter, QueryContext};
 use crate::persist::primary_section;
 use crate::signatures::textual::TextualSignature;
 use crate::{ObjectId, ObjectStore, Query, SearchStats};
-use seal_index::{InvertedIndex, Postings, Storage};
+use seal_index::{InvertedIndex, Postings, RowBuffer, Storage};
 use std::sync::Arc;
 
 /// `Sig-Filter+` with textual signatures: token inverted lists with
@@ -21,6 +21,11 @@ use std::sync::Arc;
 /// smaller lists for the prefix decode and a superset-only candidate
 /// guarantee (bounds round up by at most one quantization step —
 /// verification removes the extras).
+///
+/// The build hashes no key: a token id is its list's group number, and
+/// the rows freeze through [`InvertedIndex::from_groups`], as the Seal
+/// build's do. The Grid and HashHybrid builds, whose `u64` keys are
+/// sparse, still group their rows through the arena's key hash map.
 pub struct TokenFilter {
     store: Arc<ObjectStore>,
     postings: Postings<u32, 1>,
@@ -36,23 +41,31 @@ impl TokenFilter {
         Self::build_with_opts(store, crate::BuildOpts::default(), Storage::Arena)
     }
 
-    /// Builds with explicit build options (`BuildOpts::threads` parallelizes the finalize-time group
-    /// sorts; the index contents are identical for every thread
-    /// count) and storage form (the finalized arena as it is, or
-    /// compressed once).
+    /// Builds with explicit build options (`BuildOpts::threads`
+    /// parallelizes the freeze-time group sorts; the index contents
+    /// are identical for every thread count) and storage form (the
+    /// frozen arena as it is, or compressed once).
     pub fn build_with_opts(
         store: Arc<ObjectStore>,
         opts: crate::BuildOpts,
         storage: Storage,
     ) -> Self {
-        let mut index: InvertedIndex<u32> = InvertedIndex::new();
+        // A token id is its group number. The key table runs to the
+        // largest id seen, not to the vocabulary size, so an id past
+        // the vocabulary still gets its list; ids without postings
+        // leave none.
+        let mut rows = RowBuffer::new();
+        let mut max_token = None;
+        let mut sig = TextualSignature::default();
         for (id, o) in store.iter() {
-            let sig = TextualSignature::build(&o.tokens, store.weights(), store.token_order());
+            sig.rebuild(&o.tokens, store.weights(), store.token_order());
             for (elem, bound) in sig.elements_with_bounds() {
-                index.push(elem.token.0, id.0, bound);
+                max_token = max_token.max(Some(elem.token.0));
+                rows.push((elem.token.0, id.0, [bound]));
             }
         }
-        index.finalize_with_threads(opts.threads);
+        let keys: Vec<u32> = max_token.map_or_else(Vec::new, |max| (0..=max).collect());
+        let index = InvertedIndex::from_groups(&keys, rows, opts.threads);
         Self::from_loaded(store, Postings::freeze(index, storage))
     }
 
@@ -193,6 +206,89 @@ mod tests {
         // And the oracle agrees that the empty-token object is the answer.
         let cfg = SimilarityConfig;
         assert_eq!(naive_search(&store, &cfg, &q), vec![ObjectId(0)]);
+    }
+
+    /// The Token build as it was before it grouped rows by token id:
+    /// every posting pushed under its key (hashed to a group), then
+    /// finalized — the reference the hash-free build must equal byte
+    /// for byte.
+    fn pushed_postings(store: &ObjectStore, threads: usize, storage: Storage) -> Vec<u8> {
+        let mut index: InvertedIndex<u32> = InvertedIndex::new();
+        for (id, o) in store.iter() {
+            let sig = TextualSignature::build(&o.tokens, store.weights(), store.token_order());
+            for (elem, bound) in sig.elements_with_bounds() {
+                index.push(elem.token.0, id.0, bound);
+            }
+        }
+        index.finalize_with_threads(threads);
+        Postings::freeze(index, storage).to_bytes()
+    }
+
+    /// A store over `(x, y, side, token ids)` objects and `vocab`.
+    fn store_of(objects: &[(f64, f64, f64, Vec<u32>)], vocab: usize) -> ObjectStore {
+        use seal_geom::Rect;
+        use seal_text::{TokenId, TokenSet};
+        let objects = objects
+            .iter()
+            .map(|(x, y, side, tokens)| {
+                crate::RoiObject::new(
+                    Rect::new(*x, *y, x + side, y + side).unwrap(),
+                    TokenSet::from_ids(tokens.iter().map(|&t| TokenId(t))),
+                )
+            })
+            .collect();
+        ObjectStore::from_objects(objects, vocab)
+    }
+
+    fn assert_build_equals_push_and_finalize(store: ObjectStore) {
+        let store = Arc::new(store);
+        for threads in [1, 2] {
+            for storage in [Storage::Arena, Storage::Compressed] {
+                let opts = crate::BuildOpts::with_threads(threads);
+                let built = TokenFilter::build_with_opts(store.clone(), opts, storage);
+                assert_eq!(
+                    built.postings().to_bytes(),
+                    pushed_postings(&store, threads, storage),
+                    "threads {threads}, {storage:?}"
+                );
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(64))]
+
+        /// Ids are drawn from 0..24 against a vocabulary of 1..32: some
+        /// ids go unused, some sit at or past the vocabulary size, and
+        /// about one object in six has no tokens.
+        #[test]
+        fn build_equals_push_and_finalize(
+            objects in proptest::collection::vec(
+                (0.0f64..90.0, 0.0f64..90.0, 0.5f64..10.0, proptest::collection::vec(0u32..24, 0..6)),
+                0..40,
+            ),
+            vocab in 1usize..32,
+        ) {
+            assert_build_equals_push_and_finalize(store_of(&objects, vocab));
+        }
+    }
+
+    #[test]
+    fn build_equals_push_and_finalize_on_edge_stores() {
+        // No objects; only empty-token objects.
+        assert_build_equals_push_and_finalize(store_of(&[], 0));
+        assert_build_equals_push_and_finalize(store_of(&[], 5));
+        assert_build_equals_push_and_finalize(store_of(&[(0.0, 0.0, 1.0, vec![])], 3));
+        // Ids far past the vocabulary, and a vocabulary mostly unused.
+        let objects = [
+            (0.0, 0.0, 1.0, vec![0, 100]),
+            (2.0, 2.0, 3.0, vec![]),
+            (1.0, 1.0, 2.0, vec![100, 7]),
+        ];
+        assert_build_equals_push_and_finalize(store_of(&objects, 3));
+        assert_build_equals_push_and_finalize(store_of(&objects, 500));
+        // The figure 1 store.
+        assert_build_equals_push_and_finalize(figure1_store().0);
     }
 
     #[test]

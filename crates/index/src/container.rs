@@ -60,36 +60,60 @@ pub const DIR_ENTRY_LEN: usize = 22;
 /// Fixed footer size in bytes.
 pub const FOOTER_LEN: usize = 16;
 
-/// IEEE CRC-32 lookup table (reflected polynomial 0xEDB88320),
-/// computed at compile time so the checksum needs no runtime setup
-/// and no external crate.
-const CRC_TABLE: [u32; 256] = {
-    let mut table = [0u32; 256];
-    let mut i = 0;
-    while i < 256 {
-        // seal-lint: allow(persisted-narrowing-cast) — compile-time table index in 0..256
-        let mut c = i as u32;
+/// The slicing-by-16 tables of the IEEE CRC-32 (reflected polynomial
+/// 0xEDB88320), computed at compile time so the checksum needs no
+/// runtime setup and no external crate. `CRC_TABLES[k][n]` is the CRC
+/// register after byte `n` followed by `k` zero bytes: eight bit steps
+/// per byte from the register `n`. Table 0 is the classic bytewise
+/// table.
+const CRC_TABLES: [[u32; 256]; 16] = {
+    let mut tables = [[0u32; 256]; 16];
+    let (mut n, mut byte) = (0usize, 0u32);
+    while n < 256 {
+        let mut c = byte;
         let mut k = 0;
-        while k < 8 {
-            c = if c & 1 != 0 {
-                0xEDB8_8320 ^ (c >> 1)
-            } else {
-                c >> 1
-            };
+        while k < 16 {
+            let mut bit = 0;
+            while bit < 8 {
+                c = if c & 1 != 0 {
+                    0xEDB8_8320 ^ (c >> 1)
+                } else {
+                    c >> 1
+                };
+                bit += 1;
+            }
+            tables[k][n] = c;
             k += 1;
         }
-        table[i] = c;
-        i += 1;
+        n += 1;
+        byte += 1;
     }
-    table
+    tables
 };
 
 /// IEEE CRC-32 (the zlib/PNG polynomial) of a byte string.
+///
+/// Slicing-by-16 (Kounavis & Berry, ISCC 2005): each step folds the
+/// register into the next 16 bytes and looks every byte up in its own
+/// table, so the 16 lookups are independent instead of a chain of one
+/// per byte; the tail of fewer than 16 bytes goes bytewise through
+/// table 0.
 pub fn crc32(bytes: &[u8]) -> u32 {
     let mut c = 0xFFFF_FFFFu32;
-    for &b in bytes {
-        // seal-lint: allow(persisted-narrowing-cast) — masked to 8 bits, always a table index
-        c = CRC_TABLE[((c ^ u32::from(b)) & 0xFF) as usize] ^ (c >> 8);
+    let mut blocks = bytes.chunks_exact(16);
+    for block in &mut blocks {
+        let mut b = [0u8; 16];
+        b.copy_from_slice(block);
+        for (x, r) in b.iter_mut().zip(c.to_le_bytes()) {
+            *x ^= r;
+        }
+        c = b
+            .iter()
+            .zip(CRC_TABLES.iter().rev())
+            .fold(0, |acc, (&x, table)| acc ^ table[usize::from(x)]);
+    }
+    for &x in blocks.remainder() {
+        c = CRC_TABLES[0][usize::from(c.to_le_bytes()[0] ^ x)] ^ (c >> 8);
     }
     c ^ 0xFFFF_FFFF
 }
@@ -804,6 +828,54 @@ mod tests {
             crc32(b"The quick brown fox jumps over the lazy dog"),
             0x414F_A339
         );
+    }
+
+    /// The bytewise CRC-32 the sliced kernel must equal: one table
+    /// lookup per byte, from table 0.
+    fn crc32_bytewise(bytes: &[u8]) -> u32 {
+        let mut c = 0xFFFF_FFFFu32;
+        for &x in bytes {
+            c = CRC_TABLES[0][usize::from(c.to_le_bytes()[0] ^ x)] ^ (c >> 8);
+        }
+        c ^ 0xFFFF_FFFF
+    }
+
+    /// Every length 0–300 at every start offset 0–15 of `buf`, so the
+    /// 16-byte blocks start unaligned and every tail length occurs.
+    fn assert_sliced_equals_bytewise(buf: &[u8]) {
+        for len in 0..=300 {
+            for start in 0..16 {
+                let s = &buf[start..start + len];
+                assert_eq!(crc32(s), crc32_bytewise(s), "len {len} at offset {start}");
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(32))]
+
+        #[test]
+        fn crc32_equals_the_bytewise_reference(
+            buf in proptest::collection::vec(0u8..=255, 316..317),
+        ) {
+            assert_sliced_equals_bytewise(&buf);
+        }
+    }
+
+    #[test]
+    fn crc32_equals_the_bytewise_reference_on_constant_and_large_buffers() {
+        assert_sliced_equals_bytewise(&[0x00; 316]);
+        assert_sliced_equals_bytewise(&[0xFF; 316]);
+        let mut x = 0x9E37_79B9_7F4A_7C15u64;
+        let big: Vec<u8> = (0..1 << 20)
+            .map(|_| {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                x.to_le_bytes()[0]
+            })
+            .collect();
+        assert_eq!(crc32(&big), crc32_bytewise(&big));
     }
 
     #[test]
