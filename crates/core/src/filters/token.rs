@@ -24,8 +24,8 @@ use std::sync::Arc;
 ///
 /// The build hashes no key: a token id is its list's group number, and
 /// the rows freeze through [`InvertedIndex::from_groups`], as the Seal
-/// build's do. The Grid and HashHybrid builds, whose `u64` keys are
-/// sparse, still group their rows through the arena's key hash map.
+/// build's do. The Grid and HashHybrid builds still group their rows
+/// through the arena's key hash map.
 pub struct TokenFilter {
     store: Arc<ObjectStore>,
     postings: Postings<u32, 1>,

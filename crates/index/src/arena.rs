@@ -173,11 +173,11 @@ impl<'a, const N: usize> PostingsView<'a, N> {
 /// freezes rows a caller has already grouped. The Token build (a
 /// token id is its group) and the Seal build (a scheme entry is its
 /// group) stage through `from_groups` and hash no key; the Grid and
-/// HashHybrid builds, whose `u64` keys are sparse, still `push` and
-/// finalize. The freeze is one
-/// routine: count the rows per group, order the groups by key, scatter
-/// the rows straight into the columns (push order kept), then sort each
-/// group's span (descending bound 0, ties by ascending object id). A
+/// HashHybrid builds still `push` their `u64` keys and finalize. The
+/// freeze is one routine: count the rows per group, order the groups by
+/// key, scatter the rows straight into the columns (push order kept),
+/// then sort each group's span (descending bound 0, ties by ascending
+/// object id). A
 /// re-finalize returns the frozen rows to the buffer first, so it is by
 /// construction the fresh build over the same pushes.
 ///
