@@ -480,19 +480,21 @@ impl LiveEngine {
     }
 }
 
-/// Appends the staged delta's answers to a generation result: a naive
-/// scan under the generation's **frozen** weights (the staleness
-/// window of the module docs), ids offset past the generation's store.
-/// Mirrors what `verify::naive_search` would do, so delta semantics
-/// match the oracle over "old corpus + this object".
+/// Appends the staged delta's answers to a generation result: every
+/// staged object through the query's verify [`Kernel`](crate::verify::Kernel)
+/// under the generation's **frozen** weights (the staleness window of
+/// the module docs), ids offset past the generation's store. The
+/// answers are `verify::naive_search`'s over "old corpus + this
+/// object".
 fn overlay_delta(engine: &SealEngine, delta: &DeltaSnapshot, q: &Query, result: &mut SearchResult) {
     if delta.is_empty() {
         return;
     }
     let base = engine.store().len() as u32;
     let weights = engine.store().weights();
+    let kernel = crate::verify::Kernel::new(q);
     for (i, o) in delta.iter().enumerate() {
-        if crate::simfn::is_answer(q, o, weights) {
+        if kernel.accepts(o, weights) {
             result.answers.push(ObjectId(base + i as u32));
             result.stats.results += 1;
         }

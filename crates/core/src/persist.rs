@@ -22,9 +22,15 @@
 //! | 4 | engine meta | [`FilterKind`] tag + parameters, two similarity tags (always 0) |
 //! | 5 | hier scheme | per-token HSS cell selections ([`FilterKind::Hierarchical`] only) |
 //! | 6 | primary index | the filter's index in the `seal_index` codec format |
+//! | 8 | corpus artifacts | space rect, idf weights ([`ObjectStore::with_artifacts`] stores only) |
 //!
 //! Kind 7 is retired (it held a secondary grid index for a filter that
-//! no longer exists); a container carrying it is refused.
+//! no longer exists); a container carrying it is refused. Kind 8 is
+//! written only by a store whose artifacts were injected (a shard's):
+//! its loader takes the space and weights from it, derives the token
+//! order from the weights as [`CorpusArtifacts::compute`] does, and
+//! computes nothing over the objects. Every other store's artifacts are
+//! recomputed from its objects on load.
 //!
 //! Which index sections an engine writes is the filter's own answer
 //! ([`CandidateFilter::persisted_sections`]); [`FilterKind`] is matched
@@ -39,14 +45,15 @@
 use crate::filters::{CandidateFilter, GridFilter, HierarchicalFilter, HybridFilter, TokenFilter};
 use crate::signatures::hash_hybrid::BucketScheme;
 use crate::signatures::hierarchical::HierarchicalScheme;
-use crate::{FilterKind, ObjectStore, SealEngine};
+use crate::store::CorpusArtifacts;
+use crate::{FilterKind, ObjectStore, RoiObject, SealEngine};
 use seal_geom::{GridCellId, GridTree, Rect};
 use seal_index::container::{put_f64, put_u32, put_u64, Reader};
 use seal_index::{
     Container, ContainerError, ContainerWriter, HybridIndex, IndexCodecError, IndexKey,
     InvertedIndex, ObjId, Postings,
 };
-use seal_text::{Dictionary, TokenId, TokenSet};
+use seal_text::{Dictionary, GlobalTokenOrder, IdfWeights, TokenId, TokenSet};
 use std::path::Path;
 use std::sync::Arc;
 
@@ -62,6 +69,9 @@ pub const SECTION_ENGINE_META: u16 = 4;
 pub const SECTION_HIER_SCHEME: u16 = 5;
 /// Section kind: the filter's primary index (codec bytes).
 pub const SECTION_PRIMARY_INDEX: u16 = 6;
+/// Section kind: injected corpus artifacts (a shard's space and idf
+/// weights).
+pub const SECTION_CORPUS_ARTIFACTS: u16 = 8;
 
 /// What a filter with one index persists: its codec bytes as the
 /// primary index section.
@@ -140,7 +150,8 @@ fn encode_store(store: &ObjectStore) -> Vec<u8> {
     buf
 }
 
-fn decode_store(payload: &[u8]) -> Result<ObjectStore, ContainerError> {
+/// The objects section's objects and vocabulary size.
+fn decode_store(payload: &[u8]) -> Result<(Vec<RoiObject>, usize), ContainerError> {
     let mut r = Reader::new(payload, "store objects");
     let vocab =
         usize::try_from(r.u64()?).map_err(|_| r.err("vocab size exceeds the address space"))?;
@@ -175,13 +186,86 @@ fn decode_store(payload: &[u8]) -> Result<ObjectStore, ContainerError> {
                 )));
             }
         }
-        objects.push(crate::RoiObject::new(
-            region,
-            TokenSet::from_sorted_unique(ids),
-        ));
+        objects.push(RoiObject::new(region, TokenSet::from_sorted_unique(ids)));
     }
     r.done()?;
-    Ok(ObjectStore::from_objects(objects, vocab))
+    Ok((objects, vocab))
+}
+
+// ----------------------------------------------------- corpus artifacts
+
+/// The space rect, then the idf weights: corpus size, fallback weight,
+/// and one weight per vocabulary slot. The token order is not written;
+/// it is a function of the weights.
+fn encode_artifacts(a: &CorpusArtifacts) -> Vec<u8> {
+    let values = a.weights.values();
+    let mut buf = Vec::with_capacity(4 * 8 + 3 * 8 + values.len() * 8);
+    for v in [
+        a.space.min().x,
+        a.space.min().y,
+        a.space.max().x,
+        a.space.max().y,
+    ] {
+        put_f64(&mut buf, v);
+    }
+    put_u64(&mut buf, a.weights.corpus_size() as u64);
+    put_f64(&mut buf, a.weights.fallback());
+    put_u64(&mut buf, values.len() as u64);
+    for &v in values {
+        put_f64(&mut buf, v);
+    }
+    buf
+}
+
+/// Decodes the injected artifacts of a store over `objects` from a
+/// vocabulary of `vocab` tokens. The space must be a positive-area rect
+/// holding every object, and there must be one finite, non-negative
+/// weight per vocabulary slot: a filter grids the space, and a NaN or
+/// negative weight would break the bounds and the scores.
+fn decode_artifacts(
+    payload: &[u8],
+    objects: &[RoiObject],
+    vocab: usize,
+) -> Result<CorpusArtifacts, ContainerError> {
+    let mut r = Reader::new(payload, "corpus artifacts");
+    let (min_x, min_y) = (r.f64()?, r.f64()?);
+    let (max_x, max_y) = (r.f64()?, r.f64()?);
+    let space =
+        Rect::new(min_x, min_y, max_x, max_y).map_err(|e| r.err(format!("invalid space: {e}")))?;
+    if !(space.width() > 0.0 && space.height() > 0.0) {
+        return Err(r.err("space has no area"));
+    }
+    if let Some(i) = objects.iter().position(|o| !space.contains_rect(&o.region)) {
+        return Err(r.err(format!("object {i} lies outside the space")));
+    }
+    let corpus_size =
+        usize::try_from(r.u64()?).map_err(|_| r.err("corpus size exceeds the address space"))?;
+    let fallback = r.f64()?;
+    let declared = r.u64()?;
+    if declared != vocab as u64 {
+        return Err(r.err(format!("{declared} weights for a vocabulary of {vocab}")));
+    }
+    let values = r.column::<8, f64>(vocab, f64::from_le_bytes)?;
+    let bad = |v: &f64| !(v.is_finite() && *v >= 0.0);
+    if bad(&fallback) {
+        return Err(r.err(format!(
+            "fallback weight {fallback} is not finite and non-negative"
+        )));
+    }
+    if let Some(t) = values.iter().position(bad) {
+        return Err(r.err(format!(
+            "weight of token {t} ({}) is not finite and non-negative",
+            values[t]
+        )));
+    }
+    r.done()?;
+    let weights = IdfWeights::from_parts(values, fallback, corpus_size);
+    Ok(CorpusArtifacts {
+        space,
+        token_order: GlobalTokenOrder::by_descending_weight(vocab, &weights),
+        weights,
+        vocab_size: vocab,
+    })
 }
 
 // ----------------------------------------------------------- dictionary
@@ -438,7 +522,7 @@ fn check_ids(
 }
 
 /// Refuses a section the engine meta's kind does not read: the store
-/// sections (1, 2, and 3 when present) and the meta (4) belong to
+/// sections (1, 2, and 3 and 8 when present) and the meta (4) belong to
 /// every container, the HSS scheme (5) only to `Hierarchical`, and the
 /// primary index (6) to every kind. Anything else
 /// — a retired kind, another kind's section — would load silently and
@@ -449,7 +533,9 @@ fn check_sections(container: &Container<'_>, kind: FilterKind) -> Result<(), Con
         _ => &[SECTION_PRIMARY_INDEX],
     };
     let read = |s: u16| {
-        (SECTION_STORE_STATS..=SECTION_ENGINE_META).contains(&s) || index_sections.contains(&s)
+        (SECTION_STORE_STATS..=SECTION_ENGINE_META).contains(&s)
+            || s == SECTION_CORPUS_ARTIFACTS
+            || index_sections.contains(&s)
     };
     match container.sections().iter().find(|s| !read(s.kind)) {
         Some(s) => Err(ContainerError::Section {
@@ -531,6 +617,9 @@ impl SealEngine {
         let mut w = ContainerWriter::new();
         w.push_section(SECTION_STORE_STATS, encode_stats(self.store()));
         w.push_section(SECTION_STORE_OBJECTS, encode_store(self.store()));
+        if let Some(artifacts) = self.store().injected_artifacts() {
+            w.push_section(SECTION_CORPUS_ARTIFACTS, encode_artifacts(artifacts));
+        }
         if let Some(dict) = self.store().dictionary() {
             w.push_section(SECTION_DICTIONARY, encode_dictionary(dict));
         }
@@ -560,7 +649,14 @@ impl SealEngine {
     /// [`ContainerError`]s, never as panics.
     pub fn load_from_bytes(bytes: &[u8], threads: usize) -> Result<SealEngine, ContainerError> {
         let container = Container::parse_with_threads(bytes, threads)?;
-        let mut store = decode_store(container.require(SECTION_STORE_OBJECTS)?)?;
+        let (objects, vocab) = decode_store(container.require(SECTION_STORE_OBJECTS)?)?;
+        let mut store = match container.section(SECTION_CORPUS_ARTIFACTS) {
+            Some(payload) => {
+                let artifacts = decode_artifacts(payload, &objects, vocab)?;
+                ObjectStore::with_artifacts(objects, artifacts)
+            }
+            None => ObjectStore::from_objects(objects, vocab),
+        };
         if let Some(payload) = container.section(SECTION_DICTIONARY) {
             store.set_dictionary(Some(decode_dictionary(payload)?));
         }

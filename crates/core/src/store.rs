@@ -96,6 +96,9 @@ impl CorpusArtifacts {
 pub struct ObjectStore {
     objects: Vec<RoiObject>,
     artifacts: CorpusArtifacts,
+    /// True when `artifacts` were injected ([`ObjectStore::with_artifacts`])
+    /// rather than computed over `objects`.
+    injected: bool,
     dictionary: Option<Dictionary>,
 }
 
@@ -104,7 +107,12 @@ impl ObjectStore {
     /// `vocab_size` distinct tokens.
     pub fn from_objects(objects: Vec<RoiObject>, vocab_size: usize) -> Self {
         let artifacts = CorpusArtifacts::compute(objects.iter(), vocab_size);
-        ObjectStore::with_artifacts(objects, artifacts)
+        ObjectStore {
+            objects,
+            artifacts,
+            injected: false,
+            dictionary: None,
+        }
     }
 
     /// Builds a store over `objects` that carries **injected** corpus
@@ -119,6 +127,7 @@ impl ObjectStore {
         ObjectStore {
             objects,
             artifacts,
+            injected: true,
             dictionary: None,
         }
     }
@@ -247,15 +256,21 @@ impl ObjectStore {
         self.artifacts.vocab_size
     }
 
+    /// The artifacts, when they were injected rather than computed over
+    /// the objects: what a container must carry for the store to load
+    /// back as it is.
+    pub(crate) fn injected_artifacts(&self) -> Option<&CorpusArtifacts> {
+        self.injected.then_some(&self.artifacts)
+    }
+
     /// The dictionary, when the store was built from strings.
     pub fn dictionary(&self) -> Option<&Dictionary> {
         self.dictionary.as_ref()
     }
 
     /// Attaches a dictionary after construction — the container load
-    /// path rebuilds the store from persisted objects via
-    /// [`from_objects`](Self::from_objects) and then restores the
-    /// persisted dictionary here.
+    /// path rebuilds the store from persisted objects and then restores
+    /// the persisted dictionary here.
     pub(crate) fn set_dictionary(&mut self, dictionary: Option<Dictionary>) {
         self.dictionary = dictionary;
     }

@@ -533,51 +533,67 @@ impl ContainerWriter {
         self.sections.push((kind, payload));
     }
 
+    /// The header and directory (with per-section CRCs), the
+    /// CRC-protected footer, and the container's total length: every
+    /// byte but the payloads, which go between the two as pushed.
+    fn frame(&self) -> (Vec<u8>, [u8; FOOTER_LEN], usize) {
+        let dir_len = self.sections.len() * DIR_ENTRY_LEN;
+        let payload_len: usize = self.sections.iter().map(|(_, p)| p.len()).sum();
+        let total = HEADER_LEN + dir_len + payload_len + FOOTER_LEN;
+        let mut head = Vec::with_capacity(HEADER_LEN + dir_len);
+        head.extend_from_slice(&CONTAINER_MAGIC.to_le_bytes());
+        head.push(CONTAINER_VERSION);
+        head.push(0); // flags, reserved
+        let count = u32::try_from(self.sections.len()).expect("section count fits u32");
+        head.extend_from_slice(&count.to_le_bytes());
+        let mut offset = HEADER_LEN + dir_len;
+        for (kind, payload) in &self.sections {
+            head.extend_from_slice(&kind.to_le_bytes());
+            head.extend_from_slice(&(offset as u64).to_le_bytes());
+            head.extend_from_slice(&(payload.len() as u64).to_le_bytes());
+            head.extend_from_slice(&crc32(payload).to_le_bytes());
+            offset += payload.len();
+        }
+        let mut footer = [0u8; FOOTER_LEN];
+        footer[..8].copy_from_slice(&(total as u64).to_le_bytes());
+        footer[8..12].copy_from_slice(&crc32(&head).to_le_bytes());
+        footer[12..].copy_from_slice(&FOOTER_MAGIC.to_le_bytes());
+        (head, footer, total)
+    }
+
     /// Serializes the container to bytes: header, directory with
     /// per-section CRCs, contiguous payloads, CRC-protected footer.
     /// The output is a pure function of the pushed sections, so equal
     /// section bytes always produce equal container bytes.
     pub fn finish(self) -> Vec<u8> {
-        let dir_len = self.sections.len() * DIR_ENTRY_LEN;
-        let payload_len: usize = self.sections.iter().map(|(_, p)| p.len()).sum();
-        let total = HEADER_LEN + dir_len + payload_len + FOOTER_LEN;
-        let mut out = Vec::with_capacity(total);
-        out.extend_from_slice(&CONTAINER_MAGIC.to_le_bytes());
-        out.push(CONTAINER_VERSION);
-        out.push(0); // flags, reserved
-        let count = u32::try_from(self.sections.len()).expect("section count fits u32");
-        out.extend_from_slice(&count.to_le_bytes());
-        let mut offset = HEADER_LEN + dir_len;
-        for (kind, payload) in &self.sections {
-            out.extend_from_slice(&kind.to_le_bytes());
-            out.extend_from_slice(&(offset as u64).to_le_bytes());
-            out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-            out.extend_from_slice(&crc32(payload).to_le_bytes());
-            offset += payload.len();
-        }
-        let dir_crc = crc32(&out);
+        let (mut out, footer, total) = self.frame();
+        out.reserve_exact(total - out.len());
         for (_, payload) in &self.sections {
             out.extend_from_slice(payload);
         }
-        out.extend_from_slice(&(total as u64).to_le_bytes());
-        out.extend_from_slice(&dir_crc.to_le_bytes());
-        out.extend_from_slice(&FOOTER_MAGIC.to_le_bytes());
+        out.extend_from_slice(&footer);
         debug_assert_eq!(out.len(), total);
         out
     }
 
-    /// Serializes and writes the container to `path` **crash-safely**:
-    /// the bytes go to [`temp_path_for`]`(path)` first, are fsynced,
-    /// and are renamed over the destination only once fully on disk
-    /// (then the parent directory is fsynced, best effort). A failure
-    /// at any step leaves an existing file at `path` untouched.
-    /// Returns the container size in bytes.
+    /// Writes the container [`finish`](Self::finish) would return to
+    /// `path` **crash-safely**, straight from the pushed sections (no
+    /// second copy of the container is built): the bytes go to
+    /// [`temp_path_for`]`(path)` first, are fsynced, and are renamed
+    /// over the destination only once fully on disk (then the parent
+    /// directory is fsynced, best effort). A failure at any step leaves
+    /// an existing file at `path` untouched. Returns the container size
+    /// in bytes.
     pub fn write_atomic(self, path: &Path) -> Result<u64, ContainerError> {
-        let bytes = self.finish();
+        let (head, footer, total) = self.frame();
         let tmp = temp_path_for(path);
         let write = (|| -> std::io::Result<()> {
             let mut f = File::create(&tmp)?;
-            f.write_all(&bytes)?;
+            f.write_all(&head)?;
+            for (_, payload) in &self.sections {
+                f.write_all(payload)?;
+            }
+            f.write_all(&footer)?;
             f.sync_all()?;
             drop(f);
             std::fs::rename(&tmp, path)?;
@@ -600,7 +616,7 @@ impl ContainerWriter {
             let _ = std::fs::remove_file(&tmp);
             return Err(ContainerError::Io(e));
         }
-        Ok(bytes.len() as u64)
+        Ok(total as u64)
     }
 }
 

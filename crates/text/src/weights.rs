@@ -105,6 +105,27 @@ impl IdfWeights {
         }
     }
 
+    /// Rebuilds weights from what [`values`](Self::values),
+    /// [`fallback`](Self::fallback) and [`corpus_size`](Self::corpus_size)
+    /// return (a persisted copy).
+    pub fn from_parts(values: Vec<f64>, fallback: f64, corpus_size: usize) -> Self {
+        IdfWeights {
+            weights: values,
+            fallback,
+            corpus_size,
+        }
+    }
+
+    /// The per-token weights, in token-id order.
+    pub fn values(&self) -> &[f64] {
+        &self.weights
+    }
+
+    /// The weight of a token beyond the weighted vocabulary.
+    pub fn fallback(&self) -> f64 {
+        self.fallback
+    }
+
     /// Number of documents the weights were computed from.
     pub fn corpus_size(&self) -> usize {
         self.corpus_size

@@ -10,10 +10,10 @@
 
 use proptest::prelude::*;
 use seal_core::persist::{
-    SECTION_ENGINE_META, SECTION_HIER_SCHEME, SECTION_PRIMARY_INDEX, SECTION_STORE_OBJECTS,
-    SECTION_STORE_STATS,
+    SECTION_CORPUS_ARTIFACTS, SECTION_ENGINE_META, SECTION_HIER_SCHEME, SECTION_PRIMARY_INDEX,
+    SECTION_STORE_OBJECTS, SECTION_STORE_STATS,
 };
-use seal_core::{FilterKind, SealEngine};
+use seal_core::{FilterKind, SealEngine, ShardedEngine};
 use seal_index::{Container, ContainerError, ContainerWriter, IndexCodecError};
 use std::sync::Arc;
 
@@ -357,6 +357,74 @@ fn hostile_scheme_sections_behind_valid_crcs_error() {
                 ..
             }) => assert!(detail.contains(expect), "{what}: {detail}"),
             other => panic!("{what}: expected a typed hier-scheme error, got {other:?}"),
+        }
+    }
+}
+
+#[test]
+fn hostile_corpus_artifacts_behind_valid_crcs_error() {
+    // A shard's container carries the corpus artifacts section:
+    // [space 4×f64 | corpus size u64 | fallback f64 | n u64 | n×f64].
+    // The loader grids the space and scores with the weights, so a
+    // count off the vocabulary, a weight that is not finite and
+    // non-negative, and a space that is no rect or does not hold the
+    // objects must all be refused.
+    let (store, _) = twitter_fixture(150, 1);
+    let sharded = ShardedEngine::build(&store, FilterKind::Token, 2);
+    let shard = sharded.shard_engines()[0]
+        .to_container_bytes()
+        .expect("serialize");
+    let container = Container::parse(&shard).expect("pristine container must parse");
+    let artifacts = container
+        .require(SECTION_CORPUS_ARTIFACTS)
+        .expect("a shard writes its injected artifacts");
+    SealEngine::load_from_bytes(&shard, 1).expect("a shard's container loads back");
+    let vocab = u64::from_le_bytes(artifacts[48..56].try_into().unwrap());
+    let f64s = |v: &[f64]| v.iter().flat_map(|x| x.to_le_bytes()).collect::<Vec<u8>>();
+    let cases: [(&str, usize, Vec<u8>, &str); 7] = [
+        (
+            "one weight too few",
+            48,
+            (vocab - 1).to_le_bytes().to_vec(),
+            "weights for a vocabulary",
+        ),
+        (
+            "one weight too many",
+            48,
+            (vocab + 1).to_le_bytes().to_vec(),
+            "weights for a vocabulary",
+        ),
+        ("a NaN weight", 56, f64s(&[f64::NAN]), "not finite"),
+        (
+            "an infinite fallback",
+            40,
+            f64s(&[f64::INFINITY]),
+            "not finite",
+        ),
+        ("a negative weight", 64, f64s(&[-1.0]), "not finite"),
+        ("an inverted space", 0, f64s(&[1e12]), "invalid space"),
+        (
+            "a space off the objects",
+            0,
+            f64s(&[0.0, 0.0, 1.0, 1.0]),
+            "outside the space",
+        ),
+    ];
+    for (what, at, patch, expect) in cases {
+        let w = reframed(&shard, |kind, p| {
+            let mut p = p.to_vec();
+            if kind == SECTION_CORPUS_ARTIFACTS {
+                p[at..at + patch.len()].copy_from_slice(&patch);
+            }
+            p
+        });
+        match SealEngine::load_from_bytes(&w.finish(), 1).err() {
+            Some(ContainerError::Section {
+                section: "corpus artifacts",
+                detail,
+                ..
+            }) => assert!(detail.contains(expect), "{what}: {detail}"),
+            other => panic!("{what}: expected a typed corpus-artifacts error, got {other:?}"),
         }
     }
 }

@@ -53,6 +53,13 @@ fn every_kind_roundtrips_bit_identical() {
                 .len(),
             "{kind:?}: reported size disagrees with the file"
         );
+        // The file is written straight from the sections, without
+        // `finish`'s concatenated copy: the same bytes all the same.
+        assert!(
+            std::fs::read(&path).expect("read back")
+                == engine.to_container_bytes().expect("serialize"),
+            "{kind:?}: the saved file differs from to_container_bytes"
+        );
         let loaded =
             SealEngine::load(&path).unwrap_or_else(|e| panic!("{kind:?}: load failed: {e}"));
         assert_eq!(loaded.kind(), kind, "kind must survive the round-trip");

@@ -329,14 +329,14 @@ impl Subject {
         }
     }
 
-    /// The generations a save→load round-trips. A shard's store
-    /// carries the whole corpus's injected artifacts, which its
-    /// container does not keep, so shards are not among them.
+    /// The generations a save→load round-trips: a sharded subject's
+    /// are its shards', each carrying the whole corpus's injected
+    /// artifacts in its container.
     fn persisted(&self) -> Vec<Arc<SealEngine>> {
         match self {
             Subject::Seal(e) => vec![e.clone()],
             Subject::Live(e) => vec![e.engine()],
-            Subject::Sharded(_) => Vec::new(),
+            Subject::Sharded(e) => e.shard_engines(),
         }
     }
 }
