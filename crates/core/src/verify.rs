@@ -243,7 +243,7 @@ mod kernel_proptests {
                     .filter(|&id| SimilarityConfig.is_answer(&q, store.get(id), w))
                     .collect();
                 let mut stats = SearchStats::new();
-                prop_assert_eq!(verify(&store, &SimilarityConfig, &q, &ids, &mut stats), literal.clone());
+                prop_assert_eq!(verify(&store, &SimilarityConfig, &q, &ids, &mut stats), literal);
                 // Generation and staged objects alike are judged with
                 // the generation's weights.
                 let overlaid: Vec<ObjectId> = ids
