@@ -28,8 +28,8 @@ mod tests {
     use seal_text::{TokenId, TokenSet};
     use std::sync::Arc;
 
-    // The random worlds of the root package's `tests/property_search.rs`:
-    // 1–60 objects in a 1000×1000 space.
+    // Random worlds of 1–60 objects with continuous corners in a
+    // 1000×1000 space.
     const WORLD: f64 = 1000.0;
 
     fn arb_rect() -> impl Strategy<Value = Rect> {

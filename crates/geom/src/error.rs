@@ -15,6 +15,11 @@ pub enum GeomError {
         /// The offending value.
         value: f64,
     },
+    /// A finite coordinate's magnitude exceeded [`crate::MAX_COORDINATE`].
+    CoordinateOutOfRange {
+        /// The offending value.
+        value: f64,
+    },
     /// `min > max` on some axis when building a [`crate::Rect`].
     InvertedRect {
         /// Minimum corner x.
@@ -57,6 +62,11 @@ impl fmt::Display for GeomError {
             GeomError::NonFiniteCoordinate { value } => {
                 write!(f, "non-finite coordinate: {value}")
             }
+            GeomError::CoordinateOutOfRange { value } => write!(
+                f,
+                "coordinate {value:e} exceeds the supported magnitude {:e}",
+                crate::MAX_COORDINATE
+            ),
             GeomError::InvertedRect {
                 min_x,
                 min_y,
@@ -90,6 +100,8 @@ mod tests {
     fn display_messages_are_informative() {
         let e = GeomError::NonFiniteCoordinate { value: f64::NAN };
         assert!(e.to_string().contains("non-finite"));
+        let e = GeomError::CoordinateOutOfRange { value: 1e308 };
+        assert!(e.to_string().contains("exceeds"));
         let e = GeomError::InvertedRect {
             min_x: 1.0,
             min_y: 0.0,

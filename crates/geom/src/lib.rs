@@ -49,6 +49,12 @@ pub use gridtree::{GridCellId, GridTree, MAX_TREE_LEVEL};
 pub use point::Point;
 pub use rect::Rect;
 
+/// The largest coordinate magnitude [`Point::new`] and [`Rect::new`]
+/// accept: 2⁵⁰⁰ ≈ 3.3e150. A width or height is then at most 2⁵⁰¹, an
+/// area at most 2¹⁰⁰², and `|a| + |b|` at most 2¹⁰⁰³, all far below
+/// `f64::MAX` ≈ 2¹⁰²⁴, so no similarity reads `∞ − ∞` or `0 · ∞`.
+pub const MAX_COORDINATE: f64 = f64::from_bits((1023 + 500) << 52);
+
 /// Result alias used throughout the geometry crate.
 pub type Result<T> = std::result::Result<T, GeomError>;
 

@@ -1,6 +1,6 @@
 //! 2-D points.
 
-use crate::{GeomError, Result};
+use crate::{GeomError, Result, MAX_COORDINATE};
 
 /// A point in the planar data space.
 ///
@@ -16,22 +16,23 @@ pub struct Point {
 }
 
 impl Point {
-    /// Creates a point, validating that both coordinates are finite.
+    /// Creates a point, validating that both coordinates are finite
+    /// and at most [`MAX_COORDINATE`] in magnitude.
     ///
     /// # Errors
-    /// Returns [`GeomError::NonFiniteCoordinate`] on NaN or infinity.
+    /// * [`GeomError::NonFiniteCoordinate`] on NaN or infinity.
+    /// * [`GeomError::CoordinateOutOfRange`] past ±[`MAX_COORDINATE`].
     pub fn new(x: f64, y: f64) -> Result<Self> {
         for v in [x, y] {
-            if !v.is_finite() {
-                return Err(GeomError::NonFiniteCoordinate { value: v });
-            }
+            check_coordinate(v)?;
         }
         Ok(Point { x, y })
     }
 
     /// Creates a point without validation. Useful in hot paths where the
     /// inputs were already validated (e.g. grid cell corners derived from
-    /// a validated [`crate::Rect`]).
+    /// a validated [`crate::Rect`]); the caller keeps both coordinates
+    /// within ±[`MAX_COORDINATE`].
     #[inline]
     pub const fn raw(x: f64, y: f64) -> Self {
         Point { x, y }
@@ -50,10 +51,20 @@ impl Point {
     }
 }
 
-impl From<(f64, f64)> for Point {
-    fn from((x, y): (f64, f64)) -> Self {
-        Point::raw(x, y)
+/// One coordinate as every public constructor of [`Point`] and
+/// [`crate::Rect`] accepts it: finite, magnitude at most
+/// [`MAX_COORDINATE`].
+/// One comparison: NaN and ±∞ fail it too.
+#[inline]
+pub(crate) fn check_coordinate(v: f64) -> Result<()> {
+    if v.abs() <= MAX_COORDINATE {
+        return Ok(());
     }
+    Err(if v.is_finite() {
+        GeomError::CoordinateOutOfRange { value: v }
+    } else {
+        GeomError::NonFiniteCoordinate { value: v }
+    })
 }
 
 #[cfg(test)]
@@ -69,16 +80,21 @@ mod tests {
     }
 
     #[test]
+    fn new_rejects_coordinates_past_the_bound() {
+        assert!(Point::new(MAX_COORDINATE, -MAX_COORDINATE).is_ok());
+        for v in [1e308, -1e308, MAX_COORDINATE * 2.0] {
+            assert_eq!(
+                Point::new(0.0, v),
+                Err(GeomError::CoordinateOutOfRange { value: v })
+            );
+        }
+    }
+
+    #[test]
     fn min_max_are_componentwise() {
         let a = Point::raw(1.0, 9.0);
         let b = Point::raw(5.0, 2.0);
         assert_eq!(a.min(&b), Point::raw(1.0, 2.0));
         assert_eq!(a.max(&b), Point::raw(5.0, 9.0));
-    }
-
-    #[test]
-    fn from_tuple() {
-        let p: Point = (2.0, 3.0).into();
-        assert_eq!(p, Point::raw(2.0, 3.0));
     }
 }

@@ -1,5 +1,6 @@
 //! Axis-aligned rectangles (MBRs) and overlap-based spatial similarity.
 
+use crate::point::check_coordinate;
 use crate::{GeomError, Point, Result};
 
 /// An axis-aligned rectangle (`min ≤ max` on both axes).
@@ -19,14 +20,17 @@ impl Rect {
     /// Creates a rectangle from its bottom-left `(min_x, min_y)` and
     /// top-right `(max_x, max_y)` corners.
     ///
+    /// Every coordinate lies within ±[`crate::MAX_COORDINATE`], so the
+    /// width, height, area, MBR and every area sum of two rects stay
+    /// finite.
+    ///
     /// # Errors
     /// * [`GeomError::NonFiniteCoordinate`] for NaN / infinite inputs.
+    /// * [`GeomError::CoordinateOutOfRange`] past ±[`crate::MAX_COORDINATE`].
     /// * [`GeomError::InvertedRect`] if `min > max` on either axis.
     pub fn new(min_x: f64, min_y: f64, max_x: f64, max_y: f64) -> Result<Self> {
         for v in [min_x, min_y, max_x, max_y] {
-            if !v.is_finite() {
-                return Err(GeomError::NonFiniteCoordinate { value: v });
-            }
+            check_coordinate(v)?;
         }
         if min_x > max_x || min_y > max_y {
             return Err(GeomError::InvertedRect {
@@ -53,8 +57,11 @@ impl Rect {
     }
 
     /// The degenerate rectangle containing exactly one point.
-    pub fn point(p: Point) -> Self {
-        Rect { min: p, max: p }
+    ///
+    /// # Errors
+    /// As [`Rect::new`], for a point built past its checks.
+    pub fn point(p: Point) -> Result<Self> {
+        Rect::new(p.x, p.y, p.x, p.y)
     }
 
     /// Bottom-left corner.
@@ -215,6 +222,18 @@ mod tests {
         assert!(Rect::new(0.0, 0.0, -1.0, 1.0).is_err());
         assert!(Rect::new(0.0, 2.0, 1.0, 1.0).is_err());
         assert!(Rect::new(f64::NAN, 0.0, 1.0, 1.0).is_err());
+        assert!(Rect::point(Point::raw(0.0, f64::INFINITY)).is_err());
+        // The overflowing extent of a height-∞ rect is refused up front.
+        assert_eq!(
+            Rect::new(0.0, -1e308, 1.0, 1e308),
+            Err(GeomError::CoordinateOutOfRange { value: -1e308 })
+        );
+        let m = crate::MAX_COORDINATE;
+        assert!(Rect::new(-m, -m, m, m).is_ok());
+        assert!(Rect::new(m, 0.0, m, 1.0)
+            .unwrap()
+            .translated(m, 0.0)
+            .is_err());
         assert!(
             Rect::new(0.0, 0.0, 0.0, 0.0).is_ok(),
             "points are valid MBRs"
@@ -299,8 +318,8 @@ mod tests {
 
     #[test]
     fn degenerate_similarity() {
-        let p = Rect::point(Point::raw(3.0, 3.0));
-        let q = Rect::point(Point::raw(4.0, 4.0));
+        let p = Rect::point(Point::raw(3.0, 3.0)).unwrap();
+        let q = Rect::point(Point::raw(4.0, 4.0)).unwrap();
         assert_eq!(p.jaccard(&p), 1.0);
         assert_eq!(p.jaccard(&q), 0.0);
         // Degenerate vs non-degenerate: zero intersection area.
@@ -317,5 +336,66 @@ mod tests {
         assert_eq!(s.width(), 4.0);
         assert_eq!(s.height(), 8.0);
         assert_eq!(s.center(), a.center());
+    }
+}
+
+#[cfg(test)]
+mod proptests {
+    use super::*;
+    use crate::MAX_COORDINATE;
+    use proptest::prelude::*;
+
+    /// A coordinate anywhere in the accepted range: a sign, a binary
+    /// magnitude from 2⁻¹⁰ to 2⁵⁰⁰ (clamped to the bound) or zero.
+    fn coordinate() -> impl Strategy<Value = f64> {
+        (0u8..2, -11i32..=500, 1.0f64..2.0).prop_map(|(sign, exp, mantissa)| {
+            let magnitude = match exp {
+                -11 => 0.0,
+                e => (mantissa * 2f64.powi(e)).min(MAX_COORDINATE),
+            };
+            if sign == 0 {
+                magnitude
+            } else {
+                -magnitude
+            }
+        })
+    }
+
+    fn rect() -> impl Strategy<Value = Rect> {
+        (coordinate(), coordinate(), coordinate(), coordinate())
+            .prop_map(|(a, b, c, d)| Rect::new(a.min(c), b.min(d), a.max(c), b.max(d)).unwrap())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// Within the accepted range no area, union or MBR overflows,
+        /// every similarity is a number in `[0, 1]`, and a positive-area
+        /// rect is exactly similar to itself.
+        #[test]
+        fn accepted_rects_keep_every_area_finite(a in rect(), b in rect()) {
+            let m = a.mbr_with(&b);
+            for v in [a.area(), b.area(), a.intersection_area(&b), a.union_area(&b), m.area()] {
+                prop_assert!(v.is_finite() && v >= 0.0, "{v} for {a:?}, {b:?}");
+            }
+            let j = a.jaccard(&b);
+            prop_assert!((0.0..=1.0).contains(&j), "jaccard {j} for {a:?}, {b:?}");
+            for r in [a, b, m] {
+                prop_assert!(r.area() <= 0.0 || r.jaccard(&r) == 1.0, "jaccard(r, r) for {r:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn the_widest_rect_is_similar_to_itself() {
+        let w = Rect::new(
+            -MAX_COORDINATE,
+            -MAX_COORDINATE,
+            MAX_COORDINATE,
+            MAX_COORDINATE,
+        )
+        .unwrap();
+        assert!(w.union_area(&w).is_finite());
+        assert_eq!(w.jaccard(&w), 1.0);
     }
 }

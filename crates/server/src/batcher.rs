@@ -16,8 +16,9 @@
 //! Every query in a batch is answered against the engine behind one
 //! [`QueryEngine::search_batch`] call — for a `LiveEngine`, one
 //! consistent snapshot (generation + staged delta), which is what lets
-//! the black-box concurrency tests reuse the `live_ingest.rs`
-//! two-legal-snapshots oracle unchanged across the network boundary;
+//! the black-box concurrency tests check every wire answer against the
+//! two legal snapshots of `tests/util/model.rs`'s model (the generation
+//! plus the frozen-weight overlay, or the union's fresh build);
 //! for a `ShardedEngine`, one consistent per-shard combination.
 
 use seal_core::{Query, QueryEngine, SearchResult};

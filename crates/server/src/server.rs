@@ -23,9 +23,9 @@
 //! connection thread itself for a batch of one) probe through their
 //! warm thread-local query scratch. Requests never
 //! hold the engine's swap lock; `/push` and `/refresh` ride the
-//! engine's generation protocol unchanged, so everything the
-//! `live_ingest.rs` oracle proves about swap atomicity holds verbatim
-//! over the wire.
+//! engine's generation protocol unchanged, so everything the model
+//! harness of `tests/exactness.rs` proves about generations holds
+//! verbatim over the wire.
 //!
 //! # Backpressure
 //!

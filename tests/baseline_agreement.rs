@@ -45,8 +45,8 @@ fn baselines_return_oracle_answers() {
     }
 }
 
-/// The end-to-end twitter-like workload (`tests/end_to_end.rs`'s
-/// fixture) against every baseline.
+/// The twitter-like workload of `tests/exactness.rs`'s
+/// `twitter_fixture_ops_match_the_model` against every baseline.
 #[test]
 fn baselines_agree_with_oracle_on_twitter_like_data() {
     let (store, queries) = twitter_fixture(2_000, 12);

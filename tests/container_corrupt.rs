@@ -429,6 +429,30 @@ fn hostile_corpus_artifacts_behind_valid_crcs_error() {
     }
 }
 
+#[test]
+fn object_regions_that_overflow_behind_valid_crcs_error() {
+    // [vocab u64 | n u64 | object 0: min_x, min_y, max_x, max_y f64 | …]:
+    // object 0 stretched to y in [−1e308, 1e308], whose height and area
+    // are ∞, which every coordinate check refuses.
+    let f64s = |v: &[f64]| v.iter().flat_map(|x| x.to_le_bytes()).collect::<Vec<u8>>();
+    let w = reframed(seal_bytes(), |kind, p| {
+        let mut p = p.to_vec();
+        if kind == SECTION_STORE_OBJECTS {
+            p[24..32].copy_from_slice(&f64s(&[-1e308]));
+            p[40..48].copy_from_slice(&f64s(&[1e308]));
+        }
+        p
+    });
+    match SealEngine::load_from_bytes(&w.finish(), 1).err() {
+        Some(ContainerError::Section {
+            section: "store objects",
+            detail,
+            ..
+        }) => assert!(detail.contains("object 0: invalid region"), "{detail}"),
+        other => panic!("expected a typed store-objects error, got {other:?}"),
+    }
+}
+
 /// The container of `kind` over the 150-object fixture.
 fn container_of(kind: FilterKind) -> Vec<u8> {
     let (store, _) = twitter_fixture(150, 1);

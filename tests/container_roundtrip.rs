@@ -3,7 +3,7 @@
 //! and its atomic-rename save protocol never clobbers a good
 //! container with a failed write.
 
-use seal_core::{FilterKind, LiveEngine, ObjectId, Query, QueryContext, SealEngine};
+use seal_core::{FilterKind, ObjectId, Query, QueryContext, SealEngine};
 use seal_index::container::{crc32, temp_path_for};
 use std::sync::Arc;
 
@@ -115,40 +115,6 @@ fn container_bytes_match_recorded_digests() {
             crc32(&bytes)
         );
     }
-}
-
-/// A post-`refresh()` generation — built through the incremental
-/// scheme-reuse path, not a fresh build — persists and reloads with
-/// identical answers.
-#[test]
-fn post_refresh_generation_roundtrips() {
-    let (store, queries) = twitter_fixture(400, 3);
-    let objects: Vec<_> = store.iter().map(|(_, o)| o.clone()).collect();
-    let vocab = store.vocab_size();
-    let gen0 = Arc::new(seal_core::ObjectStore::from_objects(
-        objects[..300].to_vec(),
-        vocab,
-    ));
-    let live = LiveEngine::new(
-        gen0,
-        FilterKind::Hierarchical {
-            max_level: 5,
-            budget: 8,
-        },
-    );
-    live.push_all(objects[300..].iter().cloned());
-    let stats = live.refresh();
-    assert_eq!(stats.total, 400);
-    let engine = live.engine();
-    let expect = answers(&engine, &queries);
-
-    let path = temp_seal("generation.seal");
-    engine.save(&path).expect("saving a refreshed generation");
-    let loaded = SealEngine::load(&path).expect("loading a refreshed generation");
-    assert_eq!(loaded.store().len(), 400);
-    assert_eq!(answers(&loaded, &queries), expect);
-    assert_eq!(loaded.index_bytes(), engine.index_bytes());
-    std::fs::remove_file(&path).ok();
 }
 
 /// Crash safety: a save that fails mid-flight (here: the temp path is

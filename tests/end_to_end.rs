@@ -1,74 +1,14 @@
-//! End-to-end integration: generate a realistic dataset, build every
-//! engine, and check they all agree with the brute-force oracle across
-//! the paper's threshold grid.
+//! End-to-end integration on a realistic dataset: a built engine
+//! answers deterministically and is shareable across threads. Its
+//! agreement with the brute-force oracle is `tests/exactness.rs`'s
+//! fixture cases.
 
 use seal_bench_test_util::*;
-use seal_core::verify::naive_search;
-use seal_core::{FilterKind, SealEngine, SimilarityConfig};
+use seal_core::{FilterKind, SealEngine};
 use std::sync::Arc;
 
 #[path = "util/mod.rs"]
 mod seal_bench_test_util;
-
-#[test]
-fn all_engines_agree_with_oracle_on_twitter_like_data() {
-    let (store, queries) = twitter_fixture(2_000, 12);
-    let store = Arc::new(store);
-    let cfg = SimilarityConfig;
-    let kinds = vec![
-        FilterKind::Token,
-        FilterKind::Grid { side: 64 },
-        FilterKind::Grid { side: 512 },
-        FilterKind::HashHybrid {
-            side: 128,
-            buckets: Some(1 << 14),
-        },
-        FilterKind::Hierarchical {
-            max_level: 8,
-            budget: 8,
-        },
-    ];
-    for kind in kinds {
-        let engine = SealEngine::build(store.clone(), kind);
-        for q in &queries {
-            let got = engine.search(q).sorted();
-            let mut expect = naive_search(&store, &cfg, q);
-            expect.sort_unstable();
-            assert_eq!(
-                got.answers, expect,
-                "{kind:?} disagrees with oracle on query {:?} τ=({},{})",
-                q.region, q.tau_spatial, q.tau_textual
-            );
-        }
-    }
-}
-
-#[test]
-fn usa_like_data_round_trips_too() {
-    let (store, queries) = usa_fixture(2_000, 3);
-    let store = Arc::new(store);
-    let cfg = SimilarityConfig;
-    let engine = SealEngine::build(store.clone(), FilterKind::seal_default());
-    for q in &queries {
-        let got = engine.search(q).sorted();
-        let mut expect = naive_search(&store, &cfg, q);
-        expect.sort_unstable();
-        assert_eq!(got.answers, expect);
-    }
-    // Self-anchored queries guarantee non-empty answers, so completeness
-    // is exercised on hits as well as misses (at this reduced scale the
-    // generated workload can legitimately return nothing: 2k objects in
-    // a continent-sized space are sparse, unlike the paper's 1M).
-    for idx in [0u32, 7, 42] {
-        let o = store.get(seal_core::ObjectId(idx));
-        let q = seal_core::Query::new(o.region, o.tokens.clone(), 0.5, 0.5).unwrap();
-        let got = engine.search(&q);
-        assert!(
-            got.answers.contains(&seal_core::ObjectId(idx)),
-            "self-query missed object {idx}"
-        );
-    }
-}
 
 #[test]
 fn results_are_stable_across_repeated_searches() {

@@ -2,7 +2,8 @@
 //! `util/model.rs` — a naive scan of the generation plus the legal
 //! overlay of the staged objects — through any sequence of push,
 //! query, top-k, refresh and save→load, for every filter, storage
-//! form, build thread count and shard count.
+//! form, build thread count and shard count. This is the one suite
+//! of root tests that compares every engine with a naive scan.
 
 use proptest::prelude::*;
 use seal_core::FilterKind::{self, *};
@@ -13,7 +14,44 @@ mod util;
 
 #[path = "util/model.rs"]
 mod model;
-use model::{fixture_ops, pairs, replay, Config, Engine};
+use model::{fixture_ops, pairs, replay, Config, Engine, SHARDS};
+
+/// Every `FilterKind` variant and every shard count meets the model:
+/// the match below has no wildcard arm, so a new variant does not
+/// compile until it is numbered here, and then fails until `pairs()`
+/// serves it.
+#[test]
+fn pairs_cover_every_filter_kind_and_shard_count() {
+    fn variant(kind: FilterKind) -> usize {
+        match kind {
+            Token => 0,
+            TokenCompressed => 1,
+            Grid { .. } => 2,
+            HashHybrid { .. } => 3,
+            HashHybridCompressed { .. } => 4,
+            Hierarchical { .. } => 5,
+        }
+    }
+    let mut seen = [false; 6];
+    for kind in util::kinds(8, &[None, Some(64)], 4, 8) {
+        seen[variant(kind)] = true;
+    }
+    assert_eq!(
+        seen, [true; 6],
+        "a FilterKind variant the model never builds"
+    );
+    let pairs = pairs();
+    for kind in util::kinds(8, &[None, Some(64)], 4, 8) {
+        for n in SHARDS {
+            assert!(
+                pairs
+                    .iter()
+                    .any(|&(c, e)| c.kind == kind && matches!(e, Engine::Sharded(m) if m == n)),
+                "{kind:?} never meets {n} shards"
+            );
+        }
+    }
+}
 
 /// Random op sequences over small worlds, every (configuration,
 /// engine) pair twice: case `i` replays pair `i mod 80`. A failure

@@ -276,18 +276,32 @@ fn bad_query_parameters_answer_400() {
         "/query?region=0,0,1,1&tau_r=zero",    // unparsable tau
         "/query?region=0,0,1,1&tau_r=0",       // tau out of (0,1]
         "/query?region=0,0,1,1&tokens=coffee", // name, but no dictionary
+        "/query?region=0,-1e308,1,1e308",      // height overflows f64
     ];
     for path in cases {
         let resp = send_str(&server, &get(path));
         assert_eq!(status_of(&resp), 400, "GET {path}:\n{resp}");
     }
     // Push bodies are validated as a whole before staging anything.
-    for body in ["", "1 2 3\n", "1 1 2 2 0\nbroken line\n", "1 1 2 2 \n"] {
+    let overflowing = "2 -1e308 3 1e308 0\n";
+    for body in [
+        "",
+        "1 2 3\n",
+        "1 1 2 2 0\nbroken line\n",
+        "1 1 2 2 \n",
+        overflowing,
+    ] {
         let resp = send_str(&server, &post("/push", body));
         assert_eq!(status_of(&resp), 400, "push {body:?}:\n{resp}");
     }
     let status = send_str(&server, &get("/status"));
     assert!(status.contains("\"staged\":0"), "a bad body staged objects");
+    let resp = send_str(&server, &get("/query?region=0,0,1,1"));
+    assert_eq!(
+        status_of(&resp),
+        200,
+        "serving after the bad requests:\n{resp}"
+    );
 }
 
 #[test]

@@ -5,14 +5,12 @@
 // every fixture.
 #![allow(dead_code)]
 
-use proptest::prelude::Strategy;
 use seal_core::filters::Storage;
 use seal_core::{FilterKind, ObjectStore, Query, RoiObject};
 use seal_datagen::{
     generate_queries, twitter_like, usa_like, QueryParams, QuerySpec, TwitterParams, UsaParams,
 };
-use seal_geom::Rect;
-use seal_text::{TokenId, TokenSet};
+use seal_text::TokenSet;
 
 /// Every engine configuration as the product of two lists — the
 /// schemes and the storage forms their posting lists can be served
@@ -110,60 +108,4 @@ fn build_queries(dataset: &seal_datagen::Dataset, per_spec: usize, seed: u64) ->
         }
     }
     out
-}
-
-/// Vocabulary of the proptest worlds below.
-pub const VOCAB: usize = 12;
-
-/// Proptest-generated object: position, extent, 1–3 token ids.
-pub type RawObj = (u32, u32, u32, u32, Vec<u32>);
-
-/// Strategy for one [`RawObj`]: corner in `0..100` and extent in
-/// `1..25` per axis.
-pub fn obj_strategy() -> impl Strategy<Value = RawObj> {
-    (
-        0u32..100,
-        0u32..100,
-        1u32..25,
-        1u32..25,
-        proptest::collection::vec(0u32..VOCAB as u32, 1..4),
-    )
-}
-
-/// The object a [`RawObj`] describes.
-pub fn materialize(raw: &RawObj) -> RoiObject {
-    let (x, y, w, h, ref tokens) = *raw;
-    RoiObject::new(
-        Rect::new(
-            f64::from(x),
-            f64::from(y),
-            f64::from(x + w),
-            f64::from(y + h),
-        )
-        .unwrap(),
-        TokenSet::from_ids(tokens.iter().map(|&t| TokenId(t))),
-    )
-}
-
-/// Three queries over the proptest world: loose, mixed and tight
-/// thresholds.
-pub fn workload() -> Vec<Query> {
-    let region = |x0, y0, x1, y1| Rect::new(x0, y0, x1, y1).unwrap();
-    vec![
-        Query::with_token_ids(
-            region(0.0, 0.0, 60.0, 60.0),
-            [TokenId(0), TokenId(1)],
-            0.1,
-            0.1,
-        )
-        .unwrap(),
-        Query::with_token_ids(
-            region(20.0, 20.0, 90.0, 90.0),
-            [TokenId(2), TokenId(5), TokenId(7)],
-            0.3,
-            0.2,
-        )
-        .unwrap(),
-        Query::with_token_ids(region(50.0, 0.0, 125.0, 70.0), [TokenId(3)], 0.2, 0.5).unwrap(),
-    ]
 }

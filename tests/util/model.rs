@@ -51,17 +51,28 @@ pub struct Config {
     pub threads: usize,
 }
 
+/// The shard counts the sharded engine is built at.
+pub const SHARDS: [usize; 5] = [1, 2, 3, 4, 8];
+
 /// Every (configuration, engine) pair: the 8 kinds of
 /// `kinds(8, &[None, Some(64)], 4, 8)` at 1 and 2 build threads, each
-/// on every engine, at 1, 3 and 8 shards for the sharded one.
+/// on a `SealEngine`, a `LiveEngine` and three `ShardedEngine`s whose
+/// shard counts cycle through [`SHARDS`] from one configuration to the
+/// next, so every kind meets every count.
 pub fn pairs() -> Vec<(Config, Engine)> {
     use Engine::*;
     let kinds = crate::util::kinds(8, &[None, Some(64)], 4, 8);
     let configs = kinds
         .into_iter()
         .flat_map(|kind| [1, 2].map(|threads| Config { kind, threads }));
-    let engines = [Seal, Live, Sharded(1), Sharded(3), Sharded(8)];
-    configs.flat_map(|c| engines.map(|e| (c, e))).collect()
+    let mut shards = SHARDS.into_iter().cycle();
+    configs
+        .flat_map(|c| {
+            let sharded = shards.by_ref().take(3).map(Sharded);
+            let engines: Vec<Engine> = [Seal, Live].into_iter().chain(sharded).collect();
+            engines.into_iter().map(move |e| (c, e))
+        })
+        .collect()
 }
 
 /// Where a query comes from: as given, or anchored — object
@@ -96,14 +107,22 @@ pub enum Op {
 
 /// One generated object: corner in `0..40` and extent in `1..25` per
 /// axis, so most pairs overlap, and 0–4 token ids below [`VOCAB`], so
-/// a fifth of the objects have no tokens.
+/// a fifth of the objects have no tokens. A quarter of the objects
+/// have their corners moved off the integer grid by fractions below 1,
+/// so similarities and signature bounds are sums no integer rounds.
 pub fn object() -> impl Strategy<Value = RoiObject> {
     let tokens = proptest::collection::vec(0..VOCAB as u32, 0..5);
-    (0u32..40, 0u32..40, 1u32..25, 1u32..25, tokens).prop_map(|(x, y, w, h, tokens)| {
-        let [x0, y0, x1, y1] = [x, y, x + w, y + h].map(f64::from);
-        let region = Rect::new(x0, y0, x1, y1).expect("positive extent");
-        RoiObject::new(region, TokenSet::from_ids(tokens.into_iter().map(TokenId)))
-    })
+    let off_grid = (0u8..4, 0.0f64..1.0, 0.0f64..1.0);
+    (0u32..40, 0u32..40, 1u32..25, 1u32..25, off_grid, tokens).prop_map(
+        |(x, y, w, h, (tag, fx, fy), tokens)| {
+            let [x0, y0, x1, y1] = [x, y, x + w, y + h].map(f64::from);
+            // Width `w + fy − fx` and height `h + fx − fy` stay positive.
+            let [dx0, dy0, dx1, dy1] = if tag == 0 { [fx, fy, fy, fx] } else { [0.0; 4] };
+            let region =
+                Rect::new(x0 + dx0, y0 + dy0, x1 + dx1, y1 + dy1).expect("positive extent");
+            RoiObject::new(region, TokenSet::from_ids(tokens.into_iter().map(TokenId)))
+        },
+    )
 }
 
 /// One generated op: of 16, 6 push, 4 query, 2 top-k, 2 refresh and
