@@ -1,7 +1,7 @@
 //! The object collection: regions, tokens, corpus weights, global order.
 
 use crate::{ObjectId, RoiObject};
-use seal_geom::Rect;
+use seal_geom::{Point, Rect};
 use seal_text::{Dictionary, GlobalTokenOrder, IdfWeights, TokenSet};
 
 /// Summary statistics of a store (the "Data statistics" rows of
@@ -95,6 +95,11 @@ impl CorpusArtifacts {
 #[derive(Debug, Clone)]
 pub struct ObjectStore {
     objects: Vec<RoiObject>,
+    /// Each object's region as the [`CellGrid`] cells of its corners,
+    /// in id order: the 8-byte column verify rejects disjoint
+    /// candidates from.
+    cells: Vec<[u16; 4]>,
+    grid: CellGrid,
     artifacts: CorpusArtifacts,
     /// True when `artifacts` were injected ([`ObjectStore::with_artifacts`])
     /// rather than computed over `objects`.
@@ -107,8 +112,11 @@ impl ObjectStore {
     /// `vocab_size` distinct tokens.
     pub fn from_objects(objects: Vec<RoiObject>, vocab_size: usize) -> Self {
         let artifacts = CorpusArtifacts::compute(objects.iter(), vocab_size);
+        let (grid, cells) = cells_of(&objects, &artifacts.space);
         ObjectStore {
             objects,
+            cells,
+            grid,
             artifacts,
             injected: false,
             dictionary: None,
@@ -124,8 +132,11 @@ impl ObjectStore {
     /// [`CorpusArtifacts`]). No dictionary: token-string resolution is
     /// a corpus-level concern the sharding layer keeps for itself.
     pub fn with_artifacts(objects: Vec<RoiObject>, artifacts: CorpusArtifacts) -> Self {
+        let (grid, cells) = cells_of(&objects, &artifacts.space);
         ObjectStore {
             objects,
+            cells,
+            grid,
             artifacts,
             injected: true,
             dictionary: None,
@@ -223,6 +234,18 @@ impl ObjectStore {
         &self.objects
     }
 
+    /// Each object's corner cells, in id order.
+    #[inline]
+    pub(crate) fn cells(&self) -> &[[u16; 4]] {
+        &self.cells
+    }
+
+    /// The grid of [`cells`](Self::cells), over the store's space.
+    #[inline]
+    pub(crate) fn cell_grid(&self) -> &CellGrid {
+        &self.grid
+    }
+
     /// Iterates `(id, object)` pairs.
     pub fn iter(&self) -> impl Iterator<Item = (ObjectId, &RoiObject)> {
         self.objects
@@ -301,6 +324,58 @@ impl ObjectStore {
     }
 }
 
+/// The grid of a store's cell column: 65 536 cells a side over its
+/// space. A coordinate `v` falls in cell `⌊(v − origin)·scale⌋`,
+/// clamped to `0..=65535` and computed in `f64`. Each step — the
+/// subtraction, the product by a scale `≥ 0`, the floor, the clamp — is
+/// non-decreasing in `v`, so a corner in a higher cell than another
+/// lies strictly beyond it: cells apart mean rects apart, for any rect
+/// inside or outside the space.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct CellGrid {
+    origin: Point,
+    scale: [f64; 2],
+}
+
+impl CellGrid {
+    pub(crate) fn over(space: &Rect) -> Self {
+        // An extent so small that the scale overflows would make
+        // `0 · ∞` a NaN; a zero scale puts every corner in cell 0.
+        let scale = |extent: f64| {
+            let s = 65_535.0 / extent;
+            if s.is_finite() {
+                s
+            } else {
+                0.0
+            }
+        };
+        CellGrid {
+            origin: space.min(),
+            scale: [scale(space.width()), scale(space.height())],
+        }
+    }
+
+    /// `r`'s corners as cells: `[min x, min y, max x, max y]`.
+    #[inline]
+    pub(crate) fn cells(&self, r: &Rect) -> [u16; 4] {
+        let (o, [sx, sy]) = (self.origin, self.scale);
+        let cell = |v: f64, o: f64, s: f64| ((v - o) * s).floor().clamp(0.0, 65_535.0) as u16;
+        let (min, max) = (r.min(), r.max());
+        [
+            cell(min.x, o.x, sx),
+            cell(min.y, o.y, sy),
+            cell(max.x, o.x, sx),
+            cell(max.y, o.y, sy),
+        ]
+    }
+}
+
+fn cells_of(objects: &[RoiObject], space: &Rect) -> (CellGrid, Vec<[u16; 4]>) {
+    let grid = CellGrid::over(space);
+    let cells = objects.iter().map(|o| grid.cells(&o.region)).collect();
+    (grid, cells)
+}
+
 /// MBR of all regions, padded to a non-degenerate rectangle so grid
 /// partitions are always well-defined.
 fn space_over<'a>(regions: impl Iterator<Item = &'a Rect>) -> Rect {
@@ -365,6 +440,7 @@ pub fn figure1_store() -> (ObjectStore, crate::Query) {
 mod tests {
     use super::*;
     use seal_text::{TokenId, TokenWeights};
+    use std::sync::Arc;
 
     #[test]
     fn from_objects_computes_space_and_weights() {
@@ -580,6 +656,66 @@ mod tests {
         assert_eq!(next.len(), 2);
         assert_eq!(next.get(ObjectId(0)), shard.get(ObjectId(0)));
         assert_eq!(next.get(ObjectId(1)), &delta[0]);
+    }
+
+    /// The cell column holds exactly each object's cells on a grid
+    /// over the store's space, in id order.
+    fn assert_cells_match_objects(store: &ObjectStore, path: &str) {
+        let grid = CellGrid::over(&store.space());
+        let expected: Vec<[u16; 4]> = store
+            .objects()
+            .iter()
+            .map(|o| grid.cells(&o.region))
+            .collect();
+        assert_eq!(store.cells(), expected.as_slice(), "{path}");
+    }
+
+    #[test]
+    fn every_construction_path_builds_the_cell_column() {
+        use crate::{FilterKind, QueryEngine, SealEngine, ShardedEngine};
+        let (store, _q) = figure1_store();
+        let arts = CorpusArtifacts::of(&store);
+        let delta = vec![RoiObject::new(
+            Rect::new(0.1, 0.2, 1e40, 1e40).unwrap(),
+            TokenSet::from_ids([TokenId(5)]),
+        )];
+        let shard = ObjectStore::with_artifacts(store.objects()[..3].to_vec(), arts.clone());
+        for (path, s) in [
+            ("from_objects", store.clone()),
+            ("with_artifacts", shard.clone()),
+            ("extended", store.extended(&delta)),
+            (
+                "extended_with_artifacts",
+                shard.extended_with_artifacts(&delta, arts),
+            ),
+        ] {
+            assert_cells_match_objects(&s, path);
+        }
+        // Both load branches: a computed-artifact store writes no
+        // section 8, a shard's store does.
+        let sharded = ShardedEngine::build(&store, FilterKind::Token, 3);
+        sharded.push(delta[0].clone());
+        sharded.refresh();
+        let engines = sharded.shard_engines();
+        let standalone = SealEngine::build(Arc::new(store.extended(&delta)), FilterKind::Token);
+        for (path, engine, injected) in [
+            ("plain container", &standalone, false),
+            ("shard container", &engines[0], true),
+        ] {
+            let bytes = engine.to_container_bytes().unwrap();
+            let loaded = SealEngine::load_from_bytes(&bytes, 1).unwrap();
+            let loaded = loaded.store();
+            assert_eq!(loaded.injected_artifacts().is_some(), injected, "{path}");
+            assert_eq!(loaded.len(), engine.store().len(), "{path}");
+            assert_cells_match_objects(loaded, path);
+        }
+        assert_eq!(
+            engines.iter().map(|e| e.store().len()).sum::<usize>(),
+            store.len() + 1
+        );
+        for e in &engines {
+            assert_cells_match_objects(e.store(), "shard after refresh");
+        }
     }
 
     #[test]

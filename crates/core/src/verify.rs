@@ -14,6 +14,8 @@ use seal_text::TokenWeights;
 /// without its areas, union, division or token merge. Every other
 /// candidate — all of them when `|q.R| = 0`, where two identical
 /// degenerate rects score 1 — runs Definition 3's unchanged predicate.
+/// [`skips_cells`](Self::skips_cells) makes the same test on the
+/// store's cell column, and rejects only pairs `skips` rejects.
 pub(crate) struct Kernel<'q> {
     q: &'q Query,
     min: Point,
@@ -45,6 +47,17 @@ impl<'q> Kernel<'q> {
         self.positive & !overlap
     }
 
+    /// [`skips`](Self::skips) on the cells of `q.R` (`q`) and of a
+    /// candidate (`o`) on one [`CellGrid`](crate::store::CellGrid),
+    /// `[min x, min y, max x, max y]`. A corner in a higher cell lies
+    /// strictly beyond the other, so cells apart put the rects apart;
+    /// corners that share a cell keep the candidate.
+    #[inline]
+    pub(crate) fn skips_cells(&self, q: &[u16; 4], o: &[u16; 4]) -> bool {
+        let overlap = (q[0] <= o[2]) & (o[0] <= q[2]) & (q[1] <= o[3]) & (o[1] <= q[3]);
+        self.positive & !overlap
+    }
+
     /// Definition 3 behind the exact [`skips`](Self::skips) reject.
     #[inline]
     pub(crate) fn accepts<W: TokenWeights>(&self, o: &RoiObject, w: &W) -> bool {
@@ -55,7 +68,8 @@ impl<'q> Kernel<'q> {
 /// Verifies candidates against the exact similarity predicates
 /// (Definition 3), appending counters to `stats`: a candidate with no
 /// positive-area overlap with a positive-area `q.R` is rejected
-/// outright (its `simR` is 0), the rest run the literal predicate.
+/// outright (its `simR` is 0), first from the store's cell column and
+/// then from its rect, and the rest run the literal predicate.
 /// `SimilarityConfig` has one value; the parameter stays for linked
 /// callers.
 pub fn verify(
@@ -67,8 +81,13 @@ pub fn verify(
 ) -> Vec<ObjectId> {
     let kernel = Kernel::new(q);
     let w = store.weights();
+    let cells = store.cells();
+    let q_cells = store.cell_grid().cells(&q.region);
     let mut answers = Vec::new();
     for &id in candidates {
+        if kernel.skips_cells(&q_cells, &cells[id.index()]) {
+            continue;
+        }
         if kernel.accepts(store.get(id), w) {
             answers.push(id);
         }
@@ -122,6 +141,23 @@ mod tests {
         let answers = verify(&store, &cfg, &q, &[], &mut stats);
         assert!(answers.is_empty());
         assert_eq!(stats.candidates, 0);
+    }
+
+    #[test]
+    fn cell_column_rejects_the_separated_objects() {
+        let (store, q) = figure1_store();
+        let kernel = Kernel::new(&q);
+        let q_cells = store.cell_grid().cells(&q.region);
+        let by_cells: Vec<usize> = (0..store.len())
+            .filter(|&i| kernel.skips_cells(&q_cells, &store.cells()[i]))
+            .collect();
+        let by_rects: Vec<usize> = (0..store.len())
+            .filter(|&i| kernel.skips(&store.objects()[i].region))
+            .collect();
+        // o7 touches q.R's bottom edge: its top corner shares a cell
+        // with q.R's bottom one, so only the rect test rejects it.
+        assert_eq!(by_cells, [0, 2, 3, 4, 5]);
+        assert_eq!(by_rects, [0, 2, 3, 4, 5, 6]);
     }
 
     #[test]
@@ -253,6 +289,87 @@ mod kernel_proptests {
                     .collect();
                 prop_assert_eq!(live.search(&q).sorted().answers, overlaid, "{:?}", q);
             }
+        }
+    }
+}
+
+#[cfg(test)]
+mod cell_proptests {
+    use super::*;
+    use crate::store::CellGrid;
+    use proptest::prelude::*;
+    use seal_geom::MAX_COORDINATE;
+    use seal_text::TokenSet;
+
+    /// A signed coordinate from each regime the cell arithmetic meets:
+    /// zero and subnormals, any magnitude up to `MAX_COORDINATE` (where
+    /// `(v − origin)·scale` overflows to ∞ or a tiny extent makes the
+    /// scale overflow), and small integers.
+    fn coordinate() -> impl Strategy<Value = f64> {
+        (0u8..3, 0u8..2, 0u64..1 << 52, 1u64..=1523, 0u32..8).prop_map(
+            |(kind, sign, mantissa, exponent, small)| {
+                let magnitude = match kind {
+                    0 => f64::from_bits(mantissa),
+                    1 => f64::from_bits(exponent << 52 | mantissa).min(MAX_COORDINATE),
+                    _ => f64::from(small),
+                };
+                if sign == 0 {
+                    magnitude
+                } else {
+                    -magnitude
+                }
+            },
+        )
+    }
+
+    /// A coordinate pool and three rects on it — a space, an object and
+    /// a query — with every corner drawn from a few coordinates and
+    /// their `f64` successors: the rects often share an edge or a
+    /// corner, nest or coincide, any can be zero-width or one ulp thin,
+    /// and the object or the query can lie partly or wholly outside the
+    /// space.
+    fn world() -> impl Strategy<Value = (Vec<f64>, [Rect; 3])> {
+        (
+            collection::vec(coordinate(), 3..6),
+            collection::vec(0usize..64, 12..13),
+        )
+            .prop_map(|(mut pool, picks)| {
+                for i in 0..pool.len() {
+                    pool.push(pool[i].next_up().min(MAX_COORDINATE));
+                }
+                let c = |i: usize| pool[picks[i] % pool.len()];
+                let rect = |i: usize| {
+                    let (a, b, c, d) = (c(i), c(i + 1), c(i + 2), c(i + 3));
+                    Rect::new(a.min(c), b.min(d), a.max(c), b.max(d)).unwrap()
+                };
+                let rects = [rect(0), rect(4), rect(8)];
+                (pool, rects)
+            })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(4096))]
+        /// A coordinate's cell never falls as the coordinate grows, on
+        /// either axis, and a cell-column reject implies the exact rect
+        /// reject, so the column never drops an answer.
+        #[test]
+        fn cell_reject_implies_the_exact_reject(world in world()) {
+            let (pool, [space, o, region]) = world;
+            let grid = CellGrid::over(&space);
+            let cell = |v: f64| grid.cells(&Rect::new(v, v, v, v).unwrap());
+            for &a in &pool {
+                for &b in pool.iter().filter(|&&b| a <= b) {
+                    let (ca, cb) = (cell(a), cell(b));
+                    prop_assert!(ca[0] <= cb[0] && ca[1] <= cb[1], "{a:e} above {b:e} in {space:?}");
+                }
+            }
+            let q = Query::new(region, TokenSet::empty(), 0.5, 0.5).unwrap();
+            let kernel = Kernel::new(&q);
+            let column = kernel.skips_cells(&grid.cells(&region), &grid.cells(&o));
+            prop_assert!(
+                !column || kernel.skips(&o),
+                "column rejected {o:?} against {region:?} in {space:?}"
+            );
         }
     }
 }

@@ -74,11 +74,11 @@ impl fmt::Display for GeomError {
                 max_y,
             } => write!(
                 f,
-                "inverted rectangle: min=({min_x},{min_y}) max=({max_x},{max_y})"
+                "inverted rectangle: min=({min_x:e},{min_y:e}) max=({max_x:e},{max_y:e})"
             ),
             GeomError::ZeroGridSide => write!(f, "grid must have at least 1 cell per side"),
             GeomError::DegenerateSpace { width, height } => {
-                write!(f, "grid space is degenerate: {width} x {height}")
+                write!(f, "grid space is degenerate: {width:e} x {height:e}")
             }
             GeomError::LevelOutOfRange { level } => {
                 write!(f, "grid-tree level {level} exceeds the supported maximum")

@@ -269,18 +269,24 @@ fn malformed_requests_get_typed_status_codes() {
 fn bad_query_parameters_answer_400() {
     let (server, _) = spawn_fixture(config());
     let cases = [
-        "/query",                              // missing region
-        "/query?region=1,2,3",                 // three fields
-        "/query?region=1,2,nan-ish,x",         // unparsable coordinate
-        "/query?region=5,5,1,1",               // inverted rect
-        "/query?region=0,0,1,1&tau_r=zero",    // unparsable tau
-        "/query?region=0,0,1,1&tau_r=0",       // tau out of (0,1]
-        "/query?region=0,0,1,1&tokens=coffee", // name, but no dictionary
-        "/query?region=0,-1e308,1,1e308",      // height overflows f64
+        "/query",                                  // missing region
+        "/query?region=1,2,3",                     // three fields
+        "/query?region=1,2,nan-ish,x",             // unparsable coordinate
+        "/query?region=5,5,1,1",                   // inverted rect
+        "/query?region=0,0,1,1&tau_r=zero",        // unparsable tau
+        "/query?region=0,0,1,1&tau_r=0",           // tau out of (0,1]
+        "/query?region=0,0,1,1&tokens=coffee",     // name, but no dictionary
+        "/query?region=0,-1e308,1,1e308",          // height overflows f64
+        "/query?region=1e300,0,0,1",               // coordinate past the bound
+        "/query?region=3e150,3e150,-3e150,-3e150", // inverted, near the bound
     ];
     for path in cases {
         let resp = send_str(&server, &get(path));
         assert_eq!(status_of(&resp), 400, "GET {path}:\n{resp}");
+        // Coordinates print in exponent form, so no body spells out
+        // a 300-digit number.
+        let body = resp.split_once("\r\n\r\n").map_or("", |(_, b)| b);
+        assert!(body.len() < 512, "GET {path}: {} byte body", body.len());
     }
     // Push bodies are validated as a whole before staging anything.
     let overflowing = "2 -1e308 3 1e308 0\n";
